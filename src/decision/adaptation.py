@@ -17,9 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .autodiff import Tape, Tensor
+from .autodiff import Tape, Tensor, sigmoid
 from .data import UnlabeledSet
-from .models import accuracy, aggregate_logits, check_compatible, predict
+from .models import (SourceStack, accuracy, aggregate_logits, check_compatible,
+                     model_params, predict, stacked_logits)
 from .optim import ParamGroup, SgdMomentum, lr_schedule
 
 DISTANCE_MODES = ("per-source", "combined-feature")
@@ -54,18 +55,9 @@ class AdaptationConfig:
             raise ValueError("refinement rounds must be >= 0")
 
 
-def _sigmoid(v):
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    e = np.exp(v[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
-
-
 def alpha_project(raw):
     """Sigmoid then normalize: always a point on the probability simplex."""
-    s = _sigmoid(np.asarray(raw, dtype=np.float64))
+    s = sigmoid(np.asarray(raw, dtype=np.float64))
     return s / s.sum()
 
 
@@ -99,93 +91,72 @@ class AggregationWeights:
 
 # -- losses -------------------------------------------------------------------
 
-def aggregate_forward(tape, models, alpha_t, x):
-    """Ensemble logits  sum_j alpha_j * logits_j  on the tape."""
-    xt = Tensor(x)
-    agg = None
-    for j, model in enumerate(models):
-        logits, _ = model.forward(tape, xt)
-        weighted = tape.mul_scalar(logits, tape.index(alpha_t, j))
-        agg = weighted if agg is None else tape.add(agg, weighted)
-    return agg
+def ensemble_logits(tape, models, alpha_t, x):
+    """Ensemble logits  sum_j alpha_j * logits_j  on the tape, in one batched pass.
+
+    ``models`` is a SourceStack, or a list of models, which is stacked on the
+    tape (one ``stack`` node per parameter kind) so that each model's own
+    tensors receive their gradients.
+    """
+    if isinstance(models, SourceStack):
+        params = models.params
+    else:
+        check_compatible(models)
+        params = [tape.stack(list(kind)) for kind in zip(*map(model_params, models))]
+    return tape.weighted_sum(alpha_t, stacked_logits(tape, params, x))
+
+
+def loss_coefficients(cfg):
+    """(c_ent, c_div, c_pl) of L_tot = L_ent - L_div + lambda*L_pl, with ablation toggles."""
+    coefs = (1.0 if cfg.use_entropy else 0.0, -1.0 if cfg.use_diversity else 0.0,
+             cfg.lambda_pl)
+    if not any(coefs):
+        raise ValueError("objective has no active terms")
+    return coefs
 
 
 def entropy_term(tape, logits_t):
     """Mean over the batch of -sum_k p_k log p_k of the ensemble prediction."""
-    logp = tape.log_softmax(logits_t)
-    p = tape.exp(logp)
-    return tape.scale(tape.mean(tape.sum_axis(tape.mul(p, logp), 1)), -1.0)
+    return tape.im_loss(logits_t, None, 1.0, 0.0, 0.0)[0]
 
 
 def diversity_term(tape, logits_t):
     """Entropy of the mean predicted class distribution over the batch."""
-    pbar = tape.mean_axis0(tape.softmax(logits_t))
-    return tape.scale(tape.sum(tape.xlogx(pbar)), -1.0)
+    return tape.im_loss(logits_t, None, 0.0, 1.0, 0.0)[0]
 
 
 def pseudo_label_term(tape, logits_t, labels):
     """Mean cross-entropy of the ensemble prediction against hard labels."""
-    b, k = logits_t.shape
-    labels = np.asarray(labels)
-    if len(labels) != b:
-        raise ValueError(f"got {len(labels)} labels for a batch of {b}")
-    onehot = np.zeros((b, k))
-    onehot[np.arange(b), labels] = 1.0
-    logp = tape.log_softmax(logits_t)
-    return tape.scale(tape.sum(tape.mul(Tensor(onehot), logp)), -1.0 / b)
-
-
-def combine_terms(tape, l_ent, l_div, l_pl, cfg):
-    """L_tot = L_ent - L_div + lambda*L_pl, with ablation toggles."""
-    total = None
-
-    def accumulate(acc, term):
-        return term if acc is None else tape.add(acc, term)
-
-    if cfg.use_entropy:
-        total = accumulate(total, l_ent)
-    if cfg.use_diversity:
-        total = accumulate(total, tape.scale(l_div, -1.0))
-    if cfg.lambda_pl > 0.0:
-        total = accumulate(total, tape.scale(l_pl, cfg.lambda_pl))
-    if total is None:
-        raise ValueError("objective has no active terms")
-    return total
+    return tape.im_loss(logits_t, labels, 0.0, 0.0, 1.0)[0]
 
 
 def objective(tape, models, weights, x, labels, cfg):
     """Full training objective on one tape; returns (L_tot, term values)."""
     alpha_t = weights.on_tape(tape)
-    logits_t = aggregate_forward(tape, models, alpha_t, x)
-    l_ent = entropy_term(tape, logits_t)
-    l_div = diversity_term(tape, logits_t)
-    l_pl = pseudo_label_term(tape, logits_t, labels)
-    l_tot = combine_terms(tape, l_ent, l_div, l_pl, cfg)
-    return l_tot, {"L_ent": l_ent.item(), "L_div": l_div.item(), "L_pl": l_pl.item(),
-                   "L_tot": l_tot.item()}
+    logits_t = ensemble_logits(tape, models, alpha_t, x)
+    l_tot, (l_ent, l_div, l_pl) = tape.im_loss(logits_t, labels, *loss_coefficients(cfg))
+    return l_tot, {"L_ent": l_ent, "L_div": l_div, "L_pl": l_pl, "L_tot": l_tot.item()}
 
 
 # Convenience single-loss entry points (fresh tape, value only).
 
-def entropy_loss(models, alpha, x):
+def _ensemble_term(term, models, alpha, x, *labels):
     if len(x) == 0:
         raise ValueError("empty batch")
     tape = Tape()
-    return entropy_term(tape, aggregate_forward(tape, models, Tensor(alpha), x)).item()
+    return term(tape, ensemble_logits(tape, models, Tensor(alpha), x), *labels).item()
+
+
+def entropy_loss(models, alpha, x):
+    return _ensemble_term(entropy_term, models, alpha, x)
 
 
 def diversity_loss(models, alpha, x):
-    if len(x) == 0:
-        raise ValueError("empty batch")
-    tape = Tape()
-    return diversity_term(tape, aggregate_forward(tape, models, Tensor(alpha), x)).item()
+    return _ensemble_term(diversity_term, models, alpha, x)
 
 
 def pl_loss(models, alpha, x, labels):
-    tape = Tape()
-    return pseudo_label_term(
-        tape, aggregate_forward(tape, models, Tensor(alpha), x), labels
-    ).item()
+    return _ensemble_term(pseudo_label_term, models, alpha, x, labels)
 
 
 # -- pseudo-labels --------------------------------------------------------------
@@ -305,16 +276,17 @@ def adapt(models, target, cfg, eval_set=None, on_step=None, optimize_features=Tr
 
     ``target`` must be an UnlabeledSet; labels never cross this boundary.
     ``eval_set`` is used only to report per-epoch accuracy in the metrics.
-    Returns adapted clones plus the learned weights; inputs are not mutated.
+    Returns the adapted models plus the learned weights; inputs are not
+    mutated. All sources step together as one ``SourceStack`` (frozen heads,
+    extractors trainable when ``optimize_features``); the returned models are
+    its per-source views.
     """
     if not isinstance(target, UnlabeledSet):
         raise TypeError("adaptation target must be an UnlabeledSet")
     if len(target) == 0:
         raise ValueError("target set is empty")
-    check_compatible(models)
-    adapted = [m.clone() for m in models]
-    for m in adapted:
-        m.classifier.freeze()
+    stack = SourceStack(models, requires_grad=optimize_features)
+    adapted = stack.models
     weights = AggregationWeights(len(adapted))
     result = AdaptationResult(adapted, weights)
     if cfg.epochs == 0:
@@ -322,8 +294,7 @@ def adapt(models, target, cfg, eval_set=None, on_step=None, optimize_features=Tr
 
     groups = []
     if optimize_features:
-        feat_params = [p for m in adapted for p in m.extractor.params()]
-        groups.append(ParamGroup(feat_params, cfg.lr_backbone, cfg.weight_decay))
+        groups.append(ParamGroup(stack.extractor_params(), cfg.lr_backbone, cfg.weight_decay))
     groups.append(ParamGroup([weights.raw], cfg.lr_alpha, 0.0))  # no decay pull on raw weights
     opt = SgdMomentum(groups, momentum=cfg.momentum)
 
@@ -336,7 +307,7 @@ def adapt(models, target, cfg, eval_set=None, on_step=None, optimize_features=Tr
             adapted, weights.alpha, target.x, cfg.refinement_rounds, cfg.distance_mode
         )
         # epoch-level mean embedding: diagnostic only; optimization uses the
-        # per-batch estimate inside diversity_term
+        # per-batch estimate inside the objective's diversity term
         result.epoch_pbar.append(mean_prediction(adapted, weights.alpha, target.x))
         perm = np.random.default_rng(cfg.seed * 1_000_003 + epoch).permutation(n)
         sums = {"L_ent": 0.0, "L_div": 0.0, "L_pl": 0.0, "L_tot": 0.0}
@@ -344,7 +315,7 @@ def adapt(models, target, cfg, eval_set=None, on_step=None, optimize_features=Tr
             idx = perm[start : start + cfg.batch_size]
             tape = Tape()
             l_tot, terms = objective(
-                tape, adapted, weights, target.x[idx], state.labels[idx], cfg
+                tape, stack, weights, target.x[idx], state.labels[idx], cfg
             )
             tape.backward(l_tot)
             opt.step(lr_factor=lr_schedule(1.0, step / max(1, total_steps - 1)))

@@ -3,7 +3,10 @@
 One optimization run owns one ``Tape``; operations are tape methods so the
 recording scope is always explicit. Entropy-style terms should be built from
 ``log_softmax``/``exp``/``mul`` (or ``xlogx``) so that underflowed
-probabilities contribute 0 rather than NaN.
+probabilities contribute 0 rather than NaN; ``im_loss`` fuses the adaptation
+objective's terms into one node with an analytic gradient. ``bmm``,
+``add_bias``, ``stack`` and ``weighted_sum`` take a leading source axis, so a
+step over n stacked source models records the same nodes for every n.
 """
 
 import numpy as np
@@ -21,6 +24,16 @@ class LogDomainError(ValueError):
 
 class TapeError(RuntimeError):
     """Backward called on a tensor that is not a scalar tape node."""
+
+
+def sigmoid(v):
+    """Elementwise logistic function without overflow for large |v| (numpy)."""
+    out = np.empty_like(v)
+    pos = v >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+    e = np.exp(v[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
 
 
 def _as_values(data):
@@ -120,28 +133,69 @@ class Tape:
 
         return self._record("matmul", out, (ia, ib), backward)
 
+    def bmm(self, a, w):
+        """Per-source matmul: (b, i) shared or (n, b, i) stacked, times (n, i, o)."""
+        av, wv = a.values, w.values
+        if wv.ndim != 3 or av.ndim not in (2, 3) or av.shape[-1] != wv.shape[1] \
+                or (av.ndim == 3 and av.shape[0] != wv.shape[0]):
+            raise ShapeMismatchError(f"bmm: {a.shape} x {w.shape}")
+        ia, iw = self._track(a), self._track(w)
+
+        def backward(g):
+            ga = gw = None
+            if ia is not None:
+                ga = g @ wv.transpose(0, 2, 1)
+                if av.ndim == 2:
+                    ga = ga.sum(axis=0)
+            if iw is not None:
+                gw = np.swapaxes(av, -1, -2) @ g
+            return [ga, gw]
+
+        return self._record("bmm", av @ wv, (ia, iw), backward)
+
     def add_bias(self, x, b):
-        _require_2d("add_bias input", x)
-        if b.values.ndim != 1 or b.shape[0] != x.shape[1]:
+        """(b, o) + (o,), or per source (n, b, o) + (n, o)."""
+        xv, bv = x.values, b.values
+        if xv.ndim not in (2, 3) or bv.shape != xv.shape[:-2] + xv.shape[-1:]:
             raise ShapeMismatchError(f"add_bias: {x.shape} + {b.shape}")
         ix, ib = self._track(x), self._track(b)
 
         def backward(g):
-            return [g, g.sum(axis=0) if ib is not None else None]
+            return [g, g.sum(axis=-2) if ib is not None else None]
 
-        return self._record("add_bias", x.values + b.values, (ix, ib), backward)
+        return self._record("add_bias", xv + bv[..., None, :], (ix, ib), backward)
+
+    def stack(self, tensors):
+        """Equal-shape tensors as one (n, ...) node; row j's gradient goes to tensor j."""
+        shape = tensors[0].shape
+        if any(t.shape != shape for t in tensors):
+            raise ShapeMismatchError(f"stack: {[t.shape for t in tensors]}")
+        ids = [self._track(t) for t in tensors]
+        return self._record(
+            "stack", np.stack([t.values for t in tensors]), ids, lambda g: list(g)
+        )
+
+    def weighted_sum(self, alpha, z):
+        """sum_j alpha_j * z_j over the leading axis: (n,), (n, b, k) -> (b, k)."""
+        av, zv = alpha.values, z.values
+        if av.ndim != 1 or zv.ndim != 3 or av.shape[0] != zv.shape[0]:
+            raise ShapeMismatchError(f"weighted_sum: {alpha.shape} . {z.shape}")
+        n, b, k = zv.shape
+        flat = zv.reshape(n, b * k)
+        ia, iz = self._track(alpha), self._track(z)
+
+        def backward(g):
+            ga = flat @ g.reshape(-1) if ia is not None else None
+            gz = av[:, None, None] * g if iz is not None else None
+            return [ga, gz]
+
+        return self._record("weighted_sum", (av @ flat).reshape(b, k), (ia, iz), backward)
 
     def add(self, a, b):
         if a.shape != b.shape:
             raise ShapeMismatchError(f"add: {a.shape} vs {b.shape}")
         ia, ib = self._track(a), self._track(b)
         return self._record("add", a.values + b.values, (ia, ib), lambda g: [g, g])
-
-    def sub(self, a, b):
-        if a.shape != b.shape:
-            raise ShapeMismatchError(f"sub: {a.shape} vs {b.shape}")
-        ia, ib = self._track(a), self._track(b)
-        return self._record("sub", a.values - b.values, (ia, ib), lambda g: [g, -g])
 
     def mul(self, a, b):
         if a.shape != b.shape:
@@ -168,14 +222,15 @@ class Tape:
         return self._record("mul_scalar", tv * sv, (it, is_), backward)
 
     def relu(self, t):
-        tv = t.values
-        if tv.ndim == 2:
-            out = kernels.relu_fwd(tv)
-            bwd = lambda g: [kernels.relu_bwd(tv, g)]
-        else:
-            out = np.maximum(tv, 0.0)
-            bwd = lambda g: [np.where(tv > 0.0, g, 0.0)]
-        return self._record("relu", out, (self._track(t),), bwd)
+        # any rank, as one row: the loop kernels are written for 2-d arrays
+        shape = t.shape
+        row = t.values.reshape(1, -1)
+        return self._record(
+            "relu",
+            kernels.relu_fwd(row).reshape(shape),
+            (self._track(t),),
+            lambda g: [kernels.relu_bwd(row, g.reshape(1, -1)).reshape(shape)],
+        )
 
     def exp(self, t):
         out = np.exp(t.values)
@@ -188,12 +243,7 @@ class Tape:
         return self._record("log", np.log(tv), (self._track(t),), lambda g: [g / tv])
 
     def sigmoid(self, t):
-        tv = t.values
-        out = np.empty_like(tv)
-        pos = tv >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-tv[pos]))
-        e = np.exp(tv[~pos])
-        out[~pos] = e / (1.0 + e)
+        out = sigmoid(t.values)
         return self._record(
             "sigmoid", out, (self._track(t),), lambda g: [g * out * (1.0 - out)]
         )
@@ -238,6 +288,50 @@ class Tape:
 
         return self._record("xlogx", out, (self._track(t),), backward)
 
+    def im_loss(self, z, labels, c_ent, c_div, c_pl):
+        """c_ent*L_ent + c_div*L_div + c_pl*L_pl over logits z (b, k), as one node.
+
+        With p = softmax(z): L_ent is the batch mean of the row entropies H,
+        L_div the entropy of the batch-mean prediction pbar, and L_pl the mean
+        cross-entropy against integer ``labels`` (may be None when c_pl is 0).
+        Returns the loss tensor and the term values (L_ent, L_div, L_pl), with
+        L_pl None when there are no labels. 0*log(0) counts as 0, as in xlogx.
+        """
+        _require_2d("im_loss logits", z)
+        b, k = z.shape
+        logp = kernels.log_softmax_rows(z.values)
+        p = np.exp(logp)
+        h = -(p * logp).sum(axis=1)
+        pbar = p.mean(axis=0)
+        filled = pbar > 0.0
+        log_pbar = np.zeros(k)
+        log_pbar[filled] = np.log(pbar[filled])
+        l_ent, l_div, l_pl = float(h.mean()), -float((pbar * log_pbar).sum()), None
+        if labels is not None:
+            labels = np.asarray(labels)
+            if len(labels) != b:
+                raise ShapeMismatchError(f"got {len(labels)} labels for a batch of {b}")
+            onehot = np.zeros((b, k))
+            onehot[np.arange(b), labels] = 1.0
+            l_pl = float((onehot * logp).sum()) * (-1.0 / b)
+        elif c_pl:
+            raise ValueError("the pseudo-label term needs labels")
+
+        def backward(g):
+            gz = np.zeros((b, k))
+            if c_ent:  # dL_ent/dz = -p * (log p + H) / b
+                gz -= c_ent * p * (logp + h[:, None])
+            if c_div:  # dL_div/dz = p * (u - sum_k p u) / b, u = -(log pbar + 1)
+                u = np.where(filled, -(log_pbar + 1.0), 0.0)
+                gz += c_div * p * (u - (p @ u)[:, None])
+            if c_pl:  # dL_pl/dz = (p - onehot) / b
+                gz += c_pl * (p - onehot)
+            return [gz * (float(g) / b)]
+
+        total = c_ent * l_ent + c_div * l_div + (c_pl * l_pl if c_pl else 0.0)
+        out = self._record("im_loss", np.asarray(total), (self._track(z),), backward)
+        return out, (l_ent, l_div, l_pl)
+
     def sum(self, t):
         shape = t.values.shape
         return self._record(
@@ -268,16 +362,6 @@ class Tape:
 
         return self._record(
             "sum_axis", t.values.sum(axis=axis), (self._track(t),), backward
-        )
-
-    def mean_axis0(self, t):
-        _require_2d("mean_axis0 input", t)
-        m, n = t.shape
-        return self._record(
-            "mean_axis0",
-            t.values.mean(axis=0),
-            (self._track(t),),
-            lambda g: [np.broadcast_to(g / m, (m, n)).copy()],
         )
 
     def index(self, t, i):

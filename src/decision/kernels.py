@@ -51,7 +51,9 @@ def _py_relu_fwd(x):
 
 
 def _py_relu_bwd(x, g):
-    return np.where(x > 0.0, g, 0.0)
+    # a multiply by the mask is several times faster than np.where on a mask
+    # with no pattern; only the sign of a zero gradient can differ
+    return g * (x > 0.0)
 
 
 def _py_softmax_rows(x):

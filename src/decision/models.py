@@ -110,12 +110,6 @@ class Classifier:
     def params(self):
         return [self.w, self.b]
 
-    def freeze(self):
-        self.frozen = True
-        for p in self.params():
-            p.requires_grad = False
-            p.grad = None
-
     def forward(self, tape, feats):
         return tape.add_bias(tape.matmul(feats, self.w), self.b)
 
@@ -184,6 +178,53 @@ def check_compatible(models):
         if m.feature_dim != d:
             raise ShapeMismatchError(f"feature dim mismatch: {m.feature_dim} != {d}")
     return k, d
+
+
+class SourceStack:
+    """n compatible source models as six stacked parameter tensors.
+
+    The extractors become (n, in, h), (n, h), (n, h, d) and (n, d) tensors,
+    trainable only when ``requires_grad``; the frozen heads become (n, d, K)
+    and (n, K) constants. The inputs are copied, never mutated. ``models``
+    are per-source SourceModels (heads frozen) whose tensors are views of
+    row j of the stacked tensors: an optimizer that updates ``values`` in
+    place, as SgdMomentum does, keeps every view current, so the numpy
+    evaluation paths, checkpoints and teachers read the adapted parameters
+    without copies. Replacing a stacked tensor's ``values`` would detach them.
+    """
+
+    def __init__(self, models, requires_grad=True):
+        check_compatible(models)
+        kinds = list(zip(*(model_params(m) for m in models)))
+        for kind in kinds:
+            if any(p.shape != kind[0].shape for p in kind):
+                raise ShapeMismatchError(f"cannot stack shapes {[p.shape for p in kind]}")
+        self.params = [
+            Tensor(np.stack([p.values for p in kind]), requires_grad=requires_grad and i < 4)
+            for i, kind in enumerate(kinds)
+        ]
+        self.models = []
+        for j, m in enumerate(models):
+            view = [Tensor(t.values[j], requires_grad=t.requires_grad) for t in self.params]
+            self.models.append(SourceModel(
+                m.domain, FeatureExtractor(*view[:4]), Classifier(*view[4:], frozen=True),
+                m.label_smoothing,
+            ))
+
+    def extractor_params(self):
+        return self.params[:4]
+
+
+def model_params(model):
+    """(w1, b1, w2, b2, classifier w, classifier b): the order SourceStack stacks."""
+    return model.extractor.params() + model.classifier.params()
+
+
+def stacked_logits(tape, params, x):
+    """Per-source logits (n, b, K) of stacked ``params`` on a shared input batch."""
+    w1, b1, w2, b2, w, b = params
+    h = tape.relu(tape.add_bias(tape.bmm(Tensor(x), w1), b1))
+    return tape.add_bias(tape.bmm(tape.add_bias(tape.bmm(h, w2), b2), w), b)
 
 
 def aggregate_logits(models, alpha, x):
@@ -256,8 +297,7 @@ _PARAM_KEYS = ("extractor.w1", "extractor.b1", "extractor.w2", "extractor.b2",
 
 
 def _named_params(model):
-    ext, cls_ = model.extractor, model.classifier
-    return dict(zip(_PARAM_KEYS, [ext.w1, ext.b1, ext.w2, ext.b2, cls_.w, cls_.b]))
+    return dict(zip(_PARAM_KEYS, model_params(model)))
 
 
 def save_checkpoint(model, path):

@@ -65,6 +65,7 @@ class SgdMomentum:
                 v = self._velocity[id(p)]
                 v *= self.momentum
                 v += p.grad + group.weight_decay * p.values
+                # in place: SourceStack's per-source models are views of these arrays
                 p.values -= lr * v
 
     def zero_grad(self):

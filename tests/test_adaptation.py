@@ -6,15 +6,15 @@ import pytest
 
 from decision.adaptation import (AdaptationConfig, AggregationWeights,
                                  PseudoLabelState, adapt, alpha_project,
-                                 assign_pseudo_labels, combine_terms,
-                                 diversity_loss, diversity_term, entropy_loss,
-                                 entropy_term, objective, pl_loss,
+                                 assign_pseudo_labels, diversity_loss,
+                                 diversity_term, entropy_loss, entropy_term,
+                                 loss_coefficients, objective, pl_loss,
                                  prediction_label_entropy,
                                  pseudo_label_term, soft_ensemble_predict,
                                  update_pseudo_labels, weights_only_adapt)
 from decision.autodiff import ShapeMismatchError, Tape, Tensor
 from decision.data import DomainSpec, generate_domain
-from decision.models import classifier_checksum
+from decision.models import SourceStack, classifier_checksum
 
 from conftest import constant_logit_model, finite_diff, make_models, max_rel_err
 
@@ -142,18 +142,24 @@ def test_pl_loss_requires_all_labels():
 
 
 def test_total_loss_combination_arithmetic():
-    def combo(cfg):
-        t = Tape()
-        mk = lambda v: t.scale(Tensor(np.asarray(v)), 1.0)
-        return combine_terms(t, mk(0.5), mk(1.0), mk(2.0), cfg).item()
+    def combo(cfg, terms=(0.5, 1.0, 2.0)):
+        return float(np.dot(loss_coefficients(cfg), terms))
 
     assert combo(AdaptationConfig(lambda_pl=0.3)) == pytest.approx(0.1, abs=1e-15)
     assert combo(AdaptationConfig(lambda_pl=0.0)) == pytest.approx(-0.5, abs=1e-15)
     ln4 = math.log(4.0)
-    t = Tape()
-    mk = lambda v: t.scale(Tensor(np.asarray(v)), 1.0)
-    cancel = combine_terms(t, mk(ln4), mk(ln4), mk(0.0), AdaptationConfig(lambda_pl=0.0))
-    assert cancel.item() == pytest.approx(0.0, abs=1e-15)
+    cancel = combo(AdaptationConfig(lambda_pl=0.0), (ln4, ln4, 0.0))
+    assert cancel == pytest.approx(0.0, abs=1e-15)
+    with pytest.raises(ValueError, match="no active terms"):
+        loss_coefficients(AdaptationConfig(use_entropy=False, use_diversity=False,
+                                           lambda_pl=0.0))
+    # the fused loss applies the same coefficients to its own term values
+    rng = np.random.default_rng(4)
+    logits, labels = rng.standard_normal((5, 3)) * 2.0, rng.integers(0, 3, 5)
+    for cfg in (AdaptationConfig(lambda_pl=0.3), AdaptationConfig(use_entropy=False),
+                AdaptationConfig(use_diversity=False, lambda_pl=0.0)):
+        total, terms = Tape().im_loss(Tensor(logits), labels, *loss_coefficients(cfg))
+        assert total.item() == pytest.approx(combo(cfg, terms), abs=1e-15)
 
 
 def test_identical_models_make_loss_invariant_to_alpha():
@@ -334,6 +340,27 @@ def test_objective_gradient_through_raw_alpha_matches_finite_differences():
     assert max_rel_err(analytic, numeric) < 1e-4
 
 
+def test_objective_on_a_source_stack_records_the_same_node_count_for_any_n():
+    x = np.random.default_rng(39).standard_normal((6, 3))
+    labels = np.random.default_rng(40).integers(0, 3, 6)
+    counts = []
+    for n in (1, 4, 16):
+        tape = Tape()
+        objective(tape, SourceStack(make_models(n, seed=96)), AggregationWeights(n), x,
+                  labels, AdaptationConfig())
+        counts.append(len(tape))
+    assert counts[0] == counts[1] == counts[2]
+
+
+def test_source_stack_views_follow_in_place_updates():
+    models = make_models(3, seed=97)
+    stack = SourceStack(models)
+    stack.params[0].values -= 1.0  # how SgdMomentum.step updates parameters
+    for m, view in zip(models, stack.models):
+        np.testing.assert_array_equal(view.extractor.w1.values, m.extractor.w1.values - 1.0)
+        assert view.classifier.frozen and not view.classifier.w.requires_grad
+
+
 # -- the adaptation loop -------------------------------------------------------------
 
 def _blob_domain(seed=0, n=90):
@@ -428,6 +455,23 @@ def test_weights_only_leaves_extractors_untouched():
     for got, want in zip(result.models, (model, twin)):
         for a, b in zip(got.extractor.params(), want.extractor.params()):
             assert np.array_equal(a.values, b.values)
+
+
+def test_weights_only_computes_no_extractor_gradients():
+    model, data = _trained_source()
+    result = weights_only_adapt([model, model.clone()], data.inputs_only(),
+                                AdaptationConfig(epochs=2, seed=3))
+    for m in result.models:
+        assert all(p.grad is None for p in m.extractor.params())
+    # frozen extractors stay off the tape: only the weights receive a gradient
+    stack = SourceStack([model, model.clone()], requires_grad=False)
+    weights = AggregationWeights(2)
+    tape = Tape()
+    loss, _ = objective(tape, stack, weights, data.x[:8], np.zeros(8, np.int64),
+                        AdaptationConfig())
+    tape.backward(loss)
+    assert all(p.grad is None for p in stack.params)
+    assert weights.raw.grad is not None
 
 
 def test_metrics_rows_carry_the_contracted_keys():

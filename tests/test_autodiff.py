@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath
@@ -195,3 +196,95 @@ def test_entropy_composition_survives_underflow():
     assert 0.0 <= ent.item() < 1e-18
     t.backward(ent)
     assert np.isfinite(logits.grad).all()
+
+
+# -- batched (per-source) operations --------------------------------------------
+
+def _gradcheck(f, params):
+    loss = f()
+    loss._node[0].backward(loss)
+    numeric = finite_diff(lambda: f().item(), params)
+    return max_rel_err([p.grad for p in params], numeric)
+
+
+def _squared_mean_of(op, *args):
+    t = Tape()
+    out = getattr(t, op)(*args)
+    return t.mean(t.mul(out, out))
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "stacked"])
+def test_bmm_definition_and_gradients(shared):
+    rng = np.random.default_rng(61)
+    a = Tensor(rng.standard_normal((5, 3) if shared else (4, 5, 3)), requires_grad=True)
+    w = Tensor(rng.standard_normal((4, 3, 2)), requires_grad=True)
+    out = Tape().bmm(a, w).values
+    for j in range(4):
+        lhs = a.values if shared else a.values[j]
+        np.testing.assert_allclose(out[j], lhs @ w.values[j], rtol=1e-15)
+    assert _gradcheck(lambda: _squared_mean_of("bmm", a, w), [a, w]) < 1e-4
+
+
+def test_bmm_shape_errors():
+    t = Tape()
+    with pytest.raises(ShapeMismatchError):
+        t.bmm(Tensor(np.ones((5, 3))), Tensor(np.ones((4, 2, 2))))
+    with pytest.raises(ShapeMismatchError):
+        t.bmm(Tensor(np.ones((3, 5, 2))), Tensor(np.ones((4, 2, 2))))
+
+
+def test_add_bias_per_source_gradients():
+    rng = np.random.default_rng(62)
+    x = Tensor(rng.standard_normal((4, 5, 3)), requires_grad=True)
+    b = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+    out = Tape().add_bias(x, b).values
+    np.testing.assert_array_equal(out[2], x.values[2] + b.values[2])
+    assert _gradcheck(lambda: _squared_mean_of("add_bias", x, b), [x, b]) < 1e-4
+    with pytest.raises(ShapeMismatchError):
+        Tape().add_bias(x, Tensor(np.ones(3)))
+
+
+def test_stack_routes_each_row_to_its_tensor():
+    rng = np.random.default_rng(63)
+    parts = [Tensor(rng.standard_normal((2, 3)), requires_grad=True) for _ in range(3)]
+    parts.append(Tensor(rng.standard_normal((2, 3))))  # a constant row gets nothing
+    weight = Tensor(rng.standard_normal((4, 2, 3)))
+
+    def f():
+        t = Tape()
+        s = t.stack(parts)
+        return t.sum(t.mul(t.mul(s, s), weight))
+
+    assert _gradcheck(f, parts[:3]) < 1e-4
+    assert parts[3].grad is None
+    with pytest.raises(ShapeMismatchError):
+        Tape().stack([Tensor(np.ones(2)), Tensor(np.ones(3))])
+
+
+def test_weighted_sum_definition_and_gradients():
+    rng = np.random.default_rng(64)
+    alpha = Tensor(rng.dirichlet(np.ones(4)), requires_grad=True)
+    z = Tensor(rng.standard_normal((4, 5, 3)), requires_grad=True)
+    want = sum(alpha.values[j] * z.values[j] for j in range(4))
+    np.testing.assert_allclose(Tape().weighted_sum(alpha, z).values, want, rtol=1e-14)
+    assert _gradcheck(lambda: _squared_mean_of("weighted_sum", alpha, z), [alpha, z]) < 1e-4
+    with pytest.raises(ShapeMismatchError):
+        Tape().weighted_sum(Tensor(np.ones(3)), z)
+
+
+@pytest.mark.parametrize("coefs", list(itertools.product((0.0, 1.0), (0.0, -1.0), (0.0, 0.7))),
+                         ids=lambda c: "ent{}-div{}-pl{}".format(*c))
+def test_fused_loss_gradients_under_each_toggle(coefs):
+    rng = np.random.default_rng(65)
+    labels = rng.integers(0, 4, 6)
+    for scale in (0.5, 3.0):
+        z = Tensor(rng.standard_normal((6, 4)) * scale, requires_grad=True)
+        assert _gradcheck(lambda: Tape().im_loss(z, labels, *coefs)[0], [z]) < 1e-4
+
+
+def test_fused_loss_needs_labels_for_the_pseudo_label_term():
+    z = Tensor(np.zeros((3, 2)))
+    with pytest.raises(ValueError, match="labels"):
+        Tape().im_loss(z, None, 1.0, -1.0, 0.3)
+    with pytest.raises(ShapeMismatchError, match="labels"):
+        Tape().im_loss(z, [0, 1], 1.0, -1.0, 0.3)

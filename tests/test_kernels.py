@@ -3,10 +3,6 @@ import pytest
 
 from decision import kernels
 
-pytestmark = pytest.mark.skipif(
-    not kernels.NUMBA_AVAILABLE, reason="kernel comparison needs numba"
-)
-
 rng = np.random.default_rng(7)
 
 CASES = [
@@ -14,7 +10,7 @@ CASES = [
     ("matmul_nt", (rng.standard_normal((5, 7)), rng.standard_normal((4, 7)))),
     ("matmul_tn", (rng.standard_normal((7, 5)), rng.standard_normal((7, 4)))),
     ("relu_fwd", (rng.standard_normal((6, 9)),)),
-    ("relu_bwd", (rng.standard_normal((6, 9)), rng.standard_normal((6, 9)))),
+    ("relu_bwd", (np.round(rng.standard_normal((6, 9))), rng.standard_normal((6, 9)))),  # zeros too
     ("softmax_rows", (rng.standard_normal((8, 5)),)),
     ("log_softmax_rows", (rng.standard_normal((8, 5)),)),
     ("weighted_feature_sums", (rng.standard_normal((20, 6)), rng.random((20, 3)))),
@@ -24,6 +20,7 @@ CASES = [
 ]
 
 
+@pytest.mark.skipif(not kernels.NUMBA_AVAILABLE, reason="kernel comparison needs numba")
 @pytest.mark.parametrize("name,args", CASES, ids=[c[0] for c in CASES])
 def test_numba_matches_numpy(name, args):
     got = kernels.NUMBA_KERNELS[name](*args)
@@ -68,3 +65,9 @@ def test_per_source_sqdist_definition():
 def test_active_backend_names_selection():
     assert kernels.active_backend() in ("numba", "numpy")
     assert (kernels.active_backend() == "numba") == kernels.USE_NUMBA
+
+
+def test_relu_bwd_passes_no_gradient_at_zero():
+    x = np.array([[-1.0, 0.0, 2.0], [-0.0, 1e-300, -1e-300]])
+    g = np.array([[3.0, -4.0, 5.0], [6.0, -7.0, 8.0]])
+    np.testing.assert_array_equal(kernels.relu_bwd(x, g), [[0.0, 0.0, 5.0], [0.0, -7.0, 0.0]])
