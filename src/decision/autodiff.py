@@ -1,11 +1,11 @@
 """Dense float64 tensors with reverse-mode differentiation on an explicit tape.
 
 One optimization run owns one ``Tape``; operations are tape methods so the
-recording scope is always explicit. Entropy-style terms should be built from
-``log_softmax``/``exp``/``mul`` (or ``xlogx``) so that underflowed
-probabilities contribute 0 rather than NaN; ``im_loss`` fuses the adaptation
-objective's terms into one node with an analytic gradient. ``bmm``,
-``add_bias``, ``stack`` and ``weighted_sum`` take a leading source axis, so a
+recording scope is always explicit. The tape carries only the ops the package
+calls. Entropy-style terms go through ``im_loss``, which fuses the
+objective's terms into one node with an analytic gradient and counts
+underflowed probabilities as 0 rather than NaN. ``bmm``, ``add_bias``,
+``stack`` and ``weighted_sum`` take a leading source axis, so a
 step over n stacked source models records the same nodes for every n.
 """
 
@@ -16,10 +16,6 @@ from . import kernels
 
 class ShapeMismatchError(ValueError):
     """Operand shapes do not conform."""
-
-
-class LogDomainError(ValueError):
-    """Logarithm of a non-positive value."""
 
 
 class TapeError(RuntimeError):
@@ -191,12 +187,6 @@ class Tape:
 
         return self._record("weighted_sum", (av @ flat).reshape(b, k), (ia, iz), backward)
 
-    def add(self, a, b):
-        if a.shape != b.shape:
-            raise ShapeMismatchError(f"add: {a.shape} vs {b.shape}")
-        ia, ib = self._track(a), self._track(b)
-        return self._record("add", a.values + b.values, (ia, ib), lambda g: [g, g])
-
     def mul(self, a, b):
         if a.shape != b.shape:
             raise ShapeMismatchError(f"mul: {a.shape} vs {b.shape}")
@@ -222,25 +212,11 @@ class Tape:
         return self._record("mul_scalar", tv * sv, (it, is_), backward)
 
     def relu(self, t):
-        # any rank, as one row: the loop kernels are written for 2-d arrays
-        shape = t.shape
-        row = t.values.reshape(1, -1)
-        return self._record(
-            "relu",
-            kernels.relu_fwd(row).reshape(shape),
-            (self._track(t),),
-            lambda g: [kernels.relu_bwd(row, g.reshape(1, -1)).reshape(shape)],
-        )
-
-    def exp(self, t):
-        out = np.exp(t.values)
-        return self._record("exp", out, (self._track(t),), lambda g: [g * out])
-
-    def log(self, t):
         tv = t.values
-        if np.any(tv <= 0.0):
-            raise LogDomainError(f"log of non-positive value (min={tv.min()})")
-        return self._record("log", np.log(tv), (self._track(t),), lambda g: [g / tv])
+        return self._record(
+            "relu", kernels.relu_fwd(tv), (self._track(t),),
+            lambda g: [kernels.relu_bwd(tv, g)],
+        )
 
     def sigmoid(self, t):
         out = sigmoid(t.values)
@@ -248,45 +224,13 @@ class Tape:
             "sigmoid", out, (self._track(t),), lambda g: [g * out * (1.0 - out)]
         )
 
-    def softmax(self, t):
-        tv = t.values
-        if tv.ndim == 1:
-            p = kernels.softmax_rows(tv.reshape(1, -1)).reshape(-1)
-            bwd = lambda g: [p * (g - float(np.dot(g, p)))]
-        elif tv.ndim == 2:
-            p = kernels.softmax_rows(tv)
-            bwd = lambda g: [p * (g - (g * p).sum(axis=1, keepdims=True))]
-        else:
-            raise ShapeMismatchError(f"softmax expects 1-d or 2-d, got {t.shape}")
-        return self._record("softmax", p, (self._track(t),), bwd)
-
     def log_softmax(self, t):
-        tv = t.values
-        if tv.ndim == 1:
-            y = kernels.log_softmax_rows(tv.reshape(1, -1)).reshape(-1)
-            bwd = lambda g: [g - np.exp(y) * g.sum()]
-        elif tv.ndim == 2:
-            y = kernels.log_softmax_rows(tv)
-            bwd = lambda g: [g - np.exp(y) * g.sum(axis=1, keepdims=True)]
-        else:
-            raise ShapeMismatchError(f"log_softmax expects 1-d or 2-d, got {t.shape}")
-        return self._record("log_softmax", y, (self._track(t),), bwd)
-
-    def xlogx(self, t):
-        # x*log(x) with the 0*log(0)=0 convention; gradient pinned to 0 at x=0
-        tv = t.values
-        if np.any(tv < 0.0):
-            raise LogDomainError(f"xlogx of negative value (min={tv.min()})")
-        pos = tv > 0.0
-        out = np.zeros_like(tv)
-        out[pos] = tv[pos] * np.log(tv[pos])
-
-        def backward(g):
-            gx = np.zeros_like(tv)
-            gx[pos] = g[pos] * (1.0 + np.log(tv[pos]))
-            return [gx]
-
-        return self._record("xlogx", out, (self._track(t),), backward)
+        _require_2d("log_softmax input", t)
+        y = kernels.log_softmax_rows(t.values)
+        return self._record(
+            "log_softmax", y, (self._track(t),),
+            lambda g: [g - np.exp(y) * g.sum(axis=1, keepdims=True)],
+        )
 
     def im_loss(self, z, labels, c_ent, c_div, c_pl):
         """c_ent*L_ent + c_div*L_div + c_pl*L_pl over logits z (b, k), as one node.
@@ -295,7 +239,7 @@ class Tape:
         L_div the entropy of the batch-mean prediction pbar, and L_pl the mean
         cross-entropy against integer ``labels`` (may be None when c_pl is 0).
         Returns the loss tensor and the term values (L_ent, L_div, L_pl), with
-        L_pl None when there are no labels. 0*log(0) counts as 0, as in xlogx.
+        L_pl None when there are no labels. 0*log(0) counts as 0.
         """
         _require_2d("im_loss logits", z)
         b, k = z.shape
@@ -340,41 +284,6 @@ class Tape:
             (self._track(t),),
             lambda g: [np.broadcast_to(g, shape).copy()],
         )
-
-    def mean(self, t):
-        shape = t.values.shape
-        size = t.values.size
-        return self._record(
-            "mean",
-            np.asarray(t.values.mean()),
-            (self._track(t),),
-            lambda g: [np.broadcast_to(g / size, shape).copy()],
-        )
-
-    def sum_axis(self, t, axis):
-        _require_2d("sum_axis input", t)
-        m, n = t.shape
-
-        def backward(g):
-            if axis == 0:
-                return [np.broadcast_to(g, (m, n)).copy()]
-            return [np.broadcast_to(g[:, None], (m, n)).copy()]
-
-        return self._record(
-            "sum_axis", t.values.sum(axis=axis), (self._track(t),), backward
-        )
-
-    def index(self, t, i):
-        if t.values.ndim != 1:
-            raise ShapeMismatchError(f"index expects a 1-d tensor, got {t.shape}")
-        n = t.shape[0]
-
-        def backward(g):
-            out = np.zeros(n)
-            out[i] = g
-            return [out]
-
-        return self._record("index", np.asarray(t.values[i]), (self._track(t),), backward)
 
     def reciprocal(self, t):
         tv = t.values

@@ -5,7 +5,6 @@ arcs, or a three-blob gaussian mixture) followed by label corruption and a
 rigid rotation + translation. Everything is deterministic given the spec.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,10 +15,6 @@ GENERATOR_CLASSES = {"two-moons": 2, "gaussian-mixture": 3}
 _MIXTURE_MEANS = 1.5 * np.array(
     [[np.cos(a), np.sin(a)] for a in (np.pi / 2, np.pi / 2 + 2 * np.pi / 3, np.pi / 2 + 4 * np.pi / 3)]
 )
-
-
-class CsvFormatError(ValueError):
-    """CSV row could not be parsed; message names the offending line."""
 
 
 @dataclass(frozen=True)
@@ -149,42 +144,3 @@ def batch_iter(dataset, batch_size, epoch_seed):
         else:
             yield UnlabeledSet(dataset.x[idx])
 
-
-def load_csv(path):
-    """Load a numeric CSV; a final header column named 'label' makes it labeled."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvFormatError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        has_labels = header[-1] == "label"
-        n_features = len(header) - 1 if has_labels else len(header)
-        if n_features < 1:
-            raise CsvFormatError(f"{path}: no feature columns")
-        rows, labels = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise CsvFormatError(
-                    f"{path}: line {lineno}: expected {len(header)} cells, got {len(row)}"
-                )
-            try:
-                values = [float(c) for c in row[:n_features]]
-            except ValueError:
-                raise CsvFormatError(f"{path}: line {lineno}: non-numeric cell") from None
-            rows.append(values)
-            if has_labels:
-                try:
-                    labels.append(int(row[-1]))
-                except ValueError:
-                    raise CsvFormatError(
-                        f"{path}: line {lineno}: non-integer label"
-                    ) from None
-    x = np.asarray(rows, dtype=np.float64).reshape(len(rows), n_features)
-    if not has_labels:
-        return UnlabeledSet(x)
-    y = np.asarray(labels, dtype=np.int64)
-    if len(y) and y.min() < 0:
-        raise CsvFormatError(f"{path}: negative label")
-    return LabeledSet(x, y, int(y.max()) + 1 if len(y) else 1)

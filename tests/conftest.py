@@ -1,15 +1,7 @@
 import numpy as np
-import pytest
 
-from decision import kernels
 from decision.autodiff import Tensor
 from decision.models import Classifier, FeatureExtractor, ModelConfig, SourceModel
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    # compile the jit kernels once so timed tests measure math, not compilation
-    kernels.warmup()
 
 
 def tiny_arch(input_dim=3, hidden_dim=4, feature_dim=3, num_classes=3):

@@ -2,8 +2,7 @@
 
 Each test prints a PASS line with the measured numbers (run with ``-s`` to see
 them). The moons suite values marked as recorded were produced by the first
-verified run on the default (numba) kernel backend and are pinned to +/- 0.5
-accuracy points.
+verified run and are pinned to +/- 0.5 accuracy points.
 """
 
 import math
@@ -31,7 +30,7 @@ from conftest import finite_diff, max_rel_err, tiny_arch
 
 TOL = 0.005  # +/- 0.5 accuracy points around recorded fixture values
 
-# recorded fixture results (first verified run, numba backend, full-target eval)
+# recorded fixture results (first verified run, full-target eval)
 RECORDED = {
     0: {
         "unadapted": [0.7708333333333334, 0.8683333333333333, 0.8416666666666667, 0.5058333333333334],

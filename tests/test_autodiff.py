@@ -5,8 +5,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from decision.autodiff import (LogDomainError, ShapeMismatchError, Tape,
-                               TapeError, Tensor)
+from decision import kernels
+from decision.autodiff import ShapeMismatchError, Tape, TapeError, Tensor
 
 from conftest import finite_diff, max_rel_err
 
@@ -21,7 +21,7 @@ def test_matmul_identity():
 def test_relu_and_mean_definitions():
     t = Tape()
     assert t.relu(Tensor([-1.0, 0.0, 2.0])).values.tolist() == [0.0, 0.0, 2.0]
-    assert t.mean(Tensor([2.0, 4.0, 6.0])).item() == 4.0
+    assert t.scale(t.sum(Tensor([2.0, 4.0, 6.0])), 1.0 / 3.0).item() == 4.0
 
 
 def test_matmul_shape_error_names_both_shapes():
@@ -30,25 +30,18 @@ def test_matmul_shape_error_names_both_shapes():
         t.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 2))))
 
 
-def test_log_domain_error():
-    t = Tape()
-    with pytest.raises(LogDomainError):
-        t.log(Tensor([1.0, 0.0]))
-
-
 def test_softmax_uniform_and_analytic():
-    t = Tape()
     np.testing.assert_allclose(
-        t.softmax(Tensor([0.0, 0.0, 0.0, 0.0])).values, np.full(4, 0.25), atol=1e-15
+        kernels.softmax_rows(np.zeros((1, 4))), np.full((1, 4), 0.25), atol=1e-15
     )
     np.testing.assert_allclose(
-        t.softmax(Tensor([math.log(1.0), math.log(3.0)])).values, [0.25, 0.75],
+        kernels.softmax_rows(np.array([[math.log(1.0), math.log(3.0)]])), [[0.25, 0.75]],
         rtol=1e-14,
     )
 
 
 def test_softmax_extreme_logits_vs_high_precision():
-    p = Tape().softmax(Tensor([1000.0, 0.0])).values
+    p = kernels.softmax_rows(np.array([[1000.0, 0.0]]))[0]
     with mpmath.workprec(200):
         e0, e1 = mpmath.exp(1000), mpmath.exp(0)
         want0 = float(e0 / (e0 + e1))
@@ -61,10 +54,10 @@ def test_softmax_properties_random():
     rng = np.random.default_rng(0)
     for _ in range(100):
         v = rng.standard_normal((3, 5)) * rng.uniform(0.1, 30.0)
-        p = Tape().softmax(Tensor(v)).values
+        p = kernels.softmax_rows(v)
         assert (p >= 0.0).all()
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
-        shifted = Tape().softmax(Tensor(v + 17.3)).values
+        shifted = kernels.softmax_rows(v + 17.3)
         np.testing.assert_allclose(p, shifted, atol=1e-9)
 
 
@@ -78,16 +71,16 @@ def test_backward_square():
 def test_backward_softmax_cross_entropy_analytic():
     # loss = -log softmax(logits)[0] at logits [0, 0]: grad = p - onehot
     t = Tape()
-    logits = Tensor([0.0, 0.0], requires_grad=True)
-    t.backward(t.scale(t.index(t.log_softmax(logits), 0), -1.0))
-    np.testing.assert_allclose(logits.grad, [-0.5, 0.5], atol=1e-15)
+    logits = Tensor([[0.0, 0.0]], requires_grad=True)
+    t.backward(t.im_loss(logits, [0], 0.0, 0.0, 1.0)[0])
+    np.testing.assert_allclose(logits.grad, [[-0.5, 0.5]], atol=1e-15)
 
 
 def test_backward_reused_node_accumulates_sum_of_paths():
     # d/dx (x*x + x) = 2x + 1 exactly
     t = Tape()
     x = Tensor(1.75, requires_grad=True)
-    t.backward(t.add(t.mul(x, x), x))
+    t.backward(t.sum(t.stack([t.mul(x, x), x])))
     assert x.grad == pytest.approx(2 * 1.75 + 1.0, abs=0.0)
 
 
@@ -95,7 +88,7 @@ def test_backward_replays_each_node_exactly_once():
     t = Tape()
     x = Tensor([1.0, 2.0], requires_grad=True)
     shared = t.relu(x)  # consumed by two downstream paths
-    loss = t.sum(t.add(t.mul(shared, shared), shared))
+    loss = t.sum(t.stack([t.mul(shared, shared), shared]))
     calls = {}
     for i, node in enumerate(t.nodes):
         if node.backward is None:
@@ -119,15 +112,16 @@ def test_backward_root_must_be_scalar_and_on_tape():
         t.backward(Tensor(1.0))
     other = Tape()
     with pytest.raises(TapeError):
-        other.backward(t.mean(y))
+        other.backward(t.sum(y))
 
 
 def _random_mlp_loss(rng, make_tape=True):
-    """3-layer MLP with a softmax-entropy-style head; returns (f, params)."""
+    """3-layer MLP with a soft-target cross-entropy head; returns (f, params)."""
     shapes = [(4, 6), (6, 5), (5, 3)]
     ws = [Tensor(rng.standard_normal(s) * 0.7, requires_grad=True) for s in shapes]
     bs = [Tensor(rng.standard_normal(s[1]) * 0.3, requires_grad=True) for s in shapes]
     x = rng.standard_normal((7, 4))
+    targets = Tensor(rng.dirichlet(np.ones(3), size=7))
 
     def f():
         t = Tape()
@@ -136,8 +130,7 @@ def _random_mlp_loss(rng, make_tape=True):
             h = t.relu(t.add_bias(t.matmul(h, w), b))
         logits = t.add_bias(t.matmul(h, ws[-1]), bs[-1])
         logp = t.log_softmax(logits)
-        p = t.exp(logp)
-        return t.scale(t.mean(t.sum_axis(t.mul(p, logp), 1)), -1.0)
+        return t.scale(t.sum(t.mul(targets, logp)), -1.0 / len(x))
 
     return f, ws + bs
 
@@ -158,40 +151,21 @@ def test_mlp_gradients_match_finite_differences():
     assert worst < 1e-4
 
 
-@pytest.mark.parametrize("op", ["exp", "log", "sigmoid", "xlogx", "softmax",
-                                "log_softmax", "reciprocal"])
+@pytest.mark.parametrize("op", ["sigmoid", "log_softmax", "reciprocal"])
 def test_unary_primitive_gradients(op):
     rng = np.random.default_rng(hash(op) % 2**32)
     for _ in range(20):
-        v = rng.uniform(0.2, 2.0, (3, 4)) if op in ("log", "xlogx", "reciprocal") \
+        v = rng.uniform(0.2, 2.0, (3, 4)) if op == "reciprocal" \
             else rng.standard_normal((3, 4))
         x = Tensor(v, requires_grad=True)
-
-        def f():
-            t = Tape()
-            out = getattr(t, op)(x)
-            return t.mean(t.mul(out, out))
-
-        loss = f()
-        loss._node[0].backward(loss)
-        numeric = finite_diff(lambda: f().item(), [x])
-        assert max_rel_err([x.grad], numeric) < 1e-4
-        x.grad = None
-
-
-def test_xlogx_convention_at_zero():
-    t = Tape()
-    out = t.xlogx(Tensor([0.0, 0.5, 1.0]))
-    np.testing.assert_allclose(out.values, [0.0, 0.5 * math.log(0.5), 0.0], atol=1e-15)
+        assert _gradcheck(lambda: _squared_mean_of(op, x), [x]) < 1e-4
 
 
 def test_entropy_composition_survives_underflow():
-    # exp(log_softmax) underflows to 0 for the tiny class; 0 * log-term stays 0
+    # p = exp(log_softmax) underflows to 0 for the tiny class; 0 * log p stays 0
     t = Tape()
     logits = Tensor([[800.0, 0.0]], requires_grad=True)
-    logp = t.log_softmax(logits)
-    p = t.exp(logp)
-    ent = t.scale(t.mean(t.sum_axis(t.mul(p, logp), 1)), -1.0)
+    ent, _ = t.im_loss(logits, None, 1.0, 0.0, 0.0)
     assert math.isfinite(ent.item())
     assert 0.0 <= ent.item() < 1e-18
     t.backward(ent)
@@ -210,7 +184,7 @@ def _gradcheck(f, params):
 def _squared_mean_of(op, *args):
     t = Tape()
     out = getattr(t, op)(*args)
-    return t.mean(t.mul(out, out))
+    return t.scale(t.sum(t.mul(out, out)), 1.0 / out.values.size)
 
 
 @pytest.mark.parametrize("shared", [True, False], ids=["shared", "stacked"])

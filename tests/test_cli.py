@@ -1,10 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import decision
 from decision import config as config_mod
 from decision import runner
 from decision.cli import main
@@ -197,6 +202,29 @@ def test_adapt_reports_are_reproducible_modulo_wall_clock(tmp_path):
         doc.pop("wall_clock_sec")
         outs.append(doc)
     assert outs[0] == outs[1]
+
+
+def test_adapt_report_does_not_depend_on_blas_threads(tmp_path):
+    # moons3p1-sized data: OpenBLAS may keep small matrices on one thread
+    doc = yaml.safe_load((Path(__file__).parents[1] / "configs" / "moons3p1.yaml").read_text())
+    for key in ("shot_best", "shot_worst", "shot_ens"):
+        doc["baselines"][key] = False
+    path = write_config(tmp_path, doc)
+    ckpt = tmp_path / "sources"
+    assert main(["train-sources", "--config", str(path), "--out", str(ckpt)]) == 0
+    src = str(Path(decision.__file__).parents[1])
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "decision.cli", "adapt", "--config", str(path),
+                        "--out", str(out), "--checkpoints", str(ckpt / "checkpoints")],
+                       env=env, check=True, capture_output=True)
+        doc = json.loads((out / "report.json").read_text())
+        doc.pop("wall_clock_sec")
+        reports.append(doc)
+    assert reports[0] == reports[1]
 
 
 def test_single_enabled_method_yields_single_row(tmp_path):

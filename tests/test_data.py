@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from decision.data import (CsvFormatError, DomainSpec, LabeledSet,
-                           UnlabeledSet, batch_iter, generate_domain,
-                           load_csv, split_train_eval)
+from decision.data import (DomainSpec, UnlabeledSet, batch_iter,
+                           generate_domain, split_train_eval)
 
 
 def _spec(**kw):
@@ -121,34 +120,3 @@ def test_split_is_disjoint_and_seeded():
     assert {tuple(r) for r in tr.x} | {tuple(r) for r in ev.x} == all_rows
     tr2, ev2 = split_train_eval(ls, 0.2, seed=4)
     assert np.array_equal(tr.x, tr2.x) and np.array_equal(ev.x, ev2.x)
-
-
-# -- csv ------------------------------------------------------------------------
-
-def test_csv_labeled_roundtrip(tmp_path):
-    path = tmp_path / "d.csv"
-    path.write_text("x0,x1,label\n0.5,1.5,0\n-1.0,2.0,1\n0.0,0.0,1\n")
-    ls = load_csv(path)
-    assert isinstance(ls, LabeledSet)
-    assert len(ls) == 3 and ls.num_classes == 2
-    np.testing.assert_array_equal(ls.y, [0, 1, 1])
-
-
-def test_csv_without_label_column_is_unlabeled(tmp_path):
-    path = tmp_path / "d.csv"
-    path.write_text("x0,x1\n0.5,1.5\n-1.0,2.0\n")
-    ul = load_csv(path)
-    assert isinstance(ul, UnlabeledSet) and len(ul) == 2
-
-
-def test_csv_parse_error_names_line(tmp_path):
-    path = tmp_path / "d.csv"
-    rows = ["x0,x1,label"] + ["0.1,0.2,0"] * 4 + ["0.1,oops,1", "0.3,0.4,1"]
-    path.write_text("\n".join(rows) + "\n")
-    with pytest.raises(CsvFormatError, match="line 6"):
-        load_csv(path)
-
-
-def test_csv_missing_file_raises_ioerror(tmp_path):
-    with pytest.raises(OSError):
-        load_csv(tmp_path / "absent.csv")
