@@ -20,7 +20,7 @@ from . import kernels
 from .autodiff import Tape, Tensor, sigmoid
 from .data import UnlabeledSet
 from .models import (SourceStack, accuracy, aggregate_logits, check_compatible,
-                     model_params, predict, stacked_logits)
+                     model_params, predict, tape_logits)
 from .optim import ParamGroup, SgdMomentum, lr_schedule
 
 DISTANCE_MODES = ("per-source", "combined-feature")
@@ -103,7 +103,7 @@ def ensemble_logits(tape, models, alpha_t, x):
     else:
         check_compatible(models)
         params = [tape.stack(list(kind)) for kind in zip(*map(model_params, models))]
-    return tape.weighted_sum(alpha_t, stacked_logits(tape, params, x))
+    return tape.weighted_sum(alpha_t, tape_logits(tape, params, x))
 
 
 def loss_coefficients(cfg):
@@ -170,26 +170,19 @@ class PseudoLabelState:
     alpha: np.ndarray  # weights the combination was built with
 
 
-def _source_centroids_soft(feats, probs):
-    """Round-0 centroids: soft responsibilities from the source's own softmax."""
-    sums, denom = kernels.weighted_feature_sums(feats, probs)
+def _source_centroids(feats, weights, fallback):
+    """Class centroids of one source's features (N, d) under class weights (N, K).
+
+    A class whose weights are all zero gets its row of the (K, d) ``fallback``,
+    or the mean feature when ``fallback`` is None (computed only then: the
+    mean costs more than the rest of this function).
+    """
+    sums, denom = kernels.weighted_feature_sums(feats, weights)
+    filled = denom > 0.0
     out = np.empty_like(sums)
-    filled = denom > 0.0
     out[filled] = sums[filled] / denom[filled, None]
-    # a class whose probability underflowed on every sample gets the global mean
     if not filled.all():
-        out[~filled] = feats.mean(axis=0)
-    return out
-
-
-def _source_centroids_hard(feats, labels, k, fallback):
-    """Round-1 centroids: indicator weights; empty classes keep the fallback."""
-    onehot = np.zeros((len(labels), k))
-    onehot[np.arange(len(labels)), labels] = 1.0
-    sums, denom = kernels.weighted_feature_sums(feats, onehot)
-    out = fallback.copy()
-    filled = denom > 0.0
-    out[filled] = sums[filled] / denom[filled, None]
+        out[~filled] = feats.mean(axis=0) if fallback is None else fallback[~filled]
     return out
 
 
@@ -206,18 +199,18 @@ def assign_pseudo_labels(state, feats_stack, cfg_mode="per-source"):
 def update_pseudo_labels(models, alpha, x, refinement_rounds=1, mode="per-source"):
     """Run the centroid/assignment rounds over the whole target set.
 
-    Round 0 weighs features by each source's own softmax; each refinement
-    round re-estimates centroids from the previous hard assignment. All of
-    this is plain numpy: pseudo-labels are constants for the optimizer.
+    Round 0 weighs features by each source's own softmax (a class whose
+    probability underflowed on every sample gets the source's mean feature);
+    each refinement round re-estimates centroids from the previous hard
+    assignment (an empty class keeps its centroid). All of this is plain
+    numpy: pseudo-labels are constants for the optimizer.
     """
     k, _ = check_compatible(models)
     alpha = np.asarray(alpha, dtype=np.float64)
     feats_stack = np.stack([m.features(x) for m in models])
     per_source = np.stack([
-        _source_centroids_soft(
-            feats_stack[j], kernels.softmax_rows(models[j].classifier.logits(feats_stack[j]))
-        )
-        for j in range(len(models))
+        _source_centroids(f, kernels.softmax_rows(m.classifier.logits(f)), None)
+        for m, f in zip(models, feats_stack)
     ])
     state = PseudoLabelState(
         per_source=per_source,
@@ -228,9 +221,9 @@ def update_pseudo_labels(models, alpha, x, refinement_rounds=1, mode="per-source
     )
     state.labels = assign_pseudo_labels(state, feats_stack, mode)
     for r in range(refinement_rounds):
+        onehot = np.eye(k)[state.labels]
         refined = np.stack([
-            _source_centroids_hard(feats_stack[j], state.labels, k, state.per_source[j])
-            for j in range(len(models))
+            _source_centroids(f, onehot, c) for f, c in zip(feats_stack, state.per_source)
         ])
         state = PseudoLabelState(
             per_source=refined,

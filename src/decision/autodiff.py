@@ -4,8 +4,8 @@ One optimization run owns one ``Tape``; operations are tape methods so the
 recording scope is always explicit. The tape carries only the ops the package
 calls. Entropy-style terms go through ``im_loss``, which fuses the
 objective's terms into one node with an analytic gradient and counts
-underflowed probabilities as 0 rather than NaN. ``bmm``, ``add_bias``,
-``stack`` and ``weighted_sum`` take a leading source axis, so a
+underflowed probabilities as 0 rather than NaN. ``matmul``, ``add_bias``,
+``stack`` and ``weighted_sum`` also take a leading source axis, so a
 step over n stacked source models records the same nodes for every n.
 """
 
@@ -114,40 +114,24 @@ class Tape:
     # -- primitive operations ------------------------------------------------
 
     def matmul(self, a, b):
-        _require_2d("matmul lhs", a)
-        _require_2d("matmul rhs", b)
-        if a.shape[1] != b.shape[0]:
-            raise ShapeMismatchError(f"matmul: {a.shape} x {b.shape}")
+        """(b, i) x (i, o); per source, (b, i) shared or (n, b, i) stacked x (n, i, o)."""
         av, bv = a.values, b.values
-        out = kernels.matmul_nn(av, bv)
+        if bv.ndim not in (2, 3) or av.ndim not in (2, bv.ndim) \
+                or av.shape[-1] != bv.shape[-2] or av.shape[:-2] not in ((), bv.shape[:-2]):
+            raise ShapeMismatchError(f"matmul: {a.shape} x {b.shape}")
         ia, ib = self._track(a), self._track(b)
 
         def backward(g):
-            ga = kernels.matmul_nt(g, bv) if ia is not None else None
-            gb = kernels.matmul_tn(av, g) if ib is not None else None
+            ga = gb = None
+            if ia is not None:
+                ga = kernels.matmul_nt(g, bv)
+                if ga.ndim > av.ndim:  # a shared lhs gets the sum over sources
+                    ga = ga.sum(axis=0)
+            if ib is not None:
+                gb = kernels.matmul_tn(av, g)
             return [ga, gb]
 
-        return self._record("matmul", out, (ia, ib), backward)
-
-    def bmm(self, a, w):
-        """Per-source matmul: (b, i) shared or (n, b, i) stacked, times (n, i, o)."""
-        av, wv = a.values, w.values
-        if wv.ndim != 3 or av.ndim not in (2, 3) or av.shape[-1] != wv.shape[1] \
-                or (av.ndim == 3 and av.shape[0] != wv.shape[0]):
-            raise ShapeMismatchError(f"bmm: {a.shape} x {w.shape}")
-        ia, iw = self._track(a), self._track(w)
-
-        def backward(g):
-            ga = gw = None
-            if ia is not None:
-                ga = g @ wv.transpose(0, 2, 1)
-                if av.ndim == 2:
-                    ga = ga.sum(axis=0)
-            if iw is not None:
-                gw = np.swapaxes(av, -1, -2) @ g
-            return [ga, gw]
-
-        return self._record("bmm", av @ wv, (ia, iw), backward)
+        return self._record("matmul", kernels.matmul_nn(av, bv), (ia, ib), backward)
 
     def add_bias(self, x, b):
         """(b, o) + (o,), or per source (n, b, o) + (n, o)."""

@@ -29,7 +29,7 @@ _TRAIN_KEYS = {"epochs", "batch_size", "lr", "momentum", "weight_decay",
                "label_smoothing"}
 _ADAPT_KEYS = {"lambda_pl", "epochs", "batch_size", "lr_backbone", "lr_alpha",
                "momentum", "weight_decay", "refinement_rounds", "distance_mode"}
-_DISTILL_KEYS = {"epochs", "batch_size", "lr"}
+_DISTILL_KEYS = {"epochs"}
 _TOP_KEYS = {"seed", "eval_fraction", "sources", "target", "model",
              "source_training", "adaptation", "baselines", "distill"}
 
@@ -55,6 +55,10 @@ class ExperimentConfig:
         kinds = {s.kind for s in self.source_specs} | {self.target_spec.kind}
         if len(kinds) > 1:
             raise ConfigError(f"all domains must share one generator kind, got {kinds}")
+        if not 0.0 < self.eval_fraction < 1.0:
+            raise ConfigError(f"eval_fraction must be in (0, 1), got {self.eval_fraction}")
+        if self.distill_epochs < 1:
+            raise ConfigError(f"distill: epochs must be >= 1, got {self.distill_epochs}")
 
     @property
     def num_classes(self):

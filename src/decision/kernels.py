@@ -32,12 +32,13 @@ def matmul_nn(a, b):
     return a @ b
 
 
+# the transposes swap the last two axes, so a leading source axis batches
 def matmul_nt(a, b):
-    return a @ b.T
+    return a @ b.swapaxes(-1, -2)
 
 
 def matmul_tn(a, b):
-    return a.T @ b
+    return a.swapaxes(-1, -2) @ b
 
 
 def relu_fwd(x):

@@ -1,10 +1,11 @@
 """Per-domain source models: a small feature extractor plus a linear classifier.
 
 The extractor maps inputs through two affine layers with a relu between them;
-the classifier is one affine map to class logits. The classifier carries a
-``frozen`` flag: adaptation freezes it and only ever optimizes the extractor.
-Forward passes exist twice: on a tape (training) and as plain numpy
-(evaluation, centroid computation), both on the same kernels.
+the classifier is one affine map to class logits. Training (source models,
+adaptation, the distillation student) runs one tape forward, ``tape_logits``,
+over one model's parameters or over n stacked ones; adaptation keeps the heads
+frozen by stacking them as constants. Evaluation and centroid computation use
+the plain-numpy forward, on the same kernels.
 """
 
 import hashlib
@@ -77,10 +78,6 @@ class FeatureExtractor:
     def params(self):
         return [self.w1, self.b1, self.w2, self.b2]
 
-    def forward(self, tape, x):
-        h = tape.relu(tape.add_bias(tape.matmul(x, self.w1), self.b1))
-        return tape.add_bias(tape.matmul(h, self.w2), self.b2)
-
     def features(self, x):
         """Plain-numpy forward for evaluation paths."""
         if x.shape[1] != self.input_dim:
@@ -92,9 +89,8 @@ class FeatureExtractor:
 class Classifier:
     """Single affine map from feature space to class logits."""
 
-    def __init__(self, w, b, frozen=False):
+    def __init__(self, w, b):
         self.w, self.b = w, b
-        self.frozen = frozen
 
     @classmethod
     def init(cls, cfg, rng):
@@ -109,9 +105,6 @@ class Classifier:
 
     def params(self):
         return [self.w, self.b]
-
-    def forward(self, tape, feats):
-        return tape.add_bias(tape.matmul(feats, self.w), self.b)
 
     def logits(self, feats):
         return kernels.matmul_nn(feats, self.w.values) + self.b.values
@@ -137,34 +130,11 @@ class SourceModel:
     def feature_dim(self):
         return self.extractor.feature_dim
 
-    def trainable_params(self):
-        params = self.extractor.params()
-        if not self.classifier.frozen:
-            params = params + self.classifier.params()
-        return params
-
-    def forward(self, tape, x):
-        feats = self.extractor.forward(tape, x)
-        return self.classifier.forward(tape, feats), feats
-
     def features(self, x):
         return self.extractor.features(x)
 
     def logits(self, x):
         return self.classifier.logits(self.extractor.features(x))
-
-    def clone(self):
-        def copy_tensor(t):
-            c = Tensor(t.values.copy(), requires_grad=t.requires_grad)
-            return c
-
-        ext = FeatureExtractor(*[copy_tensor(p) for p in self.extractor.params()])
-        cls_ = Classifier(
-            copy_tensor(self.classifier.w),
-            copy_tensor(self.classifier.b),
-            frozen=self.classifier.frozen,
-        )
-        return SourceModel(self.domain, ext, cls_, self.label_smoothing)
 
 
 def check_compatible(models):
@@ -186,7 +156,7 @@ class SourceStack:
     The extractors become (n, in, h), (n, h), (n, h, d) and (n, d) tensors,
     trainable only when ``requires_grad``; the frozen heads become (n, d, K)
     and (n, K) constants. The inputs are copied, never mutated. ``models``
-    are per-source SourceModels (heads frozen) whose tensors are views of
+    are per-source SourceModels (constant heads) whose tensors are views of
     row j of the stacked tensors: an optimizer that updates ``values`` in
     place, as SgdMomentum does, keeps every view current, so the numpy
     evaluation paths, checkpoints and teachers read the adapted parameters
@@ -207,8 +177,7 @@ class SourceStack:
         for j, m in enumerate(models):
             view = [Tensor(t.values[j], requires_grad=t.requires_grad) for t in self.params]
             self.models.append(SourceModel(
-                m.domain, FeatureExtractor(*view[:4]), Classifier(*view[4:], frozen=True),
-                m.label_smoothing,
+                m.domain, FeatureExtractor(*view[:4]), Classifier(*view[4:]), m.label_smoothing,
             ))
 
     def extractor_params(self):
@@ -220,11 +189,15 @@ def model_params(model):
     return model.extractor.params() + model.classifier.params()
 
 
-def stacked_logits(tape, params, x):
-    """Per-source logits (n, b, K) of stacked ``params`` on a shared input batch."""
+def tape_logits(tape, params, x):
+    """Logits of an input batch x (b, i) on the tape: the one training forward.
+
+    ``params`` are one model's ``model_params`` (gives (b, K)) or n stacked
+    ones, as in ``SourceStack.params`` (gives per-source (n, b, K)).
+    """
     w1, b1, w2, b2, w, b = params
-    h = tape.relu(tape.add_bias(tape.bmm(Tensor(x), w1), b1))
-    return tape.add_bias(tape.bmm(tape.add_bias(tape.bmm(h, w2), b2), w), b)
+    h = tape.relu(tape.add_bias(tape.matmul(Tensor(x), w1), b1))
+    return tape.add_bias(tape.matmul(tape.add_bias(tape.matmul(h, w2), b2), w), b)
 
 
 def aggregate_logits(models, alpha, x):
@@ -266,10 +239,8 @@ def train_source(model, data, cfg):
     """Supervised pretraining with smoothed labels; classifier stays trainable."""
     if len(data) == 0:
         raise ValueError("training set is empty")
-    opt = SgdMomentum(
-        [ParamGroup(model.extractor.params() + model.classifier.params(), cfg.lr, cfg.weight_decay)],
-        momentum=cfg.momentum,
-    )
+    params = model_params(model)
+    opt = SgdMomentum([ParamGroup(params, cfg.lr, cfg.weight_decay)], momentum=cfg.momentum)
     n_batches = (len(data) + cfg.batch_size - 1) // cfg.batch_size
     total_steps = cfg.epochs * n_batches
     step = 0
@@ -278,8 +249,8 @@ def train_source(model, data, cfg):
         losses = []
         for batch in batch_iter(data, cfg.batch_size, cfg.shuffle_seed * 1_000_003 + epoch):
             tape = Tape()
-            logits, _ = model.forward(tape, Tensor(batch.x))
-            loss = label_smoothing_ce(tape, logits, batch.y, cfg.label_smoothing)
+            loss = label_smoothing_ce(tape, tape_logits(tape, params, batch.x), batch.y,
+                                      cfg.label_smoothing)
             tape.backward(loss)
             opt.step(lr_factor=lr_schedule(1.0, step / max(1, total_steps - 1)))
             opt.zero_grad()
@@ -292,12 +263,13 @@ def train_source(model, data, cfg):
 
 # -- checkpoints --------------------------------------------------------------
 
-_PARAM_KEYS = ("extractor.w1", "extractor.b1", "extractor.w2", "extractor.b2",
-               "classifier.w", "classifier.b")
+# parameter name -> its axes; a checkpoint's shapes must agree on every axis
+_PARAM_AXES = {"extractor.w1": "ih", "extractor.b1": "h", "extractor.w2": "hd",
+               "extractor.b2": "d", "classifier.w": "dK", "classifier.b": "K"}
 
 
 def _named_params(model):
-    return dict(zip(_PARAM_KEYS, model_params(model)))
+    return dict(zip(_PARAM_AXES, model_params(model)))
 
 
 def save_checkpoint(model, path):
@@ -316,20 +288,28 @@ def save_checkpoint(model, path):
 
 
 def load_checkpoint(path):
+    """Read a model; a wrong version, a missing parameter or shapes that do not
+    chain as (i, h), (h,), (h, d), (d,), (d, K), (K,) raise ValueError."""
     with open(path) as fh:
         doc = json.load(fh)
     if doc.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {doc.get('version')!r}")
-
-    def tensor(name):
-        entry = doc["params"][name]
-        vals = np.asarray(entry["values"], dtype=np.float64).reshape(entry["shape"])
-        return Tensor(vals, requires_grad=True)
-
-    ext = FeatureExtractor(tensor("extractor.w1"), tensor("extractor.b1"),
-                           tensor("extractor.w2"), tensor("extractor.b2"))
-    cls_ = Classifier(tensor("classifier.w"), tensor("classifier.b"))
-    return SourceModel(doc["domain"], ext, cls_, doc["label_smoothing"])
+        raise ValueError(f"{path}: unsupported checkpoint version {doc.get('version')!r}")
+    params, sizes, tensors = doc.get("params", {}), {}, []
+    for name, axes in _PARAM_AXES.items():
+        if name not in params:
+            raise ValueError(f"{path}: missing parameter '{name}'")
+        try:
+            vals = np.asarray(params[name]["values"], dtype=np.float64)
+            vals = vals.reshape(params[name]["shape"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: parameter '{name}': {exc}") from None
+        if vals.ndim != len(axes) or any(sizes.setdefault(ax, n) != n
+                                         for ax, n in zip(axes, vals.shape)):
+            raise ValueError(f"{path}: parameter '{name}' has shape {vals.shape}, "
+                             f"which does not chain with the others")
+        tensors.append(Tensor(vals, requires_grad=True))
+    return SourceModel(doc["domain"], FeatureExtractor(*tensors[:4]),
+                       Classifier(*tensors[4:]), doc["label_smoothing"])
 
 
 def classifier_checksum(model):

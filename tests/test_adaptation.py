@@ -1,3 +1,4 @@
+import copy
 import math
 
 import mpmath
@@ -14,7 +15,7 @@ from decision.adaptation import (AdaptationConfig, AggregationWeights,
                                  update_pseudo_labels, weights_only_adapt)
 from decision.autodiff import ShapeMismatchError, Tape, Tensor
 from decision.data import DomainSpec, generate_domain
-from decision.models import SourceStack, classifier_checksum
+from decision.models import SourceStack, classifier_checksum, model_params
 
 from conftest import constant_logit_model, finite_diff, make_models, max_rel_err
 
@@ -164,7 +165,7 @@ def test_total_loss_combination_arithmetic():
 
 def test_identical_models_make_loss_invariant_to_alpha():
     model = make_models(1, seed=21)[0]
-    twin = model.clone()
+    twin = copy.deepcopy(model)
     x = np.random.default_rng(3).standard_normal((8, 3))
     a = entropy_loss([model, twin], [0.5, 0.5], x)
     b = entropy_loss([model, twin], [0.9, 0.1], x)
@@ -247,6 +248,14 @@ def test_one_hot_predictions_give_class_mean_centroids():
             np.testing.assert_allclose(
                 state.per_source[0, k], feats[hard == k].mean(axis=0), atol=1e-12
             )
+
+
+def test_round0_class_with_underflowed_probability_gets_the_mean_feature():
+    models = make_models(1, seed=51)
+    models[0].classifier.b.values[1] -= 1e4  # p(class 1) is exactly 0 everywhere
+    x = np.random.default_rng(14).standard_normal((12, 3))
+    state = update_pseudo_labels(models, [1.0], x, refinement_rounds=0)
+    np.testing.assert_array_equal(state.per_source[0, 1], models[0].features(x).mean(axis=0))
 
 
 def test_assignment_picks_coinciding_centroid_and_breaks_ties_low():
@@ -358,7 +367,7 @@ def test_source_stack_views_follow_in_place_updates():
     stack.params[0].values -= 1.0  # how SgdMomentum.step updates parameters
     for m, view in zip(models, stack.models):
         np.testing.assert_array_equal(view.extractor.w1.values, m.extractor.w1.values - 1.0)
-        assert view.classifier.frozen and not view.classifier.w.requires_grad
+        assert not view.classifier.w.requires_grad and not view.classifier.b.requires_grad
 
 
 # -- the adaptation loop -------------------------------------------------------------
@@ -398,7 +407,7 @@ def test_adapt_rejects_empty_target_and_mismatched_models():
 
 def test_zero_epoch_adapt_is_identity():
     model, data = _trained_source()
-    result = adapt([model, model.clone()], data.inputs_only(), AdaptationConfig(epochs=0))
+    result = adapt([model, copy.deepcopy(model)], data.inputs_only(), AdaptationConfig(epochs=0))
     np.testing.assert_allclose(result.alpha, 0.5, atol=0.0)
     for got, want in zip(result.models, [model, model]):
         for a, b in zip(got.extractor.params(), want.extractor.params()):
@@ -408,12 +417,14 @@ def test_zero_epoch_adapt_is_identity():
 
 def test_adapt_does_not_mutate_inputs_and_freezes_clones_only():
     model, data = _trained_source()
-    before = [p.values.copy() for p in model.trainable_params()]
+    before = [p.values.copy() for p in model_params(model)]
     result = adapt([model], data.inputs_only(), AdaptationConfig(epochs=2, seed=1))
-    for p, b in zip(model.trainable_params(), before):
+    for p, b in zip(model_params(model), before):
         assert np.array_equal(p.values, b)
-    assert not model.classifier.frozen
-    assert result.models[0].classifier.frozen
+    assert all(p.requires_grad for p in model_params(model))
+    head = result.models[0].classifier
+    assert not head.w.requires_grad and not head.b.requires_grad
+    assert classifier_checksum(result.models[0]) == classifier_checksum(model)
 
 
 def test_single_source_alpha_is_pinned_at_one():
@@ -428,7 +439,7 @@ def test_single_source_alpha_is_pinned_at_one():
 
 def test_frozen_classifier_checksums_survive_adaptation():
     model, data = _trained_source()
-    twin = model.clone()
+    twin = copy.deepcopy(model)
     before = [classifier_checksum(m) for m in (model, twin)]
     result = adapt([model, twin], data.inputs_only(),
                    AdaptationConfig(epochs=3, seed=2, assert_simplex=True))
@@ -449,7 +460,7 @@ def test_full_batch_epoch_does_not_increase_im_objective():
 
 def test_weights_only_leaves_extractors_untouched():
     model, data = _trained_source()
-    twin = model.clone()
+    twin = copy.deepcopy(model)
     result = weights_only_adapt([model, twin], data.inputs_only(),
                                 AdaptationConfig(epochs=2, seed=3))
     for got, want in zip(result.models, (model, twin)):
@@ -459,12 +470,12 @@ def test_weights_only_leaves_extractors_untouched():
 
 def test_weights_only_computes_no_extractor_gradients():
     model, data = _trained_source()
-    result = weights_only_adapt([model, model.clone()], data.inputs_only(),
+    result = weights_only_adapt([model, copy.deepcopy(model)], data.inputs_only(),
                                 AdaptationConfig(epochs=2, seed=3))
     for m in result.models:
         assert all(p.grad is None for p in m.extractor.params())
     # frozen extractors stay off the tape: only the weights receive a gradient
-    stack = SourceStack([model, model.clone()], requires_grad=False)
+    stack = SourceStack([model, copy.deepcopy(model)], requires_grad=False)
     weights = AggregationWeights(2)
     tape = Tape()
     loss, _ = objective(tape, stack, weights, data.x[:8], np.zeros(8, np.int64),
@@ -498,7 +509,7 @@ def test_soft_ensemble_of_identical_models_is_single_model():
     from decision.models import predict
 
     np.testing.assert_array_equal(
-        soft_ensemble_predict([model, model.clone()], x), predict(model.logits(x))
+        soft_ensemble_predict([model, copy.deepcopy(model)], x), predict(model.logits(x))
     )
 
 

@@ -1,11 +1,9 @@
 import itertools
 import math
 
-import mpmath
 import numpy as np
 import pytest
 
-from decision import kernels
 from decision.autodiff import ShapeMismatchError, Tape, TapeError, Tensor
 
 from conftest import finite_diff, max_rel_err
@@ -28,37 +26,6 @@ def test_matmul_shape_error_names_both_shapes():
     t = Tape()
     with pytest.raises(ShapeMismatchError, match=r"\(2, 3\).*\(2, 2\)"):
         t.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 2))))
-
-
-def test_softmax_uniform_and_analytic():
-    np.testing.assert_allclose(
-        kernels.softmax_rows(np.zeros((1, 4))), np.full((1, 4), 0.25), atol=1e-15
-    )
-    np.testing.assert_allclose(
-        kernels.softmax_rows(np.array([[math.log(1.0), math.log(3.0)]])), [[0.25, 0.75]],
-        rtol=1e-14,
-    )
-
-
-def test_softmax_extreme_logits_vs_high_precision():
-    p = kernels.softmax_rows(np.array([[1000.0, 0.0]]))[0]
-    with mpmath.workprec(200):
-        e0, e1 = mpmath.exp(1000), mpmath.exp(0)
-        want0 = float(e0 / (e0 + e1))
-    assert p[0] == pytest.approx(want0, abs=1e-15)
-    assert 0.0 <= p[1] < 1e-300
-    assert p.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_softmax_properties_random():
-    rng = np.random.default_rng(0)
-    for _ in range(100):
-        v = rng.standard_normal((3, 5)) * rng.uniform(0.1, 30.0)
-        p = kernels.softmax_rows(v)
-        assert (p >= 0.0).all()
-        np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
-        shifted = kernels.softmax_rows(v + 17.3)
-        np.testing.assert_allclose(p, shifted, atol=1e-9)
 
 
 def test_backward_square():
@@ -187,24 +154,32 @@ def _squared_mean_of(op, *args):
     return t.scale(t.sum(t.mul(out, out)), 1.0 / out.values.size)
 
 
-@pytest.mark.parametrize("shared", [True, False], ids=["shared", "stacked"])
-def test_bmm_definition_and_gradients(shared):
+# one model's (b, i) x (i, o), and the batched (bmm) per-source cases
+@pytest.mark.parametrize("lhs, rhs", [((5, 3), (3, 2)), ((5, 3), (4, 3, 2)),
+                                      ((4, 5, 3), (4, 3, 2))],
+                         ids=["single", "shared", "stacked"])
+def test_bmm_definition_and_gradients(lhs, rhs):
     rng = np.random.default_rng(61)
-    a = Tensor(rng.standard_normal((5, 3) if shared else (4, 5, 3)), requires_grad=True)
-    w = Tensor(rng.standard_normal((4, 3, 2)), requires_grad=True)
-    out = Tape().bmm(a, w).values
-    for j in range(4):
-        lhs = a.values if shared else a.values[j]
-        np.testing.assert_allclose(out[j], lhs @ w.values[j], rtol=1e-15)
-    assert _gradcheck(lambda: _squared_mean_of("bmm", a, w), [a, w]) < 1e-4
+    a = Tensor(rng.standard_normal(lhs), requires_grad=True)
+    w = Tensor(rng.standard_normal(rhs), requires_grad=True)
+    out = Tape().matmul(a, w).values
+    av = np.broadcast_to(a.values, out.shape[:-1] + lhs[-1:])
+    for j in np.ndindex(out.shape[:-2]):  # each source, or once for one model
+        np.testing.assert_allclose(out[j], av[j] @ w.values[j], rtol=1e-15)
+    assert _gradcheck(lambda: _squared_mean_of("matmul", a, w), [a, w]) < 1e-4
 
 
 def test_bmm_shape_errors():
-    t = Tape()
-    with pytest.raises(ShapeMismatchError):
-        t.bmm(Tensor(np.ones((5, 3))), Tensor(np.ones((4, 2, 2))))
-    with pytest.raises(ShapeMismatchError):
-        t.bmm(Tensor(np.ones((3, 5, 2))), Tensor(np.ones((4, 2, 2))))
+    for lhs, rhs in [
+        ((5, 3), (4, 2, 2)),  # inner sizes differ
+        ((3, 5, 2), (4, 2, 2)),  # source counts differ
+        ((4, 5, 3), (3, 2)),  # stacked lhs with an unstacked rhs
+        ((3,), (3, 2)),  # 1-d operands
+        ((2, 3), (3,)),
+        ((1, 4, 5, 3), (4, 3, 2)),  # more than one leading axis
+    ]:
+        with pytest.raises(ShapeMismatchError, match="matmul"):
+            Tape().matmul(Tensor(np.ones(lhs)), Tensor(np.ones(rhs)))
 
 
 def test_add_bias_per_source_gradients():

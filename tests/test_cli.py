@@ -88,6 +88,40 @@ def test_mixed_generator_kinds_rejected():
         config_mod.from_dict(doc)
 
 
+@pytest.mark.parametrize("key", ["batch_size", "lr"])
+def test_unread_distill_keys_are_rejected(key):
+    # the student trains with adaptation.batch_size and a fixed lr
+    doc = small_config()
+    doc["distill"][key] = 16
+    with pytest.raises(ConfigError, match=key):
+        config_mod.from_dict(doc)
+
+
+@pytest.mark.parametrize("fraction", [-0.5, 0.0, 1.0, 1.5, float("nan")])
+def test_eval_fraction_outside_open_unit_interval_rejected(fraction):
+    doc = small_config()
+    doc["eval_fraction"] = fraction
+    with pytest.raises(ConfigError, match="eval_fraction"):
+        config_mod.from_dict(doc)
+
+
+@pytest.mark.parametrize("epochs", [0, -3])
+def test_distill_epochs_below_one_rejected(epochs):
+    doc = small_config()
+    doc["distill"]["epochs"] = epochs
+    with pytest.raises(ConfigError, match="distill"):
+        config_mod.from_dict(doc)
+
+
+def test_bad_distill_epochs_exit_before_adaptation_runs(tmp_path):
+    doc = small_config()
+    doc["distill"]["epochs"] = 0
+    out = tmp_path / "o"
+    assert main(["adapt", "--config", str(write_config(tmp_path, doc)),
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_config_error_exit_code(tmp_path):
     doc = small_config()
     doc["nonsense"] = True

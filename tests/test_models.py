@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 
@@ -9,8 +10,8 @@ from decision.data import DomainSpec, generate_domain
 from decision.models import (SourceModel, SourceTrainConfig,
                              aggregate_logits, check_compatible,
                              classifier_checksum, label_smoothing_ce,
-                             load_checkpoint, predict, save_checkpoint,
-                             train_source)
+                             load_checkpoint, model_params, predict,
+                             save_checkpoint, tape_logits, train_source)
 
 from conftest import constant_logit_model, make_models, tiny_arch
 
@@ -149,7 +150,7 @@ def test_train_source_is_deterministic():
     def run():
         model = SourceModel.init("det", tiny_arch(input_dim=2, num_classes=3), 7)
         train_source(model, _blobs(3), SourceTrainConfig(epochs=3, shuffle_seed=7))
-        return [p.values.copy() for p in model.trainable_params()]
+        return [p.values.copy() for p in model_params(model)]
 
     for a, b in zip(run(), run()):
         assert np.array_equal(a, b)
@@ -177,7 +178,7 @@ def test_checkpoint_roundtrip_and_byte_stability(tmp_path):
     assert doc["domain"] == "ckpt"
     loaded = load_checkpoint(p1)
     assert loaded.label_smoothing == 0.1
-    for a, b in zip(loaded.trainable_params(), model.trainable_params()):
+    for a, b in zip(model_params(loaded), model_params(model)):
         assert np.array_equal(a.values, b.values)
 
 
@@ -192,9 +193,56 @@ def test_checkpoint_version_is_enforced(tmp_path):
         load_checkpoint(path)
 
 
+def _saved_doc(tmp_path):
+    path = tmp_path / "m.json"
+    save_checkpoint(SourceModel.init("v", tiny_arch(), 1), path)
+    return path, json.loads(path.read_text())
+
+
+def test_checkpoint_missing_parameter_is_named(tmp_path):
+    path, doc = _saved_doc(tmp_path)
+    del doc["params"]["extractor.b2"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=r"m\.json.*'extractor\.b2'"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_shapes_must_chain(tmp_path):
+    path, doc = _saved_doc(tmp_path)
+    # a (3, 4) head after a 3-dim feature layer is consistent on its own, but
+    # its 4 classes disagree with the (3,) head bias
+    w = doc["params"]["classifier.w"]
+    w["shape"], w["values"] = [3, 4], [0.0] * 12
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=r"m\.json.*'classifier\.b'.*\(3,\)"):
+        load_checkpoint(path)
+    w["shape"] = [4, 3]  # 12 values, but the feature layer has 3 outputs
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=r"'classifier\.w'.*\(4, 3\)"):
+        load_checkpoint(path)
+
+
+def test_tape_logits_for_one_model_and_for_a_stack():
+    from decision.models import SourceStack
+
+    models = make_models(3, seed=8)
+    x = np.random.default_rng(9).standard_normal((5, 3))
+    stack = SourceStack(models)
+    t1, tn = Tape(), Tape()
+    stacked = tape_logits(tn, stack.params, x).values
+    assert stacked.shape == (3, 5, 3)
+    for j, m in enumerate(models):
+        single = tape_logits(t1 if j == 0 else Tape(), model_params(m), x).values
+        np.testing.assert_allclose(single, m.logits(x), rtol=1e-14)
+        np.testing.assert_allclose(stacked[j], single, rtol=1e-14)
+    ops = [[n.op for n in t.nodes if n.leaf is None] for t in (t1, tn)]
+    assert ops[0] == ops[1] == ["matmul", "add_bias", "relu", "matmul", "add_bias",
+                                "matmul", "add_bias"]
+
+
 def test_frozen_classifier_checksum_is_parameter_sensitive():
     model = SourceModel.init("sum", tiny_arch(), 3)
     before = classifier_checksum(model)
-    assert classifier_checksum(model.clone()) == before
+    assert classifier_checksum(copy.deepcopy(model)) == before
     model.classifier.b.values[0] += 1e-12
     assert classifier_checksum(model) != before
