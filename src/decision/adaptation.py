@@ -6,10 +6,13 @@ The engine minimizes, over unlabeled target data,
 
 where L_ent is the mean prediction entropy of the weighted ensemble, L_div the
 entropy of the mean predicted class distribution, and L_pl a cross-entropy
-against nearest-centroid pseudo-labels recomputed at every epoch. Classifiers
-are frozen at entry; gradients flow into every feature extractor and into the
-raw ensemble weights, whose sigmoid-normalized view is refreshed after each
-optimizer step and always lies on the probability simplex.
+against nearest-centroid pseudo-labels recomputed at every epoch. The sources
+step together as one ``SourceStack``: its heads are constants, so gradients
+flow only into the stacked feature extractors and into the raw ensemble
+weights, whose sigmoid-normalized view is refreshed after each optimizer step
+and checked to lie on the probability simplex. The objective is one batched
+forward and one fused ``Tape.im_loss`` node; evaluation and pseudo-labels run
+the plain-numpy forward of each per-source view.
 """
 
 from dataclasses import dataclass, field
@@ -20,7 +23,7 @@ from . import kernels
 from .autodiff import Tape, Tensor, sigmoid
 from .data import UnlabeledSet
 from .models import (SourceStack, accuracy, aggregate_logits, check_compatible,
-                     model_params, predict, tape_logits)
+                     predict, tape_logits)
 from .optim import ParamGroup, SgdMomentum, lr_schedule
 
 DISTANCE_MODES = ("per-source", "combined-feature")
@@ -40,7 +43,6 @@ class AdaptationConfig:
     distance_mode: str = "per-source"
     use_entropy: bool = True
     use_diversity: bool = True
-    assert_simplex: bool = False  # test hook: verify the invariant in-loop
 
     def __post_init__(self):
         if self.lambda_pl < 0.0:
@@ -89,22 +91,7 @@ class AggregationWeights:
         return tape.mul_scalar(s, tape.reciprocal(tape.sum(s)))
 
 
-# -- losses -------------------------------------------------------------------
-
-def ensemble_logits(tape, models, alpha_t, x):
-    """Ensemble logits  sum_j alpha_j * logits_j  on the tape, in one batched pass.
-
-    ``models`` is a SourceStack, or a list of models, which is stacked on the
-    tape (one ``stack`` node per parameter kind) so that each model's own
-    tensors receive their gradients.
-    """
-    if isinstance(models, SourceStack):
-        params = models.params
-    else:
-        check_compatible(models)
-        params = [tape.stack(list(kind)) for kind in zip(*map(model_params, models))]
-    return tape.weighted_sum(alpha_t, tape_logits(tape, params, x))
-
+# -- the objective ----------------------------------------------------------------
 
 def loss_coefficients(cfg):
     """(c_ent, c_div, c_pl) of L_tot = L_ent - L_div + lambda*L_pl, with ablation toggles."""
@@ -115,48 +102,16 @@ def loss_coefficients(cfg):
     return coefs
 
 
-def entropy_term(tape, logits_t):
-    """Mean over the batch of -sum_k p_k log p_k of the ensemble prediction."""
-    return tape.im_loss(logits_t, None, 1.0, 0.0, 0.0)[0]
+def objective(tape, stack, weights, x, labels, cfg):
+    """Full training objective of a SourceStack on one tape; returns (L_tot, term values).
 
-
-def diversity_term(tape, logits_t):
-    """Entropy of the mean predicted class distribution over the batch."""
-    return tape.im_loss(logits_t, None, 0.0, 1.0, 0.0)[0]
-
-
-def pseudo_label_term(tape, logits_t, labels):
-    """Mean cross-entropy of the ensemble prediction against hard labels."""
-    return tape.im_loss(logits_t, labels, 0.0, 0.0, 1.0)[0]
-
-
-def objective(tape, models, weights, x, labels, cfg):
-    """Full training objective on one tape; returns (L_tot, term values)."""
+    The ensemble logits sum_j alpha_j * logits_j come from one batched forward
+    over the stacked parameters; ``labels`` may be None when lambda_pl is 0.
+    """
     alpha_t = weights.on_tape(tape)
-    logits_t = ensemble_logits(tape, models, alpha_t, x)
+    logits_t = tape.weighted_sum(alpha_t, tape_logits(tape, stack.params, x))
     l_tot, (l_ent, l_div, l_pl) = tape.im_loss(logits_t, labels, *loss_coefficients(cfg))
     return l_tot, {"L_ent": l_ent, "L_div": l_div, "L_pl": l_pl, "L_tot": l_tot.item()}
-
-
-# Convenience single-loss entry points (fresh tape, value only).
-
-def _ensemble_term(term, models, alpha, x, *labels):
-    if len(x) == 0:
-        raise ValueError("empty batch")
-    tape = Tape()
-    return term(tape, ensemble_logits(tape, models, Tensor(alpha), x), *labels).item()
-
-
-def entropy_loss(models, alpha, x):
-    return _ensemble_term(entropy_term, models, alpha, x)
-
-
-def diversity_loss(models, alpha, x):
-    return _ensemble_term(diversity_term, models, alpha, x)
-
-
-def pl_loss(models, alpha, x, labels):
-    return _ensemble_term(pseudo_label_term, models, alpha, x, labels)
 
 
 # -- pseudo-labels --------------------------------------------------------------
@@ -209,7 +164,7 @@ def update_pseudo_labels(models, alpha, x, refinement_rounds=1, mode="per-source
     alpha = np.asarray(alpha, dtype=np.float64)
     feats_stack = np.stack([m.features(x) for m in models])
     per_source = np.stack([
-        _source_centroids(f, kernels.softmax_rows(m.classifier.logits(f)), None)
+        _source_centroids(f, kernels.softmax_rows(m.head_logits(f)), None)
         for m, f in zip(models, feats_stack)
     ])
     state = PseudoLabelState(
@@ -249,10 +204,6 @@ class AdaptationResult:
     def alpha(self):
         return self.weights.alpha
 
-    def predict(self, x):
-        """Hard labels of the combined target model sum_j alpha_j theta_j."""
-        return predict(aggregate_logits(self.models, self.alpha, x))
-
 
 def mean_prediction(models, alpha, x):
     """Mean softmax of the weighted ensemble over a whole input set."""
@@ -272,7 +223,8 @@ def adapt(models, target, cfg, eval_set=None, on_step=None, optimize_features=Tr
     Returns the adapted models plus the learned weights; inputs are not
     mutated. All sources step together as one ``SourceStack`` (frozen heads,
     extractors trainable when ``optimize_features``); the returned models are
-    its per-source views.
+    its per-source views. Alpha is checked to lie on the simplex after every
+    step; leaving it raises AssertionError.
     """
     if not isinstance(target, UnlabeledSet):
         raise TypeError("adaptation target must be an UnlabeledSet")
@@ -313,9 +265,7 @@ def adapt(models, target, cfg, eval_set=None, on_step=None, optimize_features=Tr
             tape.backward(l_tot)
             opt.step(lr_factor=lr_schedule(1.0, step / max(1, total_steps - 1)))
             opt.zero_grad()
-            weights.refresh()
-            if cfg.assert_simplex:
-                _check_simplex(weights.alpha)
+            _check_simplex(weights.refresh())
             if on_step is not None:
                 on_step(weights.alpha.copy())
             for key in sums:

@@ -4,9 +4,9 @@ One optimization run owns one ``Tape``; operations are tape methods so the
 recording scope is always explicit. The tape carries only the ops the package
 calls. Entropy-style terms go through ``im_loss``, which fuses the
 objective's terms into one node with an analytic gradient and counts
-underflowed probabilities as 0 rather than NaN. ``matmul``, ``add_bias``,
-``stack`` and ``weighted_sum`` also take a leading source axis, so a
-step over n stacked source models records the same nodes for every n.
+underflowed probabilities as 0 rather than NaN. ``matmul`` and ``add_bias``
+also take a leading source axis and ``weighted_sum`` contracts it, so a step
+over n stacked source models records the same nodes for every n.
 """
 
 import numpy as np
@@ -145,16 +145,6 @@ class Tape:
 
         return self._record("add_bias", xv + bv[..., None, :], (ix, ib), backward)
 
-    def stack(self, tensors):
-        """Equal-shape tensors as one (n, ...) node; row j's gradient goes to tensor j."""
-        shape = tensors[0].shape
-        if any(t.shape != shape for t in tensors):
-            raise ShapeMismatchError(f"stack: {[t.shape for t in tensors]}")
-        ids = [self._track(t) for t in tensors]
-        return self._record(
-            "stack", np.stack([t.values for t in tensors]), ids, lambda g: list(g)
-        )
-
     def weighted_sum(self, alpha, z):
         """sum_j alpha_j * z_j over the leading axis: (n,), (n, b, k) -> (b, k)."""
         av, zv = alpha.values, z.values
@@ -227,6 +217,8 @@ class Tape:
         """
         _require_2d("im_loss logits", z)
         b, k = z.shape
+        if b == 0:
+            raise ValueError("im_loss: empty batch")
         logp = kernels.log_softmax_rows(z.values)
         p = np.exp(logp)
         h = -(p * logp).sum(axis=1)

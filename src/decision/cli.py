@@ -1,7 +1,8 @@
 """Command-line driver.
 
 Subcommands: train-sources, adapt, oracle, distill, report.
-Exit codes: 0 success, 1 verification violation, 2 config error, 3 I/O error.
+Exit codes: 0 success, 1 verification violation, 2 config error, 3 I/O error
+(including a checkpoint file that cannot be read as a model).
 """
 
 import argparse
@@ -13,6 +14,7 @@ from pathlib import Path
 from . import config as config_mod
 from . import runner
 from .config import ConfigError
+from .models import CheckpointError
 from .oracle import verify_combination_bound
 
 
@@ -98,7 +100,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, IsADirectoryError, PermissionError, OSError) as exc:
+    except (CheckpointError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
     return 0

@@ -22,16 +22,18 @@ class ConfigError(ValueError):
 BASELINE_KEYS = ("source_best", "source_worst", "shot_best", "shot_worst",
                  "shot_ens", "weights_only", "decision", "distill")
 
-_DOMAIN_KEYS = {"name", "kind", "n", "seed", "rotation_deg", "translation",
-                "noise_std", "label_corruption"}
-_MODEL_KEYS = {"hidden_dim", "feature_dim"}
-_TRAIN_KEYS = {"epochs", "batch_size", "lr", "momentum", "weight_decay",
-               "label_smoothing"}
-_ADAPT_KEYS = {"lambda_pl", "epochs", "batch_size", "lr_backbone", "lr_alpha",
-               "momentum", "weight_decay", "refinement_rounds", "distance_mode"}
-_DISTILL_KEYS = {"epochs"}
-_TOP_KEYS = {"seed", "eval_fraction", "sources", "target", "model",
-             "source_training", "adaptation", "baselines", "distill"}
+# the keys a config file may set, per section; the model, source_training and
+# adaptation sections are also echoed back with exactly these keys
+_DOMAIN_KEYS = ("name", "kind", "n", "seed", "rotation_deg", "translation",
+                "noise_std", "label_corruption")
+_MODEL_KEYS = ("hidden_dim", "feature_dim")
+_TRAIN_KEYS = ("epochs", "batch_size", "lr", "momentum", "weight_decay",
+               "label_smoothing")
+_ADAPT_KEYS = ("lambda_pl", "epochs", "batch_size", "lr_backbone", "lr_alpha",
+               "momentum", "weight_decay", "refinement_rounds", "distance_mode")
+_DISTILL_KEYS = ("epochs",)
+_TOP_KEYS = ("seed", "eval_fraction", "sources", "target", "model",
+             "source_training", "adaptation", "baselines", "distill")
 
 
 @dataclass
@@ -80,24 +82,17 @@ class ExperimentConfig:
                 "label_corruption": spec.label_corruption,
             }
 
-        a, t = self.adaptation, self.source_training
+        def section(obj, keys):
+            return {key: getattr(obj, key) for key in keys}
+
         return {
             "seed": self.seed,
             "eval_fraction": self.eval_fraction,
             "sources": [domain_dict(n, s) for n, s in zip(self.source_names, self.source_specs)],
             "target": domain_dict("target", self.target_spec),
-            "model": {"hidden_dim": self.model.hidden_dim, "feature_dim": self.model.feature_dim},
-            "source_training": {
-                "epochs": t.epochs, "batch_size": t.batch_size, "lr": t.lr,
-                "momentum": t.momentum, "weight_decay": t.weight_decay,
-                "label_smoothing": t.label_smoothing,
-            },
-            "adaptation": {
-                "lambda_pl": a.lambda_pl, "epochs": a.epochs, "batch_size": a.batch_size,
-                "lr_backbone": a.lr_backbone, "lr_alpha": a.lr_alpha,
-                "momentum": a.momentum, "weight_decay": a.weight_decay,
-                "refinement_rounds": a.refinement_rounds, "distance_mode": a.distance_mode,
-            },
+            "model": section(self.model, _MODEL_KEYS),
+            "source_training": section(self.source_training, _TRAIN_KEYS),
+            "adaptation": section(self.adaptation, _ADAPT_KEYS),
             "baselines": dict(self.baselines),
             "distill": {"epochs": self.distill_epochs},
         }
@@ -106,7 +101,7 @@ class ExperimentConfig:
 def _check_keys(section, mapping, allowed):
     if not isinstance(mapping, dict):
         raise ConfigError(f"{section}: expected a mapping")
-    unknown = set(mapping) - allowed
+    unknown = set(mapping).difference(allowed)
     if unknown:
         raise ConfigError(f"{section}: unknown key(s) {sorted(unknown)}")
 
@@ -165,7 +160,7 @@ def from_dict(doc):
     training = build("source_training", _TRAIN_KEYS, SourceTrainConfig)
     adaptation = build("adaptation", _ADAPT_KEYS, AdaptationConfig)
     raw_baselines = doc.get("baselines", {})
-    _check_keys("baselines", raw_baselines, set(BASELINE_KEYS))
+    _check_keys("baselines", raw_baselines, BASELINE_KEYS)
     baselines = {k: True for k in BASELINE_KEYS}
     for k, v in raw_baselines.items():
         if not isinstance(v, bool):

@@ -42,13 +42,7 @@ def train_student(teacher, target, cfg, seed=0):
         raise TypeError("distillation target must be an UnlabeledSet")
     if len(target) == 0:
         raise ValueError("target set is empty")
-    ref = teacher.models[0]
-    arch = ModelConfig(
-        input_dim=ref.extractor.input_dim,
-        hidden_dim=ref.extractor.w1.shape[1],
-        feature_dim=ref.feature_dim,
-        num_classes=ref.num_classes,
-    )
+    arch = ModelConfig(*teacher.models[0].dims)
     labels = teacher_label(teacher, target.x)
     student = SourceModel.init("student", arch, seed, label_smoothing=0.0)
     if cfg is not None:
@@ -58,8 +52,7 @@ def train_student(teacher, target, cfg, seed=0):
     return student, agreement
 
 
-def student_config(epochs=30, batch_size=32, lr=1e-2, seed=0):
+def student_config(epochs=30, batch_size=32, seed=0):
     return SourceTrainConfig(
-        epochs=epochs, batch_size=batch_size, lr=lr,
-        label_smoothing=0.0, shuffle_seed=seed,
+        epochs=epochs, batch_size=batch_size, label_smoothing=0.0, shuffle_seed=seed,
     )

@@ -1,11 +1,12 @@
-"""Per-domain source models: a small feature extractor plus a linear classifier.
+"""Per-domain source models: a small feature extractor plus a linear head.
 
-The extractor maps inputs through two affine layers with a relu between them;
-the classifier is one affine map to class logits. Training (source models,
-adaptation, the distillation student) runs one tape forward, ``tape_logits``,
-over one model's parameters or over n stacked ones; adaptation keeps the heads
-frozen by stacking them as constants. Evaluation and centroid computation use
-the plain-numpy forward, on the same kernels.
+A ``SourceModel`` is six named tensors (``_PARAM_AXES``): the extractor maps
+inputs through two affine layers with a relu between them to features; the
+head is one affine map to class logits. Training (source models, adaptation,
+the distillation student) runs one tape forward, ``tape_logits``, over one
+model's parameters or over n stacked ones; adaptation keeps the heads frozen
+by stacking them as constants. Evaluation and centroid computation use the
+plain-numpy forward, on the same kernels.
 """
 
 import hashlib
@@ -20,6 +21,16 @@ from .data import batch_iter
 from .optim import ParamGroup, SgdMomentum, lr_schedule
 
 CHECKPOINT_VERSION = "decision-ckpt-v1"
+
+# parameter name -> its axes, in the order of SourceModel.params: the first
+# four are the extractor, the last two the head; a checkpoint's shapes must
+# agree on every axis
+_PARAM_AXES = {"extractor.w1": "ih", "extractor.b1": "h", "extractor.w2": "hd",
+               "extractor.b2": "d", "classifier.w": "dK", "classifier.b": "K"}
+
+
+class CheckpointError(ValueError):
+    """A checkpoint file that cannot be read as a model; names file and field."""
 
 
 @dataclass(frozen=True)
@@ -47,94 +58,59 @@ class SourceTrainConfig:
             raise ValueError("label smoothing must be in [0, 1)")
 
 
-def _uniform_init(rng, shape, fan_in):
-    bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, shape)
-
-
-class FeatureExtractor:
-    """input -> hidden -> relu -> feature, all affine."""
-
-    def __init__(self, w1, b1, w2, b2):
-        self.w1, self.b1, self.w2, self.b2 = w1, b1, w2, b2
-
-    @classmethod
-    def init(cls, cfg, rng):
-        return cls(
-            Tensor(_uniform_init(rng, (cfg.input_dim, cfg.hidden_dim), cfg.input_dim), requires_grad=True),
-            Tensor(_uniform_init(rng, (cfg.hidden_dim,), cfg.input_dim), requires_grad=True),
-            Tensor(_uniform_init(rng, (cfg.hidden_dim, cfg.feature_dim), cfg.hidden_dim), requires_grad=True),
-            Tensor(_uniform_init(rng, (cfg.feature_dim,), cfg.hidden_dim), requires_grad=True),
-        )
-
-    @property
-    def input_dim(self):
-        return self.w1.shape[0]
-
-    @property
-    def feature_dim(self):
-        return self.w2.shape[1]
-
-    def params(self):
-        return [self.w1, self.b1, self.w2, self.b2]
-
-    def features(self, x):
-        """Plain-numpy forward for evaluation paths."""
-        if x.shape[1] != self.input_dim:
-            raise ShapeMismatchError(f"input dim {x.shape[1]} != {self.input_dim}")
-        h = kernels.relu_fwd(kernels.matmul_nn(x, self.w1.values) + self.b1.values)
-        return kernels.matmul_nn(h, self.w2.values) + self.b2.values
-
-
-class Classifier:
-    """Single affine map from feature space to class logits."""
-
-    def __init__(self, w, b):
-        self.w, self.b = w, b
-
-    @classmethod
-    def init(cls, cfg, rng):
-        return cls(
-            Tensor(_uniform_init(rng, (cfg.feature_dim, cfg.num_classes), cfg.feature_dim), requires_grad=True),
-            Tensor(_uniform_init(rng, (cfg.num_classes,), cfg.feature_dim), requires_grad=True),
-        )
-
-    @property
-    def num_classes(self):
-        return self.w.shape[1]
-
-    def params(self):
-        return [self.w, self.b]
-
-    def logits(self, feats):
-        return kernels.matmul_nn(feats, self.w.values) + self.b.values
-
-
 class SourceModel:
-    def __init__(self, domain, extractor, classifier, label_smoothing=0.1):
+    """One source's network as six tensors, in ``_PARAM_AXES`` order.
+
+    The extractor w1 (i, h), b1 (h,), w2 (h, d), b2 (d,) maps inputs through
+    two affine layers with a relu between them to features; the head w (d, K),
+    b (K,) maps features to class logits. The sizes are read from the shapes.
+    """
+
+    def __init__(self, domain, params, label_smoothing=0.1):
         self.domain = domain
-        self.extractor = extractor
-        self.classifier = classifier
+        self.params = list(params)
         self.label_smoothing = label_smoothing
 
     @classmethod
     def init(cls, domain, cfg, seed, label_smoothing=0.1):
+        """Uniform(+-1/sqrt(fan_in)) weights and biases, drawn layer by layer."""
         rng = np.random.default_rng(seed)
-        return cls(domain, FeatureExtractor.init(cfg, rng), Classifier.init(cfg, rng), label_smoothing)
+        sizes = (cfg.input_dim, cfg.hidden_dim, cfg.feature_dim, cfg.num_classes)
+        params = []
+        for fan_in, fan_out in zip(sizes, sizes[1:]):
+            bound = 1.0 / np.sqrt(fan_in)
+            params += [Tensor(rng.uniform(-bound, bound, shape), requires_grad=True)
+                       for shape in ((fan_in, fan_out), (fan_out,))]
+        return cls(domain, params, label_smoothing)
+
+    @property
+    def dims(self):
+        """(input_dim, hidden_dim, feature_dim, num_classes), as in ModelConfig."""
+        w1, _, w2, _, w, _ = self.params
+        return w1.shape + (w2.shape[1], w.shape[1])
 
     @property
     def num_classes(self):
-        return self.classifier.num_classes
+        return self.params[4].shape[1]
 
     @property
     def feature_dim(self):
-        return self.extractor.feature_dim
+        return self.params[2].shape[1]
 
     def features(self, x):
-        return self.extractor.features(x)
+        """Plain-numpy extractor forward for evaluation paths."""
+        w1, b1, w2, b2 = (p.values for p in self.params[:4])
+        if x.shape[1] != w1.shape[0]:
+            raise ShapeMismatchError(f"input dim {x.shape[1]} != {w1.shape[0]}")
+        h = kernels.relu_fwd(kernels.matmul_nn(x, w1) + b1)
+        return kernels.matmul_nn(h, w2) + b2
+
+    def head_logits(self, feats):
+        w, b = self.params[4:]
+        return kernels.matmul_nn(feats, w.values) + b.values
 
     def logits(self, x):
-        return self.classifier.logits(self.extractor.features(x))
+        return self.head_logits(self.features(x))
 
 
 def check_compatible(models):
@@ -165,7 +141,7 @@ class SourceStack:
 
     def __init__(self, models, requires_grad=True):
         check_compatible(models)
-        kinds = list(zip(*(model_params(m) for m in models)))
+        kinds = list(zip(*(m.params for m in models)))
         for kind in kinds:
             if any(p.shape != kind[0].shape for p in kind):
                 raise ShapeMismatchError(f"cannot stack shapes {[p.shape for p in kind]}")
@@ -173,26 +149,20 @@ class SourceStack:
             Tensor(np.stack([p.values for p in kind]), requires_grad=requires_grad and i < 4)
             for i, kind in enumerate(kinds)
         ]
-        self.models = []
-        for j, m in enumerate(models):
-            view = [Tensor(t.values[j], requires_grad=t.requires_grad) for t in self.params]
-            self.models.append(SourceModel(
-                m.domain, FeatureExtractor(*view[:4]), Classifier(*view[4:]), m.label_smoothing,
-            ))
+        self.models = [
+            SourceModel(m.domain, [Tensor(t.values[j], requires_grad=t.requires_grad)
+                                   for t in self.params], m.label_smoothing)
+            for j, m in enumerate(models)
+        ]
 
     def extractor_params(self):
         return self.params[:4]
 
 
-def model_params(model):
-    """(w1, b1, w2, b2, classifier w, classifier b): the order SourceStack stacks."""
-    return model.extractor.params() + model.classifier.params()
-
-
 def tape_logits(tape, params, x):
     """Logits of an input batch x (b, i) on the tape: the one training forward.
 
-    ``params`` are one model's ``model_params`` (gives (b, K)) or n stacked
+    ``params`` are one model's ``params`` (gives (b, K)) or n stacked
     ones, as in ``SourceStack.params`` (gives per-source (n, b, K)).
     """
     w1, b1, w2, b2, w, b = params
@@ -239,7 +209,7 @@ def train_source(model, data, cfg):
     """Supervised pretraining with smoothed labels; classifier stays trainable."""
     if len(data) == 0:
         raise ValueError("training set is empty")
-    params = model_params(model)
+    params = model.params
     opt = SgdMomentum([ParamGroup(params, cfg.lr, cfg.weight_decay)], momentum=cfg.momentum)
     n_batches = (len(data) + cfg.batch_size - 1) // cfg.batch_size
     total_steps = cfg.epochs * n_batches
@@ -263,15 +233,6 @@ def train_source(model, data, cfg):
 
 # -- checkpoints --------------------------------------------------------------
 
-# parameter name -> its axes; a checkpoint's shapes must agree on every axis
-_PARAM_AXES = {"extractor.w1": "ih", "extractor.b1": "h", "extractor.w2": "hd",
-               "extractor.b2": "d", "classifier.w": "dK", "classifier.b": "K"}
-
-
-def _named_params(model):
-    return dict(zip(_PARAM_AXES, model_params(model)))
-
-
 def save_checkpoint(model, path):
     doc = {
         "version": CHECKPOINT_VERSION,
@@ -279,7 +240,7 @@ def save_checkpoint(model, path):
         "label_smoothing": model.label_smoothing,
         "params": {
             name: {"shape": list(t.values.shape), "values": t.values.ravel().tolist()}
-            for name, t in _named_params(model).items()
+            for name, t in zip(_PARAM_AXES, model.params)
         },
     }
     with open(path, "w") as fh:
@@ -288,33 +249,41 @@ def save_checkpoint(model, path):
 
 
 def load_checkpoint(path):
-    """Read a model; a wrong version, a missing parameter or shapes that do not
-    chain as (i, h), (h,), (h, d), (d,), (d, K), (K,) raise ValueError."""
+    """Read a model. Text that is not JSON, a wrong version, a missing field or
+    parameter, values that do not fit their shape, or shapes that do not chain
+    as (i, h), (h,), (h, d), (d,), (d, K), (K,) raise CheckpointError."""
     with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {doc.get('version')!r}")
-    params, sizes, tensors = doc.get("params", {}), {}, []
-    for name, axes in _PARAM_AXES.items():
-        if name not in params:
-            raise ValueError(f"{path}: missing parameter '{name}'")
         try:
-            vals = np.asarray(params[name]["values"], dtype=np.float64)
-            vals = vals.reshape(params[name]["shape"])
+            doc = json.load(fh)
+        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+            raise CheckpointError(f"{path}: not a JSON checkpoint: {exc}") from None
+    version = doc.get("version") if isinstance(doc, dict) else None
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(f"{path}: unsupported checkpoint version {version!r}")
+    for key in ("domain", "label_smoothing"):
+        if key not in doc:
+            raise CheckpointError(f"{path}: missing field '{key}'")
+    params, sizes, tensors = doc.get("params"), {}, []
+    for name, axes in _PARAM_AXES.items():
+        try:
+            entry = params[name]
+        except (KeyError, TypeError):
+            raise CheckpointError(f"{path}: missing parameter '{name}'") from None
+        try:
+            vals = np.asarray(entry["values"], dtype=np.float64).reshape(entry["shape"])
+            tensors.append(Tensor(vals, requires_grad=True))
         except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: parameter '{name}': {exc}") from None
+            raise CheckpointError(f"{path}: parameter '{name}': {exc}") from None
         if vals.ndim != len(axes) or any(sizes.setdefault(ax, n) != n
                                          for ax, n in zip(axes, vals.shape)):
-            raise ValueError(f"{path}: parameter '{name}' has shape {vals.shape}, "
-                             f"which does not chain with the others")
-        tensors.append(Tensor(vals, requires_grad=True))
-    return SourceModel(doc["domain"], FeatureExtractor(*tensors[:4]),
-                       Classifier(*tensors[4:]), doc["label_smoothing"])
+            raise CheckpointError(f"{path}: parameter '{name}' has shape {vals.shape}, "
+                                  f"which does not chain with the others")
+    return SourceModel(doc["domain"], tensors, doc["label_smoothing"])
 
 
 def classifier_checksum(model):
-    """SHA-256 over the classifier's raw parameter bytes."""
+    """SHA-256 over the head's raw parameter bytes."""
     h = hashlib.sha256()
-    for p in model.classifier.params():
+    for p in model.params[4:]:
         h.update(np.ascontiguousarray(p.values).tobytes())
     return h.hexdigest()

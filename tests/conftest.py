@@ -1,7 +1,7 @@
 import numpy as np
 
 from decision.autodiff import Tensor
-from decision.models import Classifier, FeatureExtractor, ModelConfig, SourceModel
+from decision.models import ModelConfig, SourceModel
 
 
 def tiny_arch(input_dim=3, hidden_dim=4, feature_dim=3, num_classes=3):
@@ -18,17 +18,9 @@ def constant_logit_model(bias, input_dim=2, name="const"):
     bias = np.asarray(bias, dtype=np.float64)
     k = len(bias)
     d = 3
-    ext = FeatureExtractor(
-        Tensor(np.zeros((input_dim, 4)), requires_grad=True),
-        Tensor(np.zeros(4), requires_grad=True),
-        Tensor(np.zeros((4, d)), requires_grad=True),
-        Tensor(np.zeros(d), requires_grad=True),
-    )
-    cls_ = Classifier(
-        Tensor(np.zeros((d, k)), requires_grad=True),
-        Tensor(bias.copy(), requires_grad=True),
-    )
-    return SourceModel(name, ext, cls_)
+    shapes = ((input_dim, 4), (4,), (4, d), (d,), (d, k))
+    params = [Tensor(np.zeros(shape), requires_grad=True) for shape in shapes]
+    return SourceModel(name, params + [Tensor(bias.copy(), requires_grad=True)])
 
 
 def finite_diff(f, params, h=1e-5):

@@ -13,15 +13,15 @@ import numpy as np
 import pytest
 
 from decision.adaptation import (AdaptationConfig, AggregationWeights, adapt,
-                                 diversity_term, entropy_loss, objective,
-                                 prediction_label_entropy,
+                                 objective, prediction_label_entropy,
                                  soft_ensemble_accuracy, weights_only_adapt)
 from decision.autodiff import Tape, Tensor
 from decision.config import moons_fixture
 from decision.data import generate_domain, split_train_eval
 from decision.distill import TeacherView, student_config, train_student
-from decision.models import (SourceModel, accuracy, classifier_checksum,
-                             label_smoothing_ce, train_source)
+from decision.models import (SourceModel, SourceStack, accuracy,
+                             classifier_checksum, label_smoothing_ce,
+                             train_source)
 from decision.oracle import (density_ratio_weights, uniform_mixture_weights,
                              verify_combination_bound)
 from decision.runner import spearman
@@ -88,7 +88,7 @@ def run_fixture_suite(seed, full=False):
     checksums = [classifier_checksum(m) for m in models]
     alpha_trace = []
     dec = adapt(models, target,
-                replace(cfg.adaptation, seed=cfg.seed * 307, assert_simplex=True),
+                replace(cfg.adaptation, seed=cfg.seed * 307),
                 tgt_eval, on_step=alpha_trace.append)
     out["decision_result"] = dec
     out["decision"] = accuracy(dec.models, dec.alpha, tgt_eval)
@@ -149,8 +149,9 @@ def test_criterion_1_gradients_of_full_objective(capsys):
         n = int(rng.integers(1, 4))
         k = int(rng.integers(2, 4))
         arch = tiny_arch(input_dim=3, hidden_dim=4, feature_dim=3, num_classes=k)
-        models = [SourceModel.init(f"g{j}", arch, int(rng.integers(0, 2**31)))
-                  for j in range(n)]
+        stack = SourceStack([SourceModel.init(f"g{j}", arch, int(rng.integers(0, 2**31)))
+                             for j in range(n)])
+        w1, b1 = (p.values for p in stack.params[:2])
         weights = AggregationWeights(n)
         weights.raw.values[:] = rng.standard_normal(n)
         weights.refresh()
@@ -158,19 +159,19 @@ def test_criterion_1_gradients_of_full_objective(capsys):
         b = int(rng.integers(4, 9))
         while True:  # keep relu preactivations away from the finite-diff kink
             x = rng.standard_normal((b, 3))
-            pre = [x @ m.extractor.w1.values + m.extractor.b1.values for m in models]
-            if min(np.abs(p).min() for p in pre) > 1e-4:
+            pre = x @ w1 + b1[:, None, :]  # (n, b, h)
+            if np.abs(pre).min() > 1e-4:
                 break
         labels = rng.integers(0, k, b)
 
         def f():
             tape = Tape()
-            loss, _ = objective(tape, models, weights, x, labels, cfg)
+            loss, _ = objective(tape, stack, weights, x, labels, cfg)
             return loss
 
         loss = f()
         loss._node[0].backward(loss)
-        params = [weights.raw] + [p for m in models for p in m.extractor.params()]
+        params = [weights.raw] + stack.extractor_params()
         analytic = [p.grad for p in params]
         for p in params:
             p.grad = None
@@ -189,15 +190,19 @@ def test_criterion_1_gradients_of_full_objective(capsys):
 def test_criterion_2_closed_form_losses(capsys):
     from conftest import constant_logit_model
 
-    uniform = constant_logit_model([0.0, 0.0, 0.0, 0.0])
-    l_ent = entropy_loss([uniform], [1.0], np.zeros((5, 2)))
+    uniform = SourceStack([constant_logit_model([0.0, 0.0, 0.0, 0.0])])
+    _, terms = objective(Tape(), uniform, AggregationWeights(1), np.zeros((5, 2)), None,
+                         AdaptationConfig(use_diversity=False, lambda_pl=0.0))
+    l_ent = terms["L_ent"]
     assert l_ent == pytest.approx(math.log(4.0), abs=1e-12)
 
-    div_max = diversity_term(Tape(), Tensor(np.zeros((6, 10)))).item()
-    assert div_max == pytest.approx(math.log(10.0), abs=1e-12)
+    def diversity(logits):
+        return Tape().im_loss(Tensor(logits), None, 0.0, 1.0, 0.0)[0].item()
+
+    assert diversity(np.zeros((6, 10))) == pytest.approx(math.log(10.0), abs=1e-12)
     hard = np.zeros((4, 3))
     hard[:, 0] = 800.0  # softmax underflows to an exactly one-hot mean prediction
-    assert diversity_term(Tape(), Tensor(hard)).item() == 0.0
+    assert diversity(hard) == 0.0
 
     assert label_smoothing_ce(Tape(), Tensor(np.zeros((2, 4))), [1, 3], 0.0).item() \
         == pytest.approx(math.log(4.0), abs=1e-12)

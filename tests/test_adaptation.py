@@ -5,17 +5,16 @@ import mpmath
 import numpy as np
 import pytest
 
+from decision import adaptation
 from decision.adaptation import (AdaptationConfig, AggregationWeights,
                                  PseudoLabelState, adapt, alpha_project,
-                                 assign_pseudo_labels, diversity_loss,
-                                 diversity_term, entropy_loss, entropy_term,
-                                 loss_coefficients, objective, pl_loss,
-                                 prediction_label_entropy,
-                                 pseudo_label_term, soft_ensemble_predict,
-                                 update_pseudo_labels, weights_only_adapt)
+                                 assign_pseudo_labels, loss_coefficients,
+                                 objective, prediction_label_entropy,
+                                 soft_ensemble_predict, update_pseudo_labels,
+                                 weights_only_adapt)
 from decision.autodiff import ShapeMismatchError, Tape, Tensor
 from decision.data import DomainSpec, generate_domain
-from decision.models import SourceStack, classifier_checksum, model_params
+from decision.models import SourceStack, classifier_checksum
 
 from conftest import constant_logit_model, finite_diff, make_models, max_rel_err
 
@@ -62,22 +61,41 @@ def test_on_tape_projection_matches_numpy_projection():
 
 # -- loss closed forms ------------------------------------------------------------
 
+def _terms(models, x, labels=None, raw=None, **toggles):
+    """The objective's term values for ``models`` stacked as adapt stacks them.
+
+    ``raw`` sets the raw ensemble weights (default: uniform alpha); the
+    pseudo-label term is off unless ``lambda_pl`` is given.
+    """
+    weights = AggregationWeights(len(models))
+    if raw is not None:
+        weights.raw.values[:] = raw
+        weights.refresh()
+    cfg = AdaptationConfig(**{"lambda_pl": 0.0, **toggles})
+    return objective(Tape(), SourceStack(models), weights, x, labels, cfg)[1]
+
+
+def _im_term(logits, labels, *coefs):
+    """One fused-loss term value over a logits array, coefficients (c_ent, c_div, c_pl)."""
+    return Tape().im_loss(Tensor(logits), labels, *coefs)[0].item()
+
+
 def test_entropy_loss_uniform_is_log_k():
     model = constant_logit_model([0.0, 0.0, 0.0, 0.0])
     x = np.zeros((5, 2))
-    assert entropy_loss([model], [1.0], x) == pytest.approx(math.log(4.0), abs=1e-12)
+    assert _terms([model], x)["L_ent"] == pytest.approx(math.log(4.0), abs=1e-12)
 
 
 def test_entropy_loss_confident_margin():
     model = constant_logit_model([50.0, 0.0, 0.0, 0.0])
-    assert entropy_loss([model], [1.0], np.zeros((3, 2))) < 1e-18
+    assert _terms([model], np.zeros((3, 2)))["L_ent"] < 1e-18
 
 
 def test_entropy_loss_empty_batch():
-    with pytest.raises(ValueError):
-        entropy_loss([constant_logit_model([0.0, 0.0])], [1.0], np.zeros((0, 2)))
-    with pytest.raises(ValueError):
-        diversity_loss([constant_logit_model([0.0, 0.0])], [1.0], np.zeros((0, 2)))
+    with pytest.raises(ValueError, match="empty batch"):
+        _terms([constant_logit_model([0.0, 0.0])], np.zeros((0, 2)))
+    with pytest.raises(ValueError, match="empty batch"):
+        _im_term(np.zeros((0, 2)), None, 0.0, 1.0, 0.0)
 
 
 def _mp_entropy_of_rows(logits):
@@ -93,32 +111,30 @@ def _mp_entropy_of_rows(logits):
 def test_entropy_term_vs_high_precision_oracle():
     rng = np.random.default_rng(12)
     logits = rng.standard_normal((6, 5)) * 4.0
-    t = Tape()
-    got = entropy_term(t, Tensor(logits)).item()
+    got = _im_term(logits, None, 1.0, 0.0, 0.0)
     assert abs(got - _mp_entropy_of_rows(logits)) < 1e-12
 
 
 def test_diversity_maximum_and_minimum():
-    t = Tape()
-    uniform = diversity_term(t, Tensor(np.zeros((7, 10)))).item()
+    uniform = _im_term(np.zeros((7, 10)), None, 0.0, 1.0, 0.0)
     assert uniform == pytest.approx(math.log(10.0), abs=1e-12)
     hard = np.zeros((4, 3))
     hard[:, 1] = 50.0
-    assert diversity_term(Tape(), Tensor(hard)).item() < 1e-18
+    assert _im_term(hard, None, 0.0, 1.0, 0.0) < 1e-18
 
 
 def test_diversity_of_two_hard_disagreeing_predictions():
     logits = np.array([[50.0, 0.0], [0.0, 50.0]])
-    got = diversity_term(Tape(), Tensor(logits)).item()
+    got = _im_term(logits, None, 0.0, 1.0, 0.0)
     assert got == pytest.approx(math.log(2.0), abs=1e-12)
 
 
 def test_pl_loss_one_hot_and_uniform():
     confident = constant_logit_model([0.0, 50.0, 0.0, 0.0])
     x = np.zeros((3, 2))
-    assert pl_loss([confident], [1.0], x, [1, 1, 1]) < 1e-18
+    assert _terms([confident], x, [1, 1, 1], lambda_pl=1.0)["L_pl"] < 1e-18
     uniform = constant_logit_model([0.0, 0.0, 0.0, 0.0])
-    assert pl_loss([uniform], [1.0], x, [2, 0, 3]) == pytest.approx(
+    assert _terms([uniform], x, [2, 0, 3], lambda_pl=1.0)["L_pl"] == pytest.approx(
         math.log(4.0), abs=1e-12
     )
 
@@ -127,7 +143,7 @@ def test_pl_loss_vs_high_precision_oracle():
     rng = np.random.default_rng(5)
     logits = rng.standard_normal((6, 4)) * 3.0
     labels = rng.integers(0, 4, 6)
-    got = pseudo_label_term(Tape(), Tensor(logits), labels).item()
+    got = _im_term(logits, labels, 0.0, 0.0, 1.0)
     with mpmath.workprec(128):
         total = mpmath.mpf(0)
         for row, y in zip(logits, labels):
@@ -138,8 +154,11 @@ def test_pl_loss_vs_high_precision_oracle():
 
 
 def test_pl_loss_requires_all_labels():
+    model, x = constant_logit_model([0.0, 0.0]), np.zeros((3, 2))
     with pytest.raises(ValueError, match="labels"):
-        pseudo_label_term(Tape(), Tensor(np.zeros((3, 2))), [0, 1])
+        _terms([model], x, [0, 1], lambda_pl=0.3)
+    with pytest.raises(ValueError, match="labels"):
+        _terms([model], x, None, lambda_pl=0.3)
 
 
 def test_total_loss_combination_arithmetic():
@@ -167,8 +186,8 @@ def test_identical_models_make_loss_invariant_to_alpha():
     model = make_models(1, seed=21)[0]
     twin = copy.deepcopy(model)
     x = np.random.default_rng(3).standard_normal((8, 3))
-    a = entropy_loss([model, twin], [0.5, 0.5], x)
-    b = entropy_loss([model, twin], [0.9, 0.1], x)
+    a = _terms([model, twin], x)["L_ent"]
+    b = _terms([model, twin], x, raw=[math.log(9.0), -math.log(9.0)])["L_ent"]  # alpha (0.9, 0.1)
     assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -176,11 +195,10 @@ def test_identical_models_make_loss_invariant_to_alpha():
 
 def _manual_forward(model, x):
     """Independent numpy forward pass (no shared kernels)."""
-    e = model.extractor
-    h = np.maximum(x.dot(e.w1.values) + e.b1.values, 0.0)
-    feats = h.dot(e.w2.values) + e.b2.values
-    logits = feats.dot(model.classifier.w.values) + model.classifier.b.values
-    return feats, logits
+    w1, b1, w2, b2, w, b = (p.values for p in model.params)
+    h = np.maximum(x.dot(w1) + b1, 0.0)
+    feats = h.dot(w2) + b2
+    return feats, feats.dot(w) + b
 
 
 def _manual_softmax(logits):
@@ -234,14 +252,14 @@ def test_one_hot_predictions_give_class_mean_centroids():
     # makes the round-0 soft weights one-hot to far below double precision
     models = make_models(1, seed=50)
     m = models[0]
-    logits = m.classifier.logits(m.features(np.random.default_rng(13).standard_normal((12, 3))))
+    logits = m.head_logits(m.features(np.random.default_rng(13).standard_normal((12, 3))))
     sorted_rows = np.sort(logits, axis=1)
     min_gap = float(np.min(sorted_rows[:, -1] - sorted_rows[:, -2]))
-    m.classifier.w.values *= 200.0 / min_gap
-    m.classifier.b.values *= 200.0 / min_gap
+    for head_param in m.params[4:]:
+        head_param.values *= 200.0 / min_gap
     x = np.random.default_rng(13).standard_normal((12, 3))
     feats = m.features(x)
-    hard = np.argmax(m.classifier.logits(feats), axis=1)
+    hard = np.argmax(m.head_logits(feats), axis=1)
     state = update_pseudo_labels(models, [1.0], x, refinement_rounds=0)
     for k in range(m.num_classes):
         if (hard == k).any():
@@ -252,7 +270,7 @@ def test_one_hot_predictions_give_class_mean_centroids():
 
 def test_round0_class_with_underflowed_probability_gets_the_mean_feature():
     models = make_models(1, seed=51)
-    models[0].classifier.b.values[1] -= 1e4  # p(class 1) is exactly 0 everywhere
+    models[0].params[5].values[1] -= 1e4  # head bias: p(class 1) is exactly 0 everywhere
     x = np.random.default_rng(14).standard_normal((12, 3))
     state = update_pseudo_labels(models, [1.0], x, refinement_rounds=0)
     np.testing.assert_array_equal(state.per_source[0, 1], models[0].features(x).mean(axis=0))
@@ -336,14 +354,16 @@ def test_objective_gradient_through_raw_alpha_matches_finite_differences():
     labels = np.random.default_rng(38).integers(0, 3, 6)
     cfg = AdaptationConfig()
 
+    stack = SourceStack(models)
+
     def f():
         t = Tape()
-        loss, _ = objective(t, models, weights, x, labels, cfg)
+        loss, _ = objective(t, stack, weights, x, labels, cfg)
         return loss
 
     loss = f()
     loss._node[0].backward(loss)
-    params = [weights.raw] + [p for m in models for p in m.extractor.params()]
+    params = [weights.raw] + stack.extractor_params()
     analytic = [p.grad for p in params]
     numeric = finite_diff(lambda: f().item(), params)
     assert max_rel_err(analytic, numeric) < 1e-4
@@ -366,8 +386,8 @@ def test_source_stack_views_follow_in_place_updates():
     stack = SourceStack(models)
     stack.params[0].values -= 1.0  # how SgdMomentum.step updates parameters
     for m, view in zip(models, stack.models):
-        np.testing.assert_array_equal(view.extractor.w1.values, m.extractor.w1.values - 1.0)
-        assert not view.classifier.w.requires_grad and not view.classifier.b.requires_grad
+        np.testing.assert_array_equal(view.params[0].values, m.params[0].values - 1.0)
+        assert not any(p.requires_grad for p in view.params[4:])
 
 
 # -- the adaptation loop -------------------------------------------------------------
@@ -410,20 +430,19 @@ def test_zero_epoch_adapt_is_identity():
     result = adapt([model, copy.deepcopy(model)], data.inputs_only(), AdaptationConfig(epochs=0))
     np.testing.assert_allclose(result.alpha, 0.5, atol=0.0)
     for got, want in zip(result.models, [model, model]):
-        for a, b in zip(got.extractor.params(), want.extractor.params()):
+        for a, b in zip(got.params[:4], want.params[:4]):
             assert np.array_equal(a.values, b.values)
     assert result.metrics == []
 
 
 def test_adapt_does_not_mutate_inputs_and_freezes_clones_only():
     model, data = _trained_source()
-    before = [p.values.copy() for p in model_params(model)]
+    before = [p.values.copy() for p in model.params]
     result = adapt([model], data.inputs_only(), AdaptationConfig(epochs=2, seed=1))
-    for p, b in zip(model_params(model), before):
+    for p, b in zip(model.params, before):
         assert np.array_equal(p.values, b)
-    assert all(p.requires_grad for p in model_params(model))
-    head = result.models[0].classifier
-    assert not head.w.requires_grad and not head.b.requires_grad
+    assert all(p.requires_grad for p in model.params)
+    assert not any(p.requires_grad for p in result.models[0].params[4:])
     assert classifier_checksum(result.models[0]) == classifier_checksum(model)
 
 
@@ -442,19 +461,26 @@ def test_frozen_classifier_checksums_survive_adaptation():
     twin = copy.deepcopy(model)
     before = [classifier_checksum(m) for m in (model, twin)]
     result = adapt([model, twin], data.inputs_only(),
-                   AdaptationConfig(epochs=3, seed=2, assert_simplex=True))
+                   AdaptationConfig(epochs=3, seed=2))
     after = [classifier_checksum(m) for m in result.models]
     assert before == after
+
+
+def test_adapt_raises_when_alpha_leaves_the_simplex(monkeypatch):
+    model, data = _trained_source()
+    monkeypatch.setattr(adaptation, "alpha_project", lambda raw: np.full(len(raw), 0.6))
+    with pytest.raises(AssertionError, match="simplex"):
+        adapt([model, copy.deepcopy(model)], data.inputs_only(),
+              AdaptationConfig(epochs=1, seed=2))
 
 
 def test_full_batch_epoch_does_not_increase_im_objective():
     model, data = _trained_source(seed=1)
     x = data.x
-    before = entropy_loss([model], [1.0], x) - diversity_loss([model], [1.0], x)
+    before = _terms([model], x)["L_tot"]  # L_ent - L_div
     cfg = AdaptationConfig(lambda_pl=0.0, epochs=1, batch_size=len(x), seed=0)
     result = adapt([model], data.inputs_only(), cfg)
-    m = result.models[0]
-    after = entropy_loss([m], [1.0], x) - diversity_loss([m], [1.0], x)
+    after = _terms(result.models, x)["L_tot"]
     assert after <= before + 1e-12
 
 
@@ -464,7 +490,7 @@ def test_weights_only_leaves_extractors_untouched():
     result = weights_only_adapt([model, twin], data.inputs_only(),
                                 AdaptationConfig(epochs=2, seed=3))
     for got, want in zip(result.models, (model, twin)):
-        for a, b in zip(got.extractor.params(), want.extractor.params()):
+        for a, b in zip(got.params[:4], want.params[:4]):
             assert np.array_equal(a.values, b.values)
 
 
@@ -473,7 +499,7 @@ def test_weights_only_computes_no_extractor_gradients():
     result = weights_only_adapt([model, copy.deepcopy(model)], data.inputs_only(),
                                 AdaptationConfig(epochs=2, seed=3))
     for m in result.models:
-        assert all(p.grad is None for p in m.extractor.params())
+        assert all(p.grad is None for p in m.params[:4])
     # frozen extractors stay off the tape: only the weights receive a gradient
     stack = SourceStack([model, copy.deepcopy(model)], requires_grad=False)
     weights = AggregationWeights(2)

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -144,6 +145,19 @@ def test_incompatible_checkpoints_exit_code(trained_run, tmp_path):
     rc = main(["adapt", "--config", str(path), "--out", str(tmp_path / "o"),
                "--checkpoints", str(out / "checkpoints")])
     assert rc == 2
+
+
+def test_malformed_checkpoint_exit_code(trained_run, tmp_path):
+    _, path, out = trained_run
+    ckpts = tmp_path / "checkpoints"
+    shutil.copytree(out / "checkpoints", ckpts)
+    doc = json.loads((ckpts / "b.json").read_text())
+    del doc["params"]["classifier.b"]
+    (ckpts / "b.json").write_text(json.dumps(doc))
+    run = tmp_path / "o"
+    assert main(["adapt", "--config", str(path), "--out", str(run),
+                 "--checkpoints", str(ckpts)]) == 3
+    assert not (run / "report.json").exists()
 
 
 # -- train-sources ---------------------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 
 from decision.data import DomainSpec, UnlabeledSet, generate_domain
 from decision.distill import TeacherView, teacher_label, train_student, student_config
-from decision.models import model_params, predict
+from decision.models import predict
 
 from conftest import constant_logit_model, make_models
 
@@ -68,7 +68,7 @@ def test_student_matches_source_architecture_and_is_single_model():
     ref = models[0]
     assert student.num_classes == ref.num_classes
     assert student.feature_dim == ref.feature_dim
-    for a, b in zip(model_params(student), model_params(ref)):
+    for a, b in zip(student.params, ref.params):
         assert a.values.shape == b.values.shape
     assert student.label_smoothing == 0.0
 

@@ -7,10 +7,10 @@ import pytest
 
 from decision.autodiff import ShapeMismatchError, Tape, Tensor
 from decision.data import DomainSpec, generate_domain
-from decision.models import (SourceModel, SourceTrainConfig,
+from decision.models import (CheckpointError, SourceModel, SourceTrainConfig,
                              aggregate_logits, check_compatible,
                              classifier_checksum, label_smoothing_ce,
-                             load_checkpoint, model_params, predict,
+                             load_checkpoint, predict,
                              save_checkpoint, tape_logits, train_source)
 
 from conftest import constant_logit_model, make_models, tiny_arch
@@ -150,7 +150,7 @@ def test_train_source_is_deterministic():
     def run():
         model = SourceModel.init("det", tiny_arch(input_dim=2, num_classes=3), 7)
         train_source(model, _blobs(3), SourceTrainConfig(epochs=3, shuffle_seed=7))
-        return [p.values.copy() for p in model_params(model)]
+        return [p.values.copy() for p in model.params]
 
     for a, b in zip(run(), run()):
         assert np.array_equal(a, b)
@@ -178,7 +178,7 @@ def test_checkpoint_roundtrip_and_byte_stability(tmp_path):
     assert doc["domain"] == "ckpt"
     loaded = load_checkpoint(p1)
     assert loaded.label_smoothing == 0.1
-    for a, b in zip(model_params(loaded), model_params(model)):
+    for a, b in zip(loaded.params, model.params):
         assert np.array_equal(a.values, b.values)
 
 
@@ -203,7 +203,10 @@ def test_checkpoint_missing_parameter_is_named(tmp_path):
     path, doc = _saved_doc(tmp_path)
     del doc["params"]["extractor.b2"]
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match=r"m\.json.*'extractor\.b2'"):
+    with pytest.raises(CheckpointError, match=r"m\.json.*'extractor\.b2'"):
+        load_checkpoint(path)
+    path.write_text(json.dumps(doc)[:-40])  # truncated
+    with pytest.raises(CheckpointError, match=r"m\.json: not a JSON checkpoint"):
         load_checkpoint(path)
 
 
@@ -232,7 +235,7 @@ def test_tape_logits_for_one_model_and_for_a_stack():
     stacked = tape_logits(tn, stack.params, x).values
     assert stacked.shape == (3, 5, 3)
     for j, m in enumerate(models):
-        single = tape_logits(t1 if j == 0 else Tape(), model_params(m), x).values
+        single = tape_logits(t1 if j == 0 else Tape(), m.params, x).values
         np.testing.assert_allclose(single, m.logits(x), rtol=1e-14)
         np.testing.assert_allclose(stacked[j], single, rtol=1e-14)
     ops = [[n.op for n in t.nodes if n.leaf is None] for t in (t1, tn)]
@@ -244,5 +247,5 @@ def test_frozen_classifier_checksum_is_parameter_sensitive():
     model = SourceModel.init("sum", tiny_arch(), 3)
     before = classifier_checksum(model)
     assert classifier_checksum(copy.deepcopy(model)) == before
-    model.classifier.b.values[0] += 1e-12
+    model.params[5].values[0] += 1e-12  # the head bias
     assert classifier_checksum(model) != before
