@@ -11,8 +11,10 @@ step together as one ``SourceStack``: its heads are constants, so gradients
 flow only into the stacked feature extractors and into the raw ensemble
 weights, whose sigmoid-normalized view is refreshed after each optimizer step
 and checked to lie on the probability simplex. The objective is one batched
-forward and one fused ``Tape.im_loss`` node; evaluation and pseudo-labels run
-the plain-numpy forward of each per-source view.
+forward, one ``Tape.simplex`` node for the weights and one fused
+``Tape.im_loss`` node for the loss, with the pseudo-labels as one-hot
+targets; evaluation and pseudo-labels run the plain-numpy forward of each
+per-source view.
 """
 
 from dataclasses import dataclass, field
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .autodiff import Tape, Tensor, sigmoid
+from .autodiff import ShapeMismatchError, Tape, Tensor, sigmoid
 from .data import UnlabeledSet
 from .models import (SourceStack, accuracy, aggregate_logits, check_compatible,
                      predict, tape_logits)
@@ -85,11 +87,6 @@ class AggregationWeights:
         self.alpha = alpha_project(self.raw.values)
         return self.alpha
 
-    def on_tape(self, tape):
-        """Differentiable projection raw -> simplex for one forward pass."""
-        s = tape.sigmoid(self.raw)
-        return tape.mul_scalar(s, tape.reciprocal(tape.sum(s)))
-
 
 # -- the objective ----------------------------------------------------------------
 
@@ -106,11 +103,17 @@ def objective(tape, stack, weights, x, labels, cfg):
     """Full training objective of a SourceStack on one tape; returns (L_tot, term values).
 
     The ensemble logits sum_j alpha_j * logits_j come from one batched forward
-    over the stacked parameters; ``labels`` may be None when lambda_pl is 0.
+    over the stacked parameters, weighted by ``Tape.simplex`` of the raw
+    weights; ``labels`` may be None when lambda_pl is 0.
     """
-    alpha_t = weights.on_tape(tape)
+    alpha_t = tape.simplex(weights.raw)
     logits_t = tape.weighted_sum(alpha_t, tape_logits(tape, stack.params, x))
-    l_tot, (l_ent, l_div, l_pl) = tape.im_loss(logits_t, labels, *loss_coefficients(cfg))
+    q = None
+    if labels is not None:
+        if len(labels) != len(x):
+            raise ShapeMismatchError(f"got {len(labels)} labels for a batch of {len(x)}")
+        q = np.eye(logits_t.shape[1])[labels]
+    l_tot, (l_ent, l_div, l_pl) = tape.im_loss(logits_t, q, *loss_coefficients(cfg))
     return l_tot, {"L_ent": l_ent, "L_div": l_div, "L_pl": l_pl, "L_tot": l_tot.item()}
 
 
@@ -211,7 +214,7 @@ def mean_prediction(models, alpha, x):
 
 
 def _check_simplex(alpha, atol=1e-9):
-    if alpha.min() < 0.0 or abs(alpha.sum() - 1.0) > atol:
+    if not (alpha.min() >= 0.0 and abs(alpha.sum() - 1.0) <= atol):  # NaN fails too
         raise AssertionError(f"simplex invariant violated: {alpha}")
 
 

@@ -1,12 +1,18 @@
 """Dense float64 tensors with reverse-mode differentiation on an explicit tape.
 
 One optimization run owns one ``Tape``; operations are tape methods so the
-recording scope is always explicit. The tape carries only the ops the package
-calls. Entropy-style terms go through ``im_loss``, which fuses the
-objective's terms into one node with an analytic gradient and counts
-underflowed probabilities as 0 rather than NaN. ``matmul`` and ``add_bias``
-also take a leading source axis and ``weighted_sum`` contracts it, so a step
-over n stacked source models records the same nodes for every n.
+recording scope is always explicit. The tape carries only the six ops the
+package calls:
+
+- ``matmul``, ``add_bias`` and ``relu``, the model forward; ``matmul`` and
+  ``add_bias`` also take a leading source axis;
+- ``weighted_sum``, which contracts that axis with the ensemble weights, so a
+  step over n stacked source models records the same nodes for every n;
+- ``simplex``, the sigmoid-normalized ensemble weights, as one node;
+- ``im_loss``, every training loss as one node with an analytic gradient:
+  entropy, diversity and a cross-entropy against soft targets (one-hot
+  pseudo-labels, smoothed source labels). It counts underflowed
+  probabilities as 0 rather than NaN.
 """
 
 import numpy as np
@@ -161,30 +167,6 @@ class Tape:
 
         return self._record("weighted_sum", (av @ flat).reshape(b, k), (ia, iz), backward)
 
-    def mul(self, a, b):
-        if a.shape != b.shape:
-            raise ShapeMismatchError(f"mul: {a.shape} vs {b.shape}")
-        av, bv = a.values, b.values
-        ia, ib = self._track(a), self._track(b)
-        return self._record("mul", av * bv, (ia, ib), lambda g: [g * bv, g * av])
-
-    def scale(self, t, c):
-        c = float(c)
-        return self._record("scale", t.values * c, (self._track(t),), lambda g: [g * c])
-
-    def mul_scalar(self, t, s):
-        if s.values.ndim != 0:
-            raise ShapeMismatchError(f"mul_scalar scale must be 0-d, got {s.shape}")
-        tv, sv = t.values, float(s.values)
-        it, is_ = self._track(t), self._track(s)
-
-        def backward(g):
-            gt = g * sv if it is not None else None
-            gs = np.asarray((g * tv).sum()) if is_ is not None else None
-            return [gt, gs]
-
-        return self._record("mul_scalar", tv * sv, (it, is_), backward)
-
     def relu(self, t):
         tv = t.values
         return self._record(
@@ -192,28 +174,39 @@ class Tape:
             lambda g: [kernels.relu_bwd(tv, g)],
         )
 
-    def sigmoid(self, t):
-        out = sigmoid(t.values)
-        return self._record(
-            "sigmoid", out, (self._track(t),), lambda g: [g * out * (1.0 - out)]
-        )
+    def simplex(self, raw):
+        """sigmoid(raw) / sum(sigmoid(raw)): raw weights (n,) -> a point on the simplex.
 
-    def log_softmax(self, t):
-        _require_2d("log_softmax input", t)
-        y = kernels.log_softmax_rows(t.values)
-        return self._record(
-            "log_softmax", y, (self._track(t),),
-            lambda g: [g - np.exp(y) * g.sum(axis=1, keepdims=True)],
-        )
+        Raises ZeroDivisionError when every sigmoid underflows to 0. A sum so
+        small that 1/S or S*S would leave the float range is first scaled up
+        by a power of two, which changes neither the value nor the gradient.
+        """
+        s = sigmoid(raw.values)
+        ds = 1.0 - s
+        total = s.sum()
+        if total == 0.0:
+            raise ZeroDivisionError("simplex: every sigmoid underflowed to 0")
+        if total < 2.0 ** -500:
+            s = np.ldexp(s, -np.frexp(total)[1])
+            total = s.sum()
+        inv = 1.0 / total
 
-    def im_loss(self, z, labels, c_ent, c_div, c_pl):
+        def backward(g):
+            gr = -(g * s).sum() / (total * total)
+            return [(g * inv + gr) * s * ds]
+
+        return self._record("simplex", s * inv, (self._track(raw),), backward)
+
+    def im_loss(self, z, q, c_ent, c_div, c_pl):
         """c_ent*L_ent + c_div*L_div + c_pl*L_pl over logits z (b, k), as one node.
 
         With p = softmax(z): L_ent is the batch mean of the row entropies H,
-        L_div the entropy of the batch-mean prediction pbar, and L_pl the mean
-        cross-entropy against integer ``labels`` (may be None when c_pl is 0).
-        Returns the loss tensor and the term values (L_ent, L_div, L_pl), with
-        L_pl None when there are no labels. 0*log(0) counts as 0.
+        L_div the entropy of the batch-mean prediction pbar, and L_pl the
+        cross-entropy -sum(q * log p) / b against targets ``q`` (b, k): one-hot
+        rows for hard labels, smoothed rows for label smoothing. ``q`` may be
+        None when c_pl is 0. Returns the loss tensor and the term values
+        (L_ent, L_div, L_pl), with L_pl None when there are no targets.
+        0*log(0) counts as 0.
         """
         _require_2d("im_loss logits", z)
         b, k = z.shape
@@ -227,15 +220,12 @@ class Tape:
         log_pbar = np.zeros(k)
         log_pbar[filled] = np.log(pbar[filled])
         l_ent, l_div, l_pl = float(h.mean()), -float((pbar * log_pbar).sum()), None
-        if labels is not None:
-            labels = np.asarray(labels)
-            if len(labels) != b:
-                raise ShapeMismatchError(f"got {len(labels)} labels for a batch of {b}")
-            onehot = np.zeros((b, k))
-            onehot[np.arange(b), labels] = 1.0
-            l_pl = float((onehot * logp).sum()) * (-1.0 / b)
+        if q is not None:
+            if q.shape != (b, k):
+                raise ShapeMismatchError(f"im_loss: targets {q.shape} for logits {z.shape}")
+            l_pl = float((q * logp).sum()) * (-1.0 / b)
         elif c_pl:
-            raise ValueError("the pseudo-label term needs labels")
+            raise ValueError("the pseudo-label term needs target labels q")
 
         def backward(g):
             gz = np.zeros((b, k))
@@ -244,30 +234,13 @@ class Tape:
             if c_div:  # dL_div/dz = p * (u - sum_k p u) / b, u = -(log pbar + 1)
                 u = np.where(filled, -(log_pbar + 1.0), 0.0)
                 gz += c_div * p * (u - (p @ u)[:, None])
-            if c_pl:  # dL_pl/dz = (p - onehot) / b
-                gz += c_pl * (p - onehot)
+            if c_pl:  # dL_pl/dz = (p * sum_k q - q) / b, exact when sum_k q != 1
+                gz += c_pl * (p * q.sum(axis=1, keepdims=True) - q)
             return [gz * (float(g) / b)]
 
         total = c_ent * l_ent + c_div * l_div + (c_pl * l_pl if c_pl else 0.0)
         out = self._record("im_loss", np.asarray(total), (self._track(z),), backward)
         return out, (l_ent, l_div, l_pl)
-
-    def sum(self, t):
-        shape = t.values.shape
-        return self._record(
-            "sum",
-            np.asarray(t.values.sum()),
-            (self._track(t),),
-            lambda g: [np.broadcast_to(g, shape).copy()],
-        )
-
-    def reciprocal(self, t):
-        tv = t.values
-        if np.any(tv == 0.0):
-            raise ZeroDivisionError("reciprocal of zero")
-        return self._record(
-            "reciprocal", 1.0 / tv, (self._track(t),), lambda g: [-g / (tv * tv)]
-        )
 
     # -- reverse pass ---------------------------------------------------------
 

@@ -22,7 +22,7 @@ class TeacherView:
 
     def __post_init__(self):
         self.alpha = np.asarray(self.alpha, dtype=np.float64)
-        if self.alpha.min() < 0 or abs(self.alpha.sum() - 1.0) > 1e-9:
+        if not (self.alpha.min() >= 0.0 and abs(self.alpha.sum() - 1.0) <= 1e-9):
             raise ValueError("teacher weights must lie on the simplex")
 
 

@@ -5,8 +5,10 @@ inputs through two affine layers with a relu between them to features; the
 head is one affine map to class logits. Training (source models, adaptation,
 the distillation student) runs one tape forward, ``tape_logits``, over one
 model's parameters or over n stacked ones; adaptation keeps the heads frozen
-by stacking them as constants. Evaluation and centroid computation use the
-plain-numpy forward, on the same kernels.
+by stacking them as constants. Source training and the student end in one
+``Tape.im_loss`` node against smoothed (or, with epsilon = 0, one-hot)
+targets. Evaluation and centroid computation use the plain-numpy forward, on
+the same kernels.
 """
 
 import hashlib
@@ -201,8 +203,7 @@ def label_smoothing_ce(tape, logits, labels, epsilon):
         raise ValueError(f"label outside [0, {k})")
     q = np.full((b, k), epsilon / k)
     q[np.arange(b), labels] += 1.0 - epsilon
-    logp = tape.log_softmax(logits)
-    return tape.scale(tape.sum(tape.mul(Tensor(q), logp)), -1.0 / b)
+    return tape.im_loss(logits, q, 0.0, 0.0, 1.0)[0]
 
 
 def train_source(model, data, cfg):

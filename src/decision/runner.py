@@ -118,11 +118,11 @@ def run_adapt(cfg, out, ckpt_dir=None):
     """Run every enabled method on the target; emit report, tables, metrics."""
     t0 = time.perf_counter()
     out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "metrics").mkdir(exist_ok=True)
+    # a malformed checkpoint fails before anything is written under out
+    models = load_source_models(cfg, ckpt_dir or out / "checkpoints")
+    (out / "metrics").mkdir(parents=True, exist_ok=True)
     config_mod.save(cfg, out / "config.yaml")
     seeds = resolved_seeds(cfg)
-    models = load_source_models(cfg, ckpt_dir or out / "checkpoints")
     # adaptation sees the unlabeled train split; accuracy is reported over the
     # whole target domain (labels exist only on the evaluation side)
     tgt_train, _ = _domain_split(cfg, cfg.target_spec)
@@ -229,7 +229,6 @@ def run_adapt(cfg, out, ckpt_dir=None):
 def run_distill(cfg, out, run_dir=None):
     """Standalone distillation from a completed adaptation run directory."""
     out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
     run_dir = Path(run_dir or out)
     adapted_dir = run_dir / "adapted"
     if not adapted_dir.exists():
@@ -237,10 +236,11 @@ def run_distill(cfg, out, run_dir=None):
     models = [load_checkpoint(adapted_dir / f"{name}.json") for name in cfg.source_names]
     with open(adapted_dir / "alpha.json") as fh:
         alpha = json.load(fh)["alpha"]
+    teacher = TeacherView(models, alpha)  # validated before anything is written
+    out.mkdir(parents=True, exist_ok=True)
     seeds = resolved_seeds(cfg)
     tgt_train, _ = _domain_split(cfg, cfg.target_spec)
     tgt_eval = generate_domain(cfg.target_spec)
-    teacher = TeacherView(models, alpha)
     student, agreement = train_student(
         teacher, tgt_train.inputs_only(),
         student_config(cfg.distill_epochs, cfg.adaptation.batch_size, seed=seeds["student"]),

@@ -51,12 +51,11 @@ def test_aggregation_weights_start_uniform_and_refresh():
     np.testing.assert_allclose(refreshed, alpha_project(w.raw.values), atol=0.0)
 
 
-def test_on_tape_projection_matches_numpy_projection():
+def test_tape_simplex_matches_numpy_projection():
     w = AggregationWeights(3)
     w.raw.values[:] = [0.7, -0.2, 1.4]
     w.refresh()
-    t = Tape()
-    np.testing.assert_allclose(w.on_tape(t).values, w.alpha, atol=1e-15)
+    np.testing.assert_allclose(Tape().simplex(w.raw).values, w.alpha, atol=1e-15)
 
 
 # -- loss closed forms ------------------------------------------------------------
@@ -77,7 +76,8 @@ def _terms(models, x, labels=None, raw=None, **toggles):
 
 def _im_term(logits, labels, *coefs):
     """One fused-loss term value over a logits array, coefficients (c_ent, c_div, c_pl)."""
-    return Tape().im_loss(Tensor(logits), labels, *coefs)[0].item()
+    q = None if labels is None else np.eye(logits.shape[1])[labels]
+    return Tape().im_loss(Tensor(logits), q, *coefs)[0].item()
 
 
 def test_entropy_loss_uniform_is_log_k():
@@ -178,7 +178,8 @@ def test_total_loss_combination_arithmetic():
     logits, labels = rng.standard_normal((5, 3)) * 2.0, rng.integers(0, 3, 5)
     for cfg in (AdaptationConfig(lambda_pl=0.3), AdaptationConfig(use_entropy=False),
                 AdaptationConfig(use_diversity=False, lambda_pl=0.0)):
-        total, terms = Tape().im_loss(Tensor(logits), labels, *loss_coefficients(cfg))
+        total, terms = Tape().im_loss(Tensor(logits), np.eye(3)[labels],
+                                      *loss_coefficients(cfg))
         assert total.item() == pytest.approx(combo(cfg, terms), abs=1e-15)
 
 
@@ -469,6 +470,15 @@ def test_frozen_classifier_checksums_survive_adaptation():
 def test_adapt_raises_when_alpha_leaves_the_simplex(monkeypatch):
     model, data = _trained_source()
     monkeypatch.setattr(adaptation, "alpha_project", lambda raw: np.full(len(raw), 0.6))
+    with pytest.raises(AssertionError, match="simplex"):
+        adapt([model, copy.deepcopy(model)], data.inputs_only(),
+              AdaptationConfig(epochs=1, seed=2))
+
+
+def test_adapt_raises_when_alpha_is_nan(monkeypatch):
+    # every comparison with NaN is False: the check must not read NaN as on the simplex
+    model, data = _trained_source()
+    monkeypatch.setattr(adaptation, "alpha_project", lambda raw: np.full(len(raw), np.nan))
     with pytest.raises(AssertionError, match="simplex"):
         adapt([model, copy.deepcopy(model)], data.inputs_only(),
               AdaptationConfig(epochs=1, seed=2))

@@ -1,10 +1,16 @@
+import ast
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from decision.autodiff import ShapeMismatchError, Tape, TapeError, Tensor
+from decision import kernels
+from decision.adaptation import alpha_project
+from decision.autodiff import ShapeMismatchError, Tape, TapeError, Tensor, sigmoid
 
 from conftest import finite_diff, max_rel_err
 
@@ -19,7 +25,10 @@ def test_matmul_identity():
 def test_relu_and_mean_definitions():
     t = Tape()
     assert t.relu(Tensor([-1.0, 0.0, 2.0])).values.tolist() == [0.0, 0.0, 2.0]
-    assert t.scale(t.sum(Tensor([2.0, 4.0, 6.0])), 1.0 / 3.0).item() == 4.0
+    # L_pl is the batch mean of -sum_k q_k log p_k: rows of mass 2, 4, 6 at p = 1/2
+    q = np.array([[2.0, 0.0], [0.0, 4.0], [3.0, 3.0]])
+    _, (_, _, l_pl) = t.im_loss(Tensor(np.zeros((3, 2))), q, 0.0, 0.0, 1.0)
+    assert l_pl == pytest.approx(4.0 * math.log(2.0), rel=1e-15)
 
 
 def test_matmul_shape_error_names_both_shapes():
@@ -29,33 +38,46 @@ def test_matmul_shape_error_names_both_shapes():
 
 
 def test_backward_square():
+    # L = -log softmax([x^2, 0])[1] = log(1 + exp(x^2)), so dL/dx = 2x * sigmoid(x^2)
     t = Tape()
-    x = Tensor(3.0, requires_grad=True)
-    t.backward(t.mul(x, x))
-    assert x.grad == pytest.approx(6.0)
+    x = Tensor([[0.75]], requires_grad=True)
+    logits = t.matmul(t.matmul(x, x), Tensor([[1.0, 0.0]]))
+    t.backward(t.im_loss(logits, np.array([[0.0, 1.0]]), 0.0, 0.0, 1.0)[0])
+    assert x.grad[0, 0] == pytest.approx(1.5 * sigmoid(np.array([0.5625]))[0], rel=1e-14)
 
 
 def test_backward_softmax_cross_entropy_analytic():
     # loss = -log softmax(logits)[0] at logits [0, 0]: grad = p - onehot
     t = Tape()
     logits = Tensor([[0.0, 0.0]], requires_grad=True)
-    t.backward(t.im_loss(logits, [0], 0.0, 0.0, 1.0)[0])
+    t.backward(t.im_loss(logits, np.array([[1.0, 0.0]]), 0.0, 0.0, 1.0)[0])
     np.testing.assert_allclose(logits.grad, [[-0.5, 0.5]], atol=1e-15)
 
 
+def _soft_target_grad(y, q):
+    """dL/dy of L = -sum(q * log softmax(y)) / b, as im_loss computes it."""
+    p = np.exp(kernels.log_softmax_rows(y))
+    return (p * q.sum(axis=1, keepdims=True) - q) * (1.0 / len(y))
+
+
 def test_backward_reused_node_accumulates_sum_of_paths():
-    # d/dx (x*x)*x = 3x^2 exactly: x reaches the root along three paths
+    # y = x @ x reaches x along two paths: dL/dx = G x^T + x^T G
+    rng = np.random.default_rng(66)
     t = Tape()
-    x = Tensor(1.75, requires_grad=True)
-    t.backward(t.mul_scalar(t.mul(x, x), x))
-    assert x.grad == pytest.approx(3 * 1.75 ** 2, abs=0.0)
+    x = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
+    q = rng.dirichlet(np.ones(3), size=3)
+    y = t.matmul(x, x)
+    t.backward(t.im_loss(y, q, 0.0, 0.0, 1.0)[0])
+    g = _soft_target_grad(y.values, q)
+    np.testing.assert_allclose(x.grad, g @ x.values.T + x.values.T @ g, rtol=1e-14, atol=0.0)
 
 
 def test_backward_replays_each_node_exactly_once():
     t = Tape()
-    x = Tensor([1.0, 2.0], requires_grad=True)
-    shared = t.relu(x)  # consumed by two downstream nodes
-    loss = t.sum(t.mul_scalar(shared, t.sum(shared)))  # (x1 + x2)^2 for x > 0
+    x = Tensor([[1.0, 2.0], [0.5, 1.5]], requires_grad=True)
+    q = np.array([[0.25, 0.75], [1.0, 0.0]])
+    shared = t.relu(x)  # consumed twice by the matmul below
+    loss = t.im_loss(t.matmul(shared, shared), q, 0.0, 0.0, 1.0)[0]
     calls = {}
     for i, node in enumerate(t.nodes):
         if node.backward is None:
@@ -66,12 +88,13 @@ def test_backward_replays_each_node_exactly_once():
         node.backward = counted
     t.backward(loss)
     assert calls and all(count == 1 for count in calls.values())
-    np.testing.assert_allclose(x.grad, [6.0, 6.0], atol=0.0)
+    g = _soft_target_grad(x.values @ x.values, q)  # x > 0, so relu passes it through
+    np.testing.assert_allclose(x.grad, g @ x.values.T + x.values.T @ g, rtol=1e-14, atol=0.0)
 
 
 def test_backward_root_must_be_scalar_and_on_tape():
     t = Tape()
-    x = Tensor([1.0, 2.0], requires_grad=True)
+    x = Tensor([[1.0, 2.0]], requires_grad=True)
     y = t.relu(x)
     with pytest.raises(TapeError):
         t.backward(y)
@@ -79,7 +102,7 @@ def test_backward_root_must_be_scalar_and_on_tape():
         t.backward(Tensor(1.0))
     other = Tape()
     with pytest.raises(TapeError):
-        other.backward(t.sum(y))
+        other.backward(t.im_loss(y, None, 1.0, 0.0, 0.0)[0])
 
 
 def _random_mlp_loss(rng, make_tape=True):
@@ -88,7 +111,7 @@ def _random_mlp_loss(rng, make_tape=True):
     ws = [Tensor(rng.standard_normal(s) * 0.7, requires_grad=True) for s in shapes]
     bs = [Tensor(rng.standard_normal(s[1]) * 0.3, requires_grad=True) for s in shapes]
     x = rng.standard_normal((7, 4))
-    targets = Tensor(rng.dirichlet(np.ones(3), size=7))
+    targets = rng.dirichlet(np.ones(3), size=7)
 
     def f():
         t = Tape()
@@ -96,8 +119,7 @@ def _random_mlp_loss(rng, make_tape=True):
         for w, b in zip(ws[:-1], bs[:-1]):
             h = t.relu(t.add_bias(t.matmul(h, w), b))
         logits = t.add_bias(t.matmul(h, ws[-1]), bs[-1])
-        logp = t.log_softmax(logits)
-        return t.scale(t.sum(t.mul(targets, logp)), -1.0 / len(x))
+        return t.im_loss(logits, targets, 0.0, 0.0, 1.0)[0]
 
     return f, ws + bs
 
@@ -116,16 +138,6 @@ def test_mlp_gradients_match_finite_differences():
         for p in params:
             p.grad = None
     assert worst < 1e-4
-
-
-@pytest.mark.parametrize("op", ["sigmoid", "log_softmax", "reciprocal"])
-def test_unary_primitive_gradients(op):
-    rng = np.random.default_rng(hash(op) % 2**32)
-    for _ in range(20):
-        v = rng.uniform(0.2, 2.0, (3, 4)) if op == "reciprocal" \
-            else rng.standard_normal((3, 4))
-        x = Tensor(v, requires_grad=True)
-        assert _gradcheck(lambda: _squared_mean_of(op, x), [x]) < 1e-4
 
 
 def test_entropy_composition_survives_underflow():
@@ -148,10 +160,18 @@ def _gradcheck(f, params):
     return max_rel_err([p.grad for p in params], numeric)
 
 
-def _squared_mean_of(op, *args):
+def _soft_target_loss_of(op, *args):
+    """A soft-target im_loss over op(*args); 1-d outputs reach it as the
+    weights of a weighted_sum, 3-d outputs as its stacked values."""
     t = Tape()
     out = getattr(t, op)(*args)
-    return t.scale(t.sum(t.mul(out, out)), 1.0 / out.values.size)
+    rng = np.random.default_rng(list(out.shape))
+    if out.values.ndim == 1:
+        out = t.weighted_sum(out, Tensor(rng.standard_normal(out.shape + (5, 3))))
+    elif out.values.ndim == 3:
+        out = t.weighted_sum(Tensor(rng.dirichlet(np.ones(out.shape[0]))), out)
+    q = rng.dirichlet(np.ones(out.shape[1]), size=out.shape[0])
+    return t.im_loss(out, q, 0.0, 0.0, 1.0)[0]
 
 
 # one model's (b, i) x (i, o), and the batched (bmm) per-source cases
@@ -166,7 +186,7 @@ def test_bmm_definition_and_gradients(lhs, rhs):
     av = np.broadcast_to(a.values, out.shape[:-1] + lhs[-1:])
     for j in np.ndindex(out.shape[:-2]):  # each source, or once for one model
         np.testing.assert_allclose(out[j], av[j] @ w.values[j], rtol=1e-15)
-    assert _gradcheck(lambda: _squared_mean_of("matmul", a, w), [a, w]) < 1e-4
+    assert _gradcheck(lambda: _soft_target_loss_of("matmul", a, w), [a, w]) < 1e-4
 
 
 def test_bmm_shape_errors():
@@ -188,7 +208,7 @@ def test_add_bias_per_source_gradients():
     b = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
     out = Tape().add_bias(x, b).values
     np.testing.assert_array_equal(out[2], x.values[2] + b.values[2])
-    assert _gradcheck(lambda: _squared_mean_of("add_bias", x, b), [x, b]) < 1e-4
+    assert _gradcheck(lambda: _soft_target_loss_of("add_bias", x, b), [x, b]) < 1e-4
     with pytest.raises(ShapeMismatchError):
         Tape().add_bias(x, Tensor(np.ones(3)))
 
@@ -199,7 +219,7 @@ def test_weighted_sum_definition_and_gradients():
     z = Tensor(rng.standard_normal((4, 5, 3)), requires_grad=True)
     want = sum(alpha.values[j] * z.values[j] for j in range(4))
     np.testing.assert_allclose(Tape().weighted_sum(alpha, z).values, want, rtol=1e-14)
-    assert _gradcheck(lambda: _squared_mean_of("weighted_sum", alpha, z), [alpha, z]) < 1e-4
+    assert _gradcheck(lambda: _soft_target_loss_of("weighted_sum", alpha, z), [alpha, z]) < 1e-4
     with pytest.raises(ShapeMismatchError):
         Tape().weighted_sum(Tensor(np.ones(3)), z)
 
@@ -208,15 +228,122 @@ def test_weighted_sum_definition_and_gradients():
                          ids=lambda c: "ent{}-div{}-pl{}".format(*c))
 def test_fused_loss_gradients_under_each_toggle(coefs):
     rng = np.random.default_rng(65)
-    labels = rng.integers(0, 4, 6)
+    q = np.eye(4)[rng.integers(0, 4, 6)]
     for scale in (0.5, 3.0):
         z = Tensor(rng.standard_normal((6, 4)) * scale, requires_grad=True)
-        assert _gradcheck(lambda: Tape().im_loss(z, labels, *coefs)[0], [z]) < 1e-4
+        assert _gradcheck(lambda: Tape().im_loss(z, q, *coefs)[0], [z]) < 1e-4
 
 
 def test_fused_loss_needs_labels_for_the_pseudo_label_term():
     z = Tensor(np.zeros((3, 2)))
-    with pytest.raises(ValueError, match="labels"):
+    with pytest.raises(ValueError, match="target labels"):
         Tape().im_loss(z, None, 1.0, -1.0, 0.3)
-    with pytest.raises(ShapeMismatchError, match="labels"):
-        Tape().im_loss(z, [0, 1], 1.0, -1.0, 0.3)
+    with pytest.raises(ShapeMismatchError, match=r"targets \(2, 2\) for logits \(3, 2\)"):
+        Tape().im_loss(z, np.eye(2), 1.0, -1.0, 0.3)
+
+
+# -- the fused nodes: soft targets and the simplex --------------------------------
+
+def test_soft_target_gradients_with_unnormalized_rows():
+    # rows of q that do not sum to 1 (rounding, or no mass at all) keep the exact gradient
+    rng = np.random.default_rng(67)
+    for coefs in ((0.0, 0.0, 1.0), (1.0, -1.0, 0.3)):
+        q = rng.dirichlet(np.ones(4), size=6) * rng.uniform(0.5, 1.5, (6, 1))
+        q[0] = 0.0
+        z = Tensor(rng.standard_normal((6, 4)) * 2.0, requires_grad=True)
+        assert _gradcheck(lambda: Tape().im_loss(z, q, *coefs)[0], [z]) < 1e-4
+
+
+def test_simplex_definition_and_gradients():
+    rng = np.random.default_rng(68)
+    for n in (1, 3, 16):
+        raw = Tensor(rng.standard_normal(n) * 3.0, requires_grad=True)
+        s = sigmoid(raw.values)
+        np.testing.assert_allclose(Tape().simplex(raw).values, s / s.sum(), rtol=1e-15)
+        assert _gradcheck(lambda: _soft_target_loss_of("simplex", raw), [raw]) < 1e-4
+
+
+def _im_loss_grad(z, q):
+    z = Tensor(z, requires_grad=True)
+    t = Tape()
+    t.backward(t.im_loss(z, q, 0.0, 0.0, 1.0)[0])
+    return z.grad
+
+
+# These pins hold the fused gradients to the bits of the chains they replace;
+# a change here changes every checkpoint.
+def test_soft_target_gradient_is_bit_identical_to_the_log_softmax_chain():
+    rng = np.random.default_rng(69)
+    b, k, eps = 32, 3, 0.3
+    z = rng.standard_normal((b, k)) * 2.0
+    q = np.full((b, k), eps / k)
+    q[np.arange(b), rng.integers(0, k, b)] += 1.0 - eps
+    assert (q.sum(axis=1) != 1.0).all()  # rounding leaves every row sum off 1
+    p = np.exp(kernels.log_softmax_rows(z))
+    w = q * (-1.0 / b)  # scale, sum and mul backward
+    np.testing.assert_array_equal(_im_loss_grad(z, q), w - p * w.sum(1, keepdims=True))
+
+
+def test_one_hot_gradient_is_bit_identical_to_p_minus_onehot():
+    rng = np.random.default_rng(70)
+    b, k = 32, 4
+    z = rng.standard_normal((b, k)) * 2.0
+    onehot = np.eye(k)[rng.integers(0, k, b)]
+    p = np.exp(kernels.log_softmax_rows(z))
+    np.testing.assert_array_equal(_im_loss_grad(z, onehot), (p - onehot) / b)
+
+
+def test_simplex_backward_is_bit_identical_to_the_composed_chain():
+    rng = np.random.default_rng(71)
+    for n in (1, 4, 16):
+        raw = Tensor(rng.standard_normal(n), requires_grad=True)
+        g = rng.standard_normal(n)
+        t = Tape()
+        alpha = t.simplex(raw)
+        got = t.nodes[alpha._node[1]].backward(g)[0]  # the simplex node, fed g
+        # sigmoid -> sum -> reciprocal -> mul_scalar, replayed in tape order
+        s = sigmoid(raw.values)
+        total = np.asarray(s.sum())
+        inv = 1.0 / total
+        np.testing.assert_array_equal(alpha.values, s * float(inv))
+        g_sum = -np.asarray((g * s).sum()) / (total * total)
+        g_s = g * float(inv) + np.broadcast_to(g_sum, s.shape)
+        np.testing.assert_array_equal(got, g_s * s * (1.0 - s))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=16))
+@example([-1e3])
+@example([-1e3] * 16)
+@example([-720.0, -1e3])  # 1/S overflows without rescaling
+@example([-400.0, -380.0])  # S*S underflows without rescaling
+@example([1e3, -1e3])
+def test_simplex_is_on_the_simplex_or_raises_when_every_sigmoid_underflows(raw):
+    raw = Tensor(np.array(raw), requires_grad=True)
+    s = sigmoid(raw.values)
+    t = Tape()
+    if not s.any():
+        with pytest.raises(ZeroDivisionError):
+            t.simplex(raw)
+        return
+    alpha = t.simplex(raw)
+    assert alpha.values.min() >= 0.0 and abs(alpha.values.sum() - 1.0) <= 1e-12
+    np.testing.assert_allclose(alpha.values, alpha_project(raw.values), rtol=0.0, atol=1e-15)
+    z = Tensor(np.linspace(-2.0, 2.0, len(s) * 6).reshape(len(s), 2, 3))
+    t.backward(t.im_loss(t.weighted_sum(alpha, z), np.eye(3)[[0, 2]], 1.0, -1.0, 0.3)[0])
+    assert np.isfinite(raw.grad).all()
+
+
+def test_every_public_tape_op_is_called_from_the_package():
+    # an op that only tests call is dead weight on the tape; delete it instead
+    ops = {name for name, v in vars(Tape).items()
+           if callable(v) and not name.startswith("_")} - {"backward"}
+    src = Path(__file__).resolve().parents[1] / "src" / "decision"
+    called = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and isinstance(node.func.value, ast.Name) and node.func.value.id == "tape":
+                called.add(node.func.attr)
+    assert ops == {"matmul", "add_bias", "relu", "weighted_sum", "simplex", "im_loss"}
+    assert ops <= called, f"tape ops no module calls: {sorted(ops - called)}"

@@ -15,6 +15,7 @@ from decision import config as config_mod
 from decision import runner
 from decision.cli import main
 from decision.config import ConfigError, moons_fixture
+from decision.models import SourceModel, save_checkpoint
 
 
 def small_config(seed=0, **adapt_overrides):
@@ -157,7 +158,9 @@ def test_malformed_checkpoint_exit_code(trained_run, tmp_path):
     run = tmp_path / "o"
     assert main(["adapt", "--config", str(path), "--out", str(run),
                  "--checkpoints", str(ckpts)]) == 3
-    assert not (run / "report.json").exists()
+    # the checkpoints are read before anything is written
+    for name in ("report.json", "config.yaml", "metrics"):
+        assert not (run / name).exists()
 
 
 # -- train-sources ---------------------------------------------------------------
@@ -324,6 +327,20 @@ def test_standalone_distill_from_run_dir(trained_run):
     doc = json.loads((dout / "distill_report.json").read_text())
     assert {"teacher_accuracy", "student_accuracy", "agreement"} <= set(doc)
     assert (dout / "student.json").exists()
+
+
+def test_standalone_distill_rejects_nan_alpha_before_writing(tmp_path):
+    cfg = config_mod.from_dict(small_config())
+    adapted = tmp_path / "run" / "adapted"
+    adapted.mkdir(parents=True)
+    for name in cfg.source_names:
+        save_checkpoint(SourceModel.init(name, cfg.resolved_model(), seed=0),
+                        adapted / f"{name}.json")
+    (adapted / "alpha.json").write_text(json.dumps({"alpha": [float("nan")] * 2}))
+    out = tmp_path / "distilled"
+    with pytest.raises(ValueError, match="simplex"):
+        runner.run_distill(cfg, out, tmp_path / "run")
+    assert not out.exists()
 
 
 # -- oracle ------------------------------------------------------------------------
