@@ -11,8 +11,9 @@ package calls:
 - ``simplex``, the sigmoid-normalized ensemble weights, as one node;
 - ``im_loss``, every training loss as one node with an analytic gradient:
   entropy, diversity and a cross-entropy against soft targets (one-hot
-  pseudo-labels, smoothed source labels). It counts underflowed
-  probabilities as 0 rather than NaN.
+  pseudo-labels, smoothed source labels). It also takes a leading source
+  axis, summing n independent per-source losses, so n source models train
+  in one step. It counts underflowed probabilities as 0 rather than NaN.
 """
 
 import numpy as np
@@ -78,11 +79,6 @@ class _Node:
         self.parents = parents  # node indices, None for constant operands
         self.backward = backward  # grad -> list of parent contributions
         self.leaf = leaf  # Tensor, for leaf nodes
-
-
-def _require_2d(name, t):
-    if t.values.ndim != 2:
-        raise ShapeMismatchError(f"{name} expects a 2-d tensor, got shape {t.shape}")
 
 
 class Tape:
@@ -202,45 +198,55 @@ class Tape:
 
         With p = softmax(z): L_ent is the batch mean of the row entropies H,
         L_div the entropy of the batch-mean prediction pbar, and L_pl the
-        cross-entropy -sum(q * log p) / b against targets ``q`` (b, k): one-hot
-        rows for hard labels, smoothed rows for label smoothing. ``q`` may be
-        None when c_pl is 0. Returns the loss tensor and the term values
+        cross-entropy -sum(q * log p) / b against targets ``q`` of z's shape:
+        one-hot rows for hard labels, smoothed rows for label smoothing. ``q``
+        may be None when c_pl is 0. Returns the loss tensor and the term values
         (L_ent, L_div, L_pl), with L_pl None when there are no targets.
         0*log(0) counts as 0.
+
+        Logits (n, b, k) hold n independent problems: each source's terms are
+        its own batch means, the loss is their sum over sources, and the term
+        values come back as (n,) arrays, so each source's gradient is the one
+        it would get alone.
         """
-        _require_2d("im_loss logits", z)
-        b, k = z.shape
+        zv = z.values
+        if zv.ndim not in (2, 3):
+            raise ShapeMismatchError(f"im_loss expects (b, k) or (n, b, k) logits, got {z.shape}")
+        b, k = zv.shape[-2:]
         if b == 0:
             raise ValueError("im_loss: empty batch")
-        logp = kernels.log_softmax_rows(z.values)
+        logp = kernels.log_softmax_rows(zv)
         p = np.exp(logp)
-        h = -(p * logp).sum(axis=1)
-        pbar = p.mean(axis=0)
+        h = -(p * logp).sum(axis=-1)
+        pbar = p.mean(axis=-2)
         filled = pbar > 0.0
-        log_pbar = np.zeros(k)
+        log_pbar = np.zeros(pbar.shape)
         log_pbar[filled] = np.log(pbar[filled])
-        l_ent, l_div, l_pl = float(h.mean()), -float((pbar * log_pbar).sum()), None
+        l_ent, l_div, l_pl = h.mean(axis=-1), -(pbar * log_pbar).sum(axis=-1), None
         if q is not None:
-            if q.shape != (b, k):
+            if q.shape != zv.shape:
                 raise ShapeMismatchError(f"im_loss: targets {q.shape} for logits {z.shape}")
-            l_pl = float((q * logp).sum()) * (-1.0 / b)
+            l_pl = (q * logp).sum(axis=(-2, -1)) * (-1.0 / b)
         elif c_pl:
             raise ValueError("the pseudo-label term needs target labels q")
 
         def backward(g):
-            gz = np.zeros((b, k))
+            gz = np.zeros(zv.shape)
             if c_ent:  # dL_ent/dz = -p * (log p + H) / b
-                gz -= c_ent * p * (logp + h[:, None])
+                gz -= c_ent * p * (logp + h[..., None])
             if c_div:  # dL_div/dz = p * (u - sum_k p u) / b, u = -(log pbar + 1)
-                u = np.where(filled, -(log_pbar + 1.0), 0.0)
-                gz += c_div * p * (u - (p @ u)[:, None])
+                u = np.where(filled, -(log_pbar + 1.0), 0.0)[..., None, :]
+                gz += c_div * p * (u - p @ u.swapaxes(-1, -2))
             if c_pl:  # dL_pl/dz = (p * sum_k q - q) / b, exact when sum_k q != 1
-                gz += c_pl * (p * q.sum(axis=1, keepdims=True) - q)
+                gz += c_pl * (p * q.sum(axis=-1, keepdims=True) - q)
             return [gz * (float(g) / b)]
 
-        total = c_ent * l_ent + c_div * l_div + (c_pl * l_pl if c_pl else 0.0)
-        out = self._record("im_loss", np.asarray(total), (self._track(z),), backward)
-        return out, (l_ent, l_div, l_pl)
+        total = (c_ent * l_ent + c_div * l_div + (c_pl * l_pl if c_pl else 0.0)).sum()
+        out = self._record("im_loss", total, (self._track(z),), backward)
+        terms = (l_ent, l_div, l_pl)
+        if zv.ndim == 2:
+            terms = tuple(None if t is None else float(t) for t in terms)
+        return out, terms
 
     # -- reverse pass ---------------------------------------------------------
 

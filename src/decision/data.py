@@ -127,20 +127,18 @@ def split_train_eval(ls, eval_fraction=0.2, seed=0):
     )
 
 
-def batch_iter(dataset, batch_size, epoch_seed):
-    """Yield seeded-permutation batches covering the dataset exactly once.
+def stacked_batches(arrays, batch_size, epoch_seeds):
+    """Yield one epoch's batches of n per-source arrays, each (n, N, ...).
 
-    The final short batch is kept. Works for labeled and unlabeled sets and
-    yields the same type.
+    Source j's rows follow the permutation drawn from ``epoch_seeds[j]``, so
+    each source sees the order it would see alone. A batch is the next
+    ``batch_size`` rows of every source's order, as a list of (n, b, ...)
+    arrays; the final short batch is kept.
     """
     if batch_size < 1:
         raise ValueError("batch size must be >= 1")
-    perm = np.random.default_rng(epoch_seed).permutation(len(dataset))
-    labeled = isinstance(dataset, LabeledSet)
-    for start in range(0, len(dataset), batch_size):
-        idx = perm[start : start + batch_size]
-        if labeled:
-            yield LabeledSet(dataset.x[idx], dataset.y[idx], dataset.num_classes)
-        else:
-            yield UnlabeledSet(dataset.x[idx])
-
+    n, size = arrays[0].shape[:2]
+    perm = np.stack([np.random.default_rng(s).permutation(size) for s in epoch_seeds])
+    shuffled = [a[np.arange(n)[:, None], perm] for a in arrays]
+    for start in range(0, size, batch_size):
+        yield [a[:, start : start + batch_size] for a in shuffled]

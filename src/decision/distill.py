@@ -34,6 +34,7 @@ def teacher_label(teacher, x):
 def train_student(teacher, target, cfg, seed=0):
     """Train a same-architecture student on teacher annotations.
 
+    ``seed`` draws the student's initial weights and its batch orders.
     ``cfg=None`` skips training and returns the freshly initialized student.
     Returns (student, agreement), where agreement is the fraction of target
     points on which the student reproduces the teacher's label.
@@ -46,13 +47,11 @@ def train_student(teacher, target, cfg, seed=0):
     labels = teacher_label(teacher, target.x)
     student = SourceModel.init("student", arch, seed, label_smoothing=0.0)
     if cfg is not None:
-        train_source(student, LabeledSet(target.x, labels, arch.num_classes),
-                     replace(cfg, label_smoothing=0.0))
+        train_source([student], [LabeledSet(target.x, labels, arch.num_classes)],
+                     replace(cfg, label_smoothing=0.0), [seed])
     agreement = float(np.mean(predict(student.logits(target.x)) == labels))
     return student, agreement
 
 
-def student_config(epochs=30, batch_size=32, seed=0):
-    return SourceTrainConfig(
-        epochs=epochs, batch_size=batch_size, label_smoothing=0.0, shuffle_seed=seed,
-    )
+def student_config(epochs=30, batch_size=32):
+    return SourceTrainConfig(epochs=epochs, batch_size=batch_size, label_smoothing=0.0)

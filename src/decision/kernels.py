@@ -51,15 +51,16 @@ def relu_bwd(x, g):
     return g * (x > 0.0)
 
 
+# the row softmaxes reduce over the last axis, so a leading source axis batches
 def softmax_rows(x):
-    shifted = x - x.max(axis=1, keepdims=True)
+    shifted = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def log_softmax_rows(x):
-    shifted = x - x.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = x - x.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def weighted_feature_sums(feats, weights):

@@ -3,12 +3,14 @@
 A ``SourceModel`` is six named tensors (``_PARAM_AXES``): the extractor maps
 inputs through two affine layers with a relu between them to features; the
 head is one affine map to class logits. Training (source models, adaptation,
-the distillation student) runs one tape forward, ``tape_logits``, over one
-model's parameters or over n stacked ones; adaptation keeps the heads frozen
-by stacking them as constants. Source training and the student end in one
-``Tape.im_loss`` node against smoothed (or, with epsilon = 0, one-hot)
-targets. Evaluation and centroid computation use the plain-numpy forward, on
-the same kernels.
+the distillation student) runs one tape forward, ``tape_logits``, over n
+models' parameters stacked into six (n, ...) tensors; adaptation keeps the
+heads frozen by stacking them as constants. ``train_source`` is the one
+supervised trainer: it steps n >= 1 equal-size models in lockstep (all the
+sources of a run, or the single distillation student), each on its own data
+and batch order, and ends every step in one ``Tape.im_loss`` node against
+smoothed (or, with epsilon = 0, one-hot) targets. Evaluation and centroid
+computation use the plain-numpy forward, on the same kernels.
 """
 
 import hashlib
@@ -19,7 +21,7 @@ import numpy as np
 
 from . import kernels
 from .autodiff import ShapeMismatchError, Tape, Tensor
-from .data import batch_iter
+from .data import stacked_batches
 from .optim import ParamGroup, SgdMomentum, lr_schedule
 
 CHECKPOINT_VERSION = "decision-ckpt-v1"
@@ -51,7 +53,6 @@ class SourceTrainConfig:
     momentum: float = 0.9
     weight_decay: float = 1e-3
     label_smoothing: float = 0.1
-    shuffle_seed: int = 0
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -143,14 +144,7 @@ class SourceStack:
 
     def __init__(self, models, requires_grad=True):
         check_compatible(models)
-        kinds = list(zip(*(m.params for m in models)))
-        for kind in kinds:
-            if any(p.shape != kind[0].shape for p in kind):
-                raise ShapeMismatchError(f"cannot stack shapes {[p.shape for p in kind]}")
-        self.params = [
-            Tensor(np.stack([p.values for p in kind]), requires_grad=requires_grad and i < 4)
-            for i, kind in enumerate(kinds)
-        ]
+        self.params = _stacked_params(models, 4 if requires_grad else 0)
         self.models = [
             SourceModel(m.domain, [Tensor(t.values[j], requires_grad=t.requires_grad)
                                    for t in self.params], m.label_smoothing)
@@ -161,11 +155,22 @@ class SourceStack:
         return self.params[:4]
 
 
+def _stacked_params(models, trainable):
+    """The models' params as six (n, ...) copies; the first ``trainable`` take gradients."""
+    kinds = list(zip(*(m.params for m in models)))
+    for kind in kinds:
+        if any(p.shape != kind[0].shape for p in kind):
+            raise ShapeMismatchError(f"cannot stack shapes {[p.shape for p in kind]}")
+    return [Tensor(np.stack([p.values for p in kind]), requires_grad=i < trainable)
+            for i, kind in enumerate(kinds)]
+
+
 def tape_logits(tape, params, x):
     """Logits of an input batch x (b, i) on the tape: the one training forward.
 
-    ``params`` are one model's ``params`` (gives (b, K)) or n stacked
-    ones, as in ``SourceStack.params`` (gives per-source (n, b, K)).
+    ``params`` are one model's ``params`` (gives (b, K)) or n stacked ones,
+    as in ``SourceStack.params`` (gives per-source (n, b, K)); with stacked
+    params, x may also be per-source batches (n, b, i).
     """
     w1, b1, w2, b2, w, b = params
     h = tape.relu(tape.add_bias(tape.matmul(Tensor(x), w1), b1))
@@ -193,43 +198,67 @@ def accuracy(models, alpha, labeled):
     return float(np.mean(predict(aggregate_logits(models, alpha, labeled.x)) == labeled.y))
 
 
-def label_smoothing_ce(tape, logits, labels, epsilon):
-    """Mean cross-entropy against (1-eps)*onehot + eps/K targets."""
+def smoothed_targets(labels, num_classes, epsilon):
+    """(1-eps)*onehot + eps/K target rows for integer labels of any shape."""
     if not 0.0 <= epsilon < 1.0:
         raise ValueError(f"label smoothing must be in [0, 1), got {epsilon}")
-    b, k = logits.shape
     labels = np.asarray(labels)
-    if labels.min() < 0 or labels.max() >= k:
-        raise ValueError(f"label outside [0, {k})")
-    q = np.full((b, k), epsilon / k)
-    q[np.arange(b), labels] += 1.0 - epsilon
-    return tape.im_loss(logits, q, 0.0, 0.0, 1.0)[0]
+    if labels.min() < 0 or labels.max() >= num_classes:
+        raise ValueError(f"label outside [0, {num_classes})")
+    q = np.full(labels.shape + (num_classes,), epsilon / num_classes)
+    q += (1.0 - epsilon) * (labels[..., None] == np.arange(num_classes))
+    return q
 
 
-def train_source(model, data, cfg):
-    """Supervised pretraining with smoothed labels; classifier stays trainable."""
-    if len(data) == 0:
+def train_source(models, datasets, cfg, shuffle_seeds):
+    """Supervised pretraining of n >= 1 models in lockstep; heads stay trainable.
+
+    Model j trains on ``datasets[j]`` in the batch orders drawn from
+    ``shuffle_seeds[j]``, exactly as it would alone: the parameters are six
+    stacked tensors under one optimizer, each step is one tape over all n
+    models, and its loss node sums the n per-model batch losses. The datasets
+    must have one size and the models one architecture. Trains the models in
+    place; returns one {"train_accuracy", "epoch_losses"} dict per model.
+    """
+    n = len(models)
+    if n == 0 or len(datasets) != n or len(shuffle_seeds) != n:
+        raise ValueError(f"need one training set and one shuffle seed per model: "
+                         f"{n} models, {len(datasets)} sets, {len(shuffle_seeds)} seeds")
+    size = len(datasets[0])
+    if size == 0:
         raise ValueError("training set is empty")
-    params = model.params
+    if any(len(d) != size for d in datasets):
+        raise ValueError(f"training sets differ in size: {[len(d) for d in datasets]}")
+    params = _stacked_params(models, 6)
+    x = np.stack([d.x for d in datasets])
+    q = smoothed_targets(np.stack([d.y for d in datasets]), models[0].num_classes,
+                         cfg.label_smoothing)
     opt = SgdMomentum([ParamGroup(params, cfg.lr, cfg.weight_decay)], momentum=cfg.momentum)
-    n_batches = (len(data) + cfg.batch_size - 1) // cfg.batch_size
-    total_steps = cfg.epochs * n_batches
+    total_steps = cfg.epochs * -(-size // cfg.batch_size)
     step = 0
-    epoch_losses = []
+    epoch_losses = np.empty((cfg.epochs, n))
     for epoch in range(cfg.epochs):
         losses = []
-        for batch in batch_iter(data, cfg.batch_size, cfg.shuffle_seed * 1_000_003 + epoch):
+        seeds = [s * 1_000_003 + epoch for s in shuffle_seeds]
+        for xb, qb in stacked_batches([x, q], cfg.batch_size, seeds):
             tape = Tape()
-            loss = label_smoothing_ce(tape, tape_logits(tape, params, batch.x), batch.y,
-                                      cfg.label_smoothing)
+            loss, (_, _, l_pl) = tape.im_loss(tape_logits(tape, params, xb), qb, 0.0, 0.0, 1.0)
             tape.backward(loss)
             opt.step(lr_factor=lr_schedule(1.0, step / max(1, total_steps - 1)))
             opt.zero_grad()
-            losses.append(loss.item())
+            losses.append(l_pl)
             step += 1
-        epoch_losses.append(float(np.mean(losses)))
-    train_acc = float(np.mean(predict(model.logits(data.x)) == data.y))
-    return {"train_accuracy": train_acc, "epoch_losses": epoch_losses}
+        # one 1-d mean per model: a mean over axis 0 would sum in another order
+        epoch_losses[epoch] = [np.mean(per_model) for per_model in np.transpose(losses)]
+    metrics = []
+    for j, (model, data) in enumerate(zip(models, datasets)):
+        for p, stacked in zip(model.params, params):
+            p.values[...] = stacked.values[j]
+        metrics.append({
+            "train_accuracy": float(np.mean(predict(model.logits(data.x)) == data.y)),
+            "epoch_losses": epoch_losses[:, j].tolist(),
+        })
+    return metrics
 
 
 # -- checkpoints --------------------------------------------------------------

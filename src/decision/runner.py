@@ -19,8 +19,8 @@ from . import kernels
 from .adaptation import adapt, soft_ensemble_accuracy, weights_only_adapt
 from .data import generate_domain, split_train_eval
 from .distill import TeacherView, student_config, train_student
-from .models import (SourceModel, accuracy, load_checkpoint, save_checkpoint,
-                     train_source)
+from .models import (CheckpointError, SourceModel, accuracy, load_checkpoint,
+                     save_checkpoint, train_source)
 
 METHOD_ORDER = ("Source-best", "Source-worst", "SHOT-best", "SHOT-worst",
                 "SHOT-Ens", "DECISION-weights", "DECISION", "DECISION-distill")
@@ -68,26 +68,35 @@ def write_alpha_csv(path, metrics):
 
 
 def run_train_sources(cfg, out):
-    """Train one model per source domain; write checkpoints plus a report."""
+    """Train one model per source domain; write checkpoints plus a report.
+
+    Sources whose training sets have one size train together, in one
+    ``train_source`` call per size.
+    """
     out = Path(out)
     ckpt_dir = out / "checkpoints"
     ckpt_dir.mkdir(parents=True, exist_ok=True)
     config_mod.save(cfg, out / "config.yaml")
     seeds = resolved_seeds(cfg)
     arch = cfg.resolved_model()
+    splits = [_domain_split(cfg, spec) for spec in cfg.source_specs]
+    models = [SourceModel.init(name, arch, seed, cfg.source_training.label_smoothing)
+              for name, seed in zip(cfg.source_names, seeds["model_init"])]
+    by_size = {}
+    for i, (train, _) in enumerate(splits):
+        by_size.setdefault(len(train), []).append(i)
+    metrics = {}
+    for group in by_size.values():
+        metrics.update(zip(group, train_source(
+            [models[i] for i in group], [splits[i][0] for i in group], cfg.source_training,
+            [seeds["model_init"][i] for i in group])))
     report = {"sources": {}, "resolved_seeds": seeds}
-    for i, (name, spec) in enumerate(zip(cfg.source_names, cfg.source_specs)):
-        train, ev = _domain_split(cfg, spec)
-        model = SourceModel.init(name, arch, seeds["model_init"][i],
-                                 cfg.source_training.label_smoothing)
-        metrics = train_source(
-            model, train, replace(cfg.source_training, shuffle_seed=seeds["model_init"][i])
-        )
-        save_checkpoint(model, ckpt_dir / f"{name}.json")
-        report["sources"][name] = {
-            "train_accuracy": metrics["train_accuracy"],
+    for i, (model, (_, ev)) in enumerate(zip(models, splits)):
+        save_checkpoint(model, ckpt_dir / f"{model.domain}.json")
+        report["sources"][model.domain] = {
+            "train_accuracy": metrics[i]["train_accuracy"],
             "eval_accuracy": accuracy([model], [1.0], ev),
-            "final_loss": metrics["epoch_losses"][-1],
+            "final_loss": metrics[i]["epoch_losses"][-1],
         }
     _write_json(out / "source_report.json", report)
     return report
@@ -204,8 +213,7 @@ def run_adapt(cfg, out, ckpt_dir=None):
         teacher = TeacherView(decision_res.models, decision_res.alpha)
         student, agreement = train_student(
             teacher, target,
-            student_config(cfg.distill_epochs, cfg.adaptation.batch_size,
-                           seed=seeds["student"]),
+            student_config(cfg.distill_epochs, cfg.adaptation.batch_size),
             seed=seeds["student"],
         )
         methods["DECISION-distill"] = accuracy([student], [1.0], tgt_eval)
@@ -234,20 +242,25 @@ def run_distill(cfg, out, run_dir=None):
     if not adapted_dir.exists():
         raise FileNotFoundError(f"no adapted ensemble under {adapted_dir}")
     models = [load_checkpoint(adapted_dir / f"{name}.json") for name in cfg.source_names]
-    with open(adapted_dir / "alpha.json") as fh:
-        alpha = json.load(fh)["alpha"]
-    teacher = TeacherView(models, alpha)  # validated before anything is written
+    alpha_path = adapted_dir / "alpha.json"
+    try:  # validated before anything is written
+        with open(alpha_path) as fh:
+            alpha = np.asarray(json.load(fh)["alpha"], dtype=np.float64)
+        if alpha.shape != (len(models),):
+            raise ValueError(f"weights of shape {alpha.shape} for {len(models)} sources")
+        teacher = TeacherView(models, alpha)
+    except (KeyError, TypeError, ValueError) as exc:  # text that is not JSON: ValueError
+        raise CheckpointError(f"{alpha_path}: not an ensemble weight file: {exc!r}") from None
     out.mkdir(parents=True, exist_ok=True)
     seeds = resolved_seeds(cfg)
     tgt_train, _ = _domain_split(cfg, cfg.target_spec)
     tgt_eval = generate_domain(cfg.target_spec)
     student, agreement = train_student(
         teacher, tgt_train.inputs_only(),
-        student_config(cfg.distill_epochs, cfg.adaptation.batch_size, seed=seeds["student"]),
-        seed=seeds["student"],
+        student_config(cfg.distill_epochs, cfg.adaptation.batch_size), seed=seeds["student"],
     )
     doc = {
-        "teacher_accuracy": accuracy(models, alpha, tgt_eval),
+        "teacher_accuracy": accuracy(models, teacher.alpha, tgt_eval),
         "student_accuracy": accuracy([student], [1.0], tgt_eval),
         "agreement": agreement,
     }

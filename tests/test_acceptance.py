@@ -20,7 +20,7 @@ from decision.config import moons_fixture
 from decision.data import generate_domain, split_train_eval
 from decision.distill import TeacherView, student_config, train_student
 from decision.models import (SourceModel, SourceStack, accuracy,
-                             classifier_checksum, label_smoothing_ce,
+                             classifier_checksum, smoothed_targets,
                              train_source)
 from decision.oracle import (density_ratio_weights, uniform_mixture_weights,
                              verify_combination_bound)
@@ -58,15 +58,12 @@ def run_fixture_suite(seed, full=False):
     t_start = time.perf_counter()
     cfg = moons_fixture(seed)
     arch = cfg.resolved_model()
-    models = []
-    for i, (name, spec) in enumerate(zip(cfg.source_names, cfg.source_specs)):
-        train, _ = split_train_eval(generate_domain(spec), cfg.eval_fraction,
-                                    seed=spec.seed + 1)
-        model = SourceModel.init(name, arch, cfg.seed * 101 + i,
-                                 cfg.source_training.label_smoothing)
-        train_source(model, train,
-                     replace(cfg.source_training, shuffle_seed=cfg.seed * 101 + i))
-        models.append(model)
+    seeds = [cfg.seed * 101 + i for i in range(len(cfg.source_specs))]
+    trains = [split_train_eval(generate_domain(spec), cfg.eval_fraction, seed=spec.seed + 1)[0]
+              for spec in cfg.source_specs]
+    models = [SourceModel.init(name, arch, seed, cfg.source_training.label_smoothing)
+              for name, seed in zip(cfg.source_names, seeds)]
+    train_source(models, trains, cfg.source_training, seeds)  # all sources in one pass
     tgt_train, _ = split_train_eval(generate_domain(cfg.target_spec),
                                     cfg.eval_fraction, seed=cfg.target_spec.seed + 1)
     target = tgt_train.inputs_only()
@@ -120,8 +117,7 @@ def run_fixture_suite(seed, full=False):
         teacher = TeacherView(dec.models, dec.alpha)
         student, agreement = train_student(
             teacher, target,
-            student_config(cfg.distill_epochs, cfg.adaptation.batch_size,
-                           seed=cfg.seed * 503),
+            student_config(cfg.distill_epochs, cfg.adaptation.batch_size),
             seed=cfg.seed * 503,
         )
         out["student"] = accuracy([student], [1.0], tgt_eval)
@@ -204,15 +200,18 @@ def test_criterion_2_closed_form_losses(capsys):
     hard[:, 0] = 800.0  # softmax underflows to an exactly one-hot mean prediction
     assert diversity(hard) == 0.0
 
-    assert label_smoothing_ce(Tape(), Tensor(np.zeros((2, 4))), [1, 3], 0.0).item() \
-        == pytest.approx(math.log(4.0), abs=1e-12)
+    def smoothing_ce(logits, labels, eps):
+        q = smoothed_targets(labels, logits.shape[1], eps)
+        return Tape().im_loss(Tensor(logits), q, 0.0, 0.0, 1.0)[0].item()
+
+    assert smoothing_ce(np.zeros((2, 4)), [1, 3], 0.0) == pytest.approx(math.log(4.0), abs=1e-12)
     margin = np.zeros((1, 4))
     margin[0, 2] = 50.0
-    assert label_smoothing_ce(Tape(), Tensor(margin), [2], 0.0).item() < 1e-20
+    assert smoothing_ce(margin, [2], 0.0) < 1e-20
     q = np.full(10, 0.01)
     q[0] += 0.9
     h_q = -float(np.sum(q * np.log(q)))
-    got = label_smoothing_ce(Tape(), Tensor(np.log(q)[None, :]), [0], 0.1).item()
+    got = smoothing_ce(np.log(q)[None, :], [0], 0.1)
     assert got == pytest.approx(h_q, rel=1e-12)
     with capsys.disabled():
         print(f"PASS criterion 2: closed-form losses (ln4={l_ent:.12f}, "

@@ -403,7 +403,7 @@ def _trained_source(seed=0):
 
     data = _blob_domain(seed)
     model = SourceModel.init("src", tiny_arch(input_dim=2, num_classes=3), seed)
-    train_source(model, data, SourceTrainConfig(epochs=25, shuffle_seed=seed))
+    train_source([model], [data], SourceTrainConfig(epochs=25), [seed])
     return model, data
 
 

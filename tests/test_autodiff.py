@@ -234,6 +234,32 @@ def test_fused_loss_gradients_under_each_toggle(coefs):
         assert _gradcheck(lambda: Tape().im_loss(z, q, *coefs)[0], [z]) < 1e-4
 
 
+@pytest.mark.parametrize("coefs", list(itertools.product((0.0, 1.0), (0.0, -1.0), (0.0, 0.7))),
+                         ids=lambda c: "ent{}-div{}-pl{}".format(*c))
+def test_stacked_fused_loss_sums_independent_per_source_losses(coefs):
+    # (n, b, k) logits: the loss is the sum of n per-source losses, each term
+    # value and each source's gradient equal a 2-d call on that source alone
+    rng = np.random.default_rng(66)
+    n, b, k = 3, 6, 4
+    q = rng.dirichlet(np.ones(k), size=(n, b))
+    z = Tensor(rng.standard_normal((n, b, k)) * 2.0, requires_grad=True)
+    assert _gradcheck(lambda: Tape().im_loss(z, q, *coefs)[0], [z]) < 1e-4
+    z.grad = None
+    t = Tape()
+    loss, terms = t.im_loss(z, q, *coefs)
+    t.backward(loss)
+    total = 0.0
+    for j in range(n):
+        zj = Tensor(z.values[j], requires_grad=True)
+        tj = Tape()
+        loss_j, terms_j = tj.im_loss(zj, q[j], *coefs)
+        tj.backward(loss_j)
+        np.testing.assert_array_equal(z.grad[j], zj.grad)
+        assert [v[j] for v in terms] == list(terms_j)
+        total += loss_j.item()
+    assert loss.item() == pytest.approx(total, rel=1e-14)
+
+
 def test_fused_loss_needs_labels_for_the_pseudo_label_term():
     z = Tensor(np.zeros((3, 2)))
     with pytest.raises(ValueError, match="target labels"):

@@ -192,6 +192,33 @@ def test_train_sources_writes_checkpoints_deterministically(tmp_path):
     assert set(report["sources"]) == {"a", "b"}
 
 
+def test_train_sources_steps_each_size_group_together_as_if_alone(tmp_path, monkeypatch):
+    doc = small_config()
+    doc["sources"].insert(1, dict(doc["sources"][0], name="big", n=100, seed=14))
+    cfg = config_mod.from_dict(doc)  # training sets of 64, 80 and 64 rows
+    calls = []
+    train = runner.train_source
+
+    def recording(models, *args):
+        calls.append([m.domain for m in models])
+        return train(models, *args)
+
+    monkeypatch.setattr(runner, "train_source", recording)
+    out = tmp_path / "run"
+    report = runner.run_train_sources(cfg, out)
+    assert calls == [["a", "b"], ["big"]]
+    seeds = runner.resolved_seeds(cfg)["model_init"]
+    for i, (name, spec) in enumerate(zip(cfg.source_names, cfg.source_specs)):
+        alone = SourceModel.init(name, cfg.resolved_model(), seeds[i],
+                                 cfg.source_training.label_smoothing)
+        (metrics,) = train(
+            [alone], [runner._domain_split(cfg, spec)[0]], cfg.source_training, [seeds[i]])
+        save_checkpoint(alone, tmp_path / f"{name}.json")
+        assert (out / "checkpoints" / f"{name}.json").read_bytes() \
+            == (tmp_path / f"{name}.json").read_bytes()
+        assert report["sources"][name]["final_loss"] == metrics["epoch_losses"][-1]
+
+
 # -- adapt -------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -340,6 +367,28 @@ def test_standalone_distill_rejects_nan_alpha_before_writing(tmp_path):
     out = tmp_path / "distilled"
     with pytest.raises(ValueError, match="simplex"):
         runner.run_distill(cfg, out, tmp_path / "run")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [
+    '{"alpha": [0.5, 0.5',
+    '{"weights": [0.5, 0.5]}',
+    '{"alpha": [0.5, 0.25, 0.25]}',
+    '{"alpha": [0.7, 0.7]}',
+], ids=["not-json", "no-alpha-key", "wrong-length", "off-simplex"])
+def test_standalone_distill_malformed_alpha_exit_code(tmp_path, capsys, text):
+    cfg_path = write_config(tmp_path, small_config())
+    cfg = config_mod.load(cfg_path)
+    adapted = tmp_path / "run" / "adapted"
+    adapted.mkdir(parents=True)
+    for name in cfg.source_names:
+        save_checkpoint(SourceModel.init(name, cfg.resolved_model(), seed=0),
+                        adapted / f"{name}.json")
+    (adapted / "alpha.json").write_text(text)
+    out = tmp_path / "distilled"
+    assert main(["distill", "--config", str(cfg_path), "--out", str(out),
+                 "--run", str(tmp_path / "run")]) == 3
+    assert "alpha.json" in capsys.readouterr().err
     assert not out.exists()
 
 

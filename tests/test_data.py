@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from decision.data import (DomainSpec, UnlabeledSet, batch_iter,
-                           generate_domain, split_train_eval)
+from decision.data import (DomainSpec, generate_domain, split_train_eval,
+                           stacked_batches)
 
 
 def _spec(**kw):
@@ -83,33 +83,43 @@ def test_spec_validation():
 
 # -- batching -------------------------------------------------------------------
 
+def _stacked(*specs):
+    """x (n, N, 2) and y (n, N) of n equal-size domains, as the source trainer stacks them."""
+    sets = [generate_domain(spec) for spec in specs]
+    return np.stack([s.x for s in sets]), np.stack([s.y for s in sets])
+
+
 def test_short_final_batch_is_kept():
-    ls = generate_domain(_spec(n=10))
-    batches = list(batch_iter(ls, 32, epoch_seed=0))
-    assert len(batches) == 1 and len(batches[0]) == 10
+    x, y = _stacked(_spec(n=10))
+    batches = list(stacked_batches([x, y], 32, [0]))
+    assert len(batches) == 1
+    assert batches[0][0].shape == (1, 10, 2) and batches[0][1].shape == (1, 10)
+    with pytest.raises(ValueError, match="batch size"):
+        next(stacked_batches([x], 0, [0]))
 
 
 def test_batches_partition_the_dataset():
-    ls = generate_domain(_spec(n=45))
-    batches = list(batch_iter(ls, 8, epoch_seed=1))
-    assert [len(b) for b in batches] == [8, 8, 8, 8, 8, 5]
-    got = np.vstack([b.x for b in batches])
-    assert np.array_equal(np.sort(got, axis=0), np.sort(ls.x, axis=0))
+    x, y = _stacked(_spec(n=45), _spec(n=45, seed=1))
+    batches = list(stacked_batches([x, y], 8, [1, 2]))
+    assert [b.shape[:2] for b, _ in batches] == [(2, 8)] * 5 + [(2, 5)]
+    for j in range(2):
+        got = np.vstack([b[j] for b, _ in batches])
+        assert np.array_equal(np.sort(got, axis=0), np.sort(x[j], axis=0))
+        # rows and labels stay paired
+        rows = {tuple(r): c for r, c in zip(x[j], y[j])}
+        assert all(rows[tuple(r)] == c for b, lab in batches for r, c in zip(b[j], lab[j]))
 
 
 def test_epoch_seed_changes_order_not_contents():
-    ls = generate_domain(_spec(n=64))
-    a = np.vstack([b.x for b in batch_iter(ls, 16, epoch_seed=0)])
-    b = np.vstack([b.x for b in batch_iter(ls, 16, epoch_seed=1)])
-    assert not np.array_equal(a, b)
-    assert np.array_equal(np.sort(a, axis=0), np.sort(b, axis=0))
-
-
-def test_unlabeled_batches_carry_no_labels():
-    ul = generate_domain(_spec(n=20)).inputs_only()
-    batch = next(batch_iter(ul, 8, epoch_seed=0))
-    assert isinstance(batch, UnlabeledSet)
-    assert not hasattr(batch, "y")
+    x, _ = _stacked(_spec(n=64), _spec(n=64))  # one domain twice
+    a = np.concatenate([b for (b,) in stacked_batches([x], 16, [0, 1])], axis=1)
+    b = np.concatenate([b for (b,) in stacked_batches([x], 16, [1, 0])], axis=1)
+    assert not np.array_equal(a[0], a[1])  # each source draws its own order
+    assert np.array_equal(a[0], b[1]) and np.array_equal(a[1], b[0])
+    assert np.array_equal(np.sort(a[0], axis=0), np.sort(a[1], axis=0))
+    # a source's order is the permutation of its seed, as when it trains alone
+    perm = np.random.default_rng(1).permutation(64)
+    assert np.array_equal(a[1], x[1][perm])
 
 
 def test_split_is_disjoint_and_seeded():

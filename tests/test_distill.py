@@ -54,7 +54,7 @@ def test_untrained_student_agreement_is_chance_level():
 
     model = SourceModel.init("t", tiny_arch(input_dim=2, num_classes=2), 5)
     data = generate_domain(DomainSpec("two-moons", n=300, seed=2, noise_std=0.15))
-    train_source(model, data, SourceTrainConfig(epochs=20, shuffle_seed=0))
+    train_source([model], [data], SourceTrainConfig(epochs=20), [0])
     teacher = TeacherView([model], [1.0])
     _, agreement = train_student(teacher, data.inputs_only(), cfg=None)
     assert 0.2 < agreement < 0.8  # roughly 1/K for two classes

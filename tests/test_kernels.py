@@ -20,6 +20,14 @@ def test_matmul_against_manual_loops():
     np.testing.assert_allclose(kernels.matmul_nn(a, b), manual, rtol=1e-15)
 
 
+def test_row_softmaxes_of_a_source_stack_equal_per_source_calls():
+    x = rng.standard_normal((5, 32, 3)) * 4.0
+    for kernel in (kernels.softmax_rows, kernels.log_softmax_rows):
+        stacked = kernel(x)
+        for j in range(5):
+            np.testing.assert_array_equal(stacked[j], kernel(x[j]))
+
+
 def test_softmax_uniform_and_analytic():
     np.testing.assert_allclose(
         kernels.softmax_rows(np.zeros((1, 4))), np.full((1, 4), 0.25), atol=1e-15

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from decision.autodiff import ShapeMismatchError, Tape, Tensor
-from decision.data import DomainSpec, generate_domain
-from decision.models import (CheckpointError, SourceModel, SourceTrainConfig,
+from decision.data import DomainSpec, LabeledSet, generate_domain
+from decision.models import (CheckpointError, ModelConfig, SourceModel, SourceTrainConfig,
                              aggregate_logits, check_compatible,
-                             classifier_checksum, label_smoothing_ce,
-                             load_checkpoint, predict,
-                             save_checkpoint, tape_logits, train_source)
+                             classifier_checksum, load_checkpoint, predict,
+                             save_checkpoint, smoothed_targets, tape_logits,
+                             train_source)
+
+from decision.optim import ParamGroup, SgdMomentum, lr_schedule
 
 from conftest import constant_logit_model, make_models, tiny_arch
 
@@ -85,17 +87,22 @@ def test_softmax_argmax_equals_logits_argmax():
 
 # -- label smoothing ----------------------------------------------------------
 
+def _smoothing_ce(logits, labels, eps):
+    """The source-training loss: im_loss against smoothed targets."""
+    logits = np.asarray(logits, dtype=np.float64)
+    q = smoothed_targets(labels, logits.shape[-1], eps)
+    return Tape().im_loss(Tensor(logits), q, 0.0, 0.0, 1.0)[0]
+
+
 def test_smoothing_ce_uniform_prediction():
-    t = Tape()
-    loss = label_smoothing_ce(t, Tensor(np.zeros((3, 4))), [0, 1, 2], 0.0)
+    loss = _smoothing_ce(np.zeros((3, 4)), [0, 1, 2], 0.0)
     assert loss.item() == pytest.approx(math.log(4.0), abs=1e-12)
 
 
 def test_smoothing_ce_confident_limit():
-    t = Tape()
     logits = np.zeros((2, 4))
     logits[:, 1] = 50.0
-    loss = label_smoothing_ce(t, Tensor(logits), [1, 1], 0.0)
+    loss = _smoothing_ce(logits, [1, 1], 0.0)
     assert 0.0 <= loss.item() < 1e-20
 
 
@@ -106,17 +113,28 @@ def test_smoothing_ce_equals_target_entropy_at_matched_prediction():
     q[3] += 1.0 - eps
     entropy = -float(np.sum(q * np.log(q)))  # closed-form oracle
     assert entropy == pytest.approx(0.5002880350577,  abs=1e-12)
-    t = Tape()
-    loss = label_smoothing_ce(t, Tensor(np.log(q)[None, :]), [3], eps)
+    loss = _smoothing_ce(np.log(q)[None, :], [3], eps)
     assert loss.item() == pytest.approx(entropy, rel=1e-12)
 
 
 def test_smoothing_ce_rejects_bad_labels_and_eps():
-    t = Tape()
     with pytest.raises(ValueError, match="label"):
-        label_smoothing_ce(t, Tensor(np.zeros((1, 3))), [3], 0.0)
+        _smoothing_ce(np.zeros((1, 3)), [3], 0.0)
+    with pytest.raises(ValueError, match="label"):
+        smoothed_targets(np.array([[0, 1], [2, -1]]), 3, 0.0)
     with pytest.raises(ValueError, match="smoothing"):
-        label_smoothing_ce(t, Tensor(np.zeros((1, 3))), [0], 1.0)
+        _smoothing_ce(np.zeros((1, 3)), [0], 1.0)
+
+
+def test_smoothed_targets_match_the_per_row_construction():
+    # (n, b) labels give (n, b, K) targets equal to the onehot-plus-eps/K rows bit for bit
+    labels = np.random.default_rng(12).integers(0, 3, (4, 7))
+    for eps in (0.0, 0.1, 0.3):
+        got = smoothed_targets(labels, 3, eps)
+        for j, row in enumerate(labels):
+            q = np.full((7, 3), eps / 3)
+            q[np.arange(7), row] += 1.0 - eps
+            np.testing.assert_array_equal(got[j], q)
 
 
 # -- source training ----------------------------------------------------------
@@ -130,7 +148,7 @@ def _blobs(seed=0):
 def test_train_source_fits_separable_blobs():
     data = _blobs()
     model = SourceModel.init("blobs", tiny_arch(input_dim=2, num_classes=3), 0)
-    metrics = train_source(model, data, SourceTrainConfig(epochs=30, shuffle_seed=1))
+    (metrics,) = train_source([model], [data], SourceTrainConfig(epochs=30), [1])
     assert metrics["train_accuracy"] >= 0.99
 
 
@@ -138,7 +156,7 @@ def test_train_source_single_class_degenerates_to_smoothing_floor():
     data = _blobs()
     data.y[:] = 1
     model = SourceModel.init("one", tiny_arch(input_dim=2, num_classes=3), 0)
-    metrics = train_source(model, data, SourceTrainConfig(epochs=100, shuffle_seed=1))
+    (metrics,) = train_source([model], [data], SourceTrainConfig(epochs=100), [1])
     assert metrics["train_accuracy"] == 1.0
     # with eps=0.1 the loss approaches H(q) of the smoothed one-hot target
     q = np.array([0.1 / 3, 0.9 + 0.1 / 3, 0.1 / 3])
@@ -149,7 +167,7 @@ def test_train_source_single_class_degenerates_to_smoothing_floor():
 def test_train_source_is_deterministic():
     def run():
         model = SourceModel.init("det", tiny_arch(input_dim=2, num_classes=3), 7)
-        train_source(model, _blobs(3), SourceTrainConfig(epochs=3, shuffle_seed=7))
+        train_source([model], [_blobs(3)], SourceTrainConfig(epochs=3), [7])
         return [p.values.copy() for p in model.params]
 
     for a, b in zip(run(), run()):
@@ -162,7 +180,79 @@ def test_train_source_rejects_empty_dataset():
     model = SourceModel.init("e", tiny_arch(input_dim=2, num_classes=3), 0)
     empty = LabeledSet(np.zeros((0, 2)), np.zeros(0, dtype=int), 3)
     with pytest.raises(ValueError, match="empty"):
-        train_source(model, empty, SourceTrainConfig())
+        train_source([model], [empty], SourceTrainConfig(), [0])
+    other = SourceModel.init("f", tiny_arch(input_dim=2, num_classes=3), 1)
+    short = LabeledSet(_blobs(1).x[:60], _blobs(1).y[:60], 3)
+    with pytest.raises(ValueError, match="differ in size"):
+        train_source([model, other], [_blobs(0), short], SourceTrainConfig(), [0, 1])
+    wide = SourceModel.init("w", tiny_arch(input_dim=2, hidden_dim=6, num_classes=3), 2)
+    with pytest.raises(ShapeMismatchError, match="cannot stack"):
+        train_source([model, wide], [_blobs(0), _blobs(1)], SourceTrainConfig(), [0, 1])
+
+
+def _train_alone_2d(model, data, cfg, shuffle_seed):
+    """The single-model trainer on 2-d tensors: per-epoch seeded permutation,
+    32-row slices with the short last batch kept, smoothed targets, momentum SGD."""
+    params = model.params
+    opt = SgdMomentum([ParamGroup(params, cfg.lr, cfg.weight_decay)], momentum=cfg.momentum)
+    n_batches = -(-len(data) // cfg.batch_size)
+    step, epoch_losses = 0, []
+    for epoch in range(cfg.epochs):
+        perm = np.random.default_rng(shuffle_seed * 1_000_003 + epoch).permutation(len(data))
+        losses = []
+        for start in range(0, len(data), cfg.batch_size):
+            idx = perm[start : start + cfg.batch_size]
+            t = Tape()
+            q = smoothed_targets(data.y[idx], model.num_classes, cfg.label_smoothing)
+            loss = t.im_loss(tape_logits(t, params, data.x[idx]), q, 0.0, 0.0, 1.0)[0]
+            t.backward(loss)
+            opt.step(lr_factor=lr_schedule(1.0, step / max(1, cfg.epochs * n_batches - 1)))
+            opt.zero_grad()
+            losses.append(loss.item())
+            step += 1
+        epoch_losses.append(float(np.mean(losses)))
+    return epoch_losses
+
+
+def test_stacked_training_is_bit_identical_to_training_each_model_alone():
+    # 70 rows in 32-row batches: every epoch ends in a 6-row batch
+    cfg = SourceTrainConfig(epochs=4, batch_size=32)
+    arch = ModelConfig(input_dim=2, num_classes=3)  # the default layer widths
+    data = [generate_domain(DomainSpec("gaussian-mixture", n=70, seed=s, noise_std=0.3))
+            for s in (20, 21, 22)]
+    seeds = [5, 9, 2]
+
+    def fresh():
+        return [SourceModel.init(f"m{j}", arch, 40 + j, 0.1) for j in range(3)]
+
+    stacked = fresh()
+    got = train_source(stacked, data, cfg, seeds)
+    alone, alone_2d = fresh(), fresh()
+    for j in range(3):
+        (ref,) = train_source([alone[j]], [data[j]], cfg, [seeds[j]])
+        assert got[j]["epoch_losses"] == ref["epoch_losses"]
+        assert got[j]["train_accuracy"] == ref["train_accuracy"]
+        assert got[j]["epoch_losses"] == _train_alone_2d(alone_2d[j], data[j], cfg, seeds[j])
+        for a, b, c in zip(stacked[j].params, alone[j].params, alone_2d[j].params):
+            np.testing.assert_array_equal(a.values, b.values)
+            np.testing.assert_array_equal(a.values, c.values)
+
+
+@pytest.mark.parametrize("n", [1, 4, 16])
+def test_source_training_step_records_the_same_nodes_for_any_n(n, monkeypatch):
+    sizes = []
+    backward = Tape.backward
+
+    def counting(tape, root):
+        sizes.append(len(tape.nodes))
+        return backward(tape, root)
+
+    monkeypatch.setattr(Tape, "backward", counting)
+    arch = tiny_arch(input_dim=2, num_classes=3)
+    models = [SourceModel.init(f"m{j}", arch, j) for j in range(n)]
+    data = [_blobs(j) for j in range(n)]
+    train_source(models, data, SourceTrainConfig(epochs=1), list(range(n)))
+    assert sizes == [14] * 4  # 120 rows in 32-row batches: 4 steps of 6 leaves + 8 ops
 
 
 # -- checkpoints ---------------------------------------------------------------
