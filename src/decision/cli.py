@@ -66,7 +66,11 @@ def build_parser():
 
 def cmd_oracle(args):
     corrupt = os.environ.get("DECISION_ORACLE_CORRUPT", "") == "1"
-    report = verify_combination_bound(args.trials, args.seed, corrupt=corrupt)
+    try:
+        report = verify_combination_bound(args.trials, args.seed, corrupt=corrupt)
+    except ValueError as exc:  # an out-of-range --trials
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "oracle_report.json", "w") as fh:

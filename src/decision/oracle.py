@@ -4,8 +4,9 @@ For finite joint distributions, the density-ratio-weighted convex combination
 of per-source optimal predictors achieves target risk no worse than the best
 single source whenever the target marginal is a mixture of the source
 marginals. This module checks that inequality, its strictness condition, and
-each intermediate bound of the argument, by exact summation on randomized
-instances. It is completely independent of the neural pipeline.
+each intermediate bound of the argument on randomized instances, by exact
+summation of a probability-mass table Q(x)P(y|x) against a per-predictor loss
+table. It is completely independent of the neural pipeline.
 """
 
 from dataclasses import dataclass, field
@@ -57,13 +58,13 @@ class TabularPredictor:
 def mixture_domain(domains, lam):
     """The lam-mixture of the source domains as one DiscreteDomain."""
     lam = np.asarray(lam, dtype=np.float64)
-    qx = np.einsum("j,jm->m", lam, np.stack([d.qx for d in domains]))
-    k = domains[0].num_classes
-    cond = np.full((len(qx), k), 1.0 / k)
-    for x in range(len(qx)):
-        if qx[x] > 0.0:
-            joint = sum(l * d.qx[x] * d.cond[x] for l, d in zip(lam, domains))
-            cond[x] = joint / qx[x]
+    qxs = np.stack([d.qx for d in domains])  # (n, m)
+    conds = np.stack([d.cond for d in domains])  # (n, m, K)
+    qx = np.einsum("j,jm->m", lam, qxs)
+    joint = (lam[:, None, None] * qxs[:, :, None] * conds).sum(axis=0)  # (m, K)
+    cond = np.full(joint.shape, 1.0 / joint.shape[1])
+    on = qx > 0.0
+    cond[on] = joint[on] / qx[on, None]
     return DiscreteDomain(qx, cond)
 
 
@@ -114,17 +115,6 @@ def uniform_mixture_weights(lam, c):
     return w / w.sum()
 
 
-def _pointwise_loss(pred_row, y, loss):
-    if loss == "cross_entropy":
-        p = pred_row[y]
-        if p <= 0.0:
-            return LOSS_SENTINEL
-        return -np.log(p)
-    target = np.zeros_like(pred_row)
-    target[y] = 1.0
-    return float(((pred_row - target) ** 2).sum())
-
-
 def expected_loss(domain, predictor, loss="cross_entropy"):
     """Exact expected loss sum_x Q(x) sum_y P(y|x) L(theta(x), y).
 
@@ -133,19 +123,20 @@ def expected_loss(domain, predictor, loss="cross_entropy"):
     """
     if loss not in LOSSES:
         raise ValueError(f"loss must be one of {LOSSES}")
-    total = 0.0
-    for x in range(domain.support_size):
-        if domain.qx[x] == 0.0:
-            continue
-        for y in range(domain.num_classes):
-            mass = domain.qx[x] * domain.cond[x, y]
-            if mass == 0.0:
-                continue
-            l = _pointwise_loss(predictor.rows[x], y, loss)
-            if l >= LOSS_SENTINEL:
-                return LOSS_SENTINEL, True
-            total += mass * l
-    return total, False
+    rows = predictor.rows
+    if rows.shape != domain.cond.shape:
+        raise ValueError(f"predictor rows have shape {rows.shape}, the domain's "
+                         f"conditionals {domain.cond.shape}")
+    mass = domain.qx[:, None] * domain.cond  # (m, K)
+    on = mass != 0.0
+    if loss == "cross_entropy":
+        p = rows[on]
+        if (p <= 0.0).any():
+            return LOSS_SENTINEL, True
+        return float((mass[on] * -np.log(p)).sum()), False
+    # table[x, y] = ||theta(x) - e_y||^2
+    table = ((rows[:, None, :] - np.eye(rows.shape[1])) ** 2).sum(axis=-1)
+    return float((mass[on] * table[on]).sum()), False
 
 
 @dataclass
@@ -190,23 +181,26 @@ def check_instance(domains, lam, loss="cross_entropy", slack=1e-9, corrupt=False
         theta_t = mixture_predictor(domains, lam, predictors)
 
     lhs, _ = expected_loss(target, theta_t, loss)
-    self_losses = [expected_loss(domains[i], predictors[i], loss)[0] for i in range(n)]
-    cross = [[expected_loss(domains[i], predictors[j], loss)[0] for j in range(n)]
-             for i in range(n)]
+    cross = np.array([[expected_loss(domains[i], predictors[j], loss)[0] for j in range(n)]
+                      for i in range(n)])
+    self_losses = np.diag(cross)
 
     violations = []
     slack_used = -np.inf
+
+    def flag(tag, left, right):
+        violations.append({
+            "check": tag, "lhs": left, "rhs": right,
+            "lam": lam.tolist(), "loss": loss,
+            "marginals": [d.qx.tolist() for d in domains],
+            "conditionals": [d.cond.tolist() for d in domains],
+        })
 
     def check(tag, left, right, tol):
         nonlocal slack_used
         slack_used = max(slack_used, left - right)
         if left > right + tol:
-            violations.append({
-                "check": tag, "lhs": left, "rhs": right,
-                "lam": lam.tolist(), "loss": loss,
-                "marginals": [d.qx.tolist() for d in domains],
-                "conditionals": [d.cond.tolist() for d in domains],
-            })
+            flag(tag, left, right)
 
     # headline bound: target risk of the combination vs the best single source
     rhs = min(per_source_on_target)
@@ -216,29 +210,22 @@ def check_instance(domains, lam, loss="cross_entropy", slack=1e-9, corrupt=False
     mid = _saturating_mix(lam, self_losses)
     check("convexity_bound", lhs, mid, slack)
     for j in range(n):
-        mixed_j = _saturating_mix(lam, [cross[i][j] for i in range(n)])
+        mixed_j = _saturating_mix(lam, cross[:, j])
         check("mixture_decomposition", abs(per_source_on_target[j] - mixed_j), 0.0, slack)
         check("self_optimality_chain", mid, mixed_j, slack)
         for i in range(n):
-            check("per_source_optimality", self_losses[i], cross[i][j], slack)
+            check("per_source_optimality", self_losses[i], cross[i, j], slack)
 
     # strictness: all mixture weights positive and some source strictly beats
     # the overall-best predictor on its own domain
     strict_checked = 0
     if lam.min() > 0.0:
         beta = int(np.argmin(per_source_on_target))
-        hypothesis = any(
-            self_losses[i] < cross[i][beta] - 1e-12 for i in range(n)
-        )
+        hypothesis = (self_losses < cross[:, beta] - 1e-12).any()
         if hypothesis and rhs < LOSS_SENTINEL:
             strict_checked = 1
             if not lhs < rhs:
-                violations.append({
-                    "check": "strictness", "lhs": lhs, "rhs": rhs,
-                    "lam": lam.tolist(), "loss": loss,
-                    "marginals": [d.qx.tolist() for d in domains],
-                    "conditionals": [d.cond.tolist() for d in domains],
-                })
+                flag("strictness", lhs, rhs)
     return violations, slack_used, strict_checked
 
 
@@ -281,6 +268,8 @@ def random_instance(rng, max_support=6, max_classes=3, max_sources=4,
 
 def verify_combination_bound(trials, seed, slack=1e-9, losses=LOSSES, corrupt=False):
     """Randomized verification suite; the report lists any violated instance."""
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     rng = np.random.default_rng(seed)
     report = VerificationReport()
     report.notes.append(

@@ -402,6 +402,13 @@ def test_oracle_zero_trials_exits_clean(tmp_path):
     assert doc["max_slack_used"] is None
 
 
+def test_oracle_negative_trials_exits_2_without_a_report(tmp_path, capsys):
+    out = tmp_path / "oracle"
+    assert main(["oracle", "--out", str(out), "--trials", "-5"]) == 2
+    assert "trials must be >= 0" in capsys.readouterr().err
+    assert not (out / "oracle_report.json").exists()
+
+
 def test_oracle_small_run_exits_clean(tmp_path):
     out = tmp_path / "oracle"
     assert main(["oracle", "--out", str(out), "--trials", "50", "--seed", "0"]) == 0

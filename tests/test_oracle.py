@@ -1,10 +1,13 @@
 import math
+import re
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from decision.oracle import (LOSS_SENTINEL, DiscreteDomain, TabularPredictor,
+from decision.oracle import (LOSS_SENTINEL, LOSSES, DiscreteDomain, TabularPredictor,
                              check_instance, density_ratio_weights,
                              expected_loss, mixture_domain, mixture_predictor,
                              optimal_predictor, random_instance,
@@ -155,6 +158,69 @@ def test_zero_probability_with_mass_saturates_to_sentinel():
     assert not saturated2 and value2 == pytest.approx(0.5 * 0.0 + 0.5 * 2.0)
 
 
+@pytest.mark.parametrize("shape", [(3, 2), (2, 3), (1, 2)])
+def test_expected_loss_rejects_a_predictor_of_the_wrong_shape(shape):
+    d = _domain([0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]])
+    pred = TabularPredictor(np.full(shape, 1.0 / shape[1]))
+    for loss in LOSSES:
+        with pytest.raises(ValueError, match=re.escape(str(shape))) as exc:
+            expected_loss(d, pred, loss)
+        assert "(2, 2)" in str(exc.value)
+
+
+def _reference_expected_loss(domain, predictor, loss):
+    """expected_loss as a per-entry double loop over support points and classes."""
+    total = 0.0
+    for x in range(domain.support_size):
+        if domain.qx[x] == 0.0:
+            continue
+        for y in range(domain.num_classes):
+            mass = domain.qx[x] * domain.cond[x, y]
+            if mass == 0.0:
+                continue
+            row = predictor.rows[x]
+            if loss == "cross_entropy":
+                if row[y] <= 0.0:
+                    return LOSS_SENTINEL, True
+                pointwise = -np.log(row[y])
+            else:
+                target = np.zeros_like(row)
+                target[y] = 1.0
+                pointwise = float(((row - target) ** 2).sum())
+            total += mass * pointwise
+    return total, False
+
+
+@st.composite
+def _domain_and_predictor(draw):
+    """Domains with zero-mass points and zero conditionals; predictors with zeros."""
+    m, k = draw(st.integers(1, 6)), draw(st.integers(2, 4))
+    weight = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
+
+    def simplex_rows(rows, cols):
+        w = np.array(draw(st.lists(st.lists(weight, min_size=cols, max_size=cols),
+                                   min_size=rows, max_size=rows)))
+        w[w.sum(axis=1) == 0.0, 0] = 1.0
+        return w / w.sum(axis=1, keepdims=True)
+
+    domain = DiscreteDomain(simplex_rows(1, m)[0], simplex_rows(m, k))
+    return domain, TabularPredictor(simplex_rows(m, k))
+
+
+@given(_domain_and_predictor(), st.sampled_from(LOSSES))
+@example((_domain([1.0], [[0.5, 0.5]]), TabularPredictor([[1.0, 0.0]])), "cross_entropy")
+@example((_domain([0.0, 1.0], [[0.5, 0.5], [0.0, 1.0]]),
+          TabularPredictor([[1.0, 0.0], [0.0, 1.0]])), "cross_entropy")
+def test_expected_loss_matches_the_per_entry_loop(case, loss):
+    domain, predictor = case
+    got, saturated = expected_loss(domain, predictor, loss)
+    want, want_saturated = _reference_expected_loss(domain, predictor, loss)
+    assert saturated == want_saturated
+    assert got == pytest.approx(want, rel=1e-15, abs=1e-15)
+    if saturated:
+        assert got == LOSS_SENTINEL
+
+
 # -- the guarantee ------------------------------------------------------------------
 
 def test_single_source_gives_exact_equality():
@@ -185,6 +251,12 @@ def test_randomized_suite_has_no_violations():
     assert report.strict_cases_checked > 0
     assert report.max_slack_used < 1e-12
     assert any("pseudo-label" in note for note in report.notes)
+
+
+def test_negative_trial_count_is_rejected():
+    with pytest.raises(ValueError, match="trials"):
+        verify_combination_bound(trials=-5, seed=0)
+    assert verify_combination_bound(trials=0, seed=0).trials == 0
 
 
 def test_corrupted_predictor_is_detected():
@@ -227,16 +299,20 @@ def test_disagreeing_conditionals_on_shared_mass_break_the_intermediate_bound():
 
 
 def test_pointwise_convexity_of_both_losses():
-    from decision.oracle import _pointwise_loss
-
     rng = np.random.default_rng(17)
+    eye = np.eye(3)
+
+    def pointwise(row, y, loss):
+        # a one-point domain labelled y weighs L(row, y) with mass 1
+        return expected_loss(_domain([1.0], [eye[y]]), TabularPredictor(row[None]), loss)[0]
+
     for loss in ("cross_entropy", "squared_error"):
         for _ in range(100):
             rows = rng.dirichlet(np.ones(3), size=4)
             w = rng.dirichlet(np.ones(4))
             y = int(rng.integers(0, 3))
-            mixed = _pointwise_loss(w @ rows, y, loss)
-            bound = sum(wi * _pointwise_loss(r, y, loss) for wi, r in zip(w, rows))
+            mixed = pointwise(w @ rows, y, loss)
+            bound = sum(wi * pointwise(r, y, loss) for wi, r in zip(w, rows))
             assert mixed <= bound + 1e-12
 
 
