@@ -124,23 +124,25 @@ class PseudoLabelState:
     per_source: np.ndarray  # (n, K, d) centroids in each source's feature space
     combined: np.ndarray  # (K, d), alpha-weighted combination
     labels: np.ndarray  # (N,) hard assignments
-    round_index: int
     alpha: np.ndarray  # weights the combination was built with
 
 
 def _source_centroids(feats, weights, fallback):
-    """Class centroids of one source's features (N, d) under class weights (N, K).
+    """Class centroids (n, K, d) of every source's features (n, N, d) under
+    class weights (n, N, K).
 
-    A class whose weights are all zero gets its row of the (K, d) ``fallback``,
-    or the mean feature when ``fallback`` is None (computed only then: the
-    mean costs more than the rest of this function).
+    A class whose weights are all zero gets its row of the (n, K, d)
+    ``fallback``, or its source's mean feature when ``fallback`` is None
+    (computed only then: the mean costs more than the rest of this function).
     """
     sums, denom = kernels.weighted_feature_sums(feats, weights)
     filled = denom > 0.0
     out = np.empty_like(sums)
-    out[filled] = sums[filled] / denom[filled, None]
+    out[filled] = sums[filled] / denom[filled][:, None]
     if not filled.all():
-        out[~filled] = feats.mean(axis=0) if fallback is None else fallback[~filled]
+        if fallback is None:
+            fallback = np.broadcast_to(feats.mean(axis=-2)[:, None, :], sums.shape)
+        out[~filled] = fallback[~filled]
     return out
 
 
@@ -166,28 +168,23 @@ def update_pseudo_labels(models, alpha, x, refinement_rounds=1, mode="per-source
     k, _ = check_compatible(models)
     alpha = np.asarray(alpha, dtype=np.float64)
     feats_stack = np.stack([m.features(x) for m in models])
-    per_source = np.stack([
-        _source_centroids(f, kernels.softmax_rows(m.head_logits(f)), None)
-        for m, f in zip(models, feats_stack)
-    ])
+    probs = np.stack([kernels.softmax_rows(m.head_logits(f))
+                      for m, f in zip(models, feats_stack)])
+    per_source = _source_centroids(feats_stack, probs, None)
     state = PseudoLabelState(
         per_source=per_source,
         combined=np.einsum("j,jkd->kd", alpha, per_source),
         labels=np.empty(len(x), np.int64),
-        round_index=0,
         alpha=alpha.copy(),
     )
     state.labels = assign_pseudo_labels(state, feats_stack, mode)
-    for r in range(refinement_rounds):
-        onehot = np.eye(k)[state.labels]
-        refined = np.stack([
-            _source_centroids(f, onehot, c) for f, c in zip(feats_stack, state.per_source)
-        ])
+    for _ in range(refinement_rounds):
+        onehot = np.broadcast_to(np.eye(k)[state.labels], probs.shape)
+        refined = _source_centroids(feats_stack, onehot, state.per_source)
         state = PseudoLabelState(
             per_source=refined,
             combined=np.einsum("j,jkd->kd", alpha, refined),
             labels=state.labels,
-            round_index=r + 1,
             alpha=alpha.copy(),
         )
         state.labels = assign_pseudo_labels(state, feats_stack, mode)

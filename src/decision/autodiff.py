@@ -1,13 +1,16 @@
 """Dense float64 tensors with reverse-mode differentiation on an explicit tape.
 
 One optimization run owns one ``Tape``; operations are tape methods so the
-recording scope is always explicit. The tape carries only the six ops the
+recording scope is always explicit. The tape carries only the five ops the
 package calls:
 
-- ``matmul``, ``add_bias`` and ``relu``, the model forward; ``matmul`` and
-  ``add_bias`` also take a leading source axis;
+- ``affine`` and ``relu``, the model forward: one ``affine`` node per layer
+  (x @ w + b), which also takes a leading source axis;
 - ``weighted_sum``, which contracts that axis with the ensemble weights, so a
-  step over n stacked source models records the same nodes for every n;
+  step over n stacked source models records the same nodes for every n: 12
+  in adaptation (five parameter leaves, three ``affine``, ``relu``,
+  ``weighted_sum``, ``simplex``, ``im_loss``), 11 in source training (six
+  leaves, three ``affine``, ``relu``, ``im_loss``);
 - ``simplex``, the sigmoid-normalized ensemble weights, as one node;
 - ``im_loss``, every training loss as one node with an analytic gradient:
   entropy, diversity and a cross-entropy against soft targets (one-hot
@@ -115,37 +118,30 @@ class Tape:
 
     # -- primitive operations ------------------------------------------------
 
-    def matmul(self, a, b):
-        """(b, i) x (i, o); per source, (b, i) shared or (n, b, i) stacked x (n, i, o)."""
-        av, bv = a.values, b.values
-        if bv.ndim not in (2, 3) or av.ndim not in (2, bv.ndim) \
-                or av.shape[-1] != bv.shape[-2] or av.shape[:-2] not in ((), bv.shape[:-2]):
-            raise ShapeMismatchError(f"matmul: {a.shape} x {b.shape}")
-        ia, ib = self._track(a), self._track(b)
+    def affine(self, x, w, b):
+        """One layer x @ w + b: (b, i) x (i, o) + (o,); per source, (b, i) shared
+        or (n, b, i) stacked x (n, i, o) + (n, o)."""
+        xv, wv, bv = x.values, w.values, b.values
+        if wv.ndim not in (2, 3) or xv.ndim not in (2, wv.ndim) \
+                or xv.shape[-1] != wv.shape[-2] or xv.shape[:-2] not in ((), wv.shape[:-2]) \
+                or bv.shape != wv.shape[:-2] + wv.shape[-1:]:
+            raise ShapeMismatchError(f"affine: {x.shape} x {w.shape} + {b.shape}")
+        ix, iw, ib = self._track(x), self._track(w), self._track(b)
 
         def backward(g):
-            ga = gb = None
-            if ia is not None:
-                ga = kernels.matmul_nt(g, bv)
-                if ga.ndim > av.ndim:  # a shared lhs gets the sum over sources
-                    ga = ga.sum(axis=0)
+            gx = gw = gb = None
+            if ix is not None:
+                gx = kernels.matmul_nt(g, wv)
+                if gx.ndim > xv.ndim:  # a shared x gets the sum over sources
+                    gx = gx.sum(axis=0)
+            if iw is not None:
+                gw = kernels.matmul_tn(xv, g)
             if ib is not None:
-                gb = kernels.matmul_tn(av, g)
-            return [ga, gb]
+                gb = g.sum(axis=-2)
+            return [gx, gw, gb]
 
-        return self._record("matmul", kernels.matmul_nn(av, bv), (ia, ib), backward)
-
-    def add_bias(self, x, b):
-        """(b, o) + (o,), or per source (n, b, o) + (n, o)."""
-        xv, bv = x.values, b.values
-        if xv.ndim not in (2, 3) or bv.shape != xv.shape[:-2] + xv.shape[-1:]:
-            raise ShapeMismatchError(f"add_bias: {x.shape} + {b.shape}")
-        ix, ib = self._track(x), self._track(b)
-
-        def backward(g):
-            return [g, g.sum(axis=-2) if ib is not None else None]
-
-        return self._record("add_bias", xv + bv[..., None, :], (ix, ib), backward)
+        return self._record("affine", kernels.matmul_nn(xv, wv) + bv[..., None, :],
+                            (ix, iw, ib), backward)
 
     def weighted_sum(self, alpha, z):
         """sum_j alpha_j * z_j over the leading axis: (n,), (n, b, k) -> (b, k)."""

@@ -32,14 +32,22 @@ class DomainSpec:
             raise ValueError(f"unknown generator kind {self.kind!r}")
         if self.n < 1:
             raise ValueError("sample count must be >= 1")
-        if self.noise_std < 0.0:
-            raise ValueError("noise std must be >= 0")
+        if not 0.0 <= self.noise_std < np.inf:  # NaN fails too
+            raise ValueError(f"noise std must be finite and >= 0, got {self.noise_std}")
+        if not np.isfinite(self.rotation) or not np.isfinite(self.translation).all():
+            raise ValueError(f"rotation and translation must be finite, got "
+                             f"{self.rotation}, {self.translation}")
         if not 0.0 <= self.label_corruption <= 1.0:
             raise ValueError("label corruption rate must be in [0, 1]")
 
     @property
     def num_classes(self):
         return GENERATOR_CLASSES[self.kind]
+
+
+def _check_finite(x):
+    if not np.isfinite(x).all():
+        raise ValueError("inputs must be finite")
 
 
 @dataclass
@@ -55,6 +63,7 @@ class LabeledSet:
             raise ValueError(f"inconsistent rows: x {self.x.shape}, y {self.y.shape}")
         if len(self.y) and (self.y.min() < 0 or self.y.max() >= self.num_classes):
             raise ValueError("label outside [0, num_classes)")
+        _check_finite(self.x)
 
     def __len__(self):
         return len(self.x)
@@ -72,6 +81,7 @@ class UnlabeledSet:
         self.x = np.asarray(self.x, dtype=np.float64)
         if self.x.ndim != 2:
             raise ValueError(f"inputs must be a 2-d matrix, got {self.x.shape}")
+        _check_finite(self.x)
 
     def __len__(self):
         return len(self.x)

@@ -63,9 +63,10 @@ def log_softmax_rows(x):
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
+# sums[..., k, :] = sum_x weights[..., x, k] * feats[..., x, :] and
+# denom[..., k] = sum_x weights[..., x, k]; a leading source axis batches
 def weighted_feature_sums(feats, weights):
-    # sums[k] = sum_x weights[x, k] * feats[x]; denom[k] = sum_x weights[x, k]
-    return weights.T @ feats, weights.sum(axis=0)
+    return weights.swapaxes(-1, -2) @ feats, weights.sum(axis=-2)
 
 
 def per_source_sqdist(feats, cents, alpha):

@@ -4,12 +4,13 @@ A ``SourceModel`` is six named tensors (``_PARAM_AXES``): the extractor maps
 inputs through two affine layers with a relu between them to features; the
 head is one affine map to class logits. Training (source models, adaptation,
 the distillation student) runs one tape forward, ``tape_logits``, over n
-models' parameters stacked into six (n, ...) tensors; adaptation keeps the
-heads frozen by stacking them as constants. ``train_source`` is the one
-supervised trainer: it steps n >= 1 equal-size models in lockstep (all the
-sources of a run, or the single distillation student), each on its own data
-and batch order, and ends every step in one ``Tape.im_loss`` node against
-smoothed (or, with epsilon = 0, one-hot) targets. Evaluation and centroid
+models' parameters stacked into six (n, ...) tensors: one ``Tape.affine``
+node per layer and a ``relu``. Adaptation keeps the heads frozen by stacking
+them as constants. ``train_source`` is the one supervised trainer: it steps
+n >= 1 equal-size models in lockstep (all the sources of a run, or the single
+distillation student), each on its own data and batch order, and ends every
+step in one ``Tape.im_loss`` node against smoothed (or, with epsilon = 0,
+one-hot) targets, 11 nodes per step at any n. Evaluation and centroid
 computation use the plain-numpy forward, on the same kernels.
 """
 
@@ -166,15 +167,16 @@ def _stacked_params(models, trainable):
 
 
 def tape_logits(tape, params, x):
-    """Logits of an input batch x (b, i) on the tape: the one training forward.
+    """Logits of an input batch x (b, i) on the tape: the one training forward,
+    three ``Tape.affine`` layers with a ``relu`` after the first.
 
     ``params`` are one model's ``params`` (gives (b, K)) or n stacked ones,
     as in ``SourceStack.params`` (gives per-source (n, b, K)); with stacked
     params, x may also be per-source batches (n, b, i).
     """
     w1, b1, w2, b2, w, b = params
-    h = tape.relu(tape.add_bias(tape.matmul(Tensor(x), w1), b1))
-    return tape.add_bias(tape.matmul(tape.add_bias(tape.matmul(h, w2), b2), w), b)
+    h = tape.relu(tape.affine(Tensor(x), w1, b1))
+    return tape.affine(tape.affine(h, w2, b2), w, b)
 
 
 def aggregate_logits(models, alpha, x):

@@ -29,9 +29,10 @@ class DiscreteDomain:
         self.cond = np.asarray(self.cond, dtype=np.float64)
         if self.qx.ndim != 1 or self.cond.ndim != 2 or len(self.qx) != len(self.cond):
             raise ValueError("marginal and conditionals disagree on support size")
-        if self.qx.min() < 0 or abs(self.qx.sum() - 1.0) > 1e-9:
+        # written so that NaN fails every check
+        if not (self.qx.min() >= 0 and abs(self.qx.sum() - 1.0) <= 1e-9):
             raise ValueError("input marginal is not a distribution")
-        if self.cond.min() < 0 or np.abs(self.cond.sum(axis=1) - 1.0).max() > 1e-9:
+        if not (self.cond.min() >= 0 and np.abs(self.cond.sum(axis=1) - 1.0).max() <= 1e-9):
             raise ValueError("a label conditional row is not a distribution")
 
     @property
@@ -51,7 +52,7 @@ class TabularPredictor:
 
     def __post_init__(self):
         self.rows = np.asarray(self.rows, dtype=np.float64)
-        if self.rows.min() < 0 or np.abs(self.rows.sum(axis=1) - 1.0).max() > 1e-9:
+        if not (self.rows.min() >= 0 and np.abs(self.rows.sum(axis=1) - 1.0).max() <= 1e-9):
             raise ValueError("a predictor row is not on the simplex")
 
 
@@ -88,7 +89,7 @@ def density_ratio_weights(domains, lam):
     they get uniform weights.
     """
     lam = np.asarray(lam, dtype=np.float64)
-    if lam.min() < 0 or abs(lam.sum() - 1.0) > 1e-9:
+    if not (lam.min() >= 0 and abs(lam.sum() - 1.0) <= 1e-9):  # NaN fails too
         raise ValueError("mixture weights must lie on the simplex")
     scaled = lam[:, None] * np.stack([d.qx for d in domains])  # (n, m)
     denom = scaled.sum(axis=0)
@@ -109,7 +110,7 @@ def uniform_mixture_weights(lam, c):
     """Input-agnostic weights when each marginal is c_k * uniform on the support."""
     lam = np.asarray(lam, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
-    if np.any(c <= 0.0):
+    if not (c > 0.0).all():  # NaN fails too
         raise ValueError("scaling factors must be > 0")
     w = lam * c
     return w / w.sum()

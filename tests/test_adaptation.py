@@ -277,6 +277,33 @@ def test_round0_class_with_underflowed_probability_gets_the_mean_feature():
     np.testing.assert_array_equal(state.per_source[0, 1], models[0].features(x).mean(axis=0))
 
 
+def _one_source_centroids(feats, weights, fallback):
+    """One source's centroid round as it ran before the rounds were stacked."""
+    sums, denom = weights.T @ feats, weights.sum(axis=0)
+    filled = denom > 0.0
+    out = np.empty_like(sums)
+    out[filled] = sums[filled] / denom[filled, None]
+    out[~filled] = feats.mean(axis=0) if fallback is None else fallback[~filled]
+    return out
+
+
+def test_stacked_centroid_rounds_equal_per_source_rounds():
+    rng = np.random.default_rng(41)
+    n, m, d, k = 3, 50, 4, 3
+    feats = rng.standard_normal((n, m, d))
+    probs = np.exp(rng.standard_normal((n, m, k)))
+    probs[1, :, 2] = 0.0  # round 0: source 1's class 2 has no weight -> mean feature
+    onehot = np.broadcast_to(np.eye(k)[rng.integers(0, 2, m)], (n, m, k))  # class 2 empty
+    previous = rng.standard_normal((n, k, d))
+    for weights, fallback in ((probs, None), (onehot, previous)):
+        got = adaptation._source_centroids(feats, weights, fallback)
+        for j in range(n):
+            want = _one_source_centroids(feats[j], weights[j],
+                                         None if fallback is None else fallback[j])
+            np.testing.assert_array_equal(got[j], want)
+    np.testing.assert_array_equal(got[:, 2], previous[:, 2])
+
+
 def test_assignment_picks_coinciding_centroid_and_breaks_ties_low():
     per_source = np.array([
         [[0.0, 0.0], [5.0, 5.0], [1.0, -1.0]],
@@ -284,7 +311,7 @@ def test_assignment_picks_coinciding_centroid_and_breaks_ties_low():
     ])
     alpha = np.array([0.5, 0.5])
     state = PseudoLabelState(per_source, np.einsum("j,jkd->kd", alpha, per_source),
-                             np.zeros(2, np.int64), 0, alpha)
+                             np.zeros(2, np.int64), alpha)
     feats = np.stack([
         np.array([per_source[0, 2], [0.0, 0.0]]),
         np.array([per_source[1, 2], [0.0, 0.0]]),
@@ -300,7 +327,7 @@ def test_assignment_picks_coinciding_centroid_and_breaks_ties_low():
 def test_tie_breaks_toward_smaller_class_index():
     per_source = np.array([[[1.0, 0.0], [-1.0, 0.0]]])  # symmetric about origin
     alpha = np.array([1.0])
-    state = PseudoLabelState(per_source, per_source[0], np.zeros(1, np.int64), 0, alpha)
+    state = PseudoLabelState(per_source, per_source[0], np.zeros(1, np.int64), alpha)
     labels = assign_pseudo_labels(state, np.zeros((1, 1, 2)))
     assert labels[0] == 0
 
@@ -379,7 +406,7 @@ def test_objective_on_a_source_stack_records_the_same_node_count_for_any_n():
         objective(tape, SourceStack(make_models(n, seed=96)), AggregationWeights(n), x,
                   labels, AdaptationConfig())
         counts.append(len(tape))
-    assert counts[0] == counts[1] == counts[2]
+    assert counts == [12] * 3  # 5 leaves (4 extractor tensors, raw alpha) + 7 ops
 
 
 def test_source_stack_views_follow_in_place_updates():

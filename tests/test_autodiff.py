@@ -18,7 +18,7 @@ from conftest import finite_diff, max_rel_err
 def test_matmul_identity():
     t = Tape()
     a = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    out = t.matmul(a, Tensor(np.eye(2)))
+    out = t.affine(a, Tensor(np.eye(2)), Tensor(np.zeros(2)))
     np.testing.assert_array_equal(out.values, [[1.0, 2.0], [3.0, 4.0]])
 
 
@@ -33,15 +33,16 @@ def test_relu_and_mean_definitions():
 
 def test_matmul_shape_error_names_both_shapes():
     t = Tape()
-    with pytest.raises(ShapeMismatchError, match=r"\(2, 3\).*\(2, 2\)"):
-        t.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 2))))
+    with pytest.raises(ShapeMismatchError, match=r"\(2, 3\) x \(2, 2\) \+ \(2,\)"):
+        t.affine(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 2))), Tensor(np.ones(2)))
 
 
 def test_backward_square():
     # L = -log softmax([x^2, 0])[1] = log(1 + exp(x^2)), so dL/dx = 2x * sigmoid(x^2)
     t = Tape()
     x = Tensor([[0.75]], requires_grad=True)
-    logits = t.matmul(t.matmul(x, x), Tensor([[1.0, 0.0]]))
+    logits = t.affine(t.affine(x, x, Tensor(np.zeros(1))), Tensor([[1.0, 0.0]]),
+                      Tensor(np.zeros(2)))
     t.backward(t.im_loss(logits, np.array([[0.0, 1.0]]), 0.0, 0.0, 1.0)[0])
     assert x.grad[0, 0] == pytest.approx(1.5 * sigmoid(np.array([0.5625]))[0], rel=1e-14)
 
@@ -66,7 +67,7 @@ def test_backward_reused_node_accumulates_sum_of_paths():
     t = Tape()
     x = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
     q = rng.dirichlet(np.ones(3), size=3)
-    y = t.matmul(x, x)
+    y = t.affine(x, x, Tensor(np.zeros(3)))
     t.backward(t.im_loss(y, q, 0.0, 0.0, 1.0)[0])
     g = _soft_target_grad(y.values, q)
     np.testing.assert_allclose(x.grad, g @ x.values.T + x.values.T @ g, rtol=1e-14, atol=0.0)
@@ -76,8 +77,8 @@ def test_backward_replays_each_node_exactly_once():
     t = Tape()
     x = Tensor([[1.0, 2.0], [0.5, 1.5]], requires_grad=True)
     q = np.array([[0.25, 0.75], [1.0, 0.0]])
-    shared = t.relu(x)  # consumed twice by the matmul below
-    loss = t.im_loss(t.matmul(shared, shared), q, 0.0, 0.0, 1.0)[0]
+    shared = t.relu(x)  # consumed twice by the affine layer below
+    loss = t.im_loss(t.affine(shared, shared, Tensor(np.zeros(2))), q, 0.0, 0.0, 1.0)[0]
     calls = {}
     for i, node in enumerate(t.nodes):
         if node.backward is None:
@@ -117,8 +118,8 @@ def _random_mlp_loss(rng, make_tape=True):
         t = Tape()
         h = Tensor(x)
         for w, b in zip(ws[:-1], bs[:-1]):
-            h = t.relu(t.add_bias(t.matmul(h, w), b))
-        logits = t.add_bias(t.matmul(h, ws[-1]), bs[-1])
+            h = t.relu(t.affine(h, w, b))
+        logits = t.affine(h, ws[-1], bs[-1])
         return t.im_loss(logits, targets, 0.0, 0.0, 1.0)[0]
 
     return f, ws + bs
@@ -174,19 +175,56 @@ def _soft_target_loss_of(op, *args):
     return t.im_loss(out, q, 0.0, 0.0, 1.0)[0]
 
 
-# one model's (b, i) x (i, o), and the batched (bmm) per-source cases
-@pytest.mark.parametrize("lhs, rhs", [((5, 3), (3, 2)), ((5, 3), (4, 3, 2)),
-                                      ((4, 5, 3), (4, 3, 2))],
-                         ids=["single", "shared", "stacked"])
+def _bias_shape(w_shape):
+    return w_shape[:-2] + w_shape[-1:]
+
+
+# one model's (b, i) x (i, o) + (o,), and the batched (bmm) per-source cases
+AFFINE_SHAPES = pytest.mark.parametrize(
+    "lhs, rhs", [((5, 3), (3, 2)), ((5, 3), (4, 3, 2)), ((4, 5, 3), (4, 3, 2))],
+    ids=["single", "shared", "stacked"])
+
+
+@AFFINE_SHAPES
 def test_bmm_definition_and_gradients(lhs, rhs):
     rng = np.random.default_rng(61)
     a = Tensor(rng.standard_normal(lhs), requires_grad=True)
     w = Tensor(rng.standard_normal(rhs), requires_grad=True)
-    out = Tape().matmul(a, w).values
+    b = Tensor(rng.standard_normal(_bias_shape(rhs)), requires_grad=True)
+    out = Tape().affine(a, w, b).values
     av = np.broadcast_to(a.values, out.shape[:-1] + lhs[-1:])
     for j in np.ndindex(out.shape[:-2]):  # each source, or once for one model
-        np.testing.assert_allclose(out[j], av[j] @ w.values[j], rtol=1e-15)
-    assert _gradcheck(lambda: _soft_target_loss_of("matmul", a, w), [a, w]) < 1e-4
+        np.testing.assert_allclose(out[j], av[j] @ w.values[j] + b.values[j], rtol=1e-15)
+    assert _gradcheck(lambda: _soft_target_loss_of("affine", a, w, b), [a, w, b]) < 1e-4
+
+
+def _matmul_add_bias_chain(xv, wv, bv, g):
+    """The matmul -> add_bias node pair that ``affine`` replaced, in numpy:
+    forward value, then the gradients of x, w and b for an output gradient g."""
+    y = kernels.matmul_nn(xv, wv)  # matmul forward
+    out = y + bv[..., None, :]  # add_bias forward
+    g_y, g_b = g, g.sum(axis=-2)  # add_bias backward
+    g_x = kernels.matmul_nt(g_y, wv)  # matmul backward
+    if g_x.ndim > xv.ndim:  # a shared lhs gets the sum over sources
+        g_x = g_x.sum(axis=0)
+    return out, g_x, kernels.matmul_tn(xv, g_y), g_b
+
+
+# This pin holds the layer node to the bits of the chain it replaces; a change
+# here changes every checkpoint.
+@AFFINE_SHAPES
+def test_affine_is_bit_identical_to_the_matmul_add_bias_chain(lhs, rhs):
+    rng = np.random.default_rng(72)
+    x, w, b = (Tensor(rng.standard_normal(s) * 2.0, requires_grad=True)
+               for s in (lhs, rhs, _bias_shape(rhs)))
+    t = Tape()
+    out = t.affine(x, w, b)
+    g = rng.standard_normal(out.shape)
+    want = _matmul_add_bias_chain(x.values, w.values, b.values, g)
+    got = [out.values] + t.nodes[out._node[1]].backward(g)
+    for have, ref in zip(got, want):
+        assert have.shape == ref.shape
+        np.testing.assert_array_equal(have, ref)
 
 
 def test_bmm_shape_errors():
@@ -198,19 +236,30 @@ def test_bmm_shape_errors():
         ((2, 3), (3,)),
         ((1, 4, 5, 3), (4, 3, 2)),  # more than one leading axis
     ]:
-        with pytest.raises(ShapeMismatchError, match="matmul"):
-            Tape().matmul(Tensor(np.ones(lhs)), Tensor(np.ones(rhs)))
+        with pytest.raises(ShapeMismatchError, match="affine"):
+            Tape().affine(Tensor(np.ones(lhs)), Tensor(np.ones(rhs)),
+                          Tensor(np.ones(_bias_shape(rhs))))
+    for lhs, rhs, bias in [
+        ((5, 3), (3, 2), (3,)),  # bias sized for the inputs, not the outputs
+        ((5, 3), (3, 2), (1, 2)),
+        ((4, 5, 3), (4, 3, 2), (2,)),  # one bias for stacked weights
+        ((5, 3), (4, 3, 2), (3, 2)),  # source counts differ
+    ]:
+        with pytest.raises(ShapeMismatchError, match=r"affine: .* \+ \(" + str(bias[0])):
+            Tape().affine(Tensor(np.ones(lhs)), Tensor(np.ones(rhs)), Tensor(np.ones(bias)))
 
 
 def test_add_bias_per_source_gradients():
+    # identity weights isolate the per-source bias: x @ I + b is x + b exactly
     rng = np.random.default_rng(62)
     x = Tensor(rng.standard_normal((4, 5, 3)), requires_grad=True)
+    eye = Tensor(np.broadcast_to(np.eye(3), (4, 3, 3)))
     b = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
-    out = Tape().add_bias(x, b).values
+    out = Tape().affine(x, eye, b).values
     np.testing.assert_array_equal(out[2], x.values[2] + b.values[2])
-    assert _gradcheck(lambda: _soft_target_loss_of("add_bias", x, b), [x, b]) < 1e-4
+    assert _gradcheck(lambda: _soft_target_loss_of("affine", x, eye, b), [x, b]) < 1e-4
     with pytest.raises(ShapeMismatchError):
-        Tape().add_bias(x, Tensor(np.ones(3)))
+        Tape().affine(x, eye, Tensor(np.ones(3)))
 
 
 def test_weighted_sum_definition_and_gradients():
@@ -371,5 +420,5 @@ def test_every_public_tape_op_is_called_from_the_package():
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
                     and isinstance(node.func.value, ast.Name) and node.func.value.id == "tape":
                 called.add(node.func.attr)
-    assert ops == {"matmul", "add_bias", "relu", "weighted_sum", "simplex", "im_loss"}
+    assert ops == {"affine", "relu", "weighted_sum", "simplex", "im_loss"}
     assert ops <= called, f"tape ops no module calls: {sorted(ops - called)}"

@@ -131,6 +131,24 @@ def test_config_error_exit_code(tmp_path):
     assert main(["train-sources", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("command, section, key, value", [
+    ("train-sources", "sources", "noise_std", float("inf")),
+    ("train-sources", "sources", "rotation_deg", float("nan")),
+    ("adapt", "target", "translation", [0.0, float("nan")]),
+], ids=["noise-inf", "rotation-nan", "target-translation-nan"])
+def test_non_finite_domain_parameter_exits_2_without_output(tmp_path, capsys, command,
+                                                            section, key, value):
+    doc = small_config()
+    domain = doc["sources"][1] if section == "sources" else doc["target"]
+    domain[key] = value
+    out = tmp_path / "o"
+    assert main([command, "--config", str(write_config(tmp_path, doc)),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "finite" in err
+    assert not out.exists()
+
+
 def test_io_error_exit_code(tmp_path):
     path = write_config(tmp_path, small_config())
     rc = main(["adapt", "--config", str(path), "--out", str(tmp_path / "empty"),

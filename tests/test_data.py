@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from decision.data import (DomainSpec, generate_domain, split_train_eval,
-                           stacked_batches)
+from decision.data import (DomainSpec, LabeledSet, UnlabeledSet, generate_domain,
+                           split_train_eval, stacked_batches)
 
 
 def _spec(**kw):
@@ -79,6 +79,21 @@ def test_spec_validation():
         _spec(label_corruption=1.5)
     with pytest.raises(ValueError):
         _spec(noise_std=-0.1)
+    for field, value in [("noise_std", np.inf), ("noise_std", np.nan), ("rotation", np.nan),
+                         ("rotation", -np.inf), ("translation", (0.0, np.nan)),
+                         ("translation", (np.inf, 0.0))]:
+        with pytest.raises(ValueError, match="finite"):
+            _spec(**{field: value})
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_data_sets_reject_non_finite_inputs(bad):
+    x = np.zeros((3, 2))
+    x[1, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        LabeledSet(x, [0, 1, 0], 2)
+    with pytest.raises(ValueError, match="finite"):
+        UnlabeledSet(x)
 
 
 # -- batching -------------------------------------------------------------------

@@ -71,6 +71,24 @@ def test_transposed_matmuls_batch_over_a_leading_axis():
     np.testing.assert_array_equal(kernels.matmul_tn(a[0], c[0]), a[0].T @ c[0])
 
 
+def test_weighted_feature_sums_of_a_source_stack_equal_per_source_calls():
+    # the centroid rounds call the kernel once on all n sources; each source's
+    # sums and denominators must keep the bits of a call on that source alone
+    rng = np.random.default_rng(5)
+    n, m, d, k = 16, 960, 16, 3
+    feats = rng.standard_normal((n, m, d))
+    probs = kernels.softmax_rows(rng.standard_normal((n, m, k)) * 3.0)
+    onehot = np.broadcast_to(np.eye(k)[rng.integers(0, k, m)], (n, m, k))
+    for weights in (probs, onehot):
+        sums, denom = kernels.weighted_feature_sums(feats, weights)
+        assert sums.shape == (n, k, d) and denom.shape == (n, k)
+        for j in range(n):
+            want_sums, want_denom = kernels.weighted_feature_sums(feats[j], weights[j])
+            np.testing.assert_array_equal(sums[j], want_sums)
+            np.testing.assert_array_equal(denom[j], want_denom)
+            np.testing.assert_allclose(want_sums, weights[j].T @ feats[j], rtol=1e-15)
+
+
 def test_per_source_sqdist_definition():
     feats = rng.standard_normal((2, 5, 3))
     cents = rng.standard_normal((2, 4, 3))

@@ -252,7 +252,7 @@ def test_source_training_step_records_the_same_nodes_for_any_n(n, monkeypatch):
     models = [SourceModel.init(f"m{j}", arch, j) for j in range(n)]
     data = [_blobs(j) for j in range(n)]
     train_source(models, data, SourceTrainConfig(epochs=1), list(range(n)))
-    assert sizes == [14] * 4  # 120 rows in 32-row batches: 4 steps of 6 leaves + 8 ops
+    assert sizes == [11] * 4  # 120 rows in 32-row batches: 4 steps of 6 leaves + 5 ops
 
 
 # -- checkpoints ---------------------------------------------------------------
@@ -329,8 +329,7 @@ def test_tape_logits_for_one_model_and_for_a_stack():
         np.testing.assert_allclose(single, m.logits(x), rtol=1e-14)
         np.testing.assert_allclose(stacked[j], single, rtol=1e-14)
     ops = [[n.op for n in t.nodes if n.leaf is None] for t in (t1, tn)]
-    assert ops[0] == ops[1] == ["matmul", "add_bias", "relu", "matmul", "add_bias",
-                                "matmul", "add_bias"]
+    assert ops[0] == ops[1] == ["affine", "relu", "affine", "affine"]
 
 
 def test_frozen_classifier_checksum_is_parameter_sensitive():

@@ -27,6 +27,25 @@ def test_domain_validation():
         TabularPredictor(np.array([[0.5, 0.6]]))
 
 
+_NAN = float("nan")
+_TWO_POINTS = [_domain([0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]])] * 2
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _domain([_NAN, 1.0], [[1.0, 0.0], [0.0, 1.0]]),
+    lambda: _domain([0.5, 0.5], [[_NAN, 1.0], [0.0, 1.0]]),
+    lambda: TabularPredictor([[_NAN, 0.5], [0.5, 0.5]]),
+    lambda: density_ratio_weights(_TWO_POINTS, [_NAN, 1.0]),
+    lambda: check_instance(_TWO_POINTS, [_NAN, 1.0]),
+    lambda: uniform_mixture_weights([0.5, 0.5], [_NAN, 1.0]),
+], ids=["marginal", "conditional", "predictor", "density-ratio-lam",
+        "check-instance-lam", "uniform-mixture-c"])
+def test_oracle_inputs_reject_nan(build):
+    # every check fails on NaN: the comparisons are written so NaN cannot pass
+    with pytest.raises(ValueError):
+        build()
+
+
 def test_optimal_predictor_is_posterior():
     d = _domain([0.3, 0.7], [[1.0, 0.0], [0.0, 1.0]])
     np.testing.assert_array_equal(optimal_predictor(d).rows, d.cond)
