@@ -1,8 +1,7 @@
 """Multi-source source-free domain adaptation with simplex ensemble weights."""
 
-from .adaptation import (AdaptationConfig, AggregationWeights, adapt,
-                         alpha_project, update_pseudo_labels,
-                         weights_only_adapt)
+from .adaptation import (AdaptationConfig, adapt, alpha_project,
+                         update_pseudo_labels, weights_only_adapt)
 from .autodiff import Tape, Tensor
 from .config import ExperimentConfig, moons_fixture
 from .data import DomainSpec, LabeledSet, UnlabeledSet, generate_domain
@@ -14,7 +13,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdaptationConfig",
-    "AggregationWeights",
     "DomainSpec",
     "ExperimentConfig",
     "LabeledSet",

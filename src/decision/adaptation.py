@@ -9,12 +9,12 @@ entropy of the mean predicted class distribution, and L_pl a cross-entropy
 against nearest-centroid pseudo-labels recomputed at every epoch. The sources
 step together as one ``SourceStack``: its heads are constants, so gradients
 flow only into the stacked feature extractors and into the raw ensemble
-weights, whose sigmoid-normalized view is refreshed after each optimizer step
-and checked to lie on the probability simplex. The objective is one batched
-forward, one ``Tape.simplex`` node for the weights and one fused
-``Tape.im_loss`` node for the loss, with the pseudo-labels as one-hot
-targets; evaluation and pseudo-labels run the plain-numpy forward of each
-per-source view.
+weights, an (n,) tensor whose sigmoid-normalized view alpha, a plain array,
+is recomputed after each optimizer step and checked to lie on the probability
+simplex. The objective is one batched forward, one ``Tape.simplex`` node for
+the weights and one fused ``Tape.im_loss`` node for the loss, with the
+pseudo-labels as one-hot targets; evaluation and pseudo-labels run the
+plain-numpy forward of each per-source view.
 """
 
 from dataclasses import dataclass, field
@@ -65,29 +65,6 @@ def alpha_project(raw):
     return s / s.sum()
 
 
-class AggregationWeights:
-    """Raw trainable weights plus their normalized simplex view.
-
-    The raw vector starts at zero so the initial normalized view is exactly
-    uniform. ``refresh()`` must be called after every optimizer step; the
-    normalized view is what enters evaluation, centroid combination, and the
-    next forward pass.
-    """
-
-    def __init__(self, n_sources):
-        if n_sources < 1:
-            raise ValueError("need at least one source")
-        self.raw = Tensor(np.zeros(n_sources), requires_grad=True)
-        self.alpha = alpha_project(self.raw.values)
-
-    def __len__(self):
-        return len(self.alpha)
-
-    def refresh(self):
-        self.alpha = alpha_project(self.raw.values)
-        return self.alpha
-
-
 # -- the objective ----------------------------------------------------------------
 
 def loss_coefficients(cfg):
@@ -99,14 +76,14 @@ def loss_coefficients(cfg):
     return coefs
 
 
-def objective(tape, stack, weights, x, labels, cfg):
+def objective(tape, stack, raw, x, labels, cfg):
     """Full training objective of a SourceStack on one tape; returns (L_tot, term values).
 
     The ensemble logits sum_j alpha_j * logits_j come from one batched forward
     over the stacked parameters, weighted by ``Tape.simplex`` of the raw
-    weights; ``labels`` may be None when lambda_pl is 0.
+    weights ``raw``, an (n,) tensor; ``labels`` may be None when lambda_pl is 0.
     """
-    alpha_t = tape.simplex(weights.raw)
+    alpha_t = tape.simplex(raw)
     logits_t = tape.weighted_sum(alpha_t, tape_logits(tape, stack.params, x))
     q = None
     if labels is not None:
@@ -118,14 +95,6 @@ def objective(tape, stack, weights, x, labels, cfg):
 
 
 # -- pseudo-labels --------------------------------------------------------------
-
-@dataclass
-class PseudoLabelState:
-    per_source: np.ndarray  # (n, K, d) centroids in each source's feature space
-    combined: np.ndarray  # (K, d), alpha-weighted combination
-    labels: np.ndarray  # (N,) hard assignments
-    alpha: np.ndarray  # weights the combination was built with
-
 
 def _source_centroids(feats, weights, fallback):
     """Class centroids (n, K, d) of every source's features (n, N, d) under
@@ -146,18 +115,25 @@ def _source_centroids(feats, weights, fallback):
     return out
 
 
-def assign_pseudo_labels(state, feats_stack, cfg_mode="per-source"):
-    """Nearest-centroid assignment; ties break toward the smaller class index."""
-    if cfg_mode == "per-source":
-        dists = kernels.per_source_sqdist(feats_stack, state.per_source, state.alpha)
+def assign_pseudo_labels(feats, cents, alpha, mode):
+    """Nearest-centroid labels (N,) of every source's features (n, N, d), given
+    each source's class centroids (n, K, d).
+
+    "per-source" sums the alpha-weighted squared distances in each source's
+    feature space; "combined-feature" measures the alpha-combined feature
+    against the alpha-combined centroids. Ties break toward the smaller class
+    index.
+    """
+    if mode == "per-source":
+        dists = kernels.per_source_sqdist(feats, cents, alpha)
     else:
-        mean_feat = np.einsum("j,jnd->nd", state.alpha, feats_stack)
-        dists = kernels.pairwise_sqdist(mean_feat, state.combined)
+        dists = kernels.pairwise_sqdist(np.einsum("j,jnd->nd", alpha, feats),
+                                        np.einsum("j,jkd->kd", alpha, cents))
     return np.argmin(dists, axis=1)
 
 
 def update_pseudo_labels(models, alpha, x, refinement_rounds=1, mode="per-source"):
-    """Run the centroid/assignment rounds over the whole target set.
+    """Pseudo-labels (N,) of the whole target set, from centroid/assignment rounds.
 
     Round 0 weighs features by each source's own softmax (a class whose
     probability underflowed on every sample gets the source's mean feature);
@@ -167,28 +143,15 @@ def update_pseudo_labels(models, alpha, x, refinement_rounds=1, mode="per-source
     """
     k, _ = check_compatible(models)
     alpha = np.asarray(alpha, dtype=np.float64)
-    feats_stack = np.stack([m.features(x) for m in models])
-    probs = np.stack([kernels.softmax_rows(m.head_logits(f))
-                      for m, f in zip(models, feats_stack)])
-    per_source = _source_centroids(feats_stack, probs, None)
-    state = PseudoLabelState(
-        per_source=per_source,
-        combined=np.einsum("j,jkd->kd", alpha, per_source),
-        labels=np.empty(len(x), np.int64),
-        alpha=alpha.copy(),
-    )
-    state.labels = assign_pseudo_labels(state, feats_stack, mode)
+    feats = np.stack([m.features(x) for m in models])
+    probs = np.stack([kernels.softmax_rows(m.head_logits(f)) for m, f in zip(models, feats)])
+    cents = _source_centroids(feats, probs, None)
+    labels = assign_pseudo_labels(feats, cents, alpha, mode)
     for _ in range(refinement_rounds):
-        onehot = np.broadcast_to(np.eye(k)[state.labels], probs.shape)
-        refined = _source_centroids(feats_stack, onehot, state.per_source)
-        state = PseudoLabelState(
-            per_source=refined,
-            combined=np.einsum("j,jkd->kd", alpha, refined),
-            labels=state.labels,
-            alpha=alpha.copy(),
-        )
-        state.labels = assign_pseudo_labels(state, feats_stack, mode)
-    return state
+        onehot = np.broadcast_to(np.eye(k)[labels], probs.shape)
+        cents = _source_centroids(feats, onehot, cents)
+        labels = assign_pseudo_labels(feats, cents, alpha, mode)
+    return labels
 
 
 # -- the adaptation loop ---------------------------------------------------------
@@ -196,13 +159,9 @@ def update_pseudo_labels(models, alpha, x, refinement_rounds=1, mode="per-source
 @dataclass
 class AdaptationResult:
     models: list
-    weights: AggregationWeights
+    alpha: np.ndarray  # the ensemble weights, on the simplex
     metrics: list = field(default_factory=list)
     epoch_pbar: list = field(default_factory=list)  # full-set mean prediction, per epoch
-
-    @property
-    def alpha(self):
-        return self.weights.alpha
 
 
 def mean_prediction(models, alpha, x):
@@ -220,7 +179,7 @@ def adapt(models, target, cfg, eval_set=None, on_step=None, optimize_features=Tr
 
     ``target`` must be an UnlabeledSet; labels never cross this boundary.
     ``eval_set`` is used only to report per-epoch accuracy in the metrics.
-    Returns the adapted models plus the learned weights; inputs are not
+    Returns the adapted models plus the learned weights alpha; inputs are not
     mutated. All sources step together as one ``SourceStack`` (frozen heads,
     extractors trainable when ``optimize_features``); the returned models are
     its per-source views. Alpha is checked to lie on the simplex after every
@@ -232,15 +191,15 @@ def adapt(models, target, cfg, eval_set=None, on_step=None, optimize_features=Tr
         raise ValueError("target set is empty")
     stack = SourceStack(models, requires_grad=optimize_features)
     adapted = stack.models
-    weights = AggregationWeights(len(adapted))
-    result = AdaptationResult(adapted, weights)
+    raw = Tensor(np.zeros(len(adapted)), requires_grad=True)  # uniform alpha
+    result = AdaptationResult(adapted, alpha_project(raw.values))
     if cfg.epochs == 0:
         return result
 
     groups = []
     if optimize_features:
         groups.append(ParamGroup(stack.extractor_params(), cfg.lr_backbone, cfg.weight_decay))
-    groups.append(ParamGroup([weights.raw], cfg.lr_alpha, 0.0))  # no decay pull on raw weights
+    groups.append(ParamGroup([raw], cfg.lr_alpha, 0.0))  # no decay pull on raw weights
     opt = SgdMomentum(groups, momentum=cfg.momentum)
 
     n = len(target)
@@ -248,34 +207,33 @@ def adapt(models, target, cfg, eval_set=None, on_step=None, optimize_features=Tr
     total_steps = cfg.epochs * n_batches
     step = 0
     for epoch in range(cfg.epochs):
-        state = update_pseudo_labels(
-            adapted, weights.alpha, target.x, cfg.refinement_rounds, cfg.distance_mode
+        labels = update_pseudo_labels(
+            adapted, result.alpha, target.x, cfg.refinement_rounds, cfg.distance_mode
         )
         # epoch-level mean embedding: diagnostic only; optimization uses the
         # per-batch estimate inside the objective's diversity term
-        result.epoch_pbar.append(mean_prediction(adapted, weights.alpha, target.x))
+        result.epoch_pbar.append(mean_prediction(adapted, result.alpha, target.x))
         perm = np.random.default_rng(cfg.seed * 1_000_003 + epoch).permutation(n)
         sums = {"L_ent": 0.0, "L_div": 0.0, "L_pl": 0.0, "L_tot": 0.0}
         for start in range(0, n, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
             tape = Tape()
-            l_tot, terms = objective(
-                tape, stack, weights, target.x[idx], state.labels[idx], cfg
-            )
+            l_tot, terms = objective(tape, stack, raw, target.x[idx], labels[idx], cfg)
             tape.backward(l_tot)
             opt.step(lr_factor=lr_schedule(1.0, step / max(1, total_steps - 1)))
             opt.zero_grad()
-            _check_simplex(weights.refresh())
+            result.alpha = alpha_project(raw.values)
+            _check_simplex(result.alpha)
             if on_step is not None:
-                on_step(weights.alpha.copy())
+                on_step(result.alpha.copy())
             for key in sums:
                 sums[key] += terms[key]
             step += 1
         row = {key: sums[key] / n_batches for key in sums}
         row["epoch"] = epoch + 1
-        row["alpha"] = [float(a) for a in weights.alpha]
+        row["alpha"] = [float(a) for a in result.alpha]
         row["target_accuracy"] = (
-            accuracy(adapted, weights.alpha, eval_set) if eval_set is not None else None
+            accuracy(adapted, result.alpha, eval_set) if eval_set is not None else None
         )
         result.metrics.append(row)
     return result

@@ -5,7 +5,7 @@ recording scope is always explicit. The tape carries only the five ops the
 package calls:
 
 - ``affine`` and ``relu``, the model forward: one ``affine`` node per layer
-  (x @ w + b), which also takes a leading source axis;
+  (x @ w + b) over n models' weights stacked on a leading source axis;
 - ``weighted_sum``, which contracts that axis with the ensemble weights, so a
   step over n stacked source models records the same nodes for every n: 12
   in adaptation (five parameter leaves, three ``affine``, ``relu``,
@@ -119,12 +119,13 @@ class Tape:
     # -- primitive operations ------------------------------------------------
 
     def affine(self, x, w, b):
-        """One layer x @ w + b: (b, i) x (i, o) + (o,); per source, (b, i) shared
-        or (n, b, i) stacked x (n, i, o) + (n, o)."""
+        """One layer x @ w + b for each of n stacked models: weights (n, i, o)
+        and biases (n, o) over one batch (b, i) that every model sees or over
+        per-model batches (n, b, i); gives (n, b, o)."""
         xv, wv, bv = x.values, w.values, b.values
-        if wv.ndim not in (2, 3) or xv.ndim not in (2, wv.ndim) \
-                or xv.shape[-1] != wv.shape[-2] or xv.shape[:-2] not in ((), wv.shape[:-2]) \
-                or bv.shape != wv.shape[:-2] + wv.shape[-1:]:
+        if wv.ndim != 3 or xv.ndim not in (2, 3) or xv.shape[-1] != wv.shape[1] \
+                or xv.shape[:-2] not in ((), wv.shape[:1]) \
+                or bv.shape != (wv.shape[0], wv.shape[2]):
             raise ShapeMismatchError(f"affine: {x.shape} x {w.shape} + {b.shape}")
         ix, iw, ib = self._track(x), self._track(w), self._track(b)
 

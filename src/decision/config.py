@@ -57,8 +57,14 @@ class ExperimentConfig:
         kinds = {s.kind for s in self.source_specs} | {self.target_spec.kind}
         if len(kinds) > 1:
             raise ConfigError(f"all domains must share one generator kind, got {kinds}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.eval_fraction < 1.0:
             raise ConfigError(f"eval_fraction must be in (0, 1), got {self.eval_fraction}")
+        for name, spec in zip(self.source_names, self.source_specs):
+            if int(spec.n * self.eval_fraction) == 0:
+                raise ConfigError(f"sources: '{name}' has n = {spec.n}, which leaves no "
+                                  f"evaluation rows at eval_fraction {self.eval_fraction}")
         if self.distill_epochs < 1:
             raise ConfigError(f"distill: epochs must be >= 1, got {self.distill_epochs}")
 

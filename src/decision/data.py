@@ -32,6 +32,10 @@ class DomainSpec:
             raise ValueError(f"unknown generator kind {self.kind!r}")
         if self.n < 1:
             raise ValueError("sample count must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if len(self.translation) != 2:
+            raise ValueError(f"translation must be two numbers, got {list(self.translation)}")
         if not 0.0 <= self.noise_std < np.inf:  # NaN fails too
             raise ValueError(f"noise std must be finite and >= 0, got {self.noise_std}")
         if not np.isfinite(self.rotation) or not np.isfinite(self.translation).all():

@@ -11,8 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import LabeledSet, UnlabeledSet
-from .models import (ModelConfig, SourceModel, SourceTrainConfig,
-                     aggregate_logits, predict, train_source)
+from .models import ModelConfig, SourceModel, aggregate_logits, predict, train_source
 
 
 @dataclass
@@ -34,10 +33,10 @@ def teacher_label(teacher, x):
 def train_student(teacher, target, cfg, seed=0):
     """Train a same-architecture student on teacher annotations.
 
-    ``seed`` draws the student's initial weights and its batch orders.
-    ``cfg=None`` skips training and returns the freshly initialized student.
-    Returns (student, agreement), where agreement is the fraction of target
-    points on which the student reproduces the teacher's label.
+    ``seed`` draws the student's initial weights and its batch orders; the
+    student trains under ``cfg`` with label smoothing off. Returns (student,
+    agreement), where agreement is the fraction of target points on which the
+    student reproduces the teacher's label.
     """
     if not isinstance(target, UnlabeledSet):
         raise TypeError("distillation target must be an UnlabeledSet")
@@ -46,12 +45,7 @@ def train_student(teacher, target, cfg, seed=0):
     arch = ModelConfig(*teacher.models[0].dims)
     labels = teacher_label(teacher, target.x)
     student = SourceModel.init("student", arch, seed, label_smoothing=0.0)
-    if cfg is not None:
-        train_source([student], [LabeledSet(target.x, labels, arch.num_classes)],
-                     replace(cfg, label_smoothing=0.0), [seed])
+    train_source([student], [LabeledSet(target.x, labels, arch.num_classes)],
+                 replace(cfg, label_smoothing=0.0), [seed])
     agreement = float(np.mean(predict(student.logits(target.x)) == labels))
     return student, agreement
-
-
-def student_config(epochs=30, batch_size=32):
-    return SourceTrainConfig(epochs=epochs, batch_size=batch_size, label_smoothing=0.0)

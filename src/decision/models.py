@@ -1,8 +1,8 @@
 """Per-domain source models: a small feature extractor plus a linear head.
 
-A ``SourceModel`` is six named tensors (``_PARAM_AXES``): the extractor maps
-inputs through two affine layers with a relu between them to features; the
-head is one affine map to class logits. Training (source models, adaptation,
+A ``SourceModel`` is six named float64 arrays (``_PARAM_AXES``): the
+extractor maps inputs through two affine layers with a relu between them to
+features; the head is one affine map to class logits. Training (source models, adaptation,
 the distillation student) runs one tape forward, ``tape_logits``, over n
 models' parameters stacked into six (n, ...) tensors: one ``Tape.affine``
 node per layer and a ``relu``. Adaptation keeps the heads frozen by stacking
@@ -11,7 +11,8 @@ n >= 1 equal-size models in lockstep (all the sources of a run, or the single
 distillation student), each on its own data and batch order, and ends every
 step in one ``Tape.im_loss`` node against smoothed (or, with epsilon = 0,
 one-hot) targets, 11 nodes per step at any n. Evaluation and centroid
-computation use the plain-numpy forward, on the same kernels.
+computation use the plain-numpy forward, on the same kernels. Tensors exist
+only on the training side: the stacked parameters and the batch input.
 """
 
 import hashlib
@@ -63,16 +64,21 @@ class SourceTrainConfig:
 
 
 class SourceModel:
-    """One source's network as six tensors, in ``_PARAM_AXES`` order.
+    """One source's network as six float64 arrays, in ``_PARAM_AXES`` order.
 
     The extractor w1 (i, h), b1 (h,), w2 (h, d), b2 (d,) maps inputs through
     two affine layers with a relu between them to features; the head w (d, K),
     b (K,) maps features to class logits. The sizes are read from the shapes.
+    Float64 arrays are kept as given, not copied; a value that is not finite
+    raises ValueError naming the parameter.
     """
 
     def __init__(self, domain, params, label_smoothing=0.1):
         self.domain = domain
-        self.params = list(params)
+        self.params = [np.asarray(p, dtype=np.float64) for p in params]
+        for name, p in zip(_PARAM_AXES, self.params):
+            if not np.isfinite(p).all():
+                raise ValueError(f"parameter '{name}' is not finite")
         self.label_smoothing = label_smoothing
 
     @classmethod
@@ -83,7 +89,7 @@ class SourceModel:
         params = []
         for fan_in, fan_out in zip(sizes, sizes[1:]):
             bound = 1.0 / np.sqrt(fan_in)
-            params += [Tensor(rng.uniform(-bound, bound, shape), requires_grad=True)
+            params += [rng.uniform(-bound, bound, shape)
                        for shape in ((fan_in, fan_out), (fan_out,))]
         return cls(domain, params, label_smoothing)
 
@@ -103,7 +109,7 @@ class SourceModel:
 
     def features(self, x):
         """Plain-numpy extractor forward for evaluation paths."""
-        w1, b1, w2, b2 = (p.values for p in self.params[:4])
+        w1, b1, w2, b2 = self.params[:4]
         if x.shape[1] != w1.shape[0]:
             raise ShapeMismatchError(f"input dim {x.shape[1]} != {w1.shape[0]}")
         h = kernels.relu_fwd(kernels.matmul_nn(x, w1) + b1)
@@ -111,7 +117,7 @@ class SourceModel:
 
     def head_logits(self, feats):
         w, b = self.params[4:]
-        return kernels.matmul_nn(feats, w.values) + b.values
+        return kernels.matmul_nn(feats, w) + b
 
     def logits(self, x):
         return self.head_logits(self.features(x))
@@ -136,21 +142,19 @@ class SourceStack:
     The extractors become (n, in, h), (n, h), (n, h, d) and (n, d) tensors,
     trainable only when ``requires_grad``; the frozen heads become (n, d, K)
     and (n, K) constants. The inputs are copied, never mutated. ``models``
-    are per-source SourceModels (constant heads) whose tensors are views of
-    row j of the stacked tensors: an optimizer that updates ``values`` in
-    place, as SgdMomentum does, keeps every view current, so the numpy
-    evaluation paths, checkpoints and teachers read the adapted parameters
-    without copies. Replacing a stacked tensor's ``values`` would detach them.
+    are per-source SourceModels whose arrays are row j of the stacked
+    tensors' ``values``: an optimizer that updates ``values`` in place, as
+    SgdMomentum does, keeps every view current, so the numpy evaluation
+    paths, checkpoints and teachers read the adapted parameters without
+    copies. Replacing a stacked tensor's ``values`` would detach them.
     """
 
     def __init__(self, models, requires_grad=True):
         check_compatible(models)
         self.params = _stacked_params(models, 4 if requires_grad else 0)
-        self.models = [
-            SourceModel(m.domain, [Tensor(t.values[j], requires_grad=t.requires_grad)
-                                   for t in self.params], m.label_smoothing)
-            for j, m in enumerate(models)
-        ]
+        self.models = [SourceModel(m.domain, [t.values[j] for t in self.params],
+                                   m.label_smoothing)
+                       for j, m in enumerate(models)]
 
     def extractor_params(self):
         return self.params[:4]
@@ -162,17 +166,17 @@ def _stacked_params(models, trainable):
     for kind in kinds:
         if any(p.shape != kind[0].shape for p in kind):
             raise ShapeMismatchError(f"cannot stack shapes {[p.shape for p in kind]}")
-    return [Tensor(np.stack([p.values for p in kind]), requires_grad=i < trainable)
+    return [Tensor(np.stack(kind), requires_grad=i < trainable)
             for i, kind in enumerate(kinds)]
 
 
 def tape_logits(tape, params, x):
-    """Logits of an input batch x (b, i) on the tape: the one training forward,
+    """Per-source logits (n, b, K) on the tape: the one training forward,
     three ``Tape.affine`` layers with a ``relu`` after the first.
 
-    ``params`` are one model's ``params`` (gives (b, K)) or n stacked ones,
-    as in ``SourceStack.params`` (gives per-source (n, b, K)); with stacked
-    params, x may also be per-source batches (n, b, i).
+    ``params`` are n models' parameters stacked into six (n, ...) tensors, as
+    in ``SourceStack.params`` (n may be 1); x is one batch (b, i) that every
+    source sees, or per-source batches (n, b, i).
     """
     w1, b1, w2, b2, w, b = params
     h = tape.relu(tape.affine(Tensor(x), w1, b1))
@@ -255,7 +259,7 @@ def train_source(models, datasets, cfg, shuffle_seeds):
     metrics = []
     for j, (model, data) in enumerate(zip(models, datasets)):
         for p, stacked in zip(model.params, params):
-            p.values[...] = stacked.values[j]
+            p[...] = stacked.values[j]
         metrics.append({
             "train_accuracy": float(np.mean(predict(model.logits(data.x)) == data.y)),
             "epoch_losses": epoch_losses[:, j].tolist(),
@@ -271,8 +275,8 @@ def save_checkpoint(model, path):
         "domain": model.domain,
         "label_smoothing": model.label_smoothing,
         "params": {
-            name: {"shape": list(t.values.shape), "values": t.values.ravel().tolist()}
-            for name, t in zip(_PARAM_AXES, model.params)
+            name: {"shape": list(p.shape), "values": p.ravel().tolist()}
+            for name, p in zip(_PARAM_AXES, model.params)
         },
     }
     with open(path, "w") as fh:
@@ -282,8 +286,9 @@ def save_checkpoint(model, path):
 
 def load_checkpoint(path):
     """Read a model. Text that is not JSON, a wrong version, a missing field or
-    parameter, values that do not fit their shape, or shapes that do not chain
-    as (i, h), (h,), (h, d), (d,), (d, K), (K,) raise CheckpointError."""
+    parameter, values that do not fit their shape or are not finite, or shapes
+    that do not chain as (i, h), (h,), (h, d), (d,), (d, K), (K,) raise
+    CheckpointError."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -295,7 +300,7 @@ def load_checkpoint(path):
     for key in ("domain", "label_smoothing"):
         if key not in doc:
             raise CheckpointError(f"{path}: missing field '{key}'")
-    params, sizes, tensors = doc.get("params"), {}, []
+    params, sizes, arrays = doc.get("params"), {}, []
     for name, axes in _PARAM_AXES.items():
         try:
             entry = params[name]
@@ -303,19 +308,22 @@ def load_checkpoint(path):
             raise CheckpointError(f"{path}: missing parameter '{name}'") from None
         try:
             vals = np.asarray(entry["values"], dtype=np.float64).reshape(entry["shape"])
-            tensors.append(Tensor(vals, requires_grad=True))
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"{path}: parameter '{name}': {exc}") from None
         if vals.ndim != len(axes) or any(sizes.setdefault(ax, n) != n
                                          for ax, n in zip(axes, vals.shape)):
             raise CheckpointError(f"{path}: parameter '{name}' has shape {vals.shape}, "
                                   f"which does not chain with the others")
-    return SourceModel(doc["domain"], tensors, doc["label_smoothing"])
+        arrays.append(vals)
+    try:
+        return SourceModel(doc["domain"], arrays, doc["label_smoothing"])
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
 
 
 def classifier_checksum(model):
     """SHA-256 over the head's raw parameter bytes."""
     h = hashlib.sha256()
     for p in model.params[4:]:
-        h.update(np.ascontiguousarray(p.values).tobytes())
+        h.update(np.ascontiguousarray(p).tobytes())
     return h.hexdigest()

@@ -18,9 +18,9 @@ from . import config as config_mod
 from . import kernels
 from .adaptation import adapt, soft_ensemble_accuracy, weights_only_adapt
 from .data import generate_domain, split_train_eval
-from .distill import TeacherView, student_config, train_student
-from .models import (CheckpointError, SourceModel, accuracy, load_checkpoint,
-                     save_checkpoint, train_source)
+from .distill import TeacherView, train_student
+from .models import (CheckpointError, SourceModel, SourceTrainConfig, accuracy,
+                     load_checkpoint, save_checkpoint, train_source)
 
 METHOD_ORDER = ("Source-best", "Source-worst", "SHOT-best", "SHOT-worst",
                 "SHOT-Ens", "DECISION-weights", "DECISION", "DECISION-distill")
@@ -213,7 +213,7 @@ def run_adapt(cfg, out, ckpt_dir=None):
         teacher = TeacherView(decision_res.models, decision_res.alpha)
         student, agreement = train_student(
             teacher, target,
-            student_config(cfg.distill_epochs, cfg.adaptation.batch_size),
+            SourceTrainConfig(epochs=cfg.distill_epochs, batch_size=cfg.adaptation.batch_size),
             seed=seeds["student"],
         )
         methods["DECISION-distill"] = accuracy([student], [1.0], tgt_eval)
@@ -257,7 +257,8 @@ def run_distill(cfg, out, run_dir=None):
     tgt_eval = generate_domain(cfg.target_spec)
     student, agreement = train_student(
         teacher, tgt_train.inputs_only(),
-        student_config(cfg.distill_epochs, cfg.adaptation.batch_size), seed=seeds["student"],
+        SourceTrainConfig(epochs=cfg.distill_epochs, batch_size=cfg.adaptation.batch_size),
+        seed=seeds["student"],
     )
     doc = {
         "teacher_accuracy": accuracy(models, teacher.alpha, tgt_eval),
@@ -272,17 +273,11 @@ def run_distill(cfg, out, run_dir=None):
 # -- aggregation ----------------------------------------------------------------
 
 def _average_ranks(v):
-    v = np.asarray(v, dtype=np.float64)
-    order = np.argsort(v, kind="stable")
-    ranks = np.empty(len(v))
-    i = 0
-    while i < len(v):
-        j = i
-        while j + 1 < len(v) and v[order[j + 1]] == v[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks; tied values share the mean of the ranks they span."""
+    _, group, counts = np.unique(np.asarray(v, dtype=np.float64),
+                                 return_inverse=True, return_counts=True)
+    last = np.cumsum(counts)  # rank of the last value in each group of ties
+    return (last - (counts - 1) / 2.0)[group]
 
 
 def spearman(a, b):

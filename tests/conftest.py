@@ -1,6 +1,5 @@
 import numpy as np
 
-from decision.autodiff import Tensor
 from decision.models import ModelConfig, SourceModel
 
 
@@ -19,8 +18,7 @@ def constant_logit_model(bias, input_dim=2, name="const"):
     k = len(bias)
     d = 3
     shapes = ((input_dim, 4), (4,), (4, d), (d,), (d, k))
-    params = [Tensor(np.zeros(shape), requires_grad=True) for shape in shapes]
-    return SourceModel(name, params + [Tensor(bias.copy(), requires_grad=True)])
+    return SourceModel(name, [np.zeros(shape) for shape in shapes] + [bias.copy()])
 
 
 def finite_diff(f, params, h=1e-5):

@@ -12,15 +12,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from decision.adaptation import (AdaptationConfig, AggregationWeights, adapt,
-                                 objective, prediction_label_entropy,
+from decision.adaptation import (AdaptationConfig, adapt, objective,
+                                 prediction_label_entropy,
                                  soft_ensemble_accuracy, weights_only_adapt)
 from decision.autodiff import Tape, Tensor
 from decision.config import moons_fixture
 from decision.data import generate_domain, split_train_eval
-from decision.distill import TeacherView, student_config, train_student
-from decision.models import (SourceModel, SourceStack, accuracy,
-                             classifier_checksum, smoothed_targets,
+from decision.distill import TeacherView, train_student
+from decision.models import (SourceModel, SourceStack, SourceTrainConfig,
+                             accuracy, classifier_checksum, smoothed_targets,
                              train_source)
 from decision.oracle import (density_ratio_weights, uniform_mixture_weights,
                              verify_combination_bound)
@@ -117,7 +117,7 @@ def run_fixture_suite(seed, full=False):
         teacher = TeacherView(dec.models, dec.alpha)
         student, agreement = train_student(
             teacher, target,
-            student_config(cfg.distill_epochs, cfg.adaptation.batch_size),
+            SourceTrainConfig(epochs=cfg.distill_epochs, batch_size=cfg.adaptation.batch_size),
             seed=cfg.seed * 503,
         )
         out["student"] = accuracy([student], [1.0], tgt_eval)
@@ -148,9 +148,7 @@ def test_criterion_1_gradients_of_full_objective(capsys):
         stack = SourceStack([SourceModel.init(f"g{j}", arch, int(rng.integers(0, 2**31)))
                              for j in range(n)])
         w1, b1 = (p.values for p in stack.params[:2])
-        weights = AggregationWeights(n)
-        weights.raw.values[:] = rng.standard_normal(n)
-        weights.refresh()
+        raw = Tensor(rng.standard_normal(n), requires_grad=True)
         cfg = AdaptationConfig(lambda_pl=float(rng.uniform(0.0, 1.0)))
         b = int(rng.integers(4, 9))
         while True:  # keep relu preactivations away from the finite-diff kink
@@ -162,12 +160,12 @@ def test_criterion_1_gradients_of_full_objective(capsys):
 
         def f():
             tape = Tape()
-            loss, _ = objective(tape, stack, weights, x, labels, cfg)
+            loss, _ = objective(tape, stack, raw, x, labels, cfg)
             return loss
 
         loss = f()
         loss._node[0].backward(loss)
-        params = [weights.raw] + stack.extractor_params()
+        params = [raw] + stack.extractor_params()
         analytic = [p.grad for p in params]
         for p in params:
             p.grad = None
@@ -187,7 +185,8 @@ def test_criterion_2_closed_form_losses(capsys):
     from conftest import constant_logit_model
 
     uniform = SourceStack([constant_logit_model([0.0, 0.0, 0.0, 0.0])])
-    _, terms = objective(Tape(), uniform, AggregationWeights(1), np.zeros((5, 2)), None,
+    _, terms = objective(Tape(), uniform, Tensor(np.zeros(1), requires_grad=True),
+                         np.zeros((5, 2)), None,
                          AdaptationConfig(use_diversity=False, lambda_pl=0.0))
     l_ent = terms["L_ent"]
     assert l_ent == pytest.approx(math.log(4.0), abs=1e-12)

@@ -5,11 +5,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from decision import adaptation
-from decision.adaptation import (AdaptationConfig, AggregationWeights,
-                                 PseudoLabelState, adapt, alpha_project,
-                                 assign_pseudo_labels, loss_coefficients,
-                                 objective, prediction_label_entropy,
+from decision import adaptation, kernels
+from decision.adaptation import (DISTANCE_MODES, AdaptationConfig, adapt,
+                                 alpha_project, assign_pseudo_labels,
+                                 loss_coefficients, objective,
+                                 prediction_label_entropy,
                                  soft_ensemble_predict, update_pseudo_labels,
                                  weights_only_adapt)
 from decision.autodiff import ShapeMismatchError, Tape, Tensor
@@ -41,21 +41,10 @@ def test_alpha_project_random_draws_stay_on_simplex():
         assert abs(a.sum() - 1.0) < 1e-12
 
 
-def test_aggregation_weights_start_uniform_and_refresh():
-    w = AggregationWeights(4)
-    np.testing.assert_allclose(w.alpha, 0.25, atol=0.0)
-    w.raw.values[:] = [1.0, 0.0, 0.0, -1.0]
-    stale = w.alpha.copy()
-    refreshed = w.refresh()
-    assert not np.array_equal(stale, refreshed)
-    np.testing.assert_allclose(refreshed, alpha_project(w.raw.values), atol=0.0)
-
-
 def test_tape_simplex_matches_numpy_projection():
-    w = AggregationWeights(3)
-    w.raw.values[:] = [0.7, -0.2, 1.4]
-    w.refresh()
-    np.testing.assert_allclose(Tape().simplex(w.raw).values, w.alpha, atol=1e-15)
+    raw = Tensor([0.7, -0.2, 1.4])
+    np.testing.assert_allclose(Tape().simplex(raw).values, alpha_project(raw.values),
+                               atol=1e-15)
 
 
 # -- loss closed forms ------------------------------------------------------------
@@ -66,12 +55,9 @@ def _terms(models, x, labels=None, raw=None, **toggles):
     ``raw`` sets the raw ensemble weights (default: uniform alpha); the
     pseudo-label term is off unless ``lambda_pl`` is given.
     """
-    weights = AggregationWeights(len(models))
-    if raw is not None:
-        weights.raw.values[:] = raw
-        weights.refresh()
+    raw = Tensor(np.zeros(len(models)) if raw is None else raw, requires_grad=True)
     cfg = AdaptationConfig(**{"lambda_pl": 0.0, **toggles})
-    return objective(Tape(), SourceStack(models), weights, x, labels, cfg)[1]
+    return objective(Tape(), SourceStack(models), raw, x, labels, cfg)[1]
 
 
 def _im_term(logits, labels, *coefs):
@@ -196,7 +182,7 @@ def test_identical_models_make_loss_invariant_to_alpha():
 
 def _manual_forward(model, x):
     """Independent numpy forward pass (no shared kernels)."""
-    w1, b1, w2, b2, w, b = (p.values for p in model.params)
+    w1, b1, w2, b2, w, b = model.params
     h = np.maximum(x.dot(w1) + b1, 0.0)
     feats = h.dot(w2) + b2
     return feats, feats.dot(w) + b
@@ -208,47 +194,72 @@ def _manual_softmax(logits):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def test_round0_centroids_match_brute_force_on_six_point_fixture():
-    models = make_models(2, seed=33, arch=None)
-    rng = np.random.default_rng(9)
-    x = rng.standard_normal((6, 3))
-    alpha = np.array([0.6, 0.4])
-    state = update_pseudo_labels(models, alpha, x, refinement_rounds=0)
-
-    K = models[0].num_classes
-    per_source = []
+def _brute_force_round0(models, x):
+    """Every source's features (n, N, d) and round-0 centroids (n, K, d), one
+    class at a time."""
+    feats, cents = [], []
     for m in models:
-        feats, logits = _manual_forward(m, x)
-        probs = _manual_softmax(logits)
-        cents = np.array([
-            (probs[:, k : k + 1] * feats).sum(axis=0) / probs[:, k].sum()
-            for k in range(K)
-        ])
-        per_source.append(cents)
-    per_source = np.array(per_source)
-    combined = alpha[0] * per_source[0] + alpha[1] * per_source[1]
-    np.testing.assert_allclose(state.per_source, per_source, atol=1e-12)
-    np.testing.assert_allclose(state.combined, combined, atol=1e-12)
+        f, logits = _manual_forward(m, x)
+        p = _manual_softmax(logits)
+        feats.append(f)
+        cents.append([(p[:, k : k + 1] * f).sum(axis=0) / p[:, k].sum()
+                      for k in range(m.num_classes)])
+    return np.array(feats), np.array(cents)
 
-    # labels: exhaustive argmin over alpha-combined per-source distances
-    feats = [ _manual_forward(m, x)[0] for m in models ]
-    for i in range(6):
-        dists = [
-            sum(alpha[j] * np.sum((feats[j][i] - per_source[j][k]) ** 2)
-                for j in range(2))
-            for k in range(K)
-        ]
-        assert state.labels[i] == int(np.argmin(dists))
+
+def _pseudo_label_rounds(monkeypatch, *args, **kwargs):
+    """``update_pseudo_labels``'s labels, and the (fallback, centroids) pair of
+    each of its centroid rounds in order."""
+    rounds = []
+    source_centroids = adaptation._source_centroids
+
+    def recording(feats, weights, fallback):
+        rounds.append((fallback, source_centroids(feats, weights, fallback)))
+        return rounds[-1][1]
+
+    with monkeypatch.context() as m:
+        m.setattr(adaptation, "_source_centroids", recording)
+        labels = update_pseudo_labels(*args, **kwargs)
+    return labels, rounds
+
+
+def test_round0_centroids_match_brute_force_on_six_point_fixture(monkeypatch):
+    models = make_models(2, seed=33, arch=None)
+    alpha = np.array([0.6, 0.4])
+    for x_seed in (9, 11):  # the two distance modes disagree on the second draw only
+        x = np.random.default_rng(x_seed).standard_normal((6, 3))
+        feats, per_source = _brute_force_round0(models, x)
+        labels, [(_, cents)] = _pseudo_label_rounds(monkeypatch, models, alpha, x,
+                                                    refinement_rounds=0)
+        np.testing.assert_allclose(cents, per_source, atol=1e-12)
+
+        # labels: exhaustive argmin over alpha-combined per-source distances, and
+        # over the alpha-combined feature's distances to the combined centroids
+        combined_labels = update_pseudo_labels(models, alpha, x, 0, mode="combined-feature")
+        combined = alpha[0] * per_source[0] + alpha[1] * per_source[1]
+        mean_feat = alpha[0] * feats[0] + alpha[1] * feats[1]
+        for i in range(6):
+            dists = [
+                sum(alpha[j] * np.sum((feats[j][i] - per_source[j][k]) ** 2)
+                    for j in range(2))
+                for k in range(models[0].num_classes)
+            ]
+            assert labels[i] == int(np.argmin(dists))
+            assert combined_labels[i] == int(np.argmin(((mean_feat[i] - combined) ** 2).sum(1)))
+    assert not np.array_equal(labels, combined_labels)
 
 
 def test_vertex_alpha_keeps_single_source_centroids():
+    # at alpha = (1, 0) the combination is source 0's centroids: its labels alone
     models = make_models(2, seed=40)
     x = np.random.default_rng(11).standard_normal((10, 3))
-    state = update_pseudo_labels(models, [1.0, 0.0], x, refinement_rounds=0)
-    np.testing.assert_allclose(state.combined, state.per_source[0], atol=1e-15)
+    for mode in DISTANCE_MODES:
+        np.testing.assert_array_equal(
+            update_pseudo_labels(models, [1.0, 0.0], x, refinement_rounds=0, mode=mode),
+            update_pseudo_labels(models[:1], [1.0], x, refinement_rounds=0, mode=mode))
 
 
-def test_one_hot_predictions_give_class_mean_centroids():
+def test_one_hot_predictions_give_class_mean_centroids(monkeypatch):
     # scale the classifier until every row's logit margin exceeds 200, which
     # makes the round-0 soft weights one-hot to far below double precision
     models = make_models(1, seed=50)
@@ -257,24 +268,24 @@ def test_one_hot_predictions_give_class_mean_centroids():
     sorted_rows = np.sort(logits, axis=1)
     min_gap = float(np.min(sorted_rows[:, -1] - sorted_rows[:, -2]))
     for head_param in m.params[4:]:
-        head_param.values *= 200.0 / min_gap
+        head_param *= 200.0 / min_gap
     x = np.random.default_rng(13).standard_normal((12, 3))
     feats = m.features(x)
     hard = np.argmax(m.head_logits(feats), axis=1)
-    state = update_pseudo_labels(models, [1.0], x, refinement_rounds=0)
+    _, [(_, cents)] = _pseudo_label_rounds(monkeypatch, models, [1.0], x, refinement_rounds=0)
     for k in range(m.num_classes):
         if (hard == k).any():
-            np.testing.assert_allclose(
-                state.per_source[0, k], feats[hard == k].mean(axis=0), atol=1e-12
-            )
+            np.testing.assert_allclose(cents[0, k], feats[hard == k].mean(axis=0), atol=1e-12)
 
 
-def test_round0_class_with_underflowed_probability_gets_the_mean_feature():
+def test_round0_class_with_underflowed_probability_gets_the_mean_feature(monkeypatch):
     models = make_models(1, seed=51)
-    models[0].params[5].values[1] -= 1e4  # head bias: p(class 1) is exactly 0 everywhere
+    models[0].params[5][1] -= 1e4  # head bias: p(class 1) is exactly 0 everywhere
     x = np.random.default_rng(14).standard_normal((12, 3))
-    state = update_pseudo_labels(models, [1.0], x, refinement_rounds=0)
-    np.testing.assert_array_equal(state.per_source[0, 1], models[0].features(x).mean(axis=0))
+    feats = models[0].features(x)
+    assert not kernels.softmax_rows(models[0].head_logits(feats))[:, 1].any()
+    _, [(_, cents)] = _pseudo_label_rounds(monkeypatch, models, [1.0], x, refinement_rounds=0)
+    np.testing.assert_array_equal(cents[0, 1], feats.mean(axis=0))
 
 
 def _one_source_centroids(feats, weights, fallback):
@@ -310,13 +321,11 @@ def test_assignment_picks_coinciding_centroid_and_breaks_ties_low():
         [[2.0, 2.0], [-3.0, 0.0], [4.0, 1.0]],
     ])
     alpha = np.array([0.5, 0.5])
-    state = PseudoLabelState(per_source, np.einsum("j,jkd->kd", alpha, per_source),
-                             np.zeros(2, np.int64), alpha)
     feats = np.stack([
         np.array([per_source[0, 2], [0.0, 0.0]]),
         np.array([per_source[1, 2], [0.0, 0.0]]),
     ])
-    labels = assign_pseudo_labels(state, feats)
+    labels = assign_pseudo_labels(feats, per_source, alpha, "per-source")
     assert labels[0] == 2  # zero distance in every source
     # second point: make classes 0 and 1 exactly tied, both better than class 2
     d = ((per_source[:, :, :] - 0.0) ** 2).sum(axis=2)  # per-source distances from origin
@@ -326,20 +335,20 @@ def test_assignment_picks_coinciding_centroid_and_breaks_ties_low():
 
 def test_tie_breaks_toward_smaller_class_index():
     per_source = np.array([[[1.0, 0.0], [-1.0, 0.0]]])  # symmetric about origin
-    alpha = np.array([1.0])
-    state = PseudoLabelState(per_source, per_source[0], np.zeros(1, np.int64), alpha)
-    labels = assign_pseudo_labels(state, np.zeros((1, 1, 2)))
-    assert labels[0] == 0
+    for mode in DISTANCE_MODES:
+        labels = assign_pseudo_labels(np.zeros((1, 1, 2)), per_source, np.array([1.0]), mode)
+        assert labels[0] == 0
 
 
-def test_single_source_reduces_to_nearest_centroid():
+def test_single_source_reduces_to_nearest_centroid(monkeypatch):
     models = make_models(1, seed=60)
     x = np.random.default_rng(17).standard_normal((9, 3))
-    state = update_pseudo_labels(models, [1.0], x, refinement_rounds=1)
+    labels, rounds = _pseudo_label_rounds(monkeypatch, models, [1.0], x, refinement_rounds=1)
+    cents = rounds[-1][1][0]
     feats = models[0].features(x)
     for i in range(9):
-        dists = ((feats[i] - state.per_source[0]) ** 2).sum(axis=1)
-        assert state.labels[i] == int(np.argmin(dists))
+        dists = ((feats[i] - cents) ** 2).sum(axis=1)
+        assert labels[i] == int(np.argmin(dists))
 
 
 def test_refinement_reaches_fixed_point_on_separated_clusters():
@@ -348,19 +357,20 @@ def test_refinement_reaches_fixed_point_on_separated_clusters():
     models = make_models(2, seed=70, arch=None)
     one = update_pseudo_labels(models, [0.5, 0.5], x, refinement_rounds=1)
     two = update_pseudo_labels(models, [0.5, 0.5], x, refinement_rounds=2)
-    assert np.array_equal(one.labels, two.labels)
+    assert np.array_equal(one, two)
 
 
-def test_empty_refined_class_keeps_previous_centroid():
+def test_empty_refined_class_keeps_previous_centroid(monkeypatch):
     # identical inputs collapse every centroid onto one feature point; all ties
     # break to class 0, so classes 1 and 2 are empty at round 1
     models = make_models(1, seed=80)
     x = np.zeros((8, 3))
     r0 = update_pseudo_labels(models, [1.0], x, refinement_rounds=0)
-    r1 = update_pseudo_labels(models, [1.0], x, refinement_rounds=1)
-    assert set(np.unique(r0.labels)) == {0}
-    assert np.array_equal(r1.per_source[0, 1], r0.per_source[0, 1])
-    assert np.array_equal(r1.per_source[0, 2], r0.per_source[0, 2])
+    assert set(np.unique(r0)) == {0}
+    _, [(_, round0), (fallback, refined)] = _pseudo_label_rounds(monkeypatch, models, [1.0], x,
+                                                                 refinement_rounds=1)
+    assert fallback is round0
+    assert np.array_equal(refined[0, 1:], round0[0, 1:])
 
 
 def test_combined_feature_distance_mode_matches_per_source_at_n1():
@@ -368,16 +378,14 @@ def test_combined_feature_distance_mode_matches_per_source_at_n1():
     x = np.random.default_rng(31).standard_normal((14, 3))
     a = update_pseudo_labels(models, [1.0], x, 1, mode="per-source")
     b = update_pseudo_labels(models, [1.0], x, 1, mode="combined-feature")
-    assert np.array_equal(a.labels, b.labels)
+    assert np.array_equal(a, b)
 
 
 # -- objective gradients -----------------------------------------------------------
 
 def test_objective_gradient_through_raw_alpha_matches_finite_differences():
     models = make_models(2, seed=95)
-    weights = AggregationWeights(2)
-    weights.raw.values[:] = [0.4, -0.3]
-    weights.refresh()
+    raw = Tensor([0.4, -0.3], requires_grad=True)
     x = np.random.default_rng(37).standard_normal((6, 3))
     labels = np.random.default_rng(38).integers(0, 3, 6)
     cfg = AdaptationConfig()
@@ -386,12 +394,12 @@ def test_objective_gradient_through_raw_alpha_matches_finite_differences():
 
     def f():
         t = Tape()
-        loss, _ = objective(t, stack, weights, x, labels, cfg)
+        loss, _ = objective(t, stack, raw, x, labels, cfg)
         return loss
 
     loss = f()
     loss._node[0].backward(loss)
-    params = [weights.raw] + stack.extractor_params()
+    params = [raw] + stack.extractor_params()
     analytic = [p.grad for p in params]
     numeric = finite_diff(lambda: f().item(), params)
     assert max_rel_err(analytic, numeric) < 1e-4
@@ -403,8 +411,8 @@ def test_objective_on_a_source_stack_records_the_same_node_count_for_any_n():
     counts = []
     for n in (1, 4, 16):
         tape = Tape()
-        objective(tape, SourceStack(make_models(n, seed=96)), AggregationWeights(n), x,
-                  labels, AdaptationConfig())
+        objective(tape, SourceStack(make_models(n, seed=96)),
+                  Tensor(np.zeros(n), requires_grad=True), x, labels, AdaptationConfig())
         counts.append(len(tape))
     assert counts == [12] * 3  # 5 leaves (4 extractor tensors, raw alpha) + 7 ops
 
@@ -414,8 +422,8 @@ def test_source_stack_views_follow_in_place_updates():
     stack = SourceStack(models)
     stack.params[0].values -= 1.0  # how SgdMomentum.step updates parameters
     for m, view in zip(models, stack.models):
-        np.testing.assert_array_equal(view.params[0].values, m.params[0].values - 1.0)
-        assert not any(p.requires_grad for p in view.params[4:])
+        np.testing.assert_array_equal(view.params[0], m.params[0] - 1.0)
+    assert not any(t.requires_grad for t in stack.params[4:])  # the heads are constants
 
 
 # -- the adaptation loop -------------------------------------------------------------
@@ -459,19 +467,37 @@ def test_zero_epoch_adapt_is_identity():
     np.testing.assert_allclose(result.alpha, 0.5, atol=0.0)
     for got, want in zip(result.models, [model, model]):
         for a, b in zip(got.params[:4], want.params[:4]):
-            assert np.array_equal(a.values, b.values)
+            assert np.array_equal(a, b)
     assert result.metrics == []
 
 
 def test_adapt_does_not_mutate_inputs_and_freezes_clones_only():
     model, data = _trained_source()
-    before = [p.values.copy() for p in model.params]
+    before = [p.copy() for p in model.params]
     result = adapt([model], data.inputs_only(), AdaptationConfig(epochs=2, seed=1))
     for p, b in zip(model.params, before):
-        assert np.array_equal(p.values, b)
-    assert all(p.requires_grad for p in model.params)
-    assert not any(p.requires_grad for p in result.models[0].params[4:])
+        assert np.array_equal(p, b)
+    assert not any(np.shares_memory(a, b) for a, b in zip(model.params, result.models[0].params))
     assert classifier_checksum(result.models[0]) == classifier_checksum(model)
+
+
+def test_alpha_starts_uniform_and_follows_the_raw_weights():
+    from conftest import tiny_arch
+    from decision.models import SourceModel
+
+    model, data = _trained_source()
+    models = [model] + [SourceModel.init(f"u{j}", tiny_arch(input_dim=2, num_classes=3), j)
+                        for j in range(3)]
+    assert adapt(models, data.inputs_only(), AdaptationConfig(epochs=0)).alpha.tolist() \
+        == [0.25] * 4
+    seen = []
+    result = adapt(models, data.inputs_only(), AdaptationConfig(epochs=1, seed=0),
+                   on_step=seen.append)
+    # alpha is recomputed from the raw weights after every step, and the
+    # result and the metrics rows carry the last one
+    assert len(seen) == 3 and not np.array_equal(seen[0], seen[1])
+    assert np.array_equal(result.alpha, seen[-1])
+    assert result.metrics[-1]["alpha"] == seen[-1].tolist()
 
 
 def test_single_source_alpha_is_pinned_at_one():
@@ -528,24 +554,31 @@ def test_weights_only_leaves_extractors_untouched():
                                 AdaptationConfig(epochs=2, seed=3))
     for got, want in zip(result.models, (model, twin)):
         for a, b in zip(got.params[:4], want.params[:4]):
-            assert np.array_equal(a.values, b.values)
+            assert np.array_equal(a, b)
 
 
-def test_weights_only_computes_no_extractor_gradients():
+def test_weights_only_computes_no_extractor_gradients(monkeypatch):
     model, data = _trained_source()
-    result = weights_only_adapt([model, copy.deepcopy(model)], data.inputs_only(),
-                                AdaptationConfig(epochs=2, seed=3))
-    for m in result.models:
-        assert all(p.grad is None for p in m.params[:4])
+    sizes = []
+    backward = Tape.backward
+
+    def counting(tape, root):
+        sizes.append(len(tape.nodes))
+        return backward(tape, root)
+
+    monkeypatch.setattr(Tape, "backward", counting)
+    weights_only_adapt([model, copy.deepcopy(model)], data.inputs_only(),
+                       AdaptationConfig(epochs=2, seed=3))
+    assert sizes == [4] * 6  # 90 rows in 32-row batches: the raw-weight leaf + 3 ops
     # frozen extractors stay off the tape: only the weights receive a gradient
     stack = SourceStack([model, copy.deepcopy(model)], requires_grad=False)
-    weights = AggregationWeights(2)
+    raw = Tensor(np.zeros(2), requires_grad=True)
     tape = Tape()
-    loss, _ = objective(tape, stack, weights, data.x[:8], np.zeros(8, np.int64),
+    loss, _ = objective(tape, stack, raw, data.x[:8], np.zeros(8, np.int64),
                         AdaptationConfig())
     tape.backward(loss)
     assert all(p.grad is None for p in stack.params)
-    assert weights.raw.grad is not None
+    assert raw.grad is not None
 
 
 def test_metrics_rows_carry_the_contracted_keys():

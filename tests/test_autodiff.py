@@ -18,8 +18,8 @@ from conftest import finite_diff, max_rel_err
 def test_matmul_identity():
     t = Tape()
     a = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    out = t.affine(a, Tensor(np.eye(2)), Tensor(np.zeros(2)))
-    np.testing.assert_array_equal(out.values, [[1.0, 2.0], [3.0, 4.0]])
+    out = t.affine(a, Tensor(np.eye(2)[None]), Tensor(np.zeros((1, 2))))
+    np.testing.assert_array_equal(out.values, [[[1.0, 2.0], [3.0, 4.0]]])
 
 
 def test_relu_and_mean_definitions():
@@ -33,18 +33,18 @@ def test_relu_and_mean_definitions():
 
 def test_matmul_shape_error_names_both_shapes():
     t = Tape()
-    with pytest.raises(ShapeMismatchError, match=r"\(2, 3\) x \(2, 2\) \+ \(2,\)"):
-        t.affine(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 2))), Tensor(np.ones(2)))
+    with pytest.raises(ShapeMismatchError, match=r"\(2, 3\) x \(1, 2, 2\) \+ \(1, 2\)"):
+        t.affine(Tensor(np.ones((2, 3))), Tensor(np.ones((1, 2, 2))), Tensor(np.ones((1, 2))))
 
 
 def test_backward_square():
     # L = -log softmax([x^2, 0])[1] = log(1 + exp(x^2)), so dL/dx = 2x * sigmoid(x^2)
     t = Tape()
-    x = Tensor([[0.75]], requires_grad=True)
-    logits = t.affine(t.affine(x, x, Tensor(np.zeros(1))), Tensor([[1.0, 0.0]]),
-                      Tensor(np.zeros(2)))
-    t.backward(t.im_loss(logits, np.array([[0.0, 1.0]]), 0.0, 0.0, 1.0)[0])
-    assert x.grad[0, 0] == pytest.approx(1.5 * sigmoid(np.array([0.5625]))[0], rel=1e-14)
+    x = Tensor([[[0.75]]], requires_grad=True)  # one model, one row
+    logits = t.affine(t.affine(x, x, Tensor(np.zeros((1, 1)))), Tensor([[[1.0, 0.0]]]),
+                      Tensor(np.zeros((1, 2))))
+    t.backward(t.im_loss(logits, np.array([[[0.0, 1.0]]]), 0.0, 0.0, 1.0)[0])
+    assert x.grad[0, 0, 0] == pytest.approx(1.5 * sigmoid(np.array([0.5625]))[0], rel=1e-14)
 
 
 def test_backward_softmax_cross_entropy_analytic():
@@ -65,20 +65,21 @@ def test_backward_reused_node_accumulates_sum_of_paths():
     # y = x @ x reaches x along two paths: dL/dx = G x^T + x^T G
     rng = np.random.default_rng(66)
     t = Tape()
-    x = Tensor(rng.standard_normal((3, 3)), requires_grad=True)
+    x = Tensor(rng.standard_normal((1, 3, 3)), requires_grad=True)
     q = rng.dirichlet(np.ones(3), size=3)
-    y = t.affine(x, x, Tensor(np.zeros(3)))
-    t.backward(t.im_loss(y, q, 0.0, 0.0, 1.0)[0])
-    g = _soft_target_grad(y.values, q)
-    np.testing.assert_allclose(x.grad, g @ x.values.T + x.values.T @ g, rtol=1e-14, atol=0.0)
+    y = t.affine(x, x, Tensor(np.zeros((1, 3))))
+    t.backward(t.im_loss(y, q[None], 0.0, 0.0, 1.0)[0])
+    g, xv = _soft_target_grad(y.values[0], q), x.values[0]
+    np.testing.assert_allclose(x.grad[0], g @ xv.T + xv.T @ g, rtol=1e-14, atol=0.0)
 
 
 def test_backward_replays_each_node_exactly_once():
     t = Tape()
-    x = Tensor([[1.0, 2.0], [0.5, 1.5]], requires_grad=True)
+    x = Tensor([[[1.0, 2.0], [0.5, 1.5]]], requires_grad=True)
     q = np.array([[0.25, 0.75], [1.0, 0.0]])
     shared = t.relu(x)  # consumed twice by the affine layer below
-    loss = t.im_loss(t.affine(shared, shared, Tensor(np.zeros(2))), q, 0.0, 0.0, 1.0)[0]
+    loss = t.im_loss(t.affine(shared, shared, Tensor(np.zeros((1, 2)))), q[None],
+                     0.0, 0.0, 1.0)[0]
     calls = {}
     for i, node in enumerate(t.nodes):
         if node.backward is None:
@@ -89,8 +90,9 @@ def test_backward_replays_each_node_exactly_once():
         node.backward = counted
     t.backward(loss)
     assert calls and all(count == 1 for count in calls.values())
-    g = _soft_target_grad(x.values @ x.values, q)  # x > 0, so relu passes it through
-    np.testing.assert_allclose(x.grad, g @ x.values.T + x.values.T @ g, rtol=1e-14, atol=0.0)
+    xv = x.values[0]
+    g = _soft_target_grad(xv @ xv, q)  # x > 0, so relu passes it through
+    np.testing.assert_allclose(x.grad[0], g @ xv.T + xv.T @ g, rtol=1e-14, atol=0.0)
 
 
 def test_backward_root_must_be_scalar_and_on_tape():
@@ -107,12 +109,13 @@ def test_backward_root_must_be_scalar_and_on_tape():
 
 
 def _random_mlp_loss(rng, make_tape=True):
-    """3-layer MLP with a soft-target cross-entropy head; returns (f, params)."""
-    shapes = [(4, 6), (6, 5), (5, 3)]
+    """3-layer MLP (a stack of one) with a soft-target cross-entropy head;
+    returns (f, params)."""
+    shapes = [(1, 4, 6), (1, 6, 5), (1, 5, 3)]
     ws = [Tensor(rng.standard_normal(s) * 0.7, requires_grad=True) for s in shapes]
-    bs = [Tensor(rng.standard_normal(s[1]) * 0.3, requires_grad=True) for s in shapes]
+    bs = [Tensor(rng.standard_normal((1, s[2])) * 0.3, requires_grad=True) for s in shapes]
     x = rng.standard_normal((7, 4))
-    targets = rng.dirichlet(np.ones(3), size=7)
+    targets = rng.dirichlet(np.ones(3), size=(1, 7))
 
     def f():
         t = Tape()
@@ -179,9 +182,10 @@ def _bias_shape(w_shape):
     return w_shape[:-2] + w_shape[-1:]
 
 
-# one model's (b, i) x (i, o) + (o,), and the batched (bmm) per-source cases
+# one model as a stack of one, n models on one shared batch, and n models each
+# on its own batch: (b, i) or (n, b, i) x (n, i, o) + (n, o)
 AFFINE_SHAPES = pytest.mark.parametrize(
-    "lhs, rhs", [((5, 3), (3, 2)), ((5, 3), (4, 3, 2)), ((4, 5, 3), (4, 3, 2))],
+    "lhs, rhs", [((5, 3), (1, 3, 2)), ((5, 3), (4, 3, 2)), ((4, 5, 3), (4, 3, 2))],
     ids=["single", "shared", "stacked"])
 
 
@@ -232,6 +236,7 @@ def test_bmm_shape_errors():
         ((5, 3), (4, 2, 2)),  # inner sizes differ
         ((3, 5, 2), (4, 2, 2)),  # source counts differ
         ((4, 5, 3), (3, 2)),  # stacked lhs with an unstacked rhs
+        ((5, 3), (3, 2)),  # one model's unstacked weights
         ((3,), (3, 2)),  # 1-d operands
         ((2, 3), (3,)),
         ((1, 4, 5, 3), (4, 3, 2)),  # more than one leading axis
@@ -240,8 +245,8 @@ def test_bmm_shape_errors():
             Tape().affine(Tensor(np.ones(lhs)), Tensor(np.ones(rhs)),
                           Tensor(np.ones(_bias_shape(rhs))))
     for lhs, rhs, bias in [
-        ((5, 3), (3, 2), (3,)),  # bias sized for the inputs, not the outputs
-        ((5, 3), (3, 2), (1, 2)),
+        ((5, 3), (1, 3, 2), (1, 3)),  # bias sized for the inputs, not the outputs
+        ((5, 3), (1, 3, 2), (2,)),  # an unstacked bias
         ((4, 5, 3), (4, 3, 2), (2,)),  # one bias for stacked weights
         ((5, 3), (4, 3, 2), (3, 2)),  # source counts differ
     ]:

@@ -149,6 +149,53 @@ def test_non_finite_domain_parameter_exits_2_without_output(tmp_path, capsys, co
     assert not out.exists()
 
 
+def _set(*path_and_value):
+    """A config edit: sets doc[k1][k2]... = value."""
+    *keys, last, value = path_and_value
+
+    def apply(doc):
+        for key in keys:
+            doc = doc[key]
+        doc[last] = value
+
+    return apply
+
+
+@pytest.mark.parametrize("command, edit, flags, message", [
+    ("train-sources", _set("sources", 0, "translation", [0.5]), [], "translation"),
+    ("adapt", _set("target", "translation", [0.1, 0.2, 0.3]), [], "translation"),
+    ("train-sources", _set("seed", -1), [], "seed"),
+    ("train-sources", _set("sources", 1, "seed", -4), [], "seed"),
+    ("adapt", _set("target", "seed", -2), [], "seed"),
+    ("train-sources", _set("seed", 0), ["--seed", "-3"], "seed"),
+], ids=["one-number-translation", "three-number-translation", "negative-seed",
+        "negative-source-seed", "negative-target-seed", "negative-seed-flag"])
+def test_bad_translation_or_negative_seed_exits_2_without_output(tmp_path, capsys, command,
+                                                                 edit, flags, message):
+    doc = small_config()
+    edit(doc)
+    out = tmp_path / "o"
+    assert main([command, "--config", str(write_config(tmp_path, doc)),
+                 "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+    assert not out.exists()
+
+
+def test_source_with_an_empty_eval_split_is_a_config_error(tmp_path, capsys):
+    doc = small_config()
+    doc["sources"][1]["n"] = 5  # one evaluation row at eval_fraction 0.2
+    config_mod.from_dict(doc)
+    doc["sources"][1]["n"] = 4
+    with pytest.raises(ConfigError, match="'b' has n = 4"):
+        config_mod.from_dict(doc)
+    out = tmp_path / "o"
+    assert main(["train-sources", "--config", str(write_config(tmp_path, doc)),
+                 "--out", str(out)]) == 2
+    assert "eval_fraction" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_io_error_exit_code(tmp_path):
     path = write_config(tmp_path, small_config())
     rc = main(["adapt", "--config", str(path), "--out", str(tmp_path / "empty"),
@@ -179,6 +226,20 @@ def test_malformed_checkpoint_exit_code(trained_run, tmp_path):
     # the checkpoints are read before anything is written
     for name in ("report.json", "config.yaml", "metrics"):
         assert not (run / name).exists()
+
+
+def test_nan_checkpoint_exits_3_before_writing(trained_run, tmp_path, capsys):
+    _, path, out = trained_run
+    ckpts = tmp_path / "checkpoints"
+    shutil.copytree(out / "checkpoints", ckpts)
+    doc = json.loads((ckpts / "a.json").read_text())
+    doc["params"]["extractor.w1"]["values"][2] = float("nan")
+    (ckpts / "a.json").write_text(json.dumps(doc))
+    run = tmp_path / "o"
+    assert main(["adapt", "--config", str(path), "--out", str(run),
+                 "--checkpoints", str(ckpts)]) == 3
+    assert "'extractor.w1' is not finite" in capsys.readouterr().err
+    assert not run.exists()
 
 
 # -- train-sources ---------------------------------------------------------------
@@ -476,6 +537,27 @@ def test_report_aggregates_runs_and_lambda_sweep(trained_run, tmp_path):
 
 def test_report_missing_artifacts_exit_code(tmp_path):
     assert main(["report", str(tmp_path / "nothing"), "--out", str(tmp_path / "r")]) == 3
+
+
+def _loop_average_ranks(v):
+    """Average ranks by walking each run of ties in sorted order."""
+    order = np.argsort(v, kind="stable")
+    ranks = np.empty(len(v))
+    i = 0
+    while i < len(v):
+        j = i
+        while j + 1 < len(v) and v[order[j + 1]] == v[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+def test_average_ranks_equal_the_tie_walking_loop():
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        v = rng.integers(0, int(rng.integers(1, 6)), int(rng.integers(1, 13))) / 4.0
+        np.testing.assert_array_equal(runner._average_ranks(v), _loop_average_ranks(v))
 
 
 def test_spearman_handles_ties_and_degenerate_inputs():

@@ -13,8 +13,6 @@ from decision.models import (CheckpointError, ModelConfig, SourceModel, SourceTr
                              save_checkpoint, smoothed_targets, tape_logits,
                              train_source)
 
-from decision.optim import ParamGroup, SgdMomentum, lr_schedule
-
 from conftest import constant_logit_model, make_models, tiny_arch
 
 
@@ -168,7 +166,7 @@ def test_train_source_is_deterministic():
     def run():
         model = SourceModel.init("det", tiny_arch(input_dim=2, num_classes=3), 7)
         train_source([model], [_blobs(3)], SourceTrainConfig(epochs=3), [7])
-        return [p.values.copy() for p in model.params]
+        return [p.copy() for p in model.params]
 
     for a, b in zip(run(), run()):
         assert np.array_equal(a, b)
@@ -190,30 +188,6 @@ def test_train_source_rejects_empty_dataset():
         train_source([model, wide], [_blobs(0), _blobs(1)], SourceTrainConfig(), [0, 1])
 
 
-def _train_alone_2d(model, data, cfg, shuffle_seed):
-    """The single-model trainer on 2-d tensors: per-epoch seeded permutation,
-    32-row slices with the short last batch kept, smoothed targets, momentum SGD."""
-    params = model.params
-    opt = SgdMomentum([ParamGroup(params, cfg.lr, cfg.weight_decay)], momentum=cfg.momentum)
-    n_batches = -(-len(data) // cfg.batch_size)
-    step, epoch_losses = 0, []
-    for epoch in range(cfg.epochs):
-        perm = np.random.default_rng(shuffle_seed * 1_000_003 + epoch).permutation(len(data))
-        losses = []
-        for start in range(0, len(data), cfg.batch_size):
-            idx = perm[start : start + cfg.batch_size]
-            t = Tape()
-            q = smoothed_targets(data.y[idx], model.num_classes, cfg.label_smoothing)
-            loss = t.im_loss(tape_logits(t, params, data.x[idx]), q, 0.0, 0.0, 1.0)[0]
-            t.backward(loss)
-            opt.step(lr_factor=lr_schedule(1.0, step / max(1, cfg.epochs * n_batches - 1)))
-            opt.zero_grad()
-            losses.append(loss.item())
-            step += 1
-        epoch_losses.append(float(np.mean(losses)))
-    return epoch_losses
-
-
 def test_stacked_training_is_bit_identical_to_training_each_model_alone():
     # 70 rows in 32-row batches: every epoch ends in a 6-row batch
     cfg = SourceTrainConfig(epochs=4, batch_size=32)
@@ -227,15 +201,13 @@ def test_stacked_training_is_bit_identical_to_training_each_model_alone():
 
     stacked = fresh()
     got = train_source(stacked, data, cfg, seeds)
-    alone, alone_2d = fresh(), fresh()
+    alone = fresh()
     for j in range(3):
         (ref,) = train_source([alone[j]], [data[j]], cfg, [seeds[j]])
         assert got[j]["epoch_losses"] == ref["epoch_losses"]
         assert got[j]["train_accuracy"] == ref["train_accuracy"]
-        assert got[j]["epoch_losses"] == _train_alone_2d(alone_2d[j], data[j], cfg, seeds[j])
-        for a, b, c in zip(stacked[j].params, alone[j].params, alone_2d[j].params):
-            np.testing.assert_array_equal(a.values, b.values)
-            np.testing.assert_array_equal(a.values, c.values)
+        for a, b in zip(stacked[j].params, alone[j].params):
+            np.testing.assert_array_equal(a, b)
 
 
 @pytest.mark.parametrize("n", [1, 4, 16])
@@ -269,7 +241,7 @@ def test_checkpoint_roundtrip_and_byte_stability(tmp_path):
     loaded = load_checkpoint(p1)
     assert loaded.label_smoothing == 0.1
     for a, b in zip(loaded.params, model.params):
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
 
 def test_checkpoint_version_is_enforced(tmp_path):
@@ -300,6 +272,18 @@ def test_checkpoint_missing_parameter_is_named(tmp_path):
         load_checkpoint(path)
 
 
+def test_non_finite_parameters_are_rejected(tmp_path):
+    params = SourceModel.init("f", tiny_arch(), 0).params
+    params[3][1] = np.nan
+    with pytest.raises(ValueError, match="'extractor.b2' is not finite"):
+        SourceModel("f", params)
+    path, doc = _saved_doc(tmp_path)
+    doc["params"]["classifier.w"]["values"][0] = float("inf")
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointError, match=r"m\.json: parameter 'classifier\.w' is not finite"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_shapes_must_chain(tmp_path):
     path, doc = _saved_doc(tmp_path)
     # a (3, 4) head after a 3-dim feature layer is consistent on its own, but
@@ -320,21 +304,25 @@ def test_tape_logits_for_one_model_and_for_a_stack():
 
     models = make_models(3, seed=8)
     x = np.random.default_rng(9).standard_normal((5, 3))
-    stack = SourceStack(models)
     t1, tn = Tape(), Tape()
-    stacked = tape_logits(tn, stack.params, x).values
+    stacked = tape_logits(tn, SourceStack(models).params, x).values
     assert stacked.shape == (3, 5, 3)
     for j, m in enumerate(models):
-        single = tape_logits(t1 if j == 0 else Tape(), m.params, x).values
-        np.testing.assert_allclose(single, m.logits(x), rtol=1e-14)
-        np.testing.assert_allclose(stacked[j], single, rtol=1e-14)
+        single = tape_logits(t1 if j == 0 else Tape(), SourceStack([m]).params, x).values
+        assert single.shape == (1, 5, 3)
+        np.testing.assert_allclose(single[0], m.logits(x), rtol=1e-14)
+        np.testing.assert_allclose(stacked[j], single[0], rtol=1e-14)
     ops = [[n.op for n in t.nodes if n.leaf is None] for t in (t1, tn)]
     assert ops[0] == ops[1] == ["affine", "relu", "affine", "affine"]
+    # one model's unstacked (2-d) weights are not a stack
+    w1, b1 = models[0].params[:2]
+    with pytest.raises(ShapeMismatchError, match="affine"):
+        Tape().affine(Tensor(x), Tensor(w1), Tensor(b1))
 
 
 def test_frozen_classifier_checksum_is_parameter_sensitive():
     model = SourceModel.init("sum", tiny_arch(), 3)
     before = classifier_checksum(model)
     assert classifier_checksum(copy.deepcopy(model)) == before
-    model.params[5].values[0] += 1e-12  # the head bias
+    model.params[5][0] += 1e-12  # the head bias
     assert classifier_checksum(model) != before
