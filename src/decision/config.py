@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 import yaml
 
 from .adaptation import AdaptationConfig
-from .data import GENERATOR_CLASSES, DomainSpec
+from .data import GENERATOR_CLASSES, DomainSpec, eval_rows
 from .models import ModelConfig, SourceTrainConfig
 
 
@@ -62,7 +62,7 @@ class ExperimentConfig:
         if not 0.0 < self.eval_fraction < 1.0:
             raise ConfigError(f"eval_fraction must be in (0, 1), got {self.eval_fraction}")
         for name, spec in zip(self.source_names, self.source_specs):
-            if int(spec.n * self.eval_fraction) == 0:
+            if eval_rows(spec.n, self.eval_fraction) == 0:
                 raise ConfigError(f"sources: '{name}' has n = {spec.n}, which leaves no "
                                   f"evaluation rows at eval_fraction {self.eval_fraction}")
         if self.distill_epochs < 1:

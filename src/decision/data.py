@@ -130,10 +130,15 @@ def generate_domain(spec):
     return LabeledSet(x, y, spec.num_classes)
 
 
+def eval_rows(n, eval_fraction):
+    """Rows the eval split of an n-row set gets: floor(n * fraction)."""
+    return int(n * eval_fraction)
+
+
 def split_train_eval(ls, eval_fraction=0.2, seed=0):
-    """Seeded permutation split; eval gets floor(n * fraction) rows."""
+    """Seeded permutation split; eval gets ``eval_rows(len(ls), fraction)`` rows."""
     perm = np.random.default_rng(seed).permutation(len(ls))
-    n_eval = int(len(ls) * eval_fraction)
+    n_eval = eval_rows(len(ls), eval_fraction)
     tr, ev = perm[n_eval:], perm[:n_eval]
     return (
         LabeledSet(ls.x[tr], ls.y[tr], ls.num_classes),

@@ -12,6 +12,7 @@ from decision.models import (CheckpointError, ModelConfig, SourceModel, SourceTr
                              classifier_checksum, load_checkpoint, predict,
                              save_checkpoint, smoothed_targets, tape_logits,
                              train_source)
+from decision.optim import ParamGroup, SgdMomentum, lr_schedule
 
 from conftest import constant_logit_model, make_models, tiny_arch
 
@@ -188,6 +189,34 @@ def test_train_source_rejects_empty_dataset():
         train_source([model, wide], [_blobs(0), _blobs(1)], SourceTrainConfig(), [0, 1])
 
 
+def _train_alone(model, data, cfg, shuffle_seed):
+    """The reference trainer for one model, as a stack of one: per-epoch seeded
+    permutation, 32-row slices with the short last batch kept, smoothed targets,
+    the lr schedule, momentum SGD and the per-epoch mean of the batch losses.
+    Copies the trained rows back into the model's arrays."""
+    params = [Tensor(p[None].copy(), requires_grad=True) for p in model.params]
+    opt = SgdMomentum([ParamGroup(params, cfg.lr, cfg.weight_decay)], momentum=cfg.momentum)
+    n_batches = -(-len(data) // cfg.batch_size)
+    step, epoch_losses = 0, []
+    for epoch in range(cfg.epochs):
+        perm = np.random.default_rng(shuffle_seed * 1_000_003 + epoch).permutation(len(data))
+        losses = []
+        for start in range(0, len(data), cfg.batch_size):
+            idx = perm[start : start + cfg.batch_size]
+            t = Tape()
+            q = smoothed_targets(data.y[idx], model.num_classes, cfg.label_smoothing)
+            loss = t.im_loss(tape_logits(t, params, data.x[idx]), q[None], 0.0, 0.0, 1.0)[0]
+            t.backward(loss)
+            opt.step(lr_factor=lr_schedule(1.0, step / max(1, cfg.epochs * n_batches - 1)))
+            opt.zero_grad()
+            losses.append(loss.item())
+            step += 1
+        epoch_losses.append(float(np.mean(losses)))
+    for p, t in zip(model.params, params):
+        p[...] = t.values[0]
+    return epoch_losses
+
+
 def test_stacked_training_is_bit_identical_to_training_each_model_alone():
     # 70 rows in 32-row batches: every epoch ends in a 6-row batch
     cfg = SourceTrainConfig(epochs=4, batch_size=32)
@@ -201,13 +230,15 @@ def test_stacked_training_is_bit_identical_to_training_each_model_alone():
 
     stacked = fresh()
     got = train_source(stacked, data, cfg, seeds)
-    alone = fresh()
+    alone, reference = fresh(), fresh()
     for j in range(3):
         (ref,) = train_source([alone[j]], [data[j]], cfg, [seeds[j]])
         assert got[j]["epoch_losses"] == ref["epoch_losses"]
         assert got[j]["train_accuracy"] == ref["train_accuracy"]
-        for a, b in zip(stacked[j].params, alone[j].params):
+        assert got[j]["epoch_losses"] == _train_alone(reference[j], data[j], cfg, seeds[j])
+        for a, b, c in zip(stacked[j].params, alone[j].params, reference[j].params):
             np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(a, c)
 
 
 @pytest.mark.parametrize("n", [1, 4, 16])
