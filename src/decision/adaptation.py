@@ -14,7 +14,10 @@ is recomputed after each optimizer step and checked to lie on the probability
 simplex. The objective is one batched forward, one ``Tape.simplex`` node for
 the weights and one fused ``Tape.im_loss`` node for the loss, with the
 pseudo-labels as one-hot targets; evaluation and pseudo-labels run the
-plain-numpy forward of each per-source view.
+plain-numpy forward of each per-source view. The epochs run in
+``optim.run_epochs``, the loop source training also uses; ``adapt`` supplies
+the objective, the pseudo-label refresh at each epoch's start, the alpha
+update after each step and the metrics row after each epoch.
 """
 
 from dataclasses import dataclass, field
@@ -22,11 +25,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .autodiff import ShapeMismatchError, Tape, Tensor, sigmoid
+from .autodiff import ShapeMismatchError, Tensor, sigmoid
 from .data import UnlabeledSet
 from .models import (SourceStack, accuracy, aggregate_logits, check_compatible,
                      predict, tape_logits)
-from .optim import ParamGroup, SgdMomentum, lr_schedule
+from .optim import (ParamGroup, SgdMomentum, check_lr, check_momentum, check_weight_decay,
+                    run_epochs)
 
 DISTANCE_MODES = ("per-source", "combined-feature")
 
@@ -53,6 +57,10 @@ class AdaptationConfig:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
+        check_lr(self.lr_backbone, "lr_backbone")
+        check_lr(self.lr_alpha, "lr_alpha")
+        check_momentum(self.momentum)
+        check_weight_decay(self.weight_decay)
         if self.distance_mode not in DISTANCE_MODES:
             raise ValueError(f"distance_mode must be one of {DISTANCE_MODES}")
         if self.refinement_rounds < 0:
@@ -193,43 +201,36 @@ def adapt(models, target, cfg, eval_set=None, on_step=None, optimize_features=Tr
     adapted = stack.models
     raw = Tensor(np.zeros(len(adapted)), requires_grad=True)  # uniform alpha
     result = AdaptationResult(adapted, alpha_project(raw.values))
-    if cfg.epochs == 0:
-        return result
-
     groups = []
     if optimize_features:
         groups.append(ParamGroup(stack.extractor_params(), cfg.lr_backbone, cfg.weight_decay))
     groups.append(ParamGroup([raw], cfg.lr_alpha, 0.0))  # no decay pull on raw weights
     opt = SgdMomentum(groups, momentum=cfg.momentum)
 
-    n = len(target)
-    n_batches = (n + cfg.batch_size - 1) // cfg.batch_size
-    total_steps = cfg.epochs * n_batches
-    step = 0
-    for epoch in range(cfg.epochs):
-        labels = update_pseudo_labels(
-            adapted, result.alpha, target.x, cfg.refinement_rounds, cfg.distance_mode
-        )
+    def epoch_arrays(epoch):
+        labels = update_pseudo_labels(adapted, result.alpha, target.x,
+                                      cfg.refinement_rounds, cfg.distance_mode)
         # epoch-level mean embedding: diagnostic only; optimization uses the
         # per-batch estimate inside the objective's diversity term
         result.epoch_pbar.append(mean_prediction(adapted, result.alpha, target.x))
-        perm = np.random.default_rng(cfg.seed * 1_000_003 + epoch).permutation(n)
+        return [target.x[None], labels[None]]
+
+    def step_loss(tape, xb, lb):  # one batch order: the source axis has length 1
+        return objective(tape, stack, raw, xb[0], lb[0], cfg)
+
+    def after_step():
+        result.alpha = alpha_project(raw.values)
+        _check_simplex(result.alpha)
+        if on_step is not None:
+            on_step(result.alpha.copy())
+
+    for epoch, terms in run_epochs(opt, cfg.epochs, cfg.batch_size, [cfg.seed],
+                                   epoch_arrays, step_loss, after_step):
         sums = {"L_ent": 0.0, "L_div": 0.0, "L_pl": 0.0, "L_tot": 0.0}
-        for start in range(0, n, cfg.batch_size):
-            idx = perm[start : start + cfg.batch_size]
-            tape = Tape()
-            l_tot, terms = objective(tape, stack, raw, target.x[idx], labels[idx], cfg)
-            tape.backward(l_tot)
-            opt.step(lr_factor=lr_schedule(1.0, step / max(1, total_steps - 1)))
-            opt.zero_grad()
-            result.alpha = alpha_project(raw.values)
-            _check_simplex(result.alpha)
-            if on_step is not None:
-                on_step(result.alpha.copy())
+        for step_terms in terms:
             for key in sums:
-                sums[key] += terms[key]
-            step += 1
-        row = {key: sums[key] / n_batches for key in sums}
+                sums[key] += step_terms[key]
+        row = {key: sums[key] / len(terms) for key in sums}
         row["epoch"] = epoch + 1
         row["alpha"] = [float(a) for a in result.alpha]
         row["target_accuracy"] = (

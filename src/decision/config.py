@@ -6,7 +6,7 @@ in the file and converted to radians internally.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import yaml
 
@@ -112,6 +112,13 @@ def _check_keys(section, mapping, allowed):
         raise ConfigError(f"{section}: unknown key(s) {sorted(unknown)}")
 
 
+def _integer(name, value):
+    """``value`` if it is a YAML integer; a float (2.0 too) or a boolean raises TypeError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _need(section, mapping, key):
     if key not in mapping:
         raise ConfigError(f"{section}: missing required field '{key}'")
@@ -126,8 +133,8 @@ def _parse_domain(section, raw, default_name):
     try:
         spec = DomainSpec(
             kind=kind,
-            n=int(_need(section, raw, "n")),
-            seed=int(_need(section, raw, "seed")),
+            n=_integer("n", _need(section, raw, "n")),
+            seed=_integer("seed", _need(section, raw, "seed")),
             rotation=math.radians(float(raw.get("rotation_deg", 0.0))),
             translation=tuple(raw.get("translation", (0.0, 0.0))),
             noise_std=float(raw.get("noise_std", 0.1)),
@@ -158,6 +165,9 @@ def from_dict(doc):
         raw = doc.get(section, {})
         _check_keys(section, raw, keys)
         try:
+            for f in fields(ctor):
+                if f.type is int and f.name in raw:
+                    _integer(f.name, raw[f.name])
             return ctor(**raw, **extra)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{section}: {exc}") from None
@@ -176,7 +186,7 @@ def from_dict(doc):
     _check_keys("distill", raw_distill, _DISTILL_KEYS)
     try:
         cfg = ExperimentConfig(
-            seed=int(doc.get("seed", 0)),
+            seed=_integer("seed", doc.get("seed", 0)),
             source_specs=specs,
             source_names=names,
             target_spec=target,
@@ -185,7 +195,7 @@ def from_dict(doc):
             source_training=training,
             adaptation=adaptation,
             baselines=baselines,
-            distill_epochs=int(raw_distill.get("epochs", 150)),
+            distill_epochs=_integer("distill.epochs", raw_distill.get("epochs", 150)),
         )
     except ConfigError:
         raise

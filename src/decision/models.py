@@ -2,15 +2,16 @@
 
 A ``SourceModel`` is six named float64 arrays (``_PARAM_AXES``): the
 extractor maps inputs through two affine layers with a relu between them to
-features; the head is one affine map to class logits. Training (source models, adaptation,
-the distillation student) runs one tape forward, ``tape_logits``, over n
-models' parameters stacked into six (n, ...) tensors: one ``Tape.affine``
-node per layer and a ``relu``. Adaptation keeps the heads frozen by stacking
-them as constants. ``train_source`` is the one supervised trainer: it steps
-n >= 1 equal-size models in lockstep (all the sources of a run, or the single
-distillation student), each on its own data and batch order, and ends every
-step in one ``Tape.im_loss`` node against smoothed (or, with epsilon = 0,
-one-hot) targets, 11 nodes per step at any n. Evaluation and centroid
+features; the head is one affine map to class logits. Training (source models,
+adaptation, the distillation student) steps in ``optim.run_epochs`` and runs
+one tape forward, ``tape_logits``, over n models' parameters stacked into six
+(n, ...) tensors: one ``Tape.affine`` node per layer and a ``relu``.
+Adaptation keeps the heads frozen by stacking them as constants.
+``train_source`` is the one supervised trainer: it hands the loop n >= 1
+equal-size models (all the sources of a run, or the single distillation
+student), each with its own data and batch order, and a step loss of one
+``Tape.im_loss`` node against smoothed (or, with epsilon = 0, one-hot)
+targets, 11 nodes per step at any n. Evaluation and centroid
 computation use the plain-numpy forward, on the same kernels. Tensors exist
 only on the training side: the stacked parameters and the batch input.
 """
@@ -22,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .autodiff import ShapeMismatchError, Tape, Tensor
-from .data import stacked_batches
-from .optim import ParamGroup, SgdMomentum, lr_schedule
+from .autodiff import ShapeMismatchError, Tensor
+from .optim import (ParamGroup, SgdMomentum, check_lr, check_momentum, check_weight_decay,
+                    run_epochs)
 
 CHECKPOINT_VERSION = "decision-ckpt-v1"
 
@@ -59,6 +60,11 @@ class SourceTrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch size must be >= 1")
+        check_lr(self.lr)
+        check_momentum(self.momentum)
+        check_weight_decay(self.weight_decay)
         if not 0.0 <= self.label_smoothing < 1.0:
             raise ValueError("label smoothing must be in [0, 1)")
 
@@ -240,22 +246,13 @@ def train_source(models, datasets, cfg, shuffle_seeds):
     q = smoothed_targets(np.stack([d.y for d in datasets]), models[0].num_classes,
                          cfg.label_smoothing)
     opt = SgdMomentum([ParamGroup(params, cfg.lr, cfg.weight_decay)], momentum=cfg.momentum)
-    total_steps = cfg.epochs * -(-size // cfg.batch_size)
-    step = 0
     epoch_losses = np.empty((cfg.epochs, n))
-    for epoch in range(cfg.epochs):
-        losses = []
-        seeds = [s * 1_000_003 + epoch for s in shuffle_seeds]
-        for xb, qb in stacked_batches([x, q], cfg.batch_size, seeds):
-            tape = Tape()
-            loss, (_, _, l_pl) = tape.im_loss(tape_logits(tape, params, xb), qb, 0.0, 0.0, 1.0)
-            tape.backward(loss)
-            opt.step(lr_factor=lr_schedule(1.0, step / max(1, total_steps - 1)))
-            opt.zero_grad()
-            losses.append(l_pl)
-            step += 1
-        # one 1-d mean per model: a mean over axis 0 would sum in another order
-        epoch_losses[epoch] = [np.mean(per_model) for per_model in np.transpose(losses)]
+    for epoch, terms in run_epochs(
+            opt, cfg.epochs, cfg.batch_size, shuffle_seeds, lambda epoch: [x, q],
+            lambda tape, xb, qb: tape.im_loss(tape_logits(tape, params, xb), qb, 0.0, 0.0, 1.0)):
+        # one 1-d mean of L_pl per model: a mean over axis 0 would sum in another order
+        epoch_losses[epoch] = [np.mean(per_model) for per_model in np.transpose(
+            [l_pl for _, _, l_pl in terms])]
     metrics = []
     for j, (model, data) in enumerate(zip(models, datasets)):
         for p, stacked in zip(model.params, params):

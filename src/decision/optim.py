@@ -1,10 +1,12 @@
-"""SGD with momentum and coupled weight decay, plus the polynomial lr decay."""
+"""SGD with momentum and coupled weight decay, the polynomial lr decay, and
+``run_epochs``, the training loop of every trainer in the package."""
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import ShapeMismatchError, Tensor
+from .autodiff import ShapeMismatchError, Tape, Tensor
+from .data import stacked_batches
 
 
 def lr_schedule(initial, progress):
@@ -17,6 +19,21 @@ def lr_schedule(initial, progress):
     return initial * (1.0 + 10.0 * progress) ** (-0.75)
 
 
+def check_lr(lr, name="lr"):
+    if not lr > 0.0:  # NaN fails too
+        raise ValueError(f"{name} must be > 0, got {lr}")
+
+
+def check_weight_decay(weight_decay):
+    if not weight_decay >= 0.0:
+        raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
+
+
+def check_momentum(momentum):
+    if not 0.0 <= momentum < 1.0:
+        raise ValueError(f"momentum must be in [0, 1), got {momentum}")
+
+
 @dataclass
 class ParamGroup:
     params: list
@@ -24,10 +41,8 @@ class ParamGroup:
     weight_decay: float = 1e-3
 
     def __post_init__(self):
-        if self.lr <= 0.0:
-            raise ValueError(f"learning rate must be > 0, got {self.lr}")
-        if self.weight_decay < 0.0:
-            raise ValueError(f"weight decay must be >= 0, got {self.weight_decay}")
+        check_lr(self.lr)
+        check_weight_decay(self.weight_decay)
 
 
 @dataclass
@@ -44,8 +59,7 @@ class SgdMomentum:
     _velocity: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
+        check_momentum(self.momentum)
         for group in self.groups:
             for p in group.params:
                 if not isinstance(p, Tensor):
@@ -72,3 +86,28 @@ class SgdMomentum:
         for group in self.groups:
             for p in group.params:
                 p.grad = None
+
+
+def run_epochs(opt, epochs, batch_size, seeds, epoch_arrays, step_loss, after_step=None):
+    """Yield ``(epoch, terms)`` after each epoch: ``epoch_arrays(epoch)`` gives
+    (n, N, ...) arrays, source j's rows shuffled by ``seeds[j] * 1_000_003 +
+    epoch``; per batch, ``step_loss(tape, *batch)`` returns ``(loss, step_terms)``
+    on a fresh tape, then backward, a step at the decayed lr and ``after_step()``.
+    ``terms`` lists the epoch's ``step_terms`` in step order."""
+    step = 0
+    for epoch in range(epochs):
+        arrays = epoch_arrays(epoch)
+        total_steps = epochs * -(-arrays[0].shape[1] // batch_size)
+        terms = []
+        for batch in stacked_batches(arrays, batch_size,
+                                     [s * 1_000_003 + epoch for s in seeds]):
+            tape = Tape()
+            loss, step_terms = step_loss(tape, *batch)
+            tape.backward(loss)
+            opt.step(lr_factor=lr_schedule(1.0, step / max(1, total_steps - 1)))
+            opt.zero_grad()
+            if after_step is not None:
+                after_step()
+            terms.append(step_terms)
+            step += 1
+        yield epoch, terms

@@ -14,7 +14,8 @@ from decision.adaptation import (DISTANCE_MODES, AdaptationConfig, adapt,
                                  weights_only_adapt)
 from decision.autodiff import ShapeMismatchError, Tape, Tensor
 from decision.data import DomainSpec, generate_domain
-from decision.models import SourceStack, classifier_checksum
+from decision.models import SourceStack, accuracy, classifier_checksum
+from decision.optim import ParamGroup, SgdMomentum, lr_schedule
 
 from conftest import constant_logit_model, finite_diff, make_models, max_rel_err
 
@@ -595,6 +596,70 @@ def test_metrics_rows_carry_the_contracted_keys():
     for pbar in result.epoch_pbar:
         assert pbar.shape == (model.num_classes,)
         assert pbar.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def _adapt_alone(models, target, cfg, eval_set, optimize_features):
+    """The reference adaptation loop: pseudo-labels at each epoch's start, a
+    seeded permutation sliced into batches with the short last batch kept, one
+    tape per step, the lr schedule, momentum SGD, alpha projected after every
+    step, and per-epoch rows of the step terms summed in step order. Returns
+    (models, alpha, metrics rows, alpha after every step)."""
+    stack = SourceStack(models, requires_grad=optimize_features)
+    raw = Tensor(np.zeros(len(models)), requires_grad=True)
+    alpha = alpha_project(raw.values)
+    groups = []
+    if optimize_features:
+        groups.append(ParamGroup(stack.extractor_params(), cfg.lr_backbone, cfg.weight_decay))
+    groups.append(ParamGroup([raw], cfg.lr_alpha, 0.0))
+    opt = SgdMomentum(groups, momentum=cfg.momentum)
+    n = len(target)
+    n_batches = -(-n // cfg.batch_size)
+    step, metrics, trace = 0, [], []
+    for epoch in range(cfg.epochs):
+        labels = update_pseudo_labels(stack.models, alpha, target.x, cfg.refinement_rounds,
+                                      cfg.distance_mode)
+        perm = np.random.default_rng(cfg.seed * 1_000_003 + epoch).permutation(n)
+        sums = dict.fromkeys(("L_ent", "L_div", "L_pl", "L_tot"), 0.0)
+        for start in range(0, n, cfg.batch_size):
+            idx = perm[start : start + cfg.batch_size]
+            tape = Tape()
+            l_tot, terms = objective(tape, stack, raw, target.x[idx], labels[idx], cfg)
+            tape.backward(l_tot)
+            opt.step(lr_factor=lr_schedule(1.0, step / max(1, cfg.epochs * n_batches - 1)))
+            opt.zero_grad()
+            alpha = alpha_project(raw.values)
+            trace.append(alpha.copy())
+            for key in sums:
+                sums[key] += terms[key]
+            step += 1
+        row = {key: sums[key] / n_batches for key in sums}
+        row["epoch"] = epoch + 1
+        row["alpha"] = [float(a) for a in alpha]
+        row["target_accuracy"] = accuracy(stack.models, alpha, eval_set)
+        metrics.append(row)
+    return stack.models, alpha, metrics, trace
+
+
+@pytest.mark.parametrize("optimize_features", [True, False], ids=["adapt", "weights-only"])
+@pytest.mark.parametrize("n", [1, 3])
+def test_adapt_is_bit_identical_to_the_reference_loop(n, optimize_features):
+    # 70 target rows in 8-row batches: nine steps per epoch, the last of 6 rows
+    sources = [_trained_source(seed)[0] for seed in range(n)]
+    target = _blob_domain(seed=7, n=70)
+    cfg = AdaptationConfig(epochs=3, batch_size=8, seed=4)
+    trace = []
+    run = adapt if optimize_features else weights_only_adapt
+    result = run(sources, target.inputs_only(), cfg, eval_set=target, on_step=trace.append)
+    models, alpha, metrics, ref_trace = _adapt_alone(sources, target.inputs_only(), cfg,
+                                                     target, optimize_features)
+    assert len(trace) == len(ref_trace) == 27
+    for got, want in zip(trace, ref_trace):
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(result.alpha, alpha)
+    assert result.metrics == metrics
+    for got, want in zip(result.models, models):
+        for a, b in zip(got.params, want.params):
+            np.testing.assert_array_equal(a, b)
 
 
 # -- soft ensemble --------------------------------------------------------------------

@@ -427,3 +427,28 @@ def test_every_public_tape_op_is_called_from_the_package():
                 called.add(node.func.attr)
     assert ops == {"affine", "relu", "weighted_sum", "simplex", "im_loss"}
     assert ops <= called, f"tape ops no module calls: {sorted(ops - called)}"
+
+
+def test_only_the_shared_loop_builds_tapes_and_steps_optimizers():
+    # one training loop owns the batch order, the lr decay and the tape per
+    # step; a second copy would have to be kept in step with it by hand
+    src = Path(__file__).resolve().parents[1] / "src" / "decision"
+    watched = {"Tape", "lr_schedule", "stacked_batches", "backward", "step", "zero_grad"}
+    callers = {name: set() for name in watched}
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                f = child.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name in watched:
+                    callers[name].add(scope)
+            inner = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+            visit(child, f"{scope}.{child.name}" if inner else scope)
+
+    for path in src.glob("*.py"):
+        visit(ast.parse(path.read_text()), path.stem)
+    loop = {"optim.run_epochs"}
+    # the tape's own backward replays each recorded node's backward
+    assert callers == {**{name: loop for name in watched},
+                       "backward": loop | {"autodiff.Tape.backward"}}

@@ -168,8 +168,27 @@ def _set(*path_and_value):
     ("train-sources", _set("sources", 1, "seed", -4), [], "seed"),
     ("adapt", _set("target", "seed", -2), [], "seed"),
     ("train-sources", _set("seed", 0), ["--seed", "-3"], "seed"),
+    # integer fields take YAML integers only: no truncation, no booleans
+    ("train-sources", _set("adaptation", "batch_size", 16.5), [], "batch_size"),
+    ("adapt", _set("seed", 2.7), [], "seed must be an integer"),
+    ("train-sources", _set("sources", 0, "n", 80.9), [], "n must be an integer"),
+    ("adapt", _set("distill", "epochs", 1.9), [], "distill.epochs"),
+    ("train-sources", _set("model", "hidden_dim", True), [], "hidden_dim"),
+    # optimizer settings are checked at load, not at the first step
+    ("train-sources", _set("source_training", "batch_size", 0), [], "batch size"),
+    ("train-sources", _set("source_training", "lr", 0), [], "lr must be > 0"),
+    ("adapt", _set("adaptation", "lr_backbone", 0), [], "lr_backbone"),
+    ("adapt", _set("adaptation", "lr_alpha", 0), [], "lr_alpha"),
+    ("train-sources", _set("source_training", "momentum", 1.0), [], "momentum"),
+    ("adapt", _set("adaptation", "momentum", 1.0), [], "momentum"),
+    ("train-sources", _set("source_training", "weight_decay", -1), [], "weight_decay"),
+    ("adapt", _set("adaptation", "weight_decay", -1), [], "weight_decay"),
 ], ids=["one-number-translation", "three-number-translation", "negative-seed",
-        "negative-source-seed", "negative-target-seed", "negative-seed-flag"])
+        "negative-source-seed", "negative-target-seed", "negative-seed-flag",
+        "float-batch-size", "float-seed", "float-n", "float-distill-epochs",
+        "boolean-hidden-dim", "zero-source-batch-size", "zero-source-lr",
+        "zero-lr-backbone", "zero-lr-alpha", "source-momentum-one", "adapt-momentum-one",
+        "negative-source-weight-decay", "negative-adapt-weight-decay"])
 def test_bad_translation_or_negative_seed_exits_2_without_output(tmp_path, capsys, command,
                                                                  edit, flags, message):
     doc = small_config()
