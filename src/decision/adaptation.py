@@ -11,13 +11,14 @@ step together as one ``SourceStack``: its heads are constants, so gradients
 flow only into the stacked feature extractors and into the raw ensemble
 weights, an (n,) tensor whose sigmoid-normalized view alpha, a plain array,
 is recomputed after each optimizer step and checked to lie on the probability
-simplex. The objective is one batched forward, one ``Tape.simplex`` node for
-the weights and one fused ``Tape.im_loss`` node for the loss, with the
-pseudo-labels as one-hot targets; evaluation and pseudo-labels run the
-plain-numpy forward of each per-source view. The epochs run in
-``optim.run_epochs``, the loop source training also uses; ``adapt`` supplies
-the objective, the pseudo-label refresh at each epoch's start, the alpha
-update after each step and the metrics row after each epoch.
+simplex. The objective is one batched ``Tape.mlp`` forward, one
+``Tape.simplex`` node for the weights and one fused ``Tape.im_loss`` node for
+the loss, with the pseudo-labels as one-hot targets; evaluation and
+pseudo-labels run the same forward, ``mlp_forward``, in numpy on each
+per-source view. The epochs run in ``optim.run_epochs``, the loop source
+training also uses; ``adapt`` supplies the objective, the pseudo-label refresh
+at each epoch's start, the alpha update after each step and the metrics row
+after each epoch.
 """
 
 from dataclasses import dataclass, field
@@ -25,10 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .autodiff import ShapeMismatchError, Tensor, sigmoid
+from .autodiff import ShapeMismatchError, Tensor, mlp_forward, sigmoid
 from .data import UnlabeledSet
-from .models import (SourceStack, accuracy, aggregate_logits, check_compatible,
-                     predict, tape_logits)
+from .models import SourceStack, accuracy, aggregate_logits, check_compatible, predict
 from .optim import (ParamGroup, SgdMomentum, check_lr, check_momentum, check_weight_decay,
                     run_epochs)
 
@@ -92,7 +92,7 @@ def objective(tape, stack, raw, x, labels, cfg):
     weights ``raw``, an (n,) tensor; ``labels`` may be None when lambda_pl is 0.
     """
     alpha_t = tape.simplex(raw)
-    logits_t = tape.weighted_sum(alpha_t, tape_logits(tape, stack.params, x))
+    logits_t = tape.weighted_sum(alpha_t, tape.mlp(x, stack.params))
     q = None
     if labels is not None:
         if len(labels) != len(x):
@@ -151,8 +151,10 @@ def update_pseudo_labels(models, alpha, x, refinement_rounds=1, mode="per-source
     """
     k, _ = check_compatible(models)
     alpha = np.asarray(alpha, dtype=np.float64)
-    feats = np.stack([m.features(x) for m in models])
-    probs = np.stack([kernels.softmax_rows(m.head_logits(f)) for m, f in zip(models, feats)])
+    # a generator, so no source's (N, h) pre-activation outlives its forward
+    feats, logits = zip(*(mlp_forward(x, m.params)[1:] for m in models))
+    feats = np.stack(feats)
+    probs = np.stack([kernels.softmax_rows(z) for z in logits])
     cents = _source_centroids(feats, probs, None)
     labels = assign_pseudo_labels(feats, cents, alpha, mode)
     for _ in range(refinement_rounds):

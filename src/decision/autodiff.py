@@ -1,22 +1,25 @@
 """Dense float64 tensors with reverse-mode differentiation on an explicit tape.
 
 One optimization run owns one ``Tape``; operations are tape methods so the
-recording scope is always explicit. The tape carries only the five ops the
+recording scope is always explicit. The tape carries only the four ops the
 package calls:
 
-- ``affine`` and ``relu``, the model forward: one ``affine`` node per layer
-  (x @ w + b) over n models' weights stacked on a leading source axis;
+- ``mlp``, the model forward ``mlp_forward`` (affine, relu, affine to
+  features, then the affine head) as one node, over n models' parameters
+  stacked on a leading source axis;
 - ``weighted_sum``, which contracts that axis with the ensemble weights, so a
-  step over n stacked source models records the same nodes for every n: 12
-  in adaptation (five parameter leaves, three ``affine``, ``relu``,
-  ``weighted_sum``, ``simplex``, ``im_loss``), 11 in source training (six
-  leaves, three ``affine``, ``relu``, ``im_loss``);
+  step over n stacked source models records the same nodes for every n: 9
+  in adaptation (five parameter leaves, ``simplex``, ``mlp``,
+  ``weighted_sum``, ``im_loss``), 8 in source training (six leaves, ``mlp``,
+  ``im_loss``);
 - ``simplex``, the sigmoid-normalized ensemble weights, as one node;
 - ``im_loss``, every training loss as one node with an analytic gradient:
   entropy, diversity and a cross-entropy against soft targets (one-hot
   pseudo-labels, smoothed source labels). It also takes a leading source
   axis, summing n independent per-source losses, so n source models train
   in one step. It counts underflowed probabilities as 0 rather than NaN.
+
+Evaluation and pseudo-labels call ``mlp_forward`` in numpy: one forward.
 """
 
 import numpy as np
@@ -49,6 +52,22 @@ def _as_values(data):
     return arr
 
 
+def mlp_forward(x, params):
+    """The model forward in numpy: (pre-activation, features, logits).
+
+    ``params`` are one model's six arrays w1 (i, h), b1 (h,), w2 (h, d),
+    b2 (d,), w (d, K), b (K,), or n models' stacked on a leading axis; x is
+    (b, i), or (n, b, i) for per-model batches. The features are
+    relu(x @ w1 + b1) @ w2 + b2 and the logits features @ w + b.
+    """
+    w1, b1, w2, b2, w, b = params
+    if x.shape[-1] != w1.shape[-2]:
+        raise ShapeMismatchError(f"input dim {x.shape[-1]} != {w1.shape[-2]}")
+    pre = kernels.matmul_nn(x, w1) + b1[..., None, :]
+    feats = kernels.matmul_nn(kernels.relu_fwd(pre), w2) + b2[..., None, :]
+    return pre, feats, kernels.matmul_nn(feats, w) + b[..., None, :]
+
+
 class Tensor:
     """A dense array plus an optional gradient buffer and tape handle."""
 
@@ -66,9 +85,6 @@ class Tensor:
 
     def item(self):
         return float(self.values)
-
-    def zero_grad(self):
-        self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.values.shape}, requires_grad={self.requires_grad})"
@@ -118,31 +134,29 @@ class Tape:
 
     # -- primitive operations ------------------------------------------------
 
-    def affine(self, x, w, b):
-        """One layer x @ w + b for each of n stacked models: weights (n, i, o)
-        and biases (n, o) over one batch (b, i) that every model sees or over
-        per-model batches (n, b, i); gives (n, b, o)."""
-        xv, wv, bv = x.values, w.values, b.values
-        if wv.ndim != 3 or xv.ndim not in (2, 3) or xv.shape[-1] != wv.shape[1] \
-                or xv.shape[:-2] not in ((), wv.shape[:1]) \
-                or bv.shape != (wv.shape[0], wv.shape[2]):
-            raise ShapeMismatchError(f"affine: {x.shape} x {w.shape} + {b.shape}")
-        ix, iw, ib = self._track(x), self._track(w), self._track(b)
+    def mlp(self, x, params):
+        """The logits of ``mlp_forward`` as one node: x is a constant batch,
+        (b, i) shared by every model or (n, b, i), and ``params`` six tensors
+        shaped as ``mlp_forward`` takes them. Constant heads get no gradient.
+        A pre-activation or feature that is not finite raises ValueError, as
+        a recorded value does."""
+        values = [p.values for p in params]
+        pre, feats, logits = mlp_forward(x, values)
+        _as_values(pre)  # relu would hide a -inf
+        _as_values(feats)
+        _, _, w2, _, w, _ = values
+        ids = [self._track(p) for p in params]
 
         def backward(g):
-            gx = gw = gb = None
-            if ix is not None:
-                gx = kernels.matmul_nt(g, wv)
-                if gx.ndim > xv.ndim:  # a shared x gets the sum over sources
-                    gx = gx.sum(axis=0)
-            if iw is not None:
-                gw = kernels.matmul_tn(xv, g)
-            if ib is not None:
-                gb = g.sum(axis=-2)
-            return [gx, gw, gb]
+            gf = kernels.matmul_nt(g, w)
+            gw = kernels.matmul_tn(feats, g) if ids[4] is not None else None
+            gb = g.sum(axis=-2) if ids[5] is not None else None
+            gh = kernels.matmul_nt(gf, w2)
+            gw2, gb2 = kernels.matmul_tn(kernels.relu_fwd(pre), gf), gf.sum(axis=-2)
+            gpre = kernels.relu_bwd(pre, gh)
+            return [kernels.matmul_tn(x, gpre), gpre.sum(axis=-2), gw2, gb2, gw, gb]
 
-        return self._record("affine", kernels.matmul_nn(xv, wv) + bv[..., None, :],
-                            (ix, iw, ib), backward)
+        return self._record("mlp", logits, ids, backward)
 
     def weighted_sum(self, alpha, z):
         """sum_j alpha_j * z_j over the leading axis: (n,), (n, b, k) -> (b, k)."""
@@ -159,13 +173,6 @@ class Tape:
             return [ga, gz]
 
         return self._record("weighted_sum", (av @ flat).reshape(b, k), (ia, iz), backward)
-
-    def relu(self, t):
-        tv = t.values
-        return self._record(
-            "relu", kernels.relu_fwd(tv), (self._track(t),),
-            lambda g: [kernels.relu_bwd(tv, g)],
-        )
 
     def simplex(self, raw):
         """sigmoid(raw) / sum(sigmoid(raw)): raw weights (n,) -> a point on the simplex.

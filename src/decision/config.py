@@ -119,6 +119,13 @@ def _integer(name, value):
     return value
 
 
+def _real(name, value):
+    """``value`` if it is a YAML integer or float; a boolean or a string raises TypeError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return value
+
+
 def _need(section, mapping, key):
     if key not in mapping:
         raise ConfigError(f"{section}: missing required field '{key}'")
@@ -135,10 +142,11 @@ def _parse_domain(section, raw, default_name):
             kind=kind,
             n=_integer("n", _need(section, raw, "n")),
             seed=_integer("seed", _need(section, raw, "seed")),
-            rotation=math.radians(float(raw.get("rotation_deg", 0.0))),
-            translation=tuple(raw.get("translation", (0.0, 0.0))),
-            noise_std=float(raw.get("noise_std", 0.1)),
-            label_corruption=float(raw.get("label_corruption", 0.0)),
+            rotation=math.radians(_real("rotation_deg", raw.get("rotation_deg", 0.0))),
+            translation=tuple(_real("translation", v)
+                              for v in raw.get("translation", (0.0, 0.0))),
+            noise_std=float(_real("noise_std", raw.get("noise_std", 0.1))),
+            label_corruption=float(_real("label_corruption", raw.get("label_corruption", 0.0))),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{section}: {exc}") from None
@@ -166,8 +174,9 @@ def from_dict(doc):
         _check_keys(section, raw, keys)
         try:
             for f in fields(ctor):
-                if f.type is int and f.name in raw:
-                    _integer(f.name, raw[f.name])
+                check = {int: _integer, float: _real}.get(f.type)
+                if check is not None and f.name in raw:
+                    check(f.name, raw[f.name])
             return ctor(**raw, **extra)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{section}: {exc}") from None
@@ -190,7 +199,7 @@ def from_dict(doc):
             source_specs=specs,
             source_names=names,
             target_spec=target,
-            eval_fraction=float(doc.get("eval_fraction", 0.2)),
+            eval_fraction=float(_real("eval_fraction", doc.get("eval_fraction", 0.2))),
             model=model,
             source_training=training,
             adaptation=adaptation,

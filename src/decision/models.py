@@ -2,18 +2,17 @@
 
 A ``SourceModel`` is six named float64 arrays (``_PARAM_AXES``): the
 extractor maps inputs through two affine layers with a relu between them to
-features; the head is one affine map to class logits. Training (source models,
-adaptation, the distillation student) steps in ``optim.run_epochs`` and runs
-one tape forward, ``tape_logits``, over n models' parameters stacked into six
-(n, ...) tensors: one ``Tape.affine`` node per layer and a ``relu``.
-Adaptation keeps the heads frozen by stacking them as constants.
-``train_source`` is the one supervised trainer: it hands the loop n >= 1
-equal-size models (all the sources of a run, or the single distillation
-student), each with its own data and batch order, and a step loss of one
-``Tape.im_loss`` node against smoothed (or, with epsilon = 0, one-hot)
-targets, 11 nodes per step at any n. Evaluation and centroid
-computation use the plain-numpy forward, on the same kernels. Tensors exist
-only on the training side: the stacked parameters and the batch input.
+features; the head is one affine map to class logits. ``autodiff.mlp_forward``
+is the one forward: ``SourceModel.logits`` and the pseudo-labels call it in
+numpy, and training (source models, adaptation, the distillation student)
+records it as one ``Tape.mlp`` node over n models' parameters stacked into
+six (n, ...) tensors, stepping in ``optim.run_epochs``. Adaptation keeps the
+heads frozen by stacking them as constants. ``train_source`` is the one
+supervised trainer: it hands the loop n >= 1 equal-size models (all the
+sources of a run, or the single distillation student), each with its own data
+and batch order, and a step loss of one ``Tape.im_loss`` node against
+smoothed (or, with epsilon = 0, one-hot) targets, 8 nodes per step at any n.
+Tensors exist only on the training side, for the stacked parameters.
 """
 
 import hashlib
@@ -22,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
-from .autodiff import ShapeMismatchError, Tensor
+from .autodiff import ShapeMismatchError, Tensor, mlp_forward
 from .optim import (ParamGroup, SgdMomentum, check_lr, check_momentum, check_weight_decay,
                     run_epochs)
 
@@ -113,20 +111,8 @@ class SourceModel:
     def feature_dim(self):
         return self.params[2].shape[1]
 
-    def features(self, x):
-        """Plain-numpy extractor forward for evaluation paths."""
-        w1, b1, w2, b2 = self.params[:4]
-        if x.shape[1] != w1.shape[0]:
-            raise ShapeMismatchError(f"input dim {x.shape[1]} != {w1.shape[0]}")
-        h = kernels.relu_fwd(kernels.matmul_nn(x, w1) + b1)
-        return kernels.matmul_nn(h, w2) + b2
-
-    def head_logits(self, feats):
-        w, b = self.params[4:]
-        return kernels.matmul_nn(feats, w) + b
-
     def logits(self, x):
-        return self.head_logits(self.features(x))
+        return mlp_forward(x, self.params)[2]
 
 
 def check_compatible(models):
@@ -174,19 +160,6 @@ def _stacked_params(models, trainable):
             raise ShapeMismatchError(f"cannot stack shapes {[p.shape for p in kind]}")
     return [Tensor(np.stack(kind), requires_grad=i < trainable)
             for i, kind in enumerate(kinds)]
-
-
-def tape_logits(tape, params, x):
-    """Per-source logits (n, b, K) on the tape: the one training forward,
-    three ``Tape.affine`` layers with a ``relu`` after the first.
-
-    ``params`` are n models' parameters stacked into six (n, ...) tensors, as
-    in ``SourceStack.params`` (n may be 1); x is one batch (b, i) that every
-    source sees, or per-source batches (n, b, i).
-    """
-    w1, b1, w2, b2, w, b = params
-    h = tape.relu(tape.affine(Tensor(x), w1, b1))
-    return tape.affine(tape.affine(h, w2, b2), w, b)
 
 
 def aggregate_logits(models, alpha, x):
@@ -249,7 +222,7 @@ def train_source(models, datasets, cfg, shuffle_seeds):
     epoch_losses = np.empty((cfg.epochs, n))
     for epoch, terms in run_epochs(
             opt, cfg.epochs, cfg.batch_size, shuffle_seeds, lambda epoch: [x, q],
-            lambda tape, xb, qb: tape.im_loss(tape_logits(tape, params, xb), qb, 0.0, 0.0, 1.0)):
+            lambda tape, xb, qb: tape.im_loss(tape.mlp(xb, params), qb, 0.0, 0.0, 1.0)):
         # one 1-d mean of L_pl per model: a mean over axis 0 would sum in another order
         epoch_losses[epoch] = [np.mean(per_model) for per_model in np.transpose(
             [l_pl for _, _, l_pl in terms])]

@@ -40,7 +40,25 @@ def resolved_seeds(cfg):
 
 
 def _domain_split(cfg, spec):
-    return split_train_eval(generate_domain(spec), cfg.eval_fraction, seed=spec.seed + 1)
+    """A generated domain's seeded (train, eval) split, and the whole domain."""
+    domain = generate_domain(spec)
+    return (*split_train_eval(domain, cfg.eval_fraction, seed=spec.seed + 1), domain)
+
+
+def _target(cfg):
+    """The unlabeled train split adaptation sees, and the whole labeled target
+    domain that accuracy is reported over."""
+    train, _, domain = _domain_split(cfg, cfg.target_spec)
+    return train.inputs_only(), domain
+
+
+def _student(cfg, teacher, target):
+    """The distillation student of ``teacher`` on ``target``, with its agreement."""
+    return train_student(
+        teacher, target,
+        SourceTrainConfig(epochs=cfg.distill_epochs, batch_size=cfg.adaptation.batch_size),
+        seed=resolved_seeds(cfg)["student"],
+    )
 
 
 def _write_json(path, doc):
@@ -79,7 +97,7 @@ def run_train_sources(cfg, out):
     config_mod.save(cfg, out / "config.yaml")
     seeds = resolved_seeds(cfg)
     arch = cfg.resolved_model()
-    splits = [_domain_split(cfg, spec) for spec in cfg.source_specs]
+    splits = [_domain_split(cfg, spec)[:2] for spec in cfg.source_specs]
     models = [SourceModel.init(name, arch, seed, cfg.source_training.label_smoothing)
               for name, seed in zip(cfg.source_names, seeds["model_init"])]
     by_size = {}
@@ -132,11 +150,7 @@ def run_adapt(cfg, out, ckpt_dir=None):
     (out / "metrics").mkdir(parents=True, exist_ok=True)
     config_mod.save(cfg, out / "config.yaml")
     seeds = resolved_seeds(cfg)
-    # adaptation sees the unlabeled train split; accuracy is reported over the
-    # whole target domain (labels exist only on the evaluation side)
-    tgt_train, _ = _domain_split(cfg, cfg.target_spec)
-    tgt_eval = generate_domain(cfg.target_spec)
-    target = tgt_train.inputs_only()
+    target, tgt_eval = _target(cfg)
     toggles = cfg.baselines
 
     uniform = np.full(len(models), 1.0 / len(models))
@@ -211,11 +225,7 @@ def run_adapt(cfg, out, ckpt_dir=None):
 
     if toggles["distill"]:
         teacher = TeacherView(decision_res.models, decision_res.alpha)
-        student, agreement = train_student(
-            teacher, target,
-            SourceTrainConfig(epochs=cfg.distill_epochs, batch_size=cfg.adaptation.batch_size),
-            seed=seeds["student"],
-        )
+        student, agreement = _student(cfg, teacher, target)
         methods["DECISION-distill"] = accuracy([student], [1.0], tgt_eval)
         report["distill_agreement"] = agreement
         save_checkpoint(student, out / "student.json")
@@ -252,14 +262,8 @@ def run_distill(cfg, out, run_dir=None):
     except (KeyError, TypeError, ValueError) as exc:  # text that is not JSON: ValueError
         raise CheckpointError(f"{alpha_path}: not an ensemble weight file: {exc!r}") from None
     out.mkdir(parents=True, exist_ok=True)
-    seeds = resolved_seeds(cfg)
-    tgt_train, _ = _domain_split(cfg, cfg.target_spec)
-    tgt_eval = generate_domain(cfg.target_spec)
-    student, agreement = train_student(
-        teacher, tgt_train.inputs_only(),
-        SourceTrainConfig(epochs=cfg.distill_epochs, batch_size=cfg.adaptation.batch_size),
-        seed=seeds["student"],
-    )
+    target, tgt_eval = _target(cfg)
+    student, agreement = _student(cfg, teacher, target)
     doc = {
         "teacher_accuracy": accuracy(models, teacher.alpha, tgt_eval),
         "student_accuracy": accuracy([student], [1.0], tgt_eval),

@@ -12,7 +12,7 @@ from decision.adaptation import (DISTANCE_MODES, AdaptationConfig, adapt,
                                  prediction_label_entropy,
                                  soft_ensemble_predict, update_pseudo_labels,
                                  weights_only_adapt)
-from decision.autodiff import ShapeMismatchError, Tape, Tensor
+from decision.autodiff import ShapeMismatchError, Tape, Tensor, mlp_forward
 from decision.data import DomainSpec, generate_domain
 from decision.models import SourceStack, accuracy, classifier_checksum
 from decision.optim import ParamGroup, SgdMomentum, lr_schedule
@@ -265,14 +265,14 @@ def test_one_hot_predictions_give_class_mean_centroids(monkeypatch):
     # makes the round-0 soft weights one-hot to far below double precision
     models = make_models(1, seed=50)
     m = models[0]
-    logits = m.head_logits(m.features(np.random.default_rng(13).standard_normal((12, 3))))
+    x = np.random.default_rng(13).standard_normal((12, 3))
+    _, _, logits = mlp_forward(x, m.params)
     sorted_rows = np.sort(logits, axis=1)
     min_gap = float(np.min(sorted_rows[:, -1] - sorted_rows[:, -2]))
     for head_param in m.params[4:]:
         head_param *= 200.0 / min_gap
-    x = np.random.default_rng(13).standard_normal((12, 3))
-    feats = m.features(x)
-    hard = np.argmax(m.head_logits(feats), axis=1)
+    _, feats, logits = mlp_forward(x, m.params)
+    hard = np.argmax(logits, axis=1)
     _, [(_, cents)] = _pseudo_label_rounds(monkeypatch, models, [1.0], x, refinement_rounds=0)
     for k in range(m.num_classes):
         if (hard == k).any():
@@ -283,8 +283,8 @@ def test_round0_class_with_underflowed_probability_gets_the_mean_feature(monkeyp
     models = make_models(1, seed=51)
     models[0].params[5][1] -= 1e4  # head bias: p(class 1) is exactly 0 everywhere
     x = np.random.default_rng(14).standard_normal((12, 3))
-    feats = models[0].features(x)
-    assert not kernels.softmax_rows(models[0].head_logits(feats))[:, 1].any()
+    _, feats, logits = mlp_forward(x, models[0].params)
+    assert not kernels.softmax_rows(logits)[:, 1].any()
     _, [(_, cents)] = _pseudo_label_rounds(monkeypatch, models, [1.0], x, refinement_rounds=0)
     np.testing.assert_array_equal(cents[0, 1], feats.mean(axis=0))
 
@@ -346,7 +346,7 @@ def test_single_source_reduces_to_nearest_centroid(monkeypatch):
     x = np.random.default_rng(17).standard_normal((9, 3))
     labels, rounds = _pseudo_label_rounds(monkeypatch, models, [1.0], x, refinement_rounds=1)
     cents = rounds[-1][1][0]
-    feats = models[0].features(x)
+    feats = mlp_forward(x, models[0].params)[1]
     for i in range(9):
         dists = ((feats[i] - cents) ** 2).sum(axis=1)
         assert labels[i] == int(np.argmin(dists))
@@ -415,7 +415,7 @@ def test_objective_on_a_source_stack_records_the_same_node_count_for_any_n():
         objective(tape, SourceStack(make_models(n, seed=96)),
                   Tensor(np.zeros(n), requires_grad=True), x, labels, AdaptationConfig())
         counts.append(len(tape))
-    assert counts == [12] * 3  # 5 leaves (4 extractor tensors, raw alpha) + 7 ops
+    assert counts == [9] * 3  # 5 leaves (4 extractor tensors, raw alpha) + 4 ops
 
 
 def test_source_stack_views_follow_in_place_updates():

@@ -10,39 +10,45 @@ from hypothesis import strategies as st
 
 from decision import kernels
 from decision.adaptation import alpha_project
-from decision.autodiff import ShapeMismatchError, Tape, TapeError, Tensor, sigmoid
+from decision.autodiff import (ShapeMismatchError, Tape, TapeError, Tensor, mlp_forward,
+                               sigmoid)
 
 from conftest import finite_diff, max_rel_err
 
 
+def _constants(*arrays):
+    return [Tensor(np.asarray(a, dtype=np.float64)) for a in arrays]
+
+
 def test_matmul_identity():
-    t = Tape()
-    a = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    out = t.affine(a, Tensor(np.eye(2)[None]), Tensor(np.zeros((1, 2))))
+    eye, zero = _constants(np.eye(2)[None], np.zeros((1, 2)))
+    out = Tape().mlp(np.array([[1.0, 2.0], [3.0, 4.0]]), [eye, zero] * 3)
     np.testing.assert_array_equal(out.values, [[[1.0, 2.0], [3.0, 4.0]]])
 
 
 def test_relu_and_mean_definitions():
-    t = Tape()
-    assert t.relu(Tensor([-1.0, 0.0, 2.0])).values.tolist() == [0.0, 0.0, 2.0]
+    pre, feats, _ = mlp_forward(np.array([[-1.0, 0.0, 2.0]]), [np.eye(3), np.zeros(3)] * 3)
+    assert pre.tolist() == [[-1.0, 0.0, 2.0]] and feats.tolist() == [[0.0, 0.0, 2.0]]
     # L_pl is the batch mean of -sum_k q_k log p_k: rows of mass 2, 4, 6 at p = 1/2
     q = np.array([[2.0, 0.0], [0.0, 4.0], [3.0, 3.0]])
-    _, (_, _, l_pl) = t.im_loss(Tensor(np.zeros((3, 2))), q, 0.0, 0.0, 1.0)
+    _, (_, _, l_pl) = Tape().im_loss(Tensor(np.zeros((3, 2))), q, 0.0, 0.0, 1.0)
     assert l_pl == pytest.approx(4.0 * math.log(2.0), rel=1e-15)
 
 
 def test_matmul_shape_error_names_both_shapes():
-    t = Tape()
-    with pytest.raises(ShapeMismatchError, match=r"\(2, 3\) x \(1, 2, 2\) \+ \(1, 2\)"):
-        t.affine(Tensor(np.ones((2, 3))), Tensor(np.ones((1, 2, 2))), Tensor(np.ones((1, 2))))
+    # one model's unstacked parameters, i = 2, on inputs of dim 3
+    params = [np.ones(s) for s in ((2, 4), (4,), (4, 3), (3,), (3, 2), (2,))]
+    with pytest.raises(ShapeMismatchError, match=r"input dim 3 != 2"):
+        mlp_forward(np.ones((5, 3)), params)
 
 
 def test_backward_square():
-    # L = -log softmax([x^2, 0])[1] = log(1 + exp(x^2)), so dL/dx = 2x * sigmoid(x^2)
+    # L = -log softmax([x^2, 0])[1] = log(1 + exp(x^2)), so dL/dx = 2x * sigmoid(x^2):
+    # x is both layers of a one-unit extractor on the input 1
     t = Tape()
-    x = Tensor([[[0.75]]], requires_grad=True)  # one model, one row
-    logits = t.affine(t.affine(x, x, Tensor(np.zeros((1, 1)))), Tensor([[[1.0, 0.0]]]),
-                      Tensor(np.zeros((1, 2))))
+    x = Tensor([[[0.75]]], requires_grad=True)  # one model, one unit
+    zero, head, head_b = _constants(np.zeros((1, 1)), [[[1.0, 0.0]]], np.zeros((1, 2)))
+    logits = t.mlp(np.ones((1, 1)), [x, zero, x, zero, head, head_b])
     t.backward(t.im_loss(logits, np.array([[[0.0, 1.0]]]), 0.0, 0.0, 1.0)[0])
     assert x.grad[0, 0, 0] == pytest.approx(1.5 * sigmoid(np.array([0.5625]))[0], rel=1e-14)
 
@@ -55,31 +61,45 @@ def test_backward_softmax_cross_entropy_analytic():
     np.testing.assert_allclose(logits.grad, [[-0.5, 0.5]], atol=1e-15)
 
 
-def _soft_target_grad(y, q):
-    """dL/dy of L = -sum(q * log softmax(y)) / b, as im_loss computes it."""
-    p = np.exp(kernels.log_softmax_rows(y))
-    return (p * q.sum(axis=1, keepdims=True) - q) * (1.0 / len(y))
+def _shared_layer_loss(t, alpha, z, x, rest, q):
+    """A soft-target loss of one model whose two extractor layers are both the
+    node S = weighted_sum(alpha, z), so S reaches the loss along two paths."""
+    s = t.weighted_sum(alpha, z)
+    b1, b2, w, b = rest
+    return t.im_loss(t.mlp(x, [s, b1, s, b2, w, b]), q, 0.0, 0.0, 1.0)[0]
+
+
+def _shared_layer_graph(seed):
+    rng = np.random.default_rng(seed)
+    alpha = Tensor(rng.dirichlet(np.ones(2)), requires_grad=True)
+    z = Tensor(rng.standard_normal((2, 3, 3)), requires_grad=True)
+    rest = _constants(*(rng.standard_normal(s) for s in ((3,), (3,), (3, 2), (2,))))
+    return alpha, z, rng.standard_normal((5, 3)), rest, rng.dirichlet(np.ones(2), size=5)
+
+
+def _sum_of_paths(alpha, z, x, rest, q):
+    """dL/dS as the sum of the gradients of two separate copies of S."""
+    s = alpha.values @ z.values.reshape(2, -1)
+    s1, s2 = (Tensor(s.reshape(3, 3), requires_grad=True) for _ in range(2))
+    b1, b2, w, b = rest
+    t = Tape()
+    t.backward(t.im_loss(t.mlp(x, [s1, b1, s2, b2, w, b]), q, 0.0, 0.0, 1.0)[0])
+    return s1.grad + s2.grad
 
 
 def test_backward_reused_node_accumulates_sum_of_paths():
-    # y = x @ x reaches x along two paths: dL/dx = G x^T + x^T G
-    rng = np.random.default_rng(66)
+    alpha, z, x, rest, q = _shared_layer_graph(66)
     t = Tape()
-    x = Tensor(rng.standard_normal((1, 3, 3)), requires_grad=True)
-    q = rng.dirichlet(np.ones(3), size=3)
-    y = t.affine(x, x, Tensor(np.zeros((1, 3))))
-    t.backward(t.im_loss(y, q[None], 0.0, 0.0, 1.0)[0])
-    g, xv = _soft_target_grad(y.values[0], q), x.values[0]
-    np.testing.assert_allclose(x.grad[0], g @ xv.T + xv.T @ g, rtol=1e-14, atol=0.0)
+    t.backward(_shared_layer_loss(t, alpha, z, x, rest, q))
+    g = _sum_of_paths(alpha, z, x, rest, q)
+    np.testing.assert_array_equal(z.grad, alpha.values[:, None, None] * g)
+    np.testing.assert_array_equal(alpha.grad, z.values.reshape(2, -1) @ g.reshape(-1))
 
 
 def test_backward_replays_each_node_exactly_once():
+    alpha, z, x, rest, q = _shared_layer_graph(67)
     t = Tape()
-    x = Tensor([[[1.0, 2.0], [0.5, 1.5]]], requires_grad=True)
-    q = np.array([[0.25, 0.75], [1.0, 0.0]])
-    shared = t.relu(x)  # consumed twice by the affine layer below
-    loss = t.im_loss(t.affine(shared, shared, Tensor(np.zeros((1, 2)))), q[None],
-                     0.0, 0.0, 1.0)[0]
+    loss = _shared_layer_loss(t, alpha, z, x, rest, q)  # weighted_sum feeds mlp twice
     calls = {}
     for i, node in enumerate(t.nodes):
         if node.backward is None:
@@ -89,16 +109,15 @@ def test_backward_replays_each_node_exactly_once():
             return _orig(g)
         node.backward = counted
     t.backward(loss)
-    assert calls and all(count == 1 for count in calls.values())
-    xv = x.values[0]
-    g = _soft_target_grad(xv @ xv, q)  # x > 0, so relu passes it through
-    np.testing.assert_allclose(x.grad[0], g @ xv.T + xv.T @ g, rtol=1e-14, atol=0.0)
+    assert len(calls) == 3 and all(count == 1 for count in calls.values())
+    g = _sum_of_paths(alpha, z, x, rest, q)
+    np.testing.assert_array_equal(z.grad, alpha.values[:, None, None] * g)
 
 
 def test_backward_root_must_be_scalar_and_on_tape():
     t = Tape()
-    x = Tensor([[1.0, 2.0]], requires_grad=True)
-    y = t.relu(x)
+    x = Tensor([[[1.0, 2.0]]], requires_grad=True)
+    y = t.weighted_sum(Tensor([1.0]), x)
     with pytest.raises(TapeError):
         t.backward(y)
     with pytest.raises(TapeError):
@@ -108,24 +127,27 @@ def test_backward_root_must_be_scalar_and_on_tape():
         other.backward(t.im_loss(y, None, 1.0, 0.0, 0.0)[0])
 
 
-def _random_mlp_loss(rng, make_tape=True):
-    """3-layer MLP (a stack of one) with a soft-target cross-entropy head;
+def _mlp_params(rng, n, dims=(3, 4, 3, 2), scales=(1.0, 1.0)):
+    """n models' six stacked parameter tensors, all trainable: weights drawn at
+    scales[0], biases at scales[1]."""
+    i, h, d, k = dims
+    shapes = ((n, i, h), (n, h), (n, h, d), (n, d), (n, d, k), (n, k))
+    return [Tensor(rng.standard_normal(s) * scales[j % 2], requires_grad=True)
+            for j, s in enumerate(shapes)]
+
+
+def _random_mlp_loss(rng):
+    """The model forward (a stack of one) with a soft-target cross-entropy head;
     returns (f, params)."""
-    shapes = [(1, 4, 6), (1, 6, 5), (1, 5, 3)]
-    ws = [Tensor(rng.standard_normal(s) * 0.7, requires_grad=True) for s in shapes]
-    bs = [Tensor(rng.standard_normal((1, s[2])) * 0.3, requires_grad=True) for s in shapes]
+    params = _mlp_params(rng, 1, (4, 6, 5, 3), (0.7, 0.3))
     x = rng.standard_normal((7, 4))
     targets = rng.dirichlet(np.ones(3), size=(1, 7))
 
     def f():
         t = Tape()
-        h = Tensor(x)
-        for w, b in zip(ws[:-1], bs[:-1]):
-            h = t.relu(t.affine(h, w, b))
-        logits = t.affine(h, ws[-1], bs[-1])
-        return t.im_loss(logits, targets, 0.0, 0.0, 1.0)[0]
+        return t.im_loss(t.mlp(x, params), targets, 0.0, 0.0, 1.0)[0]
 
-    return f, ws + bs
+    return f, params
 
 
 def test_mlp_gradients_match_finite_differences():
@@ -178,93 +200,104 @@ def _soft_target_loss_of(op, *args):
     return t.im_loss(out, q, 0.0, 0.0, 1.0)[0]
 
 
-def _bias_shape(w_shape):
-    return w_shape[:-2] + w_shape[-1:]
-
-
 # one model as a stack of one, n models on one shared batch, and n models each
-# on its own batch: (b, i) or (n, b, i) x (n, i, o) + (n, o)
-AFFINE_SHAPES = pytest.mark.parametrize(
-    "lhs, rhs", [((5, 3), (1, 3, 2)), ((5, 3), (4, 3, 2)), ((4, 5, 3), (4, 3, 2))],
+# on its own batch: x is (b, i) or (n, b, i)
+MLP_INPUTS = pytest.mark.parametrize(
+    "x_shape, n", [((5, 3), 1), ((5, 3), 4), ((4, 5, 3), 4)],
     ids=["single", "shared", "stacked"])
 
 
-@AFFINE_SHAPES
-def test_bmm_definition_and_gradients(lhs, rhs):
+@MLP_INPUTS
+def test_bmm_definition_and_gradients(x_shape, n):
     rng = np.random.default_rng(61)
-    a = Tensor(rng.standard_normal(lhs), requires_grad=True)
-    w = Tensor(rng.standard_normal(rhs), requires_grad=True)
-    b = Tensor(rng.standard_normal(_bias_shape(rhs)), requires_grad=True)
-    out = Tape().affine(a, w, b).values
-    av = np.broadcast_to(a.values, out.shape[:-1] + lhs[-1:])
-    for j in np.ndindex(out.shape[:-2]):  # each source, or once for one model
-        np.testing.assert_allclose(out[j], av[j] @ w.values[j] + b.values[j], rtol=1e-15)
-    assert _gradcheck(lambda: _soft_target_loss_of("affine", a, w, b), [a, w, b]) < 1e-4
+    x = rng.standard_normal(x_shape)
+    params = _mlp_params(rng, n)
+    out = Tape().mlp(x, params).values
+    xs = np.broadcast_to(x, (n,) + x_shape[-2:])
+    for j in range(n):
+        w1, b1, w2, b2, w, b = (p.values[j] for p in params)
+        want = (np.maximum(xs[j] @ w1 + b1, 0.0) @ w2 + b2) @ w + b
+        np.testing.assert_allclose(out[j], want, rtol=1e-13)
+    assert _gradcheck(lambda: _soft_target_loss_of("mlp", x, params), params) < 1e-4
 
 
-def _matmul_add_bias_chain(xv, wv, bv, g):
-    """The matmul -> add_bias node pair that ``affine`` replaced, in numpy:
-    forward value, then the gradients of x, w and b for an output gradient g."""
-    y = kernels.matmul_nn(xv, wv)  # matmul forward
-    out = y + bv[..., None, :]  # add_bias forward
-    g_y, g_b = g, g.sum(axis=-2)  # add_bias backward
-    g_x = kernels.matmul_nt(g_y, wv)  # matmul backward
-    if g_x.ndim > xv.ndim:  # a shared lhs gets the sum over sources
-        g_x = g_x.sum(axis=0)
-    return out, g_x, kernels.matmul_tn(xv, g_y), g_b
+def _affine_relu_chain(x, params, g):
+    """The three affine nodes and the relu that ``Tape.mlp`` replaced, in
+    numpy and in tape order: the forward value, then the six parameter
+    gradients for an output gradient g."""
+    w1, b1, w2, b2, w, b = params
+    pre = kernels.matmul_nn(x, w1) + b1[..., None, :]  # affine
+    h = kernels.relu_fwd(pre)  # relu
+    f = kernels.matmul_nn(h, w2) + b2[..., None, :]  # affine
+    out = kernels.matmul_nn(f, w) + b[..., None, :]  # affine
+    g_f, g_w, g_b = kernels.matmul_nt(g, w), kernels.matmul_tn(f, g), g.sum(axis=-2)
+    g_h, g_w2, g_b2 = kernels.matmul_nt(g_f, w2), kernels.matmul_tn(h, g_f), g_f.sum(axis=-2)
+    g_pre = kernels.relu_bwd(pre, g_h)
+    return out, [kernels.matmul_tn(x, g_pre), g_pre.sum(axis=-2), g_w2, g_b2, g_w, g_b]
 
 
-# This pin holds the layer node to the bits of the chain it replaces; a change
+# This pin holds the model node to the bits of the chain it replaces; a change
 # here changes every checkpoint.
-@AFFINE_SHAPES
-def test_affine_is_bit_identical_to_the_matmul_add_bias_chain(lhs, rhs):
+@MLP_INPUTS
+def test_mlp_is_bit_identical_to_the_affine_relu_chain(x_shape, n):
     rng = np.random.default_rng(72)
-    x, w, b = (Tensor(rng.standard_normal(s) * 2.0, requires_grad=True)
-               for s in (lhs, rhs, _bias_shape(rhs)))
+    x = rng.standard_normal(x_shape) * 2.0
+    params = _mlp_params(rng, n, scales=(2.0, 2.0))
     t = Tape()
-    out = t.affine(x, w, b)
+    out = t.mlp(x, params)
     g = rng.standard_normal(out.shape)
-    want = _matmul_add_bias_chain(x.values, w.values, b.values, g)
-    got = [out.values] + t.nodes[out._node[1]].backward(g)
-    for have, ref in zip(got, want):
+    want, want_grads = _affine_relu_chain(x, [p.values for p in params], g)
+    np.testing.assert_array_equal(out.values, want)
+    for have, ref in zip(t.nodes[out._node[1]].backward(g), want_grads):
         assert have.shape == ref.shape
+        np.testing.assert_array_equal(have, ref)
+    # frozen heads, as in adaptation: no head gradients, the same extractor bits
+    for head in params[4:]:
+        head.requires_grad = False
+    t = Tape()
+    grads = t.nodes[t.mlp(x, params)._node[1]].backward(g)
+    assert grads[4:] == [None, None]
+    for have, ref in zip(grads[:4], want_grads):
         np.testing.assert_array_equal(have, ref)
 
 
 def test_bmm_shape_errors():
-    for lhs, rhs in [
-        ((5, 3), (4, 2, 2)),  # inner sizes differ
-        ((3, 5, 2), (4, 2, 2)),  # source counts differ
-        ((4, 5, 3), (3, 2)),  # stacked lhs with an unstacked rhs
-        ((5, 3), (3, 2)),  # one model's unstacked weights
-        ((3,), (3, 2)),  # 1-d operands
-        ((2, 3), (3,)),
-        ((1, 4, 5, 3), (4, 3, 2)),  # more than one leading axis
-    ]:
-        with pytest.raises(ShapeMismatchError, match="affine"):
-            Tape().affine(Tensor(np.ones(lhs)), Tensor(np.ones(rhs)),
-                          Tensor(np.ones(_bias_shape(rhs))))
-    for lhs, rhs, bias in [
-        ((5, 3), (1, 3, 2), (1, 3)),  # bias sized for the inputs, not the outputs
-        ((5, 3), (1, 3, 2), (2,)),  # an unstacked bias
-        ((4, 5, 3), (4, 3, 2), (2,)),  # one bias for stacked weights
-        ((5, 3), (4, 3, 2), (3, 2)),  # source counts differ
-    ]:
-        with pytest.raises(ShapeMismatchError, match=r"affine: .* \+ \(" + str(bias[0])):
-            Tape().affine(Tensor(np.ones(lhs)), Tensor(np.ones(rhs)), Tensor(np.ones(bias)))
+    params = _mlp_params(np.random.default_rng(0), 4)  # i = 3
+    for x_shape in ((5, 2), (4, 5, 4)):
+        with pytest.raises(ShapeMismatchError, match=f"input dim {x_shape[-1]} != 3"):
+            Tape().mlp(np.ones(x_shape), params)
+    with pytest.raises(ValueError):  # per-source batches for another source count
+        Tape().mlp(np.ones((3, 5, 3)), params)
 
 
 def test_add_bias_per_source_gradients():
-    # identity weights isolate the per-source bias: x @ I + b is x + b exactly
+    # identity weights on positive inputs isolate the per-source biases:
+    # the logits are ((x + b1) + b2) + b exactly
     rng = np.random.default_rng(62)
-    x = Tensor(rng.standard_normal((4, 5, 3)), requires_grad=True)
-    eye = Tensor(np.broadcast_to(np.eye(3), (4, 3, 3)))
-    b = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
-    out = Tape().affine(x, eye, b).values
-    np.testing.assert_array_equal(out[2], x.values[2] + b.values[2])
-    assert _gradcheck(lambda: _soft_target_loss_of("affine", x, eye, b), [x, b]) < 1e-4
-    with pytest.raises(ShapeMismatchError):
-        Tape().affine(x, eye, Tensor(np.ones(3)))
+    x = rng.uniform(1.0, 2.0, (4, 5, 3))
+    params = _mlp_params(rng, 4, (3, 3, 3, 3), (0.0, 0.1))
+    for w in params[::2]:
+        w.values[...] = np.eye(3)
+        w.requires_grad = False
+    out = Tape().mlp(x, params).values
+    _, b1, _, b2, _, b = (p.values for p in params)
+    np.testing.assert_array_equal(out[2], ((x[2] + b1[2]) + b2[2]) + b[2])
+    biases = params[1::2]
+    assert _gradcheck(lambda: _soft_target_loss_of("mlp", x, params), biases) < 1e-4
+
+
+@pytest.mark.parametrize("layer, scale", [(0, -1e308), (2, 1e308), (4, 1e308)],
+                         ids=["pre-activation", "features", "logits"])
+def test_mlp_rejects_a_value_that_is_not_finite(layer, scale):
+    # inputs of 10: a first-layer weight of -1e308 gives a pre-activation of
+    # -inf, which the relu would hide; the other layers overflow to +inf
+    params = _mlp_params(np.random.default_rng(0), 1, (1, 1, 1, 2), (0.0, 0.0))
+    for w in params[::2]:
+        w.values[...] = 1.0
+    params[layer].values[...] = scale
+    with np.errstate(over="ignore"), pytest.raises(ValueError,
+                                                   match="tensor values must be finite"):
+        Tape().mlp(np.full((2, 1), 10.0), params)
 
 
 def test_weighted_sum_definition_and_gradients():
@@ -425,7 +458,7 @@ def test_every_public_tape_op_is_called_from_the_package():
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
                     and isinstance(node.func.value, ast.Name) and node.func.value.id == "tape":
                 called.add(node.func.attr)
-    assert ops == {"affine", "relu", "weighted_sum", "simplex", "im_loss"}
+    assert ops == {"mlp", "weighted_sum", "simplex", "im_loss"}
     assert ops <= called, f"tape ops no module calls: {sorted(ops - called)}"
 
 

@@ -183,12 +183,23 @@ def _set(*path_and_value):
     ("adapt", _set("adaptation", "momentum", 1.0), [], "momentum"),
     ("train-sources", _set("source_training", "weight_decay", -1), [], "weight_decay"),
     ("adapt", _set("adaptation", "weight_decay", -1), [], "weight_decay"),
+    # float fields take YAML integers and floats: no booleans, no strings
+    ("adapt", _set("adaptation", "lr_alpha", True), [], "lr_alpha must be a number"),
+    ("train-sources", _set("source_training", "label_smoothing", False), [],
+     "label_smoothing must be a number"),
+    ("train-sources", _set("sources", 0, "noise_std", True), [], "noise_std must be a number"),
+    ("train-sources", _set("eval_fraction", "0.2"), [], "eval_fraction must be a number"),
+    ("adapt", _set("target", "rotation_deg", "20"), [], "rotation_deg must be a number"),
+    ("train-sources", _set("sources", 1, "translation", [True, 0.0]), [],
+     "translation must be a number"),
 ], ids=["one-number-translation", "three-number-translation", "negative-seed",
         "negative-source-seed", "negative-target-seed", "negative-seed-flag",
         "float-batch-size", "float-seed", "float-n", "float-distill-epochs",
         "boolean-hidden-dim", "zero-source-batch-size", "zero-source-lr",
         "zero-lr-backbone", "zero-lr-alpha", "source-momentum-one", "adapt-momentum-one",
-        "negative-source-weight-decay", "negative-adapt-weight-decay"])
+        "negative-source-weight-decay", "negative-adapt-weight-decay", "boolean-lr-alpha",
+        "boolean-label-smoothing", "boolean-noise-std", "string-eval-fraction",
+        "string-rotation", "boolean-translation-entry"])
 def test_bad_translation_or_negative_seed_exits_2_without_output(tmp_path, capsys, command,
                                                                  edit, flags, message):
     doc = small_config()

@@ -5,13 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from decision.autodiff import ShapeMismatchError, Tape, Tensor
+from decision.autodiff import ShapeMismatchError, Tape, Tensor, mlp_forward
 from decision.data import DomainSpec, LabeledSet, generate_domain
 from decision.models import (CheckpointError, ModelConfig, SourceModel, SourceTrainConfig,
                              aggregate_logits, check_compatible,
                              classifier_checksum, load_checkpoint, predict,
-                             save_checkpoint, smoothed_targets, tape_logits,
-                             train_source)
+                             save_checkpoint, smoothed_targets, train_source)
 from decision.optim import ParamGroup, SgdMomentum, lr_schedule
 
 from conftest import constant_logit_model, make_models, tiny_arch
@@ -20,14 +19,15 @@ from conftest import constant_logit_model, make_models, tiny_arch
 def test_zero_weight_network_maps_to_zero_features():
     m = constant_logit_model([0.0, 0.0])
     x = np.random.default_rng(0).standard_normal((5, 2))
-    assert np.array_equal(m.features(x), np.zeros((5, 3)))
+    assert np.array_equal(mlp_forward(x, m.params)[1], np.zeros((5, 3)))
 
 
 def test_batch_rows_are_independent():
     m = make_models(1, seed=5)[0]
     x = np.random.default_rng(1).standard_normal((2, 3))
     # BLAS may route batch-1 and batch-2 through different code paths
-    np.testing.assert_allclose(m.features(x[:1]), m.features(x)[:1], rtol=1e-14)
+    np.testing.assert_allclose(mlp_forward(x[:1], m.params)[1], mlp_forward(x, m.params)[1][:1],
+                               rtol=1e-14)
 
 
 def test_feature_dim_must_match_across_sources():
@@ -205,7 +205,7 @@ def _train_alone(model, data, cfg, shuffle_seed):
             idx = perm[start : start + cfg.batch_size]
             t = Tape()
             q = smoothed_targets(data.y[idx], model.num_classes, cfg.label_smoothing)
-            loss = t.im_loss(tape_logits(t, params, data.x[idx]), q[None], 0.0, 0.0, 1.0)[0]
+            loss = t.im_loss(t.mlp(data.x[idx], params), q[None], 0.0, 0.0, 1.0)[0]
             t.backward(loss)
             opt.step(lr_factor=lr_schedule(1.0, step / max(1, cfg.epochs * n_batches - 1)))
             opt.zero_grad()
@@ -255,7 +255,7 @@ def test_source_training_step_records_the_same_nodes_for_any_n(n, monkeypatch):
     models = [SourceModel.init(f"m{j}", arch, j) for j in range(n)]
     data = [_blobs(j) for j in range(n)]
     train_source(models, data, SourceTrainConfig(epochs=1), list(range(n)))
-    assert sizes == [11] * 4  # 120 rows in 32-row batches: 4 steps of 6 leaves + 5 ops
+    assert sizes == [8] * 4  # 120 rows in 32-row batches: 4 steps of 6 leaves + 2 ops
 
 
 # -- checkpoints ---------------------------------------------------------------
@@ -330,25 +330,23 @@ def test_checkpoint_shapes_must_chain(tmp_path):
         load_checkpoint(path)
 
 
-def test_tape_logits_for_one_model_and_for_a_stack():
+def test_tape_mlp_for_one_model_and_for_a_stack():
     from decision.models import SourceStack
 
     models = make_models(3, seed=8)
     x = np.random.default_rng(9).standard_normal((5, 3))
     t1, tn = Tape(), Tape()
-    stacked = tape_logits(tn, SourceStack(models).params, x).values
+    stacked = tn.mlp(x, SourceStack(models).params).values
     assert stacked.shape == (3, 5, 3)
     for j, m in enumerate(models):
-        single = tape_logits(t1 if j == 0 else Tape(), SourceStack([m]).params, x).values
+        single = (t1 if j == 0 else Tape()).mlp(x, SourceStack([m]).params).values
         assert single.shape == (1, 5, 3)
         np.testing.assert_allclose(single[0], m.logits(x), rtol=1e-14)
         np.testing.assert_allclose(stacked[j], single[0], rtol=1e-14)
     ops = [[n.op for n in t.nodes if n.leaf is None] for t in (t1, tn)]
-    assert ops[0] == ops[1] == ["affine", "relu", "affine", "affine"]
-    # one model's unstacked (2-d) weights are not a stack
-    w1, b1 = models[0].params[:2]
-    with pytest.raises(ShapeMismatchError, match="affine"):
-        Tape().affine(Tensor(x), Tensor(w1), Tensor(b1))
+    assert ops[0] == ops[1] == ["mlp"]
+    with pytest.raises(ShapeMismatchError, match="input dim 2 != 3"):
+        Tape().mlp(x[:, :2], SourceStack(models).params)
 
 
 def test_frozen_classifier_checksum_is_parameter_sensitive():

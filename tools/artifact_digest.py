@@ -3,8 +3,8 @@
 Runs ``train-sources``, ``adapt`` and ``distill`` in a temporary directory on
 the config ``perfbench/workloads.config_doc(workload, seed)`` generates, then
 prints ``<sha256>  <path>`` for every file written, sorted by path.
-``report.json`` is hashed without its ``wall_clock_sec`` field, the one value
-a rerun may change. Diffing the output of two checkouts shows whether a
+In ``report.json`` the value of ``wall_clock_sec``, the one value a rerun may
+change, is hashed as ``null``; every other byte counts. Diffing the output of two checkouts shows whether a
 change kept every artifact byte-identical:
 
     python tools/artifact_digest.py moons3p1 0 > change.txt
@@ -20,13 +20,14 @@ import argparse
 import contextlib
 import hashlib
 import io
-import json
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+WALL_CLOCK = re.compile(rb'"wall_clock_sec": [-+.0-9eE]+')
 
 
 def digests(run_dir):
@@ -35,9 +36,7 @@ def digests(run_dir):
     for path in sorted(p for p in run_dir.rglob("*") if p.is_file()):
         data = path.read_bytes()
         if path.name == "report.json":
-            doc = json.loads(data)
-            doc.pop("wall_clock_sec", None)
-            data = json.dumps(doc, indent=2, sort_keys=True).encode()
+            data = WALL_CLOCK.sub(b'"wall_clock_sec": null', data)
         out.append((path.relative_to(run_dir).as_posix(), hashlib.sha256(data).hexdigest()))
     return out
 
