@@ -21,6 +21,7 @@ at each epoch's start, the alpha update after each step and the metrics row
 after each epoch.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,8 +52,8 @@ class AdaptationConfig:
     use_diversity: bool = True
 
     def __post_init__(self):
-        if self.lambda_pl < 0.0:
-            raise ValueError("lambda_pl must be >= 0")
+        if not 0.0 <= self.lambda_pl < math.inf:  # NaN fails too
+            raise ValueError(f"lambda_pl must be >= 0 and finite, got {self.lambda_pl}")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:

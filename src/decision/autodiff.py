@@ -18,6 +18,8 @@ package calls:
   pseudo-labels, smoothed source labels). It also takes a leading source
   axis, summing n independent per-source losses, so n source models train
   in one step. It counts underflowed probabilities as 0 rather than NaN.
+  With ``pl_only`` (source training and the student) it computes only the
+  cross-entropy's value.
 
 Evaluation and pseudo-labels call ``mlp_forward`` in numpy: one forward.
 """
@@ -47,7 +49,7 @@ def sigmoid(v):
 
 def _as_values(data):
     arr = np.asarray(data, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("tensor values must be finite")
     return arr
 
@@ -197,7 +199,7 @@ class Tape:
 
         return self._record("simplex", s * inv, (self._track(raw),), backward)
 
-    def im_loss(self, z, q, c_ent, c_div, c_pl):
+    def im_loss(self, z, q, c_ent, c_div, c_pl, pl_only=False):
         """c_ent*L_ent + c_div*L_div + c_pl*L_pl over logits z (b, k), as one node.
 
         With p = softmax(z): L_ent is the batch mean of the row entropies H,
@@ -205,8 +207,14 @@ class Tape:
         cross-entropy -sum(q * log p) / b against targets ``q`` of z's shape:
         one-hot rows for hard labels, smoothed rows for label smoothing. ``q``
         may be None when c_pl is 0. Returns the loss tensor and the term values
-        (L_ent, L_div, L_pl), with L_pl None when there are no targets.
-        0*log(0) counts as 0.
+        (L_ent, L_div, L_pl). L_ent and L_div come back whatever their
+        coefficients, so a caller can log a disabled term; L_pl is None when
+        there are no targets. 0*log(0) counts as 0.
+
+        ``pl_only`` is for supervised training, which reads L_pl alone: it
+        needs targets and c_ent = c_div = 0, skips the row entropies and pbar,
+        and returns (None, None, L_pl). The loss, L_pl and the gradient are
+        bit-equal to the call without it.
 
         Logits (n, b, k) hold n independent problems: each source's terms are
         its own batch means, the loss is their sum over sources, and the term
@@ -219,19 +227,23 @@ class Tape:
         b, k = zv.shape[-2:]
         if b == 0:
             raise ValueError("im_loss: empty batch")
+        if pl_only and (c_ent or c_div):
+            raise ValueError("pl_only takes c_ent = c_div = 0")
         logp = kernels.log_softmax_rows(zv)
         p = np.exp(logp)
-        h = -(p * logp).sum(axis=-1)
-        pbar = p.mean(axis=-2)
-        filled = pbar > 0.0
-        log_pbar = np.zeros(pbar.shape)
-        log_pbar[filled] = np.log(pbar[filled])
-        l_ent, l_div, l_pl = h.mean(axis=-1), -(pbar * log_pbar).sum(axis=-1), None
+        l_ent = l_div = l_pl = None
+        if not pl_only:
+            h = -(p * logp).sum(axis=-1)
+            pbar = p.mean(axis=-2)
+            filled = pbar > 0.0
+            log_pbar = np.zeros(pbar.shape)
+            log_pbar[filled] = np.log(pbar[filled])
+            l_ent, l_div = h.mean(axis=-1), -(pbar * log_pbar).sum(axis=-1)
         if q is not None:
             if q.shape != zv.shape:
                 raise ShapeMismatchError(f"im_loss: targets {q.shape} for logits {z.shape}")
             l_pl = (q * logp).sum(axis=(-2, -1)) * (-1.0 / b)
-        elif c_pl:
+        elif c_pl or pl_only:
             raise ValueError("the pseudo-label term needs target labels q")
 
         def backward(g):
@@ -245,7 +257,10 @@ class Tape:
                 gz += c_pl * (p * q.sum(axis=-1, keepdims=True) - q)
             return [gz * (float(g) / b)]
 
-        total = (c_ent * l_ent + c_div * l_div + (c_pl * l_pl if c_pl else 0.0)).sum()
+        if pl_only:  # the sum below without its two zero terms
+            total = (c_pl * l_pl).sum()
+        else:
+            total = (c_ent * l_ent + c_div * l_div + (c_pl * l_pl if c_pl else 0.0)).sum()
         out = self._record("im_loss", total, (self._track(z),), backward)
         terms = (l_ent, l_div, l_pl)
         if zv.ndim == 2:

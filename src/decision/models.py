@@ -12,6 +12,8 @@ supervised trainer: it hands the loop n >= 1 equal-size models (all the
 sources of a run, or the single distillation student), each with its own data
 and batch order, and a step loss of one ``Tape.im_loss`` node against
 smoothed (or, with epsilon = 0, one-hot) targets, 8 nodes per step at any n.
+That node runs with ``pl_only``: training reads only the cross-entropy, so the
+entropy and diversity values are not computed.
 Tensors exist only on the training side, for the stacked parameters.
 """
 
@@ -222,7 +224,8 @@ def train_source(models, datasets, cfg, shuffle_seeds):
     epoch_losses = np.empty((cfg.epochs, n))
     for epoch, terms in run_epochs(
             opt, cfg.epochs, cfg.batch_size, shuffle_seeds, lambda epoch: [x, q],
-            lambda tape, xb, qb: tape.im_loss(tape.mlp(xb, params), qb, 0.0, 0.0, 1.0)):
+            lambda tape, xb, qb: tape.im_loss(tape.mlp(xb, params), qb, 0.0, 0.0, 1.0,
+                                              pl_only=True)):
         # one 1-d mean of L_pl per model: a mean over axis 0 would sum in another order
         epoch_losses[epoch] = [np.mean(per_model) for per_model in np.transpose(
             [l_pl for _, _, l_pl in terms])]

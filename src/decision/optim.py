@@ -1,6 +1,7 @@
 """SGD with momentum and coupled weight decay, the polynomial lr decay, and
 ``run_epochs``, the training loop of every trainer in the package."""
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,13 +21,13 @@ def lr_schedule(initial, progress):
 
 
 def check_lr(lr, name="lr"):
-    if not lr > 0.0:  # NaN fails too
-        raise ValueError(f"{name} must be > 0, got {lr}")
+    if not 0.0 < lr < math.inf:  # NaN fails too
+        raise ValueError(f"{name} must be > 0 and finite, got {lr}")
 
 
 def check_weight_decay(weight_decay):
-    if not weight_decay >= 0.0:
-        raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
+    if not 0.0 <= weight_decay < math.inf:
+        raise ValueError(f"weight_decay must be >= 0 and finite, got {weight_decay}")
 
 
 def check_momentum(momentum):

@@ -170,6 +170,23 @@ def test_total_loss_combination_arithmetic():
         assert total.item() == pytest.approx(combo(cfg, terms), abs=1e-15)
 
 
+def test_objective_reports_disabled_terms():
+    # adapt logs L_ent and L_div under every ablation: the pl-only objective
+    # reports the same term values as the default one
+    stack = SourceStack(make_models(3, seed=23))
+    raw = Tensor([0.4, -1.2, 0.3], requires_grad=True)
+    x = np.random.default_rng(5).standard_normal((8, 3))
+    labels = np.array([0, 1, 2, 0, 1, 0, 2, 1])
+
+    def terms(cfg):
+        return objective(Tape(), stack, raw, x, labels, cfg)[1]
+
+    full = terms(AdaptationConfig())
+    pl = terms(AdaptationConfig(use_entropy=False, use_diversity=False))
+    for key in ("L_ent", "L_div", "L_pl"):
+        assert math.isfinite(pl[key]) and pl[key] == full[key]
+
+
 def test_identical_models_make_loss_invariant_to_alpha():
     model = make_models(1, seed=21)[0]
     twin = copy.deepcopy(model)

@@ -353,6 +353,12 @@ def test_fused_loss_needs_labels_for_the_pseudo_label_term():
         Tape().im_loss(z, None, 1.0, -1.0, 0.3)
     with pytest.raises(ShapeMismatchError, match=r"targets \(2, 2\) for logits \(3, 2\)"):
         Tape().im_loss(z, np.eye(2), 1.0, -1.0, 0.3)
+    # the lean call computes only the cross-entropy
+    with pytest.raises(ValueError, match="target labels"):
+        Tape().im_loss(z, None, 0.0, 0.0, 1.0, pl_only=True)
+    for coefs in ((1.0, 0.0, 1.0), (0.0, -1.0, 1.0)):
+        with pytest.raises(ValueError, match="c_ent = c_div = 0"):
+            Tape().im_loss(z, np.eye(2)[[0, 1, 1]], *coefs, pl_only=True)
 
 
 # -- the fused nodes: soft targets and the simplex --------------------------------
@@ -404,6 +410,32 @@ def test_one_hot_gradient_is_bit_identical_to_p_minus_onehot():
     onehot = np.eye(k)[rng.integers(0, k, b)]
     p = np.exp(kernels.log_softmax_rows(z))
     np.testing.assert_array_equal(_im_loss_grad(z, onehot), (p - onehot) / b)
+
+
+@pytest.mark.parametrize("shape", [(30, 3), (5, 30, 3)], ids=["single", "stacked"])
+@pytest.mark.parametrize("eps", [0.1, 0.0], ids=["smoothed", "one-hot"])
+@pytest.mark.parametrize("c_pl", [1.0, 0.7])
+def test_pl_only_loss_is_bit_identical_to_the_all_terms_call(shape, eps, c_pl):
+    # source training's lean call skips L_ent and L_div, and nothing else moves;
+    # b = 30 is no power of two, so a reordered 1/b or sum shows in the bits
+    rng = np.random.default_rng(72)
+    for scale in (0.5, 2.0, 8.0):
+        z = rng.standard_normal(shape) * scale
+        q = np.full(shape, eps / shape[-1])
+        q[..., 0] += 1.0 - eps
+        q = rng.permuted(q, axis=-1)
+        results = []
+        for pl_only in (False, True):
+            zt = Tensor(z, requires_grad=True)
+            t = Tape()
+            loss, terms = t.im_loss(zt, q, 0.0, 0.0, c_pl, pl_only=pl_only)
+            t.backward(loss)
+            results.append((loss.values, terms, zt.grad))
+        (loss, terms, grad), (lean_loss, lean_terms, lean_grad) = results
+        assert lean_terms[:2] == (None, None) and all(t is not None for t in terms)
+        np.testing.assert_array_equal(lean_loss, loss)
+        np.testing.assert_array_equal(lean_terms[2], terms[2])
+        np.testing.assert_array_equal(lean_grad, grad)
 
 
 def test_simplex_backward_is_bit_identical_to_the_composed_chain():

@@ -183,6 +183,15 @@ def _set(*path_and_value):
     ("adapt", _set("adaptation", "momentum", 1.0), [], "momentum"),
     ("train-sources", _set("source_training", "weight_decay", -1), [], "weight_decay"),
     ("adapt", _set("adaptation", "weight_decay", -1), [], "weight_decay"),
+    # ... and finite, as lambda_pl must be
+    ("train-sources", _set("source_training", "lr", float("inf")), [], "lr must be > 0"),
+    ("train-sources", _set("source_training", "weight_decay", float("inf")), [],
+     "weight_decay"),
+    ("adapt", _set("adaptation", "lr_backbone", float("inf")), [], "lr_backbone"),
+    ("adapt", _set("adaptation", "lr_alpha", float("inf")), [], "lr_alpha"),
+    ("adapt", _set("adaptation", "weight_decay", float("inf")), [], "weight_decay"),
+    ("adapt", _set("adaptation", "lambda_pl", float("nan")), [], "lambda_pl"),
+    ("adapt", _set("adaptation", "lambda_pl", float("inf")), [], "lambda_pl"),
     # float fields take YAML integers and floats: no booleans, no strings
     ("adapt", _set("adaptation", "lr_alpha", True), [], "lr_alpha must be a number"),
     ("train-sources", _set("source_training", "label_smoothing", False), [],
@@ -197,7 +206,9 @@ def _set(*path_and_value):
         "float-batch-size", "float-seed", "float-n", "float-distill-epochs",
         "boolean-hidden-dim", "zero-source-batch-size", "zero-source-lr",
         "zero-lr-backbone", "zero-lr-alpha", "source-momentum-one", "adapt-momentum-one",
-        "negative-source-weight-decay", "negative-adapt-weight-decay", "boolean-lr-alpha",
+        "negative-source-weight-decay", "negative-adapt-weight-decay", "inf-source-lr",
+        "inf-source-weight-decay", "inf-lr-backbone", "inf-lr-alpha", "inf-adapt-weight-decay",
+        "nan-lambda-pl", "inf-lambda-pl", "boolean-lr-alpha",
         "boolean-label-smoothing", "boolean-noise-std", "string-eval-fraction",
         "string-rotation", "boolean-translation-entry"])
 def test_bad_translation_or_negative_seed_exits_2_without_output(tmp_path, capsys, command,
