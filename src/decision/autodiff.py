@@ -8,10 +8,10 @@ package calls:
   features, then the affine head) as one node, over n models' parameters
   stacked on a leading source axis;
 - ``weighted_sum``, which contracts that axis with the ensemble weights, so a
-  step over n stacked source models records the same nodes for every n: 9
-  in adaptation (five parameter leaves, ``simplex``, ``mlp``,
-  ``weighted_sum``, ``im_loss``), 8 in source training (six leaves, ``mlp``,
-  ``im_loss``);
+  step over n stacked source models records the same nodes for every n: 4
+  in adaptation (``simplex``, ``mlp``, ``weighted_sum``, ``im_loss``), 3 in
+  weights-only, whose forward reads only constants, and 2 in source training
+  and the student (``mlp``, ``im_loss``);
 - ``simplex``, the sigmoid-normalized ensemble weights, as one node;
 - ``im_loss``, every training loss as one node with an analytic gradient:
   entropy, diversity and a cross-entropy against soft targets (one-hot
@@ -20,6 +20,11 @@ package calls:
   in one step. It counts underflowed probabilities as 0 rather than NaN.
   With ``pl_only`` (source training and the student) it computes only the
   cross-entropy's value.
+
+The tape records operations only. A parameter (a tensor with
+``requires_grad``) is an operand, not a node: backward adds its gradient
+straight into ``.grad``. ``Tape.mlp`` is the only place values are checked for
+finiteness; a value that is not finite raises ``DivergenceError``.
 
 Evaluation and pseudo-labels call ``mlp_forward`` in numpy: one forward.
 """
@@ -37,6 +42,11 @@ class TapeError(RuntimeError):
     """Backward called on a tensor that is not a scalar tape node."""
 
 
+class DivergenceError(ValueError):
+    """A training value that is not finite. Names the value and the first
+    source whose rows hold one; ``optim.run_epochs`` adds the epoch and step."""
+
+
 def sigmoid(v):
     """Elementwise logistic function without overflow for large |v| (numpy)."""
     out = np.empty_like(v)
@@ -47,11 +57,11 @@ def sigmoid(v):
     return out
 
 
-def _as_values(data):
-    arr = np.asarray(data, dtype=np.float64)
-    if not np.isfinite(arr).all():
-        raise ValueError("tensor values must be finite")
-    return arr
+def _check_finite(name, values):
+    """Raise DivergenceError if (b, k) or (n, b, k) ``values`` are not all finite."""
+    if not np.isfinite(values).all():
+        rows = np.isfinite(values.reshape(-1, *values.shape[-2:])).all(axis=(1, 2))
+        raise DivergenceError(f"{name} not finite in source {int(np.argmin(rows))}")
 
 
 def mlp_forward(x, params):
@@ -76,7 +86,7 @@ class Tensor:
     __slots__ = ("values", "grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad=False):
-        self.values = _as_values(data)
+        self.values = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = requires_grad
         self._node = None  # (tape, node index) once recorded
@@ -93,44 +103,36 @@ class Tensor:
 
 
 class _Node:
-    __slots__ = ("op", "parents", "backward", "leaf")
+    __slots__ = ("op", "parents", "backward")
 
-    def __init__(self, op, parents, backward, leaf=None):
+    def __init__(self, op, parents, backward):
         self.op = op
-        self.parents = parents  # node indices, None for constant operands
-        self.backward = backward  # grad -> list of parent contributions
-        self.leaf = leaf  # Tensor, for leaf nodes
+        self.parents = parents  # per operand, as Tape._operand gives it
+        self.backward = backward  # grad -> list of per-operand contributions
 
 
 class Tape:
-    """Ordered record of operations; parents always precede their node."""
+    """Ordered record of operations; an operand's node precedes its consumers."""
 
     def __init__(self):
         self.nodes = []
-        self._leaf_ids = {}
 
     def __len__(self):
         return len(self.nodes)
 
     # -- recording ----------------------------------------------------------
 
-    def _track(self, t):
-        """Node index for an operand, registering grad-bearing leaves."""
+    def _operand(self, t):
+        """Its node index if recorded here, else t if a parameter, else None.
+        Never a recorded tensor: it points back at its tape, a cycle."""
         if t._node is not None and t._node[0] is self:
             return t._node[1]
-        if not t.requires_grad:
-            return None
-        idx = self._leaf_ids.get(id(t))
-        if idx is None:
-            idx = len(self.nodes)
-            self.nodes.append(_Node("leaf", (), None, leaf=t))
-            self._leaf_ids[id(t)] = idx
-        return idx
+        return t if t.requires_grad else None
 
-    def _record(self, op, values, parent_ids, backward):
+    def _record(self, op, values, parents, backward):
         out = Tensor(values)
-        if any(p is not None for p in parent_ids):
-            self.nodes.append(_Node(op, tuple(parent_ids), backward))
+        if any(p is not None for p in parents):
+            self.nodes.append(_Node(op, tuple(parents), backward))
             out._node = (self, len(self.nodes) - 1)
         return out
 
@@ -140,25 +142,32 @@ class Tape:
         """The logits of ``mlp_forward`` as one node: x is a constant batch,
         (b, i) shared by every model or (n, b, i), and ``params`` six tensors
         shaped as ``mlp_forward`` takes them. Constant heads get no gradient.
-        A pre-activation or feature that is not finite raises ValueError, as
-        a recorded value does."""
+        With every parameter constant, no node is recorded, but the values are
+        still checked. A pre-activation or logit that is not finite raises
+        DivergenceError naming it and the first source that holds one."""
         values = [p.values for p in params]
         pre, feats, logits = mlp_forward(x, values)
-        _as_values(pre)  # relu would hide a -inf
-        _as_values(feats)
+        # The tape's only finiteness checks. The relu hides a -inf
+        # pre-activation; any other value that is not finite, a feature or a
+        # parameter, makes logits non-finite. Finite logits keep the other
+        # ops finite: weighted_sum over simplex weights, simplex (sigmoid is
+        # bounded; a NaN raw weight fails adapt's per-step simplex check) and
+        # im_loss, as long as no logit row spans more than the float range.
+        _check_finite("pre-activation", pre)
+        _check_finite("logits", logits)
         _, _, w2, _, w, _ = values
-        ids = [self._track(p) for p in params]
+        parents = [self._operand(p) for p in params]
 
         def backward(g):
             gf = kernels.matmul_nt(g, w)
-            gw = kernels.matmul_tn(feats, g) if ids[4] is not None else None
-            gb = g.sum(axis=-2) if ids[5] is not None else None
+            gw = kernels.matmul_tn(feats, g) if parents[4] is not None else None
+            gb = g.sum(axis=-2) if parents[5] is not None else None
             gh = kernels.matmul_nt(gf, w2)
             gw2, gb2 = kernels.matmul_tn(kernels.relu_fwd(pre), gf), gf.sum(axis=-2)
             gpre = kernels.relu_bwd(pre, gh)
             return [kernels.matmul_tn(x, gpre), gpre.sum(axis=-2), gw2, gb2, gw, gb]
 
-        return self._record("mlp", logits, ids, backward)
+        return self._record("mlp", logits, parents, backward)
 
     def weighted_sum(self, alpha, z):
         """sum_j alpha_j * z_j over the leading axis: (n,), (n, b, k) -> (b, k)."""
@@ -167,14 +176,14 @@ class Tape:
             raise ShapeMismatchError(f"weighted_sum: {alpha.shape} . {z.shape}")
         n, b, k = zv.shape
         flat = zv.reshape(n, b * k)
-        ia, iz = self._track(alpha), self._track(z)
+        pa, pz = self._operand(alpha), self._operand(z)
 
         def backward(g):
-            ga = flat @ g.reshape(-1) if ia is not None else None
-            gz = av[:, None, None] * g if iz is not None else None
+            ga = flat @ g.reshape(-1) if pa is not None else None
+            gz = av[:, None, None] * g if pz is not None else None
             return [ga, gz]
 
-        return self._record("weighted_sum", (av @ flat).reshape(b, k), (ia, iz), backward)
+        return self._record("weighted_sum", (av @ flat).reshape(b, k), (pa, pz), backward)
 
     def simplex(self, raw):
         """sigmoid(raw) / sum(sigmoid(raw)): raw weights (n,) -> a point on the simplex.
@@ -197,7 +206,7 @@ class Tape:
             gr = -(g * s).sum() / (total * total)
             return [(g * inv + gr) * s * ds]
 
-        return self._record("simplex", s * inv, (self._track(raw),), backward)
+        return self._record("simplex", s * inv, (self._operand(raw),), backward)
 
     def im_loss(self, z, q, c_ent, c_div, c_pl, pl_only=False):
         """c_ent*L_ent + c_div*L_div + c_pl*L_pl over logits z (b, k), as one node.
@@ -261,7 +270,7 @@ class Tape:
             total = (c_pl * l_pl).sum()
         else:
             total = (c_ent * l_ent + c_div * l_div + (c_pl * l_pl if c_pl else 0.0)).sum()
-        out = self._record("im_loss", total, (self._track(z),), backward)
+        out = self._record("im_loss", total, (self._operand(z),), backward)
         terms = (l_ent, l_div, l_pl)
         if zv.ndim == 2:
             terms = tuple(None if t is None else float(t) for t in terms)
@@ -270,7 +279,7 @@ class Tape:
     # -- reverse pass ---------------------------------------------------------
 
     def backward(self, root):
-        """Accumulate d(root)/d(leaf) into every grad-bearing leaf's ``.grad``."""
+        """Accumulate d(root)/d(parameter) into every parameter's ``.grad``."""
         if root._node is None or root._node[0] is not self:
             raise TapeError("backward root was not produced on this tape")
         if root.values.ndim != 0:
@@ -281,12 +290,10 @@ class Tape:
             g = grads[i]
             if g is None:
                 continue
-            node = self.nodes[i]
-            if node.leaf is not None:
-                t = node.leaf
-                t.grad = g.copy() if t.grad is None else t.grad + g
-                continue
-            for pid, contrib in zip(node.parents, node.backward(g)):
-                if pid is None or contrib is None:
+            for parent, contrib in zip(self.nodes[i].parents, self.nodes[i].backward(g)):
+                if parent is None or contrib is None:
                     continue
-                grads[pid] = contrib if grads[pid] is None else grads[pid] + contrib
+                if isinstance(parent, Tensor):  # a parameter; aliasing measured a higher peak RSS
+                    parent.grad = contrib.copy() if parent.grad is None else parent.grad + contrib
+                else:
+                    grads[parent] = contrib if grads[parent] is None else grads[parent] + contrib

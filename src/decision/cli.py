@@ -2,7 +2,9 @@
 
 Subcommands: train-sources, adapt, oracle, distill, report.
 Exit codes: 0 success, 1 verification violation, 2 config error, 3 I/O error
-(including a checkpoint file that cannot be read as a model).
+(including a checkpoint file that cannot be read as a model), 4 divergence (a
+training value that is not finite; the message names the epoch, step, source
+and value).
 """
 
 import argparse
@@ -13,6 +15,7 @@ from pathlib import Path
 
 from . import config as config_mod
 from . import runner
+from .autodiff import DivergenceError
 from .config import ConfigError
 from .models import CheckpointError
 from .oracle import verify_combination_bound
@@ -107,6 +110,9 @@ def main(argv=None):
     except (CheckpointError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
+    except DivergenceError as exc:
+        print(f"divergence: {exc}", file=sys.stderr)
+        return 4
     return 0
 
 

@@ -11,7 +11,8 @@ heads frozen by stacking them as constants. ``train_source`` is the one
 supervised trainer: it hands the loop n >= 1 equal-size models (all the
 sources of a run, or the single distillation student), each with its own data
 and batch order, and a step loss of one ``Tape.im_loss`` node against
-smoothed (or, with epsilon = 0, one-hot) targets, 8 nodes per step at any n.
+smoothed (or, with epsilon = 0, one-hot) targets: 2 nodes per step at any n,
+``mlp`` and ``im_loss``, since the parameters are operands, not tape nodes.
 That node runs with ``pl_only``: training reads only the cross-entropy, so the
 entropy and diversity values are not computed.
 Tensors exist only on the training side, for the stacked parameters.

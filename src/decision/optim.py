@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import ShapeMismatchError, Tape, Tensor
+from .autodiff import DivergenceError, ShapeMismatchError, Tape, Tensor
 from .data import stacked_batches
 
 
@@ -94,7 +94,8 @@ def run_epochs(opt, epochs, batch_size, seeds, epoch_arrays, step_loss, after_st
     (n, N, ...) arrays, source j's rows shuffled by ``seeds[j] * 1_000_003 +
     epoch``; per batch, ``step_loss(tape, *batch)`` returns ``(loss, step_terms)``
     on a fresh tape, then backward, a step at the decayed lr and ``after_step()``.
-    ``terms`` lists the epoch's ``step_terms`` in step order."""
+    ``terms`` lists the epoch's ``step_terms`` in step order. A DivergenceError
+    from ``step_loss`` is raised again with the epoch and step, both from 1."""
     step = 0
     for epoch in range(epochs):
         arrays = epoch_arrays(epoch)
@@ -103,7 +104,10 @@ def run_epochs(opt, epochs, batch_size, seeds, epoch_arrays, step_loss, after_st
         for batch in stacked_batches(arrays, batch_size,
                                      [s * 1_000_003 + epoch for s in seeds]):
             tape = Tape()
-            loss, step_terms = step_loss(tape, *batch)
+            try:
+                loss, step_terms = step_loss(tape, *batch)
+            except DivergenceError as exc:
+                raise DivergenceError(f"epoch {epoch + 1}, step {len(terms) + 1}: {exc}") from exc
             tape.backward(loss)
             opt.step(lr_factor=lr_schedule(1.0, step / max(1, total_steps - 1)))
             opt.zero_grad()

@@ -432,7 +432,7 @@ def test_objective_on_a_source_stack_records_the_same_node_count_for_any_n():
         objective(tape, SourceStack(make_models(n, seed=96)),
                   Tensor(np.zeros(n), requires_grad=True), x, labels, AdaptationConfig())
         counts.append(len(tape))
-    assert counts == [9] * 3  # 5 leaves (4 extractor tensors, raw alpha) + 4 ops
+    assert counts == [4] * 3  # the 4 ops; n = 1 is a SHOT step
 
 
 def test_source_stack_views_follow_in_place_updates():
@@ -587,7 +587,7 @@ def test_weights_only_computes_no_extractor_gradients(monkeypatch):
     monkeypatch.setattr(Tape, "backward", counting)
     weights_only_adapt([model, copy.deepcopy(model)], data.inputs_only(),
                        AdaptationConfig(epochs=2, seed=3))
-    assert sizes == [4] * 6  # 90 rows in 32-row batches: the raw-weight leaf + 3 ops
+    assert sizes == [3] * 6  # 90 rows in 32-row batches: simplex, weighted_sum, im_loss
     # frozen extractors stay off the tape: only the weights receive a gradient
     stack = SourceStack([model, copy.deepcopy(model)], requires_grad=False)
     raw = Tensor(np.zeros(2), requires_grad=True)

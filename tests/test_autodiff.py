@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from decision import kernels
 from decision.adaptation import alpha_project
-from decision.autodiff import (ShapeMismatchError, Tape, TapeError, Tensor, mlp_forward,
-                               sigmoid)
+from decision.autodiff import (DivergenceError, ShapeMismatchError, Tape, TapeError, Tensor,
+                               mlp_forward, sigmoid)
 
 from conftest import finite_diff, max_rel_err
 
@@ -96,14 +96,30 @@ def test_backward_reused_node_accumulates_sum_of_paths():
     np.testing.assert_array_equal(alpha.grad, z.values.reshape(2, -1) @ g.reshape(-1))
 
 
+def test_parameter_read_by_two_nodes_gets_the_sum_of_both_contributions():
+    # z feeds two weighted sums, S1 and S2, which feed the mlp as its two layers
+    alpha, z, x, rest, q = _shared_layer_graph(68)
+    a1, a2 = alpha.values, alpha.values[::-1].copy()
+    t = Tape()
+    s1, s2 = t.weighted_sum(Tensor(a1), z), t.weighted_sum(Tensor(a2), z)
+    b1, b2, w, b = rest
+    t.backward(t.im_loss(t.mlp(x, [s1, b1, s2, b2, w, b]), q, 0.0, 0.0, 1.0)[0])
+    assert [n.op for n in t.nodes] == ["weighted_sum", "weighted_sum", "mlp", "im_loss"]
+    # dL/dS1 and dL/dS2 from two separate parameters holding their values
+    c1, c2 = (Tensor((a @ z.values.reshape(2, -1)).reshape(3, 3), requires_grad=True)
+              for a in (a1, a2))
+    ref = Tape()
+    ref.backward(ref.im_loss(ref.mlp(x, [c1, b1, c2, b2, w, b]), q, 0.0, 0.0, 1.0)[0])
+    want = a1[:, None, None] * c1.grad + a2[:, None, None] * c2.grad
+    np.testing.assert_array_equal(z.grad, want)
+
+
 def test_backward_replays_each_node_exactly_once():
     alpha, z, x, rest, q = _shared_layer_graph(67)
     t = Tape()
     loss = _shared_layer_loss(t, alpha, z, x, rest, q)  # weighted_sum feeds mlp twice
     calls = {}
     for i, node in enumerate(t.nodes):
-        if node.backward is None:
-            continue
         def counted(g, _orig=node.backward, _i=i):
             calls[_i] = calls.get(_i, 0) + 1
             return _orig(g)
@@ -286,18 +302,29 @@ def test_add_bias_per_source_gradients():
     assert _gradcheck(lambda: _soft_target_loss_of("mlp", x, params), biases) < 1e-4
 
 
-@pytest.mark.parametrize("layer, scale", [(0, -1e308), (2, 1e308), (4, 1e308)],
-                         ids=["pre-activation", "features", "logits"])
-def test_mlp_rejects_a_value_that_is_not_finite(layer, scale):
+@pytest.mark.parametrize("layer, scale, value, trainable", [
+    (0, -1e308, "pre-activation", True), (2, 1e308, "logits", True), (4, 1e308, "logits", True),
+    (0, -1e308, "pre-activation", False), (4, 1e308, "logits", False),
+], ids=["pre-activation", "features", "logits", "weights-only-pre-activation",
+        "weights-only-logits"])
+def test_mlp_rejects_a_value_that_is_not_finite(layer, scale, value, trainable):
     # inputs of 10: a first-layer weight of -1e308 gives a pre-activation of
-    # -inf, which the relu would hide; the other layers overflow to +inf
-    params = _mlp_params(np.random.default_rng(0), 1, (1, 1, 1, 2), (0.0, 0.0))
+    # -inf, which the relu would hide; the other layers overflow to +inf. Only
+    # source 1 of three overflows. With every parameter constant (the
+    # weights-only forward) the tape records no node but still checks.
+    params = _mlp_params(np.random.default_rng(0), 3, (1, 1, 1, 2), (0.0, 0.0))
+    for p in params:
+        p.requires_grad = trainable
     for w in params[::2]:
         w.values[...] = 1.0
-    params[layer].values[...] = scale
-    with np.errstate(over="ignore"), pytest.raises(ValueError,
-                                                   match="tensor values must be finite"):
-        Tape().mlp(np.full((2, 1), 10.0), params)
+    x = np.full((2, 1), 10.0)
+    tape = Tape()
+    tape.mlp(x, params)
+    assert len(tape) == int(trainable)
+    params[layer].values[1] = scale
+    with np.errstate(over="ignore"), pytest.raises(DivergenceError,
+                                                   match=f"^{value} not finite in source 1$"):
+        tape.mlp(x, params)
 
 
 def test_weighted_sum_definition_and_gradients():
@@ -494,11 +521,9 @@ def test_every_public_tape_op_is_called_from_the_package():
     assert ops <= called, f"tape ops no module calls: {sorted(ops - called)}"
 
 
-def test_only_the_shared_loop_builds_tapes_and_steps_optimizers():
-    # one training loop owns the batch order, the lr decay and the tape per
-    # step; a second copy would have to be kept in step with it by hand
+def _callers(watched):
+    """{name: the "module.Class.function" scopes in src/decision that call it}."""
     src = Path(__file__).resolve().parents[1] / "src" / "decision"
-    watched = {"Tape", "lr_schedule", "stacked_batches", "backward", "step", "zero_grad"}
     callers = {name: set() for name in watched}
 
     def visit(node, scope):
@@ -513,7 +538,25 @@ def test_only_the_shared_loop_builds_tapes_and_steps_optimizers():
 
     for path in src.glob("*.py"):
         visit(ast.parse(path.read_text()), path.stem)
+    return callers
+
+
+def test_only_the_shared_loop_builds_tapes_and_steps_optimizers():
+    # one training loop owns the batch order, the lr decay and the tape per
+    # step; a second copy would have to be kept in step with it by hand
+    watched = {"Tape", "lr_schedule", "stacked_batches", "backward", "step", "zero_grad"}
+    callers = _callers(watched)
     loop = {"optim.run_epochs"}
     # the tape's own backward replays each recorded node's backward
     assert callers == {**{name: loop for name in watched},
                        "backward": loop | {"autodiff.Tape.backward"}}
+
+
+def test_only_tape_mlp_checks_values_on_the_tape():
+    # a check per recorded value costs more than the step's arithmetic at
+    # small batches; the pre-activation and the logits are where a value
+    # that is not finite cannot hide (see Tape.mlp)
+    callers = {name: {s for s in scopes if s.startswith("autodiff.")}
+               for name, scopes in _callers({"isfinite", "_check_finite"}).items()}
+    assert callers == {"_check_finite": {"autodiff.Tape.mlp"},
+                       "isfinite": {"autodiff._check_finite"}}

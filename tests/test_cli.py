@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -423,6 +424,25 @@ def test_adapt_report_does_not_depend_on_blas_threads(tmp_path):
         doc.pop("wall_clock_sec")
         reports.append(doc)
     assert reports[0] == reports[1]
+
+
+def test_divergence_exits_4_naming_epoch_step_source_and_value(tmp_path):
+    # the standard fixture at a backbone lr of 1e6 overflows within 3 epochs
+    doc = yaml.safe_load((Path(__file__).parents[1] / "configs" / "moons3p1.yaml").read_text())
+    for key in ("shot_best", "shot_worst", "shot_ens"):
+        doc["baselines"][key] = False
+    doc["adaptation"].update(lr_backbone=1e6, epochs=3)
+    path = write_config(tmp_path, doc)
+    assert main(["train-sources", "--config", str(path), "--out", str(tmp_path)]) == 0
+    src = str(Path(decision.__file__).parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "decision.cli", "adapt", "--config", str(path),
+                           "--out", str(tmp_path)], env=env, capture_output=True, text=True)
+    assert proc.returncode == 4, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert re.search(r"^divergence: epoch [1-3], step \d+: (pre-activation|logits) not finite "
+                     r"in source [0-3]$", proc.stderr, re.MULTILINE), proc.stderr
 
 
 def test_single_enabled_method_yields_single_row(tmp_path):

@@ -255,7 +255,7 @@ def test_source_training_step_records_the_same_nodes_for_any_n(n, monkeypatch):
     models = [SourceModel.init(f"m{j}", arch, j) for j in range(n)]
     data = [_blobs(j) for j in range(n)]
     train_source(models, data, SourceTrainConfig(epochs=1), list(range(n)))
-    assert sizes == [8] * 4  # 120 rows in 32-row batches: 4 steps of 6 leaves + 2 ops
+    assert sizes == [2] * 4  # 120 rows in 32-row batches: 4 steps of mlp + im_loss
 
 
 # -- checkpoints ---------------------------------------------------------------
@@ -343,7 +343,7 @@ def test_tape_mlp_for_one_model_and_for_a_stack():
         assert single.shape == (1, 5, 3)
         np.testing.assert_allclose(single[0], m.logits(x), rtol=1e-14)
         np.testing.assert_allclose(stacked[j], single[0], rtol=1e-14)
-    ops = [[n.op for n in t.nodes if n.leaf is None] for t in (t1, tn)]
+    ops = [[n.op for n in t.nodes] for t in (t1, tn)]
     assert ops[0] == ops[1] == ["mlp"]
     with pytest.raises(ShapeMismatchError, match="input dim 2 != 3"):
         Tape().mlp(x[:, :2], SourceStack(models).params)
