@@ -3,8 +3,8 @@
 Subcommands: train-sources, adapt, oracle, distill, report.
 Exit codes: 0 success, 1 verification violation, 2 config error, 3 I/O error
 (including a checkpoint file that cannot be read as a model), 4 divergence (a
-training value that is not finite; the message names the epoch, step, source
-and value).
+training value or step loss that is not finite; the message names the method,
+epoch, step and value, and the source for a value).
 """
 
 import argparse

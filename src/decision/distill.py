@@ -44,7 +44,7 @@ def train_student(teacher, target, cfg, seed=0):
         raise ValueError("target set is empty")
     arch = ModelConfig(*teacher.models[0].dims)
     labels = teacher_label(teacher, target.x)
-    student = SourceModel.init("student", arch, seed, label_smoothing=0.0)
+    student = SourceModel.init("student", arch, seed)
     train_source([student], [LabeledSet(target.x, labels, arch.num_classes)],
                  replace(cfg, label_smoothing=0.0), [seed])
     agreement = float(np.mean(predict(student.logits(target.x)) == labels))

@@ -28,7 +28,7 @@ from .autodiff import ShapeMismatchError, Tensor, mlp_forward
 from .optim import (ParamGroup, SgdMomentum, check_lr, check_momentum, check_weight_decay,
                     run_epochs)
 
-CHECKPOINT_VERSION = "decision-ckpt-v1"
+CHECKPOINT_VERSION = "decision-ckpt-v2"
 
 # parameter name -> its axes, in the order of SourceModel.params: the first
 # four are the extractor, the last two the head; a checkpoint's shapes must
@@ -80,16 +80,15 @@ class SourceModel:
     raises ValueError naming the parameter.
     """
 
-    def __init__(self, domain, params, label_smoothing=0.1):
+    def __init__(self, domain, params):
         self.domain = domain
         self.params = [np.asarray(p, dtype=np.float64) for p in params]
         for name, p in zip(_PARAM_AXES, self.params):
             if not np.isfinite(p).all():
                 raise ValueError(f"parameter '{name}' is not finite")
-        self.label_smoothing = label_smoothing
 
     @classmethod
-    def init(cls, domain, cfg, seed, label_smoothing=0.1):
+    def init(cls, domain, cfg, seed):
         """Uniform(+-1/sqrt(fan_in)) weights and biases, drawn layer by layer."""
         rng = np.random.default_rng(seed)
         sizes = (cfg.input_dim, cfg.hidden_dim, cfg.feature_dim, cfg.num_classes)
@@ -98,7 +97,7 @@ class SourceModel:
             bound = 1.0 / np.sqrt(fan_in)
             params += [rng.uniform(-bound, bound, shape)
                        for shape in ((fan_in, fan_out), (fan_out,))]
-        return cls(domain, params, label_smoothing)
+        return cls(domain, params)
 
     @property
     def dims(self):
@@ -147,8 +146,7 @@ class SourceStack:
     def __init__(self, models, requires_grad=True):
         check_compatible(models)
         self.params = _stacked_params(models, 4 if requires_grad else 0)
-        self.models = [SourceModel(m.domain, [t.values[j] for t in self.params],
-                                   m.label_smoothing)
+        self.models = [SourceModel(m.domain, [t.values[j] for t in self.params])
                        for j, m in enumerate(models)]
 
     def extractor_params(self):
@@ -247,7 +245,6 @@ def save_checkpoint(model, path):
     doc = {
         "version": CHECKPOINT_VERSION,
         "domain": model.domain,
-        "label_smoothing": model.label_smoothing,
         "params": {
             name: {"shape": list(p.shape), "values": p.ravel().tolist()}
             for name, p in zip(_PARAM_AXES, model.params)
@@ -271,9 +268,8 @@ def load_checkpoint(path):
     version = doc.get("version") if isinstance(doc, dict) else None
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version!r}")
-    for key in ("domain", "label_smoothing"):
-        if key not in doc:
-            raise CheckpointError(f"{path}: missing field '{key}'")
+    if "domain" not in doc:
+        raise CheckpointError(f"{path}: missing field 'domain'")
     params, sizes, arrays = doc.get("params"), {}, []
     for name, axes in _PARAM_AXES.items():
         try:
@@ -290,7 +286,7 @@ def load_checkpoint(path):
                                   f"which does not chain with the others")
         arrays.append(vals)
     try:
-        return SourceModel(doc["domain"], arrays, doc["label_smoothing"])
+        return SourceModel(doc["domain"], arrays)
     except ValueError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
 

@@ -95,7 +95,9 @@ def run_epochs(opt, epochs, batch_size, seeds, epoch_arrays, step_loss, after_st
     epoch``; per batch, ``step_loss(tape, *batch)`` returns ``(loss, step_terms)``
     on a fresh tape, then backward, a step at the decayed lr and ``after_step()``.
     ``terms`` lists the epoch's ``step_terms`` in step order. A DivergenceError
-    from ``step_loss`` is raised again with the epoch and step, both from 1."""
+    from ``step_loss`` is raised again with the epoch and step, both from 1, and
+    a loss that is not finite raises one: finite logits whose row spans more
+    than the float range give ``im_loss`` a NaN or infinite value."""
     step = 0
     for epoch in range(epochs):
         arrays = epoch_arrays(epoch)
@@ -108,6 +110,9 @@ def run_epochs(opt, epochs, batch_size, seeds, epoch_arrays, step_loss, after_st
                 loss, step_terms = step_loss(tape, *batch)
             except DivergenceError as exc:
                 raise DivergenceError(f"epoch {epoch + 1}, step {len(terms) + 1}: {exc}") from exc
+            if not math.isfinite(loss.values):
+                raise DivergenceError(f"epoch {epoch + 1}, step {len(terms) + 1}: "
+                                      f"loss not finite")
             tape.backward(loss)
             opt.step(lr_factor=lr_schedule(1.0, step / max(1, total_steps - 1)))
             opt.zero_grad()

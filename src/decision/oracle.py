@@ -9,12 +9,14 @@ summation of a probability-mass table Q(x)P(y|x) against a per-predictor loss
 table. It is completely independent of the neural pipeline.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 LOSS_SENTINEL = 1e18  # stands in for an infinite expected loss
-LOSSES = ("cross_entropy", "squared_error")
+LOSSES = ("cross_entropy", "squared_error")  # verify_combination_bound alternates them
+SLACK = 1e-9  # how far a checked bound may be exceeded before it is a violation
+MAX_SUPPORT, MAX_CLASSES, MAX_SOURCES, MIN_LAM = 6, 3, 4, 1e-3  # random_instance's caps
 
 
 @dataclass
@@ -69,14 +71,13 @@ def mixture_domain(domains, lam):
     return DiscreteDomain(qx, cond)
 
 
-def optimal_predictor(domain, loss="cross_entropy"):
+def optimal_predictor(domain):
     """Risk-minimizing predictor: the true conditional wherever Q(x) > 0.
 
-    Both supported losses are minimized in expectation by posterior matching;
-    off-support rows (Q(x) = 0) are set to uniform.
+    Both supported losses are minimized in expectation by posterior matching,
+    so the predictor does not depend on the loss; off-support rows (Q(x) = 0)
+    are set to uniform.
     """
-    if loss not in LOSSES:
-        raise ValueError(f"loss must be one of {LOSSES}")
     rows = domain.cond.copy()
     rows[domain.qx == 0.0] = 1.0 / domain.num_classes
     return TabularPredictor(rows)
@@ -116,28 +117,37 @@ def uniform_mixture_weights(lam, c):
     return w / w.sum()
 
 
-def expected_loss(domain, predictor, loss="cross_entropy"):
-    """Exact expected loss sum_x Q(x) sum_y P(y|x) L(theta(x), y).
+def expected_losses(domains, predictors, loss="cross_entropy"):
+    """Exact expected losses sum_x Q_i(x) sum_y P_i(y|x) L(theta_j(x), y), all pairs.
 
-    Returns (value, saturated); an infinite cross-entropy saturates to
-    LOSS_SENTINEL with the flag set. Zero-mass (x, y) pairs contribute nothing.
+    Returns (values, saturated), two (len(domains), len(predictors)) tables; a
+    pair whose cross-entropy is infinite (p <= 0 where the domain has mass)
+    saturates to LOSS_SENTINEL with its flag set. Zero-mass (x, y) pairs
+    contribute nothing.
     """
     if loss not in LOSSES:
         raise ValueError(f"loss must be one of {LOSSES}")
-    rows = predictor.rows
-    if rows.shape != domain.cond.shape:
-        raise ValueError(f"predictor rows have shape {rows.shape}, the domain's "
-                         f"conditionals {domain.cond.shape}")
-    mass = domain.qx[:, None] * domain.cond  # (m, K)
-    on = mass != 0.0
+    mass = np.stack([d.qx[:, None] * d.cond for d in domains])  # (n_d, m, K)
+    rows = np.stack([p.rows for p in predictors])  # (n_p, m, K)
+    if rows.shape[1:] != mass.shape[1:]:
+        raise ValueError(f"predictor rows have shape {rows.shape[1:]}, the domain's "
+                         f"conditionals {mass.shape[1:]}")
     if loss == "cross_entropy":
-        p = rows[on]
-        if (p <= 0.0).any():
-            return LOSS_SENTINEL, True
-        return float((mass[on] * -np.log(p)).sum()), False
-    # table[x, y] = ||theta(x) - e_y||^2
-    table = ((rows[:, None, :] - np.eye(rows.shape[1])) ** 2).sum(axis=-1)
-    return float((mass[on] * table[on]).sum()), False
+        zero = rows <= 0.0
+        table = -np.log(np.where(zero, 1.0, rows))  # those entries saturate instead
+        saturated = np.einsum("imk,jmk->ij", mass != 0.0, zero)
+    else:  # table[j, x, y] = ||theta_j(x) - e_y||^2
+        table = ((rows[:, :, None, :] - np.eye(rows.shape[2])) ** 2).sum(axis=-1)
+        saturated = np.zeros((len(domains), len(predictors)), dtype=bool)
+    values = np.einsum("imk,jmk->ij", mass, table)
+    values[saturated] = LOSS_SENTINEL
+    return values, saturated
+
+
+def expected_loss(domain, predictor, loss="cross_entropy"):
+    """``expected_losses`` for one pair: (value, saturated) as a float and a bool."""
+    values, saturated = expected_losses([domain], [predictor], loss)
+    return float(values[0, 0]), bool(saturated[0, 0])
 
 
 @dataclass
@@ -149,45 +159,35 @@ class VerificationReport:
     notes: list = field(default_factory=list)
 
     def to_dict(self):
-        return {
-            "trials": self.trials,
-            "violations": self.violations,
-            "max_slack_used": None if self.trials == 0 else self.max_slack_used,
-            "strict_cases_checked": self.strict_cases_checked,
-            "notes": self.notes,
-        }
+        return {**asdict(self),
+                "max_slack_used": None if self.trials == 0 else self.max_slack_used}
 
 
 def _saturating_mix(lam, values):
     """sum_i lam_i * v_i with sentinel saturation."""
-    if any(v >= LOSS_SENTINEL for v in values):
-        return LOSS_SENTINEL
-    return float(np.dot(lam, values))
+    return LOSS_SENTINEL if (values >= LOSS_SENTINEL).any() else float(np.dot(lam, values))
 
 
-def check_instance(domains, lam, loss="cross_entropy", slack=1e-9, corrupt=False):
+def check_instance(domains, lam, loss="cross_entropy", corrupt=False):
     """Verify one instance; returns (violations, slack_used, strict_checked).
 
+    Two ``expected_losses`` tables hold every loss checked: the n optimal
+    predictors and their combination on the target, and predictor j on source i.
     ``corrupt`` swaps the combined predictor for the worst single source, a
     detector self-test that must be flagged as a violation.
     """
     lam = np.asarray(lam, dtype=np.float64)
     n = len(domains)
-    predictors = [optimal_predictor(d, loss) for d in domains]
+    predictors = [optimal_predictor(d) for d in domains]
     target = mixture_domain(domains, lam)
-    per_source_on_target = [expected_loss(target, p, loss)[0] for p in predictors]
-    if corrupt:
-        theta_t = predictors[int(np.argmax(per_source_on_target))]
-    else:
-        theta_t = mixture_predictor(domains, lam, predictors)
-
-    lhs, _ = expected_loss(target, theta_t, loss)
-    cross = np.array([[expected_loss(domains[i], predictors[j], loss)[0] for j in range(n)]
-                      for i in range(n)])
+    combined = [] if corrupt else [mixture_predictor(domains, lam, predictors)]
+    (on_target,), _ = expected_losses([target], predictors + combined, loss)
+    per_source_on_target = on_target[:n].tolist()
+    lhs = max(per_source_on_target) if corrupt else float(on_target[n])
+    cross, _ = expected_losses(domains, predictors, loss)
     self_losses = np.diag(cross)
 
-    violations = []
-    slack_used = -np.inf
+    violations, slack_used = [], -np.inf
 
     def flag(tag, left, right):
         violations.append({
@@ -197,25 +197,25 @@ def check_instance(domains, lam, loss="cross_entropy", slack=1e-9, corrupt=False
             "conditionals": [d.cond.tolist() for d in domains],
         })
 
-    def check(tag, left, right, tol):
+    def check(tag, left, right):
         nonlocal slack_used
         slack_used = max(slack_used, left - right)
-        if left > right + tol:
+        if left > right + SLACK:
             flag(tag, left, right)
 
     # headline bound: target risk of the combination vs the best single source
     rhs = min(per_source_on_target)
-    check("combined_vs_best_source", lhs, rhs, slack)
+    check("combined_vs_best_source", lhs, rhs)
 
     # intermediate bounds, link by link
     mid = _saturating_mix(lam, self_losses)
-    check("convexity_bound", lhs, mid, slack)
+    check("convexity_bound", lhs, mid)
     for j in range(n):
         mixed_j = _saturating_mix(lam, cross[:, j])
-        check("mixture_decomposition", abs(per_source_on_target[j] - mixed_j), 0.0, slack)
-        check("self_optimality_chain", mid, mixed_j, slack)
+        check("mixture_decomposition", abs(per_source_on_target[j] - mixed_j), 0.0)
+        check("self_optimality_chain", mid, mixed_j)
         for i in range(n):
-            check("per_source_optimality", self_losses[i], cross[i, j], slack)
+            check("per_source_optimality", self_losses[i], cross[i, j])
 
     # strictness: all mixture weights positive and some source strictly beats
     # the overall-best predictor on its own domain
@@ -230,9 +230,9 @@ def check_instance(domains, lam, loss="cross_entropy", slack=1e-9, corrupt=False
     return violations, slack_used, strict_checked
 
 
-def random_instance(rng, max_support=6, max_classes=3, max_sources=4,
-                    strict_positive_lam=True):
-    """Domains over one universe with varying supports and conditionals.
+def random_instance(rng):
+    """Domains over one universe with varying supports and conditionals, and
+    mixture weights above MIN_LAM.
 
     Wherever two or more sources put mass on the same input, their label
     conditionals agree (a shared row); on inputs exclusive to one source the
@@ -243,9 +243,9 @@ def random_instance(rng, max_support=6, max_classes=3, max_sources=4,
     private rows on exclusive regions are what make the strictness clause
     attainable at all.
     """
-    m = int(rng.integers(2, max_support + 1))
-    k = int(rng.integers(2, max_classes + 1))
-    n = int(rng.integers(1, max_sources + 1))
+    m = int(rng.integers(2, MAX_SUPPORT + 1))
+    k = int(rng.integers(2, MAX_CLASSES + 1))
+    n = int(rng.integers(1, MAX_SOURCES + 1))
     shared = rng.dirichlet(np.ones(k), size=m)
     masks = []
     for _ in range(n):
@@ -263,11 +263,11 @@ def random_instance(rng, max_support=6, max_classes=3, max_sources=4,
         domains.append(DiscreteDomain(qx, cond))
     while True:
         lam = rng.dirichlet(np.ones(n))
-        if not strict_positive_lam or lam.min() > 1e-3:
+        if lam.min() > MIN_LAM:
             return domains, lam
 
 
-def verify_combination_bound(trials, seed, slack=1e-9, losses=LOSSES, corrupt=False):
+def verify_combination_bound(trials, seed, corrupt=False):
     """Randomized verification suite; the report lists any violated instance."""
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
@@ -279,8 +279,8 @@ def verify_combination_bound(trials, seed, slack=1e-9, losses=LOSSES, corrupt=Fa
     )
     for t in range(trials):
         domains, lam = random_instance(rng)
-        loss = losses[t % len(losses)]
-        violations, slack_used, strict = check_instance(domains, lam, loss, slack, corrupt)
+        loss = LOSSES[t % len(LOSSES)]
+        violations, slack_used, strict = check_instance(domains, lam, loss, corrupt)
         report.trials += 1
         report.violations.extend(violations)
         report.max_slack_used = max(report.max_slack_used, slack_used)

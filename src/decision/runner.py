@@ -6,6 +6,7 @@ holding every headline number. Aggregation (`run_report`) only reads those
 artifacts; nothing is recomputed.
 """
 
+import contextlib
 import csv
 import json
 import time
@@ -17,6 +18,7 @@ import numpy as np
 from . import config as config_mod
 from . import kernels
 from .adaptation import adapt, soft_ensemble_accuracy, weights_only_adapt
+from .autodiff import DivergenceError
 from .data import generate_domain, split_train_eval
 from .distill import TeacherView, train_student
 from .models import (CheckpointError, SourceModel, SourceTrainConfig, accuracy,
@@ -52,13 +54,23 @@ def _target(cfg):
     return train.inputs_only(), domain
 
 
+@contextlib.contextmanager
+def _method(name):
+    """Prefix a DivergenceError raised inside with the method that diverged."""
+    try:
+        yield
+    except DivergenceError as exc:
+        raise DivergenceError(f"{name}: {exc}") from exc
+
+
 def _student(cfg, teacher, target):
     """The distillation student of ``teacher`` on ``target``, with its agreement."""
-    return train_student(
-        teacher, target,
-        SourceTrainConfig(epochs=cfg.distill_epochs, batch_size=cfg.adaptation.batch_size),
-        seed=resolved_seeds(cfg)["student"],
-    )
+    with _method("DECISION-distill"):
+        return train_student(
+            teacher, target,
+            SourceTrainConfig(epochs=cfg.distill_epochs, batch_size=cfg.adaptation.batch_size),
+            seed=resolved_seeds(cfg)["student"],
+        )
 
 
 def _write_json(path, doc):
@@ -98,7 +110,7 @@ def run_train_sources(cfg, out):
     seeds = resolved_seeds(cfg)
     arch = cfg.resolved_model()
     splits = [_domain_split(cfg, spec)[:2] for spec in cfg.source_specs]
-    models = [SourceModel.init(name, arch, seed, cfg.source_training.label_smoothing)
+    models = [SourceModel.init(name, arch, seed)
               for name, seed in zip(cfg.source_names, seeds["model_init"])]
     by_size = {}
     for i, (train, _) in enumerate(splits):
@@ -176,9 +188,9 @@ def run_adapt(cfg, out, ckpt_dir=None):
     need_shot = toggles["shot_best"] or toggles["shot_worst"] or toggles["shot_ens"]
     if need_shot:
         shot_models, shot_accs = [], []
-        for j, m in enumerate(models):
-            res = adapt([m], target,
-                        replace(cfg.adaptation, seed=seeds["shot_adapt"][j]), tgt_eval)
+        for name, m, seed in zip(cfg.source_names, models, seeds["shot_adapt"]):
+            with _method(f"SHOT {name}"):  # no eval_set: its per-epoch rows go unwritten
+                res = adapt([m], target, replace(cfg.adaptation, seed=seed))
             shot_models.append(res.models[0])
             shot_accs.append(accuracy(res.models, res.alpha, tgt_eval))
         for entry, acc in zip(per_source, shot_accs):
@@ -191,10 +203,11 @@ def run_adapt(cfg, out, ckpt_dir=None):
             methods["SHOT-Ens"] = soft_ensemble_accuracy(shot_models, tgt_eval)
 
     if toggles["weights_only"]:
-        res = weights_only_adapt(
-            models, target, replace(cfg.adaptation, seed=seeds["weights_only_adapt"]),
-            tgt_eval,
-        )
+        with _method("DECISION-weights"):
+            res = weights_only_adapt(
+                models, target, replace(cfg.adaptation, seed=seeds["weights_only_adapt"]),
+                tgt_eval,
+            )
         methods["DECISION-weights"] = accuracy(res.models, res.alpha, tgt_eval)
         write_metrics_jsonl(out / "metrics" / "weights_only.jsonl", res.metrics)
         write_alpha_csv(out / "metrics" / "weights_only_alpha.csv", res.metrics)
@@ -204,10 +217,11 @@ def run_adapt(cfg, out, ckpt_dir=None):
 
     decision_res = None
     if toggles["decision"] or toggles["distill"]:
-        decision_res = adapt(
-            models, target, replace(cfg.adaptation, seed=seeds["decision_adapt"]),
-            tgt_eval,
-        )
+        with _method("DECISION"):
+            decision_res = adapt(
+                models, target, replace(cfg.adaptation, seed=seeds["decision_adapt"]),
+                tgt_eval,
+            )
         methods["DECISION"] = accuracy(decision_res.models, decision_res.alpha, tgt_eval)
         write_metrics_jsonl(out / "metrics" / "decision.jsonl", decision_res.metrics)
         write_alpha_csv(out / "metrics" / "decision_alpha.csv", decision_res.metrics)

@@ -61,8 +61,7 @@ def run_fixture_suite(seed, full=False):
     seeds = [cfg.seed * 101 + i for i in range(len(cfg.source_specs))]
     trains = [split_train_eval(generate_domain(spec), cfg.eval_fraction, seed=spec.seed + 1)[0]
               for spec in cfg.source_specs]
-    models = [SourceModel.init(name, arch, seed, cfg.source_training.label_smoothing)
-              for name, seed in zip(cfg.source_names, seeds)]
+    models = [SourceModel.init(name, arch, seed) for name, seed in zip(cfg.source_names, seeds)]
     train_source(models, trains, cfg.source_training, seeds)  # all sources in one pass
     tgt_train, _ = split_train_eval(generate_domain(cfg.target_spec),
                                     cfg.eval_fraction, seed=cfg.target_spec.seed + 1)

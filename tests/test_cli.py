@@ -284,6 +284,19 @@ def test_nan_checkpoint_exits_3_before_writing(trained_run, tmp_path, capsys):
     assert not run.exists()
 
 
+def test_v1_checkpoint_exits_3_naming_its_version(trained_run, tmp_path, capsys):
+    # v1 files carried a label-smoothing setting that nothing read
+    _, path, out = trained_run
+    ckpts = tmp_path / "checkpoints"
+    shutil.copytree(out / "checkpoints", ckpts)
+    doc = json.loads((ckpts / "a.json").read_text())
+    doc.update(version="decision-ckpt-v1", label_smoothing=0.1)
+    (ckpts / "a.json").write_text(json.dumps(doc))
+    assert main(["adapt", "--config", str(path), "--out", str(tmp_path / "o"),
+                 "--checkpoints", str(ckpts)]) == 3
+    assert "unsupported checkpoint version 'decision-ckpt-v1'" in capsys.readouterr().err
+
+
 # -- train-sources ---------------------------------------------------------------
 
 def test_seed_flag_overrides_global_seed_but_not_domain_data(tmp_path):
@@ -330,8 +343,7 @@ def test_train_sources_steps_each_size_group_together_as_if_alone(tmp_path, monk
     assert calls == [["a", "b"], ["big"]]
     seeds = runner.resolved_seeds(cfg)["model_init"]
     for i, (name, spec) in enumerate(zip(cfg.source_names, cfg.source_specs)):
-        alone = SourceModel.init(name, cfg.resolved_model(), seeds[i],
-                                 cfg.source_training.label_smoothing)
+        alone = SourceModel.init(name, cfg.resolved_model(), seeds[i])
         (metrics,) = train(
             [alone], [runner._domain_split(cfg, spec)[0]], cfg.source_training, [seeds[i]])
         save_checkpoint(alone, tmp_path / f"{name}.json")
@@ -441,8 +453,10 @@ def test_divergence_exits_4_naming_epoch_step_source_and_value(tmp_path):
                            "--out", str(tmp_path)], env=env, capture_output=True, text=True)
     assert proc.returncode == 4, proc.stderr
     assert "Traceback" not in proc.stderr
-    assert re.search(r"^divergence: epoch [1-3], step \d+: (pre-activation|logits) not finite "
-                     r"in source [0-3]$", proc.stderr, re.MULTILINE), proc.stderr
+    # weights-only trains no extractor, so DECISION is the first method to diverge
+    assert re.search(r"^divergence: DECISION: epoch [1-3], step \d+: "
+                     r"(pre-activation|logits) not finite in source [0-3]$",
+                     proc.stderr, re.MULTILINE), proc.stderr
 
 
 def test_single_enabled_method_yields_single_row(tmp_path):

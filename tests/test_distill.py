@@ -56,7 +56,7 @@ def test_untrained_student_agreement_is_chance_level():
     data = generate_domain(DomainSpec("two-moons", n=300, seed=2, noise_std=0.15))
     train_source([model], [data], SourceTrainConfig(epochs=20), [0])
     teacher = TeacherView([model], [1.0])
-    student = SourceModel.init("student", ModelConfig(*model.dims), 0, label_smoothing=0.0)
+    student = SourceModel.init("student", ModelConfig(*model.dims), 0)
     agreement = np.mean(predict(student.logits(data.x)) == teacher_label(teacher, data.x))
     assert 0.2 < agreement < 0.8  # roughly 1/K for two classes
 
@@ -71,7 +71,6 @@ def test_student_matches_source_architecture_and_is_single_model():
     assert student.feature_dim == ref.feature_dim
     for a, b in zip(student.params, ref.params):
         assert a.shape == b.shape
-    assert student.label_smoothing == 0.0
 
 
 def test_student_trains_without_label_smoothing():

@@ -226,7 +226,7 @@ def test_stacked_training_is_bit_identical_to_training_each_model_alone():
     seeds = [5, 9, 2]
 
     def fresh():
-        return [SourceModel.init(f"m{j}", arch, 40 + j, 0.1) for j in range(3)]
+        return [SourceModel.init(f"m{j}", arch, 40 + j) for j in range(3)]
 
     stacked = fresh()
     got = train_source(stacked, data, cfg, seeds)
@@ -261,16 +261,16 @@ def test_source_training_step_records_the_same_nodes_for_any_n(n, monkeypatch):
 # -- checkpoints ---------------------------------------------------------------
 
 def test_checkpoint_roundtrip_and_byte_stability(tmp_path):
-    model = SourceModel.init("ckpt", tiny_arch(), 13, label_smoothing=0.1)
+    model = SourceModel.init("ckpt", tiny_arch(), 13)
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     save_checkpoint(model, p1)
     save_checkpoint(model, p2)
     assert p1.read_bytes() == p2.read_bytes()
     doc = json.loads(p1.read_text())
-    assert doc["version"] == "decision-ckpt-v1"
+    assert doc["version"] == "decision-ckpt-v2"
     assert doc["domain"] == "ckpt"
+    assert "label_smoothing" not in doc
     loaded = load_checkpoint(p1)
-    assert loaded.label_smoothing == 0.1
     for a, b in zip(loaded.params, model.params):
         assert np.array_equal(a, b)
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from decision.autodiff import Tensor
-from decision.optim import ParamGroup, SgdMomentum, lr_schedule
+from decision.autodiff import DivergenceError, Tensor
+from decision.optim import ParamGroup, SgdMomentum, lr_schedule, run_epochs
 
 
 def _step(opt, param, grad):
@@ -95,3 +95,21 @@ def test_lr_schedule_monotone_decay():
         assert lr_schedule(initial, 0.5) > lr_schedule(initial, 1.0)
     with pytest.raises(ValueError):
         lr_schedule(0.01, 1.5)
+
+
+@pytest.mark.parametrize("pl_only", [False, True], ids=["nan", "inf"])
+def test_run_epochs_rejects_a_loss_that_is_not_finite(pl_only):
+    # a finite logit row spanning more than the float range: log-softmax gives
+    # -inf, so im_loss is NaN, or +inf with pl_only and the mass on that class;
+    # Tape.mlp's checks cannot see it, the loss check after the step can
+    z = Tensor([[1e308, -1e308]], requires_grad=True)
+    opt = SgdMomentum([ParamGroup([z], lr=1.0)])
+    q = np.array([[0.0, 1.0]])
+
+    def step_loss(tape, xb):
+        return tape.im_loss(z, q, 0.0 if pl_only else 1.0, 0.0, 1.0, pl_only=pl_only)
+
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError,
+                                                  match=r"^epoch 1, step 1: loss not finite$"):
+        list(run_epochs(opt, 2, 1, [0], lambda epoch: [np.zeros((1, 1, 1))], step_loss))
+    assert z.grad is None  # raised before backward and the optimizer step

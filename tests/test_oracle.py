@@ -7,10 +7,11 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from decision import oracle
 from decision.oracle import (LOSS_SENTINEL, LOSSES, DiscreteDomain, TabularPredictor,
                              check_instance, density_ratio_weights,
-                             expected_loss, mixture_domain, mixture_predictor,
-                             optimal_predictor, random_instance,
+                             expected_loss, expected_losses, mixture_domain,
+                             mixture_predictor, optimal_predictor, random_instance,
                              uniform_mixture_weights, verify_combination_bound)
 
 
@@ -77,7 +78,7 @@ def test_optimal_predictor_vs_golden_section_search(loss):
     rng = np.random.default_rng(8)
     for _ in range(10):
         d = _domain(rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(2), size=3))
-        pred = optimal_predictor(d, loss)
+        pred = optimal_predictor(d)
         for x in range(3):
             if d.qx[x] == 0:
                 continue
@@ -97,7 +98,7 @@ def test_optimal_predictor_is_a_local_argmin_under_simplex_perturbations():
     rng = np.random.default_rng(9)
     for loss in ("cross_entropy", "squared_error"):
         d = _domain(rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(3), size=4))
-        pred = optimal_predictor(d, loss)
+        pred = optimal_predictor(d)
         base, _ = expected_loss(d, pred, loss)
         for a in range(3):
             for b in range(3):
@@ -211,8 +212,9 @@ def _reference_expected_loss(domain, predictor, loss):
 
 
 @st.composite
-def _domain_and_predictor(draw):
-    """Domains with zero-mass points and zero conditionals; predictors with zeros."""
+def _domains_and_predictors(draw):
+    """1-3 domains with zero-mass points and zero conditionals, and 1-3
+    predictors with zeros, all of one shape."""
     m, k = draw(st.integers(1, 6)), draw(st.integers(2, 4))
     weight = st.one_of(st.just(0.0), st.floats(1e-3, 1.0))
 
@@ -222,22 +224,27 @@ def _domain_and_predictor(draw):
         w[w.sum(axis=1) == 0.0, 0] = 1.0
         return w / w.sum(axis=1, keepdims=True)
 
-    domain = DiscreteDomain(simplex_rows(1, m)[0], simplex_rows(m, k))
-    return domain, TabularPredictor(simplex_rows(m, k))
+    domains = [DiscreteDomain(simplex_rows(1, m)[0], simplex_rows(m, k))
+               for _ in range(draw(st.integers(1, 3)))]
+    return domains, [TabularPredictor(simplex_rows(m, k)) for _ in range(draw(st.integers(1, 3)))]
 
 
-@given(_domain_and_predictor(), st.sampled_from(LOSSES))
-@example((_domain([1.0], [[0.5, 0.5]]), TabularPredictor([[1.0, 0.0]])), "cross_entropy")
-@example((_domain([0.0, 1.0], [[0.5, 0.5], [0.0, 1.0]]),
-          TabularPredictor([[1.0, 0.0], [0.0, 1.0]])), "cross_entropy")
+@given(_domains_and_predictors(), st.sampled_from(LOSSES))
+@example(([_domain([1.0], [[0.5, 0.5]])], [TabularPredictor([[1.0, 0.0]])]), "cross_entropy")
+@example(([_domain([0.0, 1.0], [[0.5, 0.5], [0.0, 1.0]])],
+          [TabularPredictor([[1.0, 0.0], [0.0, 1.0]])]), "cross_entropy")
 def test_expected_loss_matches_the_per_entry_loop(case, loss):
-    domain, predictor = case
-    got, saturated = expected_loss(domain, predictor, loss)
-    want, want_saturated = _reference_expected_loss(domain, predictor, loss)
-    assert saturated == want_saturated
-    assert got == pytest.approx(want, rel=1e-15, abs=1e-15)
-    if saturated:
-        assert got == LOSS_SENTINEL
+    domains, predictors = case
+    values, saturated = expected_losses(domains, predictors, loss)
+    assert values.shape == saturated.shape == (len(domains), len(predictors))
+    for i, domain in enumerate(domains):
+        for j, predictor in enumerate(predictors):
+            want, want_saturated = _reference_expected_loss(domain, predictor, loss)
+            assert saturated[i, j] == want_saturated
+            assert values[i, j] == pytest.approx(want, rel=1e-15, abs=1e-15)
+            if want_saturated:
+                assert values[i, j] == LOSS_SENTINEL
+    assert expected_loss(domains[0], predictors[0], loss) == (values[0, 0], saturated[0, 0])
 
 
 # -- the guarantee ------------------------------------------------------------------
@@ -276,6 +283,61 @@ def test_negative_trial_count_is_rejected():
     with pytest.raises(ValueError, match="trials"):
         verify_combination_bound(trials=-5, seed=0)
     assert verify_combination_bound(trials=0, seed=0).trials == 0
+
+
+@pytest.mark.parametrize("corrupt", [False, True], ids=["combined", "corrupt"])
+@pytest.mark.parametrize("loss", LOSSES)
+def test_check_instance_matches_per_pair_losses(monkeypatch, loss, corrupt):
+    # the same checks reading tables built one expected-loss call per
+    # (domain, predictor) pair, as check_instance did before its two tables
+    rng = np.random.default_rng(18)
+    instances = [random_instance(rng) for _ in range(200)]
+    got = [check_instance(domains, lam, loss, corrupt) for domains, lam in instances]
+    one_pair = oracle.expected_losses
+
+    def per_pair(domains, predictors, loss):
+        cells = [[one_pair([d], [p], loss) for p in predictors] for d in domains]
+        return (np.array([[v[0, 0] for v, _ in row] for row in cells]),
+                np.array([[s[0, 0] for _, s in row] for row in cells]))
+
+    monkeypatch.setattr(oracle, "expected_losses", per_pair)
+    flagged = 0
+    for (domains, lam), (violations, slack, strict) in zip(instances, got):
+        want_violations, want_slack, want_strict = check_instance(domains, lam, loss, corrupt)
+        assert strict == want_strict
+        assert slack == pytest.approx(want_slack, rel=0, abs=1e-15)
+        assert [v["check"] for v in violations] == [v["check"] for v in want_violations]
+        for v, w in zip(violations, want_violations):
+            assert {**v, "lhs": 0, "rhs": 0} == {**w, "lhs": 0, "rhs": 0}
+            for side in ("lhs", "rhs"):
+                assert v[side] == pytest.approx(w[side], rel=1e-15, abs=1e-15)
+        flagged += len(violations)
+    assert (flagged > 0) == corrupt
+
+
+def test_check_instance_builds_two_loss_tables(monkeypatch):
+    calls = []
+    table = oracle.expected_losses
+
+    def counting(domains, predictors, loss):
+        calls.append((len(domains), len(predictors)))
+        return table(domains, predictors, loss)
+
+    def per_pair(*args):
+        raise AssertionError("check_instance called expected_loss")
+
+    monkeypatch.setattr(oracle, "expected_losses", counting)
+    monkeypatch.setattr(oracle, "expected_loss", per_pair)
+    domains, lam = random_instance(np.random.default_rng(19))
+    n = len(domains)
+    assert n >= 2
+    for loss in LOSSES:
+        for corrupt in (False, True):
+            calls.clear()
+            check_instance(domains, lam, loss, corrupt)
+            # the target row (n optimal predictors, plus the combined one
+            # unless corrupt), then the n x n cross table
+            assert calls == [(1, n + (not corrupt)), (n, n)]
 
 
 def test_corrupted_predictor_is_detected():

@@ -1,0 +1,21 @@
+import importlib.util
+from pathlib import Path
+
+from decision.oracle import verify_combination_bound
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "oracle_gate.py"
+_SPEC = importlib.util.spec_from_file_location("oracle_gate", _PATH)
+oracle_gate = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(oracle_gate)
+
+
+def test_gate_passes_a_recorded_seed_and_fails_a_violation_or_an_unrecorded_count():
+    expected = oracle_gate.recorded()
+    report = verify_combination_bound(oracle_gate.TRIALS, 3)
+    assert oracle_gate.problems(3, report, expected) == []
+    report.strict_cases_checked += 1
+    assert oracle_gate.problems(3, report, expected) == [
+        f"strict_cases_checked {report.strict_cases_checked}, "
+        f"recorded [{report.strict_cases_checked - 1}]"]
+    corrupt = verify_combination_bound(20, 3, corrupt=True)
+    assert oracle_gate.problems(3, corrupt, expected)[0] == f"{len(corrupt.violations)} violations"
