@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .autodiff import ShapeMismatchError, Tensor, mlp_forward, sigmoid
+from .autodiff import DivergenceError, ShapeMismatchError, Tensor, mlp_forward, sigmoid
 from .data import UnlabeledSet
 from .models import SourceStack, accuracy, aggregate_logits, check_compatible, predict
 from .optim import (ParamGroup, SgdMomentum, check_lr, check_momentum, check_weight_decay,
@@ -131,13 +131,16 @@ def assign_pseudo_labels(feats, cents, alpha, mode):
     "per-source" sums the alpha-weighted squared distances in each source's
     feature space; "combined-feature" measures the alpha-combined feature
     against the alpha-combined centroids. Ties break toward the smaller class
-    index.
+    index. A distance that is not finite raises DivergenceError: every value
+    the labels are drawn from, features, softmax and centroids, flows into it.
     """
     if mode == "per-source":
         dists = kernels.per_source_sqdist(feats, cents, alpha)
     else:
         dists = kernels.pairwise_sqdist(np.einsum("j,jnd->nd", alpha, feats),
                                         np.einsum("j,jkd->kd", alpha, cents))
+    if not np.isfinite(dists).all():
+        raise DivergenceError("pseudo-label distances not finite")
     return np.argmin(dists, axis=1)
 
 
@@ -148,20 +151,23 @@ def update_pseudo_labels(models, alpha, x, refinement_rounds=1, mode="per-source
     probability underflowed on every sample gets the source's mean feature);
     each refinement round re-estimates centroids from the previous hard
     assignment (an empty class keeps its centroid). All of this is plain
-    numpy: pseudo-labels are constants for the optimizer.
+    numpy: pseudo-labels are constants for the optimizer. numpy's overflow and
+    invalid-value warnings are off here: each assignment's finiteness check
+    raises DivergenceError instead.
     """
     k, _ = check_compatible(models)
     alpha = np.asarray(alpha, dtype=np.float64)
-    # a generator, so no source's (N, h) pre-activation outlives its forward
-    feats, logits = zip(*(mlp_forward(x, m.params)[1:] for m in models))
-    feats = np.stack(feats)
-    probs = np.stack([kernels.softmax_rows(z) for z in logits])
-    cents = _source_centroids(feats, probs, None)
-    labels = assign_pseudo_labels(feats, cents, alpha, mode)
-    for _ in range(refinement_rounds):
-        onehot = np.broadcast_to(np.eye(k)[labels], probs.shape)
-        cents = _source_centroids(feats, onehot, cents)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a generator, so no source's (N, h) pre-activation outlives its forward
+        feats, logits = zip(*(mlp_forward(x, m.params)[1:] for m in models))
+        feats = np.stack(feats)
+        probs = np.stack([kernels.softmax_rows(z) for z in logits])
+        cents = _source_centroids(feats, probs, None)
         labels = assign_pseudo_labels(feats, cents, alpha, mode)
+        for _ in range(refinement_rounds):
+            onehot = np.broadcast_to(np.eye(k)[labels], probs.shape)
+            cents = _source_centroids(feats, onehot, cents)
+            labels = assign_pseudo_labels(feats, cents, alpha, mode)
     return labels
 
 
@@ -193,22 +199,23 @@ def adapt(models, target, cfg, eval_set=None, on_step=None, optimize_features=Tr
     Returns the adapted models plus the learned weights alpha; inputs are not
     mutated. All sources step together as one ``SourceStack`` (frozen heads,
     extractors trainable when ``optimize_features``); the returned models are
-    its per-source views. Alpha is checked to lie on the simplex after every
-    step; leaving it raises AssertionError.
+    its per-source views. Alpha is checked to lie on the simplex at the start
+    and after every step; leaving it raises AssertionError.
     """
     if not isinstance(target, UnlabeledSet):
         raise TypeError("adaptation target must be an UnlabeledSet")
     if len(target) == 0:
         raise ValueError("target set is empty")
     stack = SourceStack(models, requires_grad=optimize_features)
-    adapted = stack.models
-    raw = Tensor(np.zeros(len(adapted)), requires_grad=True)  # uniform alpha
-    result = AdaptationResult(adapted, alpha_project(raw.values))
+    raw = Tensor(np.zeros(len(models)), requires_grad=True)  # uniform alpha
     groups = []
     if optimize_features:
         groups.append(ParamGroup(stack.extractor_params(), cfg.lr_backbone, cfg.weight_decay))
     groups.append(ParamGroup([raw], cfg.lr_alpha, 0.0))  # no decay pull on raw weights
     opt = SgdMomentum(groups, momentum=cfg.momentum)
+    adapted = stack.models  # views of the optimizer's buffer, so taken after it
+    result = AdaptationResult(adapted, alpha_project(raw.values))
+    _check_simplex(result.alpha)  # the first refresh reads it
 
     def epoch_arrays(epoch):
         labels = update_pseudo_labels(adapted, result.alpha, target.x,

@@ -3,8 +3,9 @@
 Subcommands: train-sources, adapt, oracle, distill, report.
 Exit codes: 0 success, 1 verification violation, 2 config error, 3 I/O error
 (including a checkpoint file that cannot be read as a model), 4 divergence (a
-training value or step loss that is not finite; the message names the method,
-epoch, step and value, and the source for a value).
+training value, step loss or pseudo-label distance that is not finite; the
+message names the method, the epoch, the step or the refresh, and the value,
+and the source for a training value).
 """
 
 import argparse

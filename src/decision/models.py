@@ -136,18 +136,23 @@ class SourceStack:
     The extractors become (n, in, h), (n, h), (n, h, d) and (n, d) tensors,
     trainable only when ``requires_grad``; the frozen heads become (n, d, K)
     and (n, K) constants. The inputs are copied, never mutated. ``models``
-    are per-source SourceModels whose arrays are row j of the stacked
-    tensors' ``values``: an optimizer that updates ``values`` in place, as
-    SgdMomentum does, keeps every view current, so the numpy evaluation
-    paths, checkpoints and teachers read the adapted parameters without
-    copies. Replacing a stacked tensor's ``values`` would detach them.
+    gives per-source SourceModels whose arrays are row j of the stacked
+    tensors' current ``values``. An optimizer built over the extractors moves
+    their values into its own buffer and then updates them in place, so take
+    the views after building it: they then follow every step, and the numpy
+    evaluation paths, checkpoints and teachers read the adapted parameters
+    without copies.
     """
 
     def __init__(self, models, requires_grad=True):
         check_compatible(models)
         self.params = _stacked_params(models, 4 if requires_grad else 0)
-        self.models = [SourceModel(m.domain, [t.values[j] for t in self.params])
-                       for j, m in enumerate(models)]
+        self._domains = [m.domain for m in models]
+
+    @property
+    def models(self):
+        return [SourceModel(domain, [t.values[j] for t in self.params])
+                for j, domain in enumerate(self._domains)]
 
     def extractor_params(self):
         return self.params[:4]

@@ -1,8 +1,11 @@
 """SGD with momentum and coupled weight decay, the polynomial lr decay, and
-``run_epochs``, the training loop of every trainer in the package."""
+``run_epochs``, the training loop of every trainer in the package.
+
+``SgdMomentum`` owns the storage of the parameters it steps: each group's
+values live in one flat buffer, which a step updates in place."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,47 +49,79 @@ class ParamGroup:
         check_weight_decay(self.weight_decay)
 
 
-@dataclass
 class SgdMomentum:
     """Momentum SGD: v <- mu*v + (grad + wd*param); param <- param - lr*v.
 
     Weight decay is coupled (added to the gradient before the momentum
     update). ``step(lr_factor)`` scales every group's base rate, which is how
     the lr schedule is applied.
+
+    The optimizer owns its parameters' storage. It copies each group's values
+    into one contiguous buffer and rebinds every ``Tensor.values`` to its view
+    of it, so an array taken from ``values`` before the optimizer was built no
+    longer follows the parameter; one taken after does, since a step updates
+    the buffer in place. A step copies each gradient into a second buffer,
+    then updates the group with six in-place numpy calls, whatever its number
+    of parameters, and allocates no array. A parameter listed twice raises
+    ValueError.
     """
 
-    groups: list
-    momentum: float = 0.9
-    _velocity: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        check_momentum(self.momentum)
-        for group in self.groups:
-            for p in group.params:
+    def __init__(self, groups, momentum=0.9):
+        check_momentum(momentum)
+        self.groups = groups
+        self.momentum = momentum
+        seen = {}
+        for i, group in enumerate(groups):
+            for j, p in enumerate(group.params):
                 if not isinstance(p, Tensor):
                     raise TypeError("optimizer parameters must be Tensors")
-                self._velocity[id(p)] = np.zeros_like(p.values)
+                first = seen.setdefault(id(p), (i, j))
+                if first != (i, j):
+                    raise ValueError(f"parameter {j} of group {i} {p!r} is already "
+                                     f"parameter {first[1]} of group {first[0]}")
+        # per group: (P, V, G, T) and (param, its view of G) pairs
+        self._flat = [_pack(group.params) for group in groups]
 
     def step(self, lr_factor=1.0):
-        for group in self.groups:
-            lr = group.lr * lr_factor
-            for p in group.params:
+        for group, ((P, V, G, T), slots) in zip(self.groups, self._flat):
+            for p, g in slots:
                 if p.grad is None:
                     raise ValueError("parameter has no gradient; run backward first")
-                if p.grad.shape != p.values.shape:
+                if p.grad.shape != g.shape:
                     raise ShapeMismatchError(
-                        f"gradient shape {p.grad.shape} != parameter shape {p.values.shape}"
+                        f"gradient shape {p.grad.shape} != parameter shape {g.shape}"
                     )
-                v = self._velocity[id(p)]
-                v *= self.momentum
-                v += p.grad + group.weight_decay * p.values
-                # in place: SourceStack's per-source models are views of these arrays
-                p.values -= lr * v
+                g[...] = p.grad
+            # T = wd*P + G and T = V*lr are p.grad + wd*p.values and lr*v bit for bit
+            np.multiply(P, group.weight_decay, out=T)
+            T += G
+            V *= self.momentum
+            V += T
+            np.multiply(V, group.lr * lr_factor, out=T)
+            P -= T
 
     def zero_grad(self):
-        for group in self.groups:
-            for p in group.params:
+        for _, slots in self._flat:
+            for p, _ in slots:
                 p.grad = None
+
+
+def _pack(params):
+    """One (4, total size) buffer whose rows are P (values), V (velocity, zero),
+    G (gradients) and T (scratch). Each parameter's values are copied into P
+    and rebound to their view of it. Returns the rows and (param, its view of
+    G) pairs."""
+    rows = tuple(np.zeros((4, sum(p.values.size for p in params))))
+    P, _, G, _ = rows
+    slots, start = [], 0
+    for p in params:
+        stop = start + p.values.size
+        view = P[start:stop].reshape(p.values.shape)
+        view[...] = p.values
+        p.values = view
+        slots.append((p, G[start:stop].reshape(view.shape)))
+        start = stop
+    return rows, slots
 
 
 def run_epochs(opt, epochs, batch_size, seeds, epoch_arrays, step_loss, after_step=None):
@@ -95,12 +130,17 @@ def run_epochs(opt, epochs, batch_size, seeds, epoch_arrays, step_loss, after_st
     epoch``; per batch, ``step_loss(tape, *batch)`` returns ``(loss, step_terms)``
     on a fresh tape, then backward, a step at the decayed lr and ``after_step()``.
     ``terms`` lists the epoch's ``step_terms`` in step order. A DivergenceError
-    from ``step_loss`` is raised again with the epoch and step, both from 1, and
-    a loss that is not finite raises one: finite logits whose row spans more
-    than the float range give ``im_loss`` a NaN or infinite value."""
+    from ``step_loss`` is raised again with the epoch and step, both from 1, one
+    from ``epoch_arrays`` (adaptation's pseudo-label refresh) with the epoch and
+    "refresh", and a loss that is not finite raises one: finite logits whose
+    row spans more than the float range give ``im_loss`` a NaN or infinite
+    value."""
     step = 0
     for epoch in range(epochs):
-        arrays = epoch_arrays(epoch)
+        try:
+            arrays = epoch_arrays(epoch)
+        except DivergenceError as exc:
+            raise DivergenceError(f"epoch {epoch + 1}, refresh: {exc}") from exc
         total_steps = epochs * -(-arrays[0].shape[1] // batch_size)
         terms = []
         for batch in stacked_batches(arrays, batch_size,

@@ -12,7 +12,7 @@ from decision.adaptation import (DISTANCE_MODES, AdaptationConfig, adapt,
                                  prediction_label_entropy,
                                  soft_ensemble_predict, update_pseudo_labels,
                                  weights_only_adapt)
-from decision.autodiff import ShapeMismatchError, Tape, Tensor, mlp_forward
+from decision.autodiff import DivergenceError, ShapeMismatchError, Tape, Tensor, mlp_forward
 from decision.data import DomainSpec, generate_domain
 from decision.models import SourceStack, accuracy, classifier_checksum
 from decision.optim import ParamGroup, SgdMomentum, lr_schedule
@@ -553,6 +553,60 @@ def test_adapt_raises_when_alpha_is_nan(monkeypatch):
     with pytest.raises(AssertionError, match="simplex"):
         adapt([model, copy.deepcopy(model)], data.inputs_only(),
               AdaptationConfig(epochs=1, seed=2))
+
+
+def test_adapt_checks_the_simplex_after_every_step(monkeypatch):
+    # valid at the start, NaN from the first step on: the per-step check raises
+    model, data = _trained_source()
+    calls = []
+
+    def project(raw):
+        calls.append(raw.copy())
+        return np.full(len(raw), 0.5 if len(calls) == 1 else np.nan)
+
+    monkeypatch.setattr(adaptation, "alpha_project", project)
+    steps = []
+    with pytest.raises(AssertionError, match="simplex"):
+        adapt([model, copy.deepcopy(model)], data.inputs_only(),
+              AdaptationConfig(epochs=1, seed=2), on_step=steps.append)
+    assert len(calls) == 2 and steps == []
+
+
+def test_adapted_models_are_views_of_the_optimizer_buffer(monkeypatch):
+    # the returned models must follow the steps: views taken before the
+    # optimizer packed the stacked values would still hold the inputs
+    built = []
+
+    class Recording(SgdMomentum):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(adaptation, "SgdMomentum", Recording)
+    sources = [_trained_source(seed)[0] for seed in range(3)]
+    result = adapt(sources, _blob_domain(seed=7, n=70).inputs_only(),
+                   AdaptationConfig(epochs=2, batch_size=8, seed=4))
+    (opt,) = built
+    extractors = opt.groups[0].params
+    assert len(extractors) == 4
+    for j, (model, source) in enumerate(zip(result.models, sources)):
+        for got, stacked, before in zip(model.params, extractors, source.params):
+            np.testing.assert_array_equal(got, stacked.values[j])
+            assert np.shares_memory(got, stacked.values)
+            assert not np.array_equal(got, before)  # the extractors moved
+
+
+def test_refresh_on_features_that_overflow_raises_divergence_naming_the_refresh():
+    # finite parameters whose features overflow: numpy's overflow and invalid
+    # warnings stay inside the refresh (the suite turns RuntimeWarning into an
+    # error), and its distance check raises
+    model, data = _trained_source()
+    model.params[2] *= 1e307
+    with pytest.raises(DivergenceError,
+                       match=r"^epoch 1, refresh: pseudo-label distances not finite$"):
+        adapt([model], data.inputs_only(), AdaptationConfig(epochs=1, seed=0))
+    with pytest.raises(DivergenceError, match="pseudo-label distances not finite"):
+        update_pseudo_labels([model], [1.0], data.x, 0, "combined-feature")
 
 
 def test_full_batch_epoch_does_not_increase_im_objective():

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from decision.autodiff import DivergenceError, Tensor
+from decision.autodiff import DivergenceError, ShapeMismatchError, Tensor
 from decision.optim import ParamGroup, SgdMomentum, lr_schedule, run_epochs
 
 
@@ -113,3 +115,94 @@ def test_run_epochs_rejects_a_loss_that_is_not_finite(pl_only):
                                                   match=r"^epoch 1, step 1: loss not finite$"):
         list(run_epochs(opt, 2, 1, [0], lambda epoch: [np.zeros((1, 1, 1))], step_loss))
     assert z.grad is None  # raised before backward and the optimizer step
+
+
+def test_step_rejects_a_gradient_of_another_shape():
+    p = Tensor(np.zeros(3), requires_grad=True)
+    opt = SgdMomentum([ParamGroup([p], lr=0.1)])
+    p.grad = np.zeros(1)  # would broadcast into the buffer
+    with pytest.raises(ShapeMismatchError, match=r"\(1,\) != parameter shape \(3,\)"):
+        opt.step()
+
+
+@pytest.mark.parametrize("where", ["one group", "two groups"])
+def test_a_parameter_listed_twice_is_rejected(where):
+    p, q = Tensor(np.zeros(2), requires_grad=True), Tensor(1.0, requires_grad=True)
+    groups = ([ParamGroup([p, q, p], lr=0.1)] if where == "one group"
+              else [ParamGroup([q, p], lr=0.1), ParamGroup([p], lr=0.2)])
+    expected = ("parameter 2 of group 0 .* is already parameter 0 of group 0"
+                if where == "one group" else
+                "parameter 0 of group 1 .* is already parameter 1 of group 0")
+    before = p.values
+    with pytest.raises(ValueError, match=expected):
+        SgdMomentum(groups)
+    assert p.values is before  # checked before any group is packed
+
+
+def _reference_steps(values, groups, momentum, grads, lr_factors):
+    """The per-parameter update, one parameter at a time:
+    v <- mu*v + (grad + wd*p); p <- p - lr*v."""
+    values = [v.copy() for v in values]
+    velocity = [np.zeros_like(v) for v in values]
+    for step_grads, factor in zip(grads, lr_factors):
+        for i, g in enumerate(step_grads):
+            lr, wd = groups[i]
+            velocity[i] *= momentum
+            velocity[i] += g + wd * values[i]
+            values[i] -= lr * factor * velocity[i]
+    return values
+
+
+@pytest.mark.parametrize("momentum", [0.0, 0.9])
+def test_flat_step_matches_the_per_parameter_update_bit_for_bit(momentum):
+    rng = np.random.default_rng(11)
+    shapes = [(), (5,), (2, 3, 4), (), (3,), (4, 1, 2)]
+    # (lr, wd) per parameter: three in a group with decay, three in one without
+    hyper = [(0.05, 1e-3)] * 3 + [(0.2, 0.0)] * 3
+    start = [rng.standard_normal(shape) for shape in shapes]
+    params = [Tensor(v.copy(), requires_grad=True) for v in start]
+    opt = SgdMomentum([ParamGroup(params[:3], lr=0.05, weight_decay=1e-3),
+                       ParamGroup(params[3:], lr=0.2, weight_decay=0.0)], momentum=momentum)
+    grads = [[rng.standard_normal(shape) for shape in shapes] for _ in range(20)]
+    factors = [lr_schedule(1.0, k / 19) for k in range(20)]
+    for step_grads, factor in zip(grads, factors):
+        for p, g in zip(params, step_grads):
+            p.grad = g
+        opt.step(lr_factor=factor)
+        opt.zero_grad()
+    for p, want in zip(params, _reference_steps(start, hyper, momentum, grads, factors)):
+        assert p.values.shape == want.shape
+        assert np.array_equal(p.values, want)
+
+
+def test_values_become_views_of_the_optimizer_buffer():
+    p = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    before = p.values
+    opt = SgdMomentum([ParamGroup([p], lr=1.0, weight_decay=0.0)], momentum=0.0)
+    assert p.values is not before and np.array_equal(p.values, before)
+    after = p.values
+    _step(opt, p, np.ones((2, 3)))
+    np.testing.assert_array_equal(after, np.arange(6.0).reshape(2, 3) - 1.0)  # follows the step
+    np.testing.assert_array_equal(before, np.arange(6.0).reshape(2, 3))  # detached copy
+
+
+def test_step_allocates_no_array_at_sixteen_sources():
+    # the benchmark's sources16 shapes: 16 stacked extractors plus the raw weights
+    n, rng = 16, np.random.default_rng(5)
+    shapes = [(n, 2, 64), (n, 64), (n, 64, 16), (n, 16)]
+    params = [Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
+    raw = Tensor(np.zeros(n), requires_grad=True)
+    opt = SgdMomentum([ParamGroup(params, lr=1e-3), ParamGroup([raw], lr=1e-2, weight_decay=0.0)])
+    grads = [rng.standard_normal(p.shape) for p in params + [raw]]
+    for p, g in zip(params + [raw], grads):
+        p.grad = g
+    opt.step()  # a warm-up step
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        opt.step(lr_factor=0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 4096  # the parameters alone are 158 KB
