@@ -131,8 +131,8 @@ def assign_pseudo_labels(feats, cents, alpha, mode):
     "per-source" sums the alpha-weighted squared distances in each source's
     feature space; "combined-feature" measures the alpha-combined feature
     against the alpha-combined centroids. Ties break toward the smaller class
-    index. A distance that is not finite raises DivergenceError: every value
-    the labels are drawn from, features, softmax and centroids, flows into it.
+    index. A distance that is not finite raises DivergenceError: the features
+    and the centroids flow into it.
     """
     if mode == "per-source":
         dists = kernels.per_source_sqdist(feats, cents, alpha)
@@ -152,8 +152,9 @@ def update_pseudo_labels(models, alpha, x, refinement_rounds=1, mode="per-source
     each refinement round re-estimates centroids from the previous hard
     assignment (an empty class keeps its centroid). All of this is plain
     numpy: pseudo-labels are constants for the optimizer. numpy's overflow and
-    invalid-value warnings are off here: each assignment's finiteness check
-    raises DivergenceError instead.
+    invalid-value warnings are off here: a softmax that is not finite (the
+    logits overflowed, and round 0 would put every class on its fallback) and
+    each assignment's finiteness check raise DivergenceError instead.
     """
     k, _ = check_compatible(models)
     alpha = np.asarray(alpha, dtype=np.float64)
@@ -162,6 +163,8 @@ def update_pseudo_labels(models, alpha, x, refinement_rounds=1, mode="per-source
         feats, logits = zip(*(mlp_forward(x, m.params)[1:] for m in models))
         feats = np.stack(feats)
         probs = np.stack([kernels.softmax_rows(z) for z in logits])
+        if not np.isfinite(probs).all():
+            raise DivergenceError("pseudo-label softmax not finite")
         cents = _source_centroids(feats, probs, None)
         labels = assign_pseudo_labels(feats, cents, alpha, mode)
         for _ in range(refinement_rounds):

@@ -60,8 +60,9 @@ class SgdMomentum:
     into one contiguous buffer and rebinds every ``Tensor.values`` to its view
     of it, so an array taken from ``values`` before the optimizer was built no
     longer follows the parameter; one taken after does, since a step updates
-    the buffer in place. A step copies each gradient into a second buffer,
-    then updates the group with six in-place numpy calls, whatever its number
+    the buffer in place. Velocity, gradients and scratch live in a separate
+    array, so views kept after the optimizer is gone hold only the values. A
+    step copies each gradient into its gradient row, then updates the group with six in-place numpy calls, whatever its number
     of parameters, and allocates no array. A parameter listed twice raises
     ValueError.
     """
@@ -107,12 +108,14 @@ class SgdMomentum:
 
 
 def _pack(params):
-    """One (4, total size) buffer whose rows are P (values), V (velocity, zero),
-    G (gradients) and T (scratch). Each parameter's values are copied into P
-    and rebound to their view of it. Returns the rows and (param, its view of
-    G) pairs."""
-    rows = tuple(np.zeros((4, sum(p.values.size for p in params))))
-    P, _, G, _ = rows
+    """Flat buffers of the group's total size: P (values), and V (velocity,
+    zero), G (gradients) and T (scratch) as rows of a second array, so views
+    of P kept after the optimizer is gone keep only P alive. Each parameter's
+    values are copied into P and rebound to their view of it. Returns the
+    buffers and (param, its view of G) pairs."""
+    total = sum(p.values.size for p in params)
+    P = np.zeros(total)
+    V, G, T = np.zeros((3, total))
     slots, start = [], 0
     for p in params:
         stop = start + p.values.size
@@ -121,7 +124,7 @@ def _pack(params):
         p.values = view
         slots.append((p, G[start:stop].reshape(view.shape)))
         start = stop
-    return rows, slots
+    return (P, V, G, T), slots
 
 
 def run_epochs(opt, epochs, batch_size, seeds, epoch_arrays, step_loss, after_step=None):

@@ -609,6 +609,19 @@ def test_refresh_on_features_that_overflow_raises_divergence_naming_the_refresh(
         update_pseudo_labels([model], [1.0], data.x, 0, "combined-feature")
 
 
+def test_refresh_on_logits_that_overflow_raises_divergence_naming_the_softmax():
+    # finite features but a head whose logits overflow: the softmax rows are
+    # NaN, round 0 would give every class its fallback centroid and the
+    # distances would stay finite, so the softmax is checked on its own
+    model, data = _trained_source()
+    model.params[4][...] = 1e308 * np.sign(model.params[4])
+    with pytest.raises(DivergenceError,
+                       match=r"^epoch 1, refresh: pseudo-label softmax not finite$"):
+        adapt([model], data.inputs_only(), AdaptationConfig(epochs=1, seed=0))
+    with pytest.raises(DivergenceError, match="pseudo-label softmax not finite"):
+        update_pseudo_labels([model], [1.0], data.x, 0, "per-source")
+
+
 def test_full_batch_epoch_does_not_increase_im_objective():
     model, data = _trained_source(seed=1)
     x = data.x

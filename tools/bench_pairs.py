@@ -3,21 +3,23 @@
 Each pair runs ``perfbench/run.py --trace 0`` once in the parent tree and once
 in the change tree, on the same workload and seed. The parent runs first in
 odd pairs (1, 3, ...) and second in even ones, so a slow stretch of the host
-falls on both sides alike. Pair k uses seed ``--first-seed + k - 1``. After
-every pair, the workload's entry in ``--out`` is rewritten with:
+falls on both sides alike. Pair k uses seed k - 1, and the run length is the
+harness's own default. After every pair, the workload's entry in ``--out`` is
+rewritten with:
 
 - ``env``: the harness's environment line from each side;
 - ``pairs``: per pair, the seed, the side that ran first, and each side's
   ``correct``, ``attempted``, ``failed`` and metric values;
 - ``summary``: per end-to-end metric, each side's median and IQR (quartiles
-  from ``statistics.quantiles(n=4)``, as the harness takes them), the
+  by the default, exclusive method of ``statistics.quantiles(n=4)``), the
   relative change of the medians, whether their gap exceeds the parent's IQR,
   and the count of pairs in which the change was lower.
 
-Entries of other workloads in ``--out`` are kept, so one file can hold both:
+Entries of other workloads in ``--out`` are kept, so one file can hold both;
+a second run on a workload replaces its earlier pairs:
 
     python tools/bench_pairs.py --parent ../parent --change . \\
-        --workload moons3p1 --pairs 10 --seconds 55 --out BENCH_16.json
+        --workload moons3p1 --pairs 10 --out BENCH_16.json
 
 Only the two trees' own ``perfbench/run.py`` and ``src`` are run; nothing is
 imported from either tree into this process.
@@ -50,10 +52,10 @@ def parse_output(stdout):
             "metrics": {name: m["value"] for name, m in result.get("metrics", {}).items()}}
 
 
-def run_side(tree, workload, seed, seconds):
+def run_side(tree, workload, seed):
     proc = subprocess.run(
         [sys.executable, str(Path(tree) / "perfbench" / "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--trace", "0"],
         capture_output=True, text=True)
     try:
         side = parse_output(proc.stdout)
@@ -116,22 +118,21 @@ def main(argv=None):
     parser.add_argument("--change", required=True, help="the changed tree")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=int, default=55)
-    parser.add_argument("--first-seed", type=int, default=0)
     parser.add_argument("--out", default="BENCH.json")
     args = parser.parse_args(argv)
-    if args.pairs < 1 or args.seconds < 1 or args.first_seed < 0:
-        parser.error("--pairs and --seconds must be >= 1 and --first-seed >= 0")
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
     trees = {"parent": args.parent, "change": args.change}
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.is_file() else {}
-    doc["harness"] = f"perfbench/run.py --trace 0 --seconds {args.seconds}"
+    doc["harness"] = ("perfbench/run.py --workload W --seed S --trace 0, at the "
+                      "harness's default run length; pair k runs seed k - 1")
     pairs = []
     for pair in range(1, args.pairs + 1):
-        seed = args.first_seed + pair - 1
+        seed = pair - 1
         row = {"pair": pair, "seed": seed, "first": order(pair)[0]}
         for side in order(pair):
-            row[side] = run_side(trees[side], args.workload, seed, args.seconds)
+            row[side] = run_side(trees[side], args.workload, seed)
         pairs.append(row)
         doc.setdefault("workloads", {})[args.workload] = workload_entry(pairs)
         out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
