@@ -7,6 +7,10 @@ marginals. This module checks that inequality, its strictness condition, and
 each intermediate bound of the argument on randomized instances, by exact
 summation of a probability-mass table Q(x)P(y|x) against a per-predictor loss
 table. It is completely independent of the neural pipeline.
+
+An instance is one ``DiscreteDomains``, its n domains stacked over one support
+(marginals (n, m), conditionals (n, m, K)), and mixture weights ``lam`` (n,). A
+predictor set is a plain (p, m, K) array of simplex rows.
 """
 
 from dataclasses import asdict, dataclass, field
@@ -19,68 +23,67 @@ SLACK = 1e-9  # how far a checked bound may be exceeded before it is a violation
 MAX_SUPPORT, MAX_CLASSES, MAX_SOURCES, MIN_LAM = 6, 3, 4, 1e-3  # random_instance's caps
 
 
-@dataclass
-class DiscreteDomain:
-    """Finite-support joint distribution: input marginal and label conditionals."""
+def _on_simplex(a):
+    """Whether every slice of ``a`` along its last axis is a distribution; NaN fails."""
+    return bool(a.min() >= 0 and np.abs(a.sum(axis=-1) - 1.0).max() <= 1e-9)
 
-    qx: np.ndarray  # (m,) simplex point
-    cond: np.ndarray  # (m, K), each row a simplex point P(y|x)
+
+@dataclass
+class DiscreteDomains:
+    """n finite-support joint distributions over one support, stacked."""
+
+    qx: np.ndarray  # (n, m), each row an input marginal on the simplex
+    cond: np.ndarray  # (n, m, K), each row a simplex point P(y|x)
 
     def __post_init__(self):
         self.qx = np.asarray(self.qx, dtype=np.float64)
         self.cond = np.asarray(self.cond, dtype=np.float64)
-        if self.qx.ndim != 1 or self.cond.ndim != 2 or len(self.qx) != len(self.cond):
-            raise ValueError("marginal and conditionals disagree on support size")
-        # written so that NaN fails every check
-        if not (self.qx.min() >= 0 and abs(self.qx.sum() - 1.0) <= 1e-9):
+        if self.qx.ndim != 2 or self.cond.ndim != 3 or self.qx.shape != self.cond.shape[:2]:
+            raise ValueError("marginals and conditionals disagree on support size")
+        if not _on_simplex(self.qx):
             raise ValueError("input marginal is not a distribution")
-        if not (self.cond.min() >= 0 and np.abs(self.cond.sum(axis=1) - 1.0).max() <= 1e-9):
+        if not _on_simplex(self.cond):
             raise ValueError("a label conditional row is not a distribution")
 
-    @property
-    def support_size(self):
+    def __len__(self):
         return len(self.qx)
 
     @property
+    def support_size(self):
+        return self.qx.shape[1]
+
+    @property
     def num_classes(self):
-        return self.cond.shape[1]
+        return self.cond.shape[2]
 
 
-@dataclass
-class TabularPredictor:
-    """One predicted class distribution per support point."""
-
-    rows: np.ndarray  # (m, K) simplex rows
-
-    def __post_init__(self):
-        self.rows = np.asarray(self.rows, dtype=np.float64)
-        if not (self.rows.min() >= 0 and np.abs(self.rows.sum(axis=1) - 1.0).max() <= 1e-9):
-            raise ValueError("a predictor row is not on the simplex")
+def _mixture_weights(lam, n):
+    """``lam`` as a float64 point of the n-simplex, or ValueError."""
+    lam = np.asarray(lam, dtype=np.float64)
+    if lam.shape != (n,) or not _on_simplex(lam):
+        raise ValueError(f"mixture weights of shape {lam.shape} must lie on the {n}-simplex")
+    return lam
 
 
 def mixture_domain(domains, lam):
-    """The lam-mixture of the source domains as one DiscreteDomain."""
+    """The lam-mixture of the source domains as a one-domain stack."""
     lam = np.asarray(lam, dtype=np.float64)
-    qxs = np.stack([d.qx for d in domains])  # (n, m)
-    conds = np.stack([d.cond for d in domains])  # (n, m, K)
-    qx = np.einsum("j,jm->m", lam, qxs)
-    joint = (lam[:, None, None] * qxs[:, :, None] * conds).sum(axis=0)  # (m, K)
+    qx = np.einsum("j,jm->m", lam, domains.qx)
+    joint = (lam[:, None, None] * domains.qx[:, :, None] * domains.cond).sum(axis=0)  # (m, K)
     cond = np.full(joint.shape, 1.0 / joint.shape[1])
     on = qx > 0.0
     cond[on] = joint[on] / qx[on, None]
-    return DiscreteDomain(qx, cond)
+    return DiscreteDomains(qx[None], cond[None])
 
 
-def optimal_predictor(domain):
-    """Risk-minimizing predictor: the true conditional wherever Q(x) > 0.
+def optimal_predictors(domains):
+    """Risk-minimizing predictors (n, m, K): the true conditionals wherever Q(x) > 0.
 
-    Both supported losses are minimized in expectation by posterior matching,
-    so the predictor does not depend on the loss; off-support rows (Q(x) = 0)
-    are set to uniform.
-    """
-    rows = domain.cond.copy()
-    rows[domain.qx == 0.0] = 1.0 / domain.num_classes
-    return TabularPredictor(rows)
+    Both supported losses are minimized in expectation by posterior matching, so
+    the predictors do not depend on the loss; off-support rows (Q(x) = 0) are uniform."""
+    rows = domains.cond.copy()
+    rows[domains.qx == 0.0] = 1.0 / domains.num_classes
+    return rows
 
 
 def density_ratio_weights(domains, lam):
@@ -89,10 +92,7 @@ def density_ratio_weights(domains, lam):
     Inputs where every scaled marginal vanishes are off the target support;
     they get uniform weights.
     """
-    lam = np.asarray(lam, dtype=np.float64)
-    if not (lam.min() >= 0 and abs(lam.sum() - 1.0) <= 1e-9):  # NaN fails too
-        raise ValueError("mixture weights must lie on the simplex")
-    scaled = lam[:, None] * np.stack([d.qx for d in domains])  # (n, m)
+    scaled = _mixture_weights(lam, len(domains))[:, None] * domains.qx  # (n, m)
     denom = scaled.sum(axis=0)
     w = np.full(scaled.T.shape, 1.0 / len(domains))
     on = denom > 0.0
@@ -101,10 +101,9 @@ def density_ratio_weights(domains, lam):
 
 
 def mixture_predictor(domains, lam, predictors):
-    """Density-ratio-weighted convex combination of the source predictors."""
+    """Density-ratio-weighted combination of the source predictors, as a (1, m, K) set."""
     w = density_ratio_weights(domains, lam)  # (m, n)
-    stacked = np.stack([p.rows for p in predictors])  # (n, m, K)
-    return TabularPredictor(np.einsum("mn,nmk->mk", w, stacked))
+    return np.einsum("mn,nmk->mk", w, predictors)[None]
 
 
 def uniform_mixture_weights(lam, c):
@@ -120,33 +119,35 @@ def uniform_mixture_weights(lam, c):
 def expected_losses(domains, predictors, loss="cross_entropy"):
     """Exact expected losses sum_x Q_i(x) sum_y P_i(y|x) L(theta_j(x), y), all pairs.
 
-    Returns (values, saturated), two (len(domains), len(predictors)) tables; a
-    pair whose cross-entropy is infinite (p <= 0 where the domain has mass)
-    saturates to LOSS_SENTINEL with its flag set. Zero-mass (x, y) pairs
-    contribute nothing.
+    ``predictors`` is a (p, m, K) array of simplex rows. Returns (values,
+    saturated), two (len(domains), p) tables; a pair whose cross-entropy is
+    infinite (a zero probability where the domain has mass) saturates to
+    LOSS_SENTINEL with its flag set. Zero-mass (x, y) pairs contribute nothing.
     """
     if loss not in LOSSES:
         raise ValueError(f"loss must be one of {LOSSES}")
-    mass = np.stack([d.qx[:, None] * d.cond for d in domains])  # (n_d, m, K)
-    rows = np.stack([p.rows for p in predictors])  # (n_p, m, K)
-    if rows.shape[1:] != mass.shape[1:]:
+    rows = np.asarray(predictors, dtype=np.float64)
+    if rows.shape[1:] != domains.cond.shape[1:]:
         raise ValueError(f"predictor rows have shape {rows.shape[1:]}, the domain's "
-                         f"conditionals {mass.shape[1:]}")
+                         f"conditionals {domains.cond.shape[1:]}")
+    if not _on_simplex(rows):
+        raise ValueError("a predictor row is not on the simplex")
+    mass = domains.qx[:, :, None] * domains.cond  # (n_d, m, K)
     if loss == "cross_entropy":
         zero = rows <= 0.0
         table = -np.log(np.where(zero, 1.0, rows))  # those entries saturate instead
         saturated = np.einsum("imk,jmk->ij", mass != 0.0, zero)
     else:  # table[j, x, y] = ||theta_j(x) - e_y||^2
         table = ((rows[:, :, None, :] - np.eye(rows.shape[2])) ** 2).sum(axis=-1)
-        saturated = np.zeros((len(domains), len(predictors)), dtype=bool)
+        saturated = np.zeros((len(domains), len(rows)), dtype=bool)
     values = np.einsum("imk,jmk->ij", mass, table)
     values[saturated] = LOSS_SENTINEL
     return values, saturated
 
 
 def expected_loss(domain, predictor, loss="cross_entropy"):
-    """``expected_losses`` for one pair: (value, saturated) as a float and a bool."""
-    values, saturated = expected_losses([domain], [predictor], loss)
+    """``expected_losses`` for a one-domain stack and one (m, K) predictor: a float and a bool."""
+    values, saturated = expected_losses(domain, np.asarray(predictor)[None], loss)
     return float(values[0, 0]), bool(saturated[0, 0])
 
 
@@ -176,12 +177,13 @@ def check_instance(domains, lam, loss="cross_entropy", corrupt=False):
     ``corrupt`` swaps the combined predictor for the worst single source, a
     detector self-test that must be flagged as a violation.
     """
-    lam = np.asarray(lam, dtype=np.float64)
     n = len(domains)
-    predictors = [optimal_predictor(d) for d in domains]
+    lam = _mixture_weights(lam, n)
+    predictors = optimal_predictors(domains)
     target = mixture_domain(domains, lam)
-    combined = [] if corrupt else [mixture_predictor(domains, lam, predictors)]
-    (on_target,), _ = expected_losses([target], predictors + combined, loss)
+    scored = predictors if corrupt else np.concatenate(
+        [predictors, mixture_predictor(domains, lam, predictors)])
+    (on_target,), _ = expected_losses(target, scored, loss)
     per_source_on_target = on_target[:n].tolist()
     lhs = max(per_source_on_target) if corrupt else float(on_target[n])
     cross, _ = expected_losses(domains, predictors, loss)
@@ -193,8 +195,7 @@ def check_instance(domains, lam, loss="cross_entropy", corrupt=False):
         violations.append({
             "check": tag, "lhs": left, "rhs": right,
             "lam": lam.tolist(), "loss": loss,
-            "marginals": [d.qx.tolist() for d in domains],
-            "conditionals": [d.cond.tolist() for d in domains],
+            "marginals": domains.qx.tolist(), "conditionals": domains.cond.tolist(),
         })
 
     def check(tag, left, right):
@@ -247,24 +248,21 @@ def random_instance(rng):
     k = int(rng.integers(2, MAX_CLASSES + 1))
     n = int(rng.integers(1, MAX_SOURCES + 1))
     shared = rng.dirichlet(np.ones(k), size=m)
-    masks = []
-    for _ in range(n):
-        mask = rng.random(m) < 0.7
+    masks = np.empty((n, m), dtype=bool)
+    for mask in masks:
+        mask[:] = rng.random(m) < 0.7
         if not mask.any():
             mask[int(rng.integers(0, m))] = True
-        masks.append(mask)
-    overlap = np.sum(masks, axis=0) >= 2
-    domains = []
-    for i in range(n):
-        cond = rng.dirichlet(np.ones(k), size=m)  # private rows
-        cond[overlap] = shared[overlap]
-        qx = np.zeros(m)
-        qx[masks[i]] = rng.dirichlet(np.ones(int(masks[i].sum())))
-        domains.append(DiscreteDomain(qx, cond))
+    qx, cond = np.zeros((n, m)), np.empty((n, m, k))
+    for i, mask in enumerate(masks):
+        cond[i] = rng.dirichlet(np.ones(k), size=m)  # private rows
+        qx[i, mask] = rng.dirichlet(np.ones(int(mask.sum())))
+    overlap = masks.sum(axis=0) >= 2
+    cond[:, overlap] = shared[overlap]
     while True:
         lam = rng.dirichlet(np.ones(n))
         if lam.min() > MIN_LAM:
-            return domains, lam
+            return DiscreteDomains(qx, cond), lam
 
 
 def verify_combination_bound(trials, seed, corrupt=False):

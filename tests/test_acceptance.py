@@ -255,7 +255,7 @@ def test_criterion_4_combination_bound_suite(capsys):
 # -- criterion 5: uniform-marginal reduction ------------------------------------------
 
 def test_criterion_5_uniform_reduction(capsys):
-    from decision.oracle import DiscreteDomain
+    from decision.oracle import DiscreteDomains
 
     rng = np.random.default_rng(55)
     worst = 0.0
@@ -264,11 +264,11 @@ def test_criterion_5_uniform_reduction(capsys):
         n = int(rng.integers(2, 5))
         c = rng.uniform(0.02, 1.0 / (m + 1), n)
         lam = rng.dirichlet(np.ones(n))
-        domains = []
+        qxs, conds = [], []
         for ck in c:
-            qx = np.concatenate([np.full(m, ck), [1.0 - m * ck]])
-            domains.append(DiscreteDomain(qx, rng.dirichlet(np.ones(3), size=m + 1)))
-        w = density_ratio_weights(domains, lam)
+            qxs.append(np.concatenate([np.full(m, ck), [1.0 - m * ck]]))
+            conds.append(rng.dirichlet(np.ones(3), size=m + 1))
+        w = density_ratio_weights(DiscreteDomains(qxs, conds), lam)
         want = uniform_mixture_weights(lam, c)
         worst = max(worst, float(np.abs(w[:m] - want).max()))
     assert worst < 1e-12

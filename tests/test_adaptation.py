@@ -13,7 +13,7 @@ from decision.adaptation import (DISTANCE_MODES, AdaptationConfig, adapt,
                                  soft_ensemble_predict, update_pseudo_labels,
                                  weights_only_adapt)
 from decision.autodiff import DivergenceError, ShapeMismatchError, Tape, Tensor, mlp_forward
-from decision.data import DomainSpec, generate_domain
+from decision.data import DomainSpec, LabeledSet, generate_domain
 from decision.models import SourceStack, accuracy, classifier_checksum
 from decision.optim import ParamGroup, SgdMomentum, lr_schedule
 
@@ -744,6 +744,36 @@ def test_adapt_is_bit_identical_to_the_reference_loop(n, optimize_features):
     for got, want in zip(result.models, models):
         for a, b in zip(got.params, want.params):
             np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("optimize_features", [True, False], ids=["adapt", "weights-only"])
+def test_eval_set_labels_reach_only_target_accuracy(optimize_features):
+    # the same run scored against permuted labels: alpha after every step, the
+    # adapted parameters and every loss term are bit-equal; only the reported
+    # accuracy may differ
+    sources = [_trained_source(seed)[0] for seed in range(2)]
+    target = _blob_domain(seed=7, n=70)
+    permuted = LabeledSet(target.x, np.random.default_rng(5).permutation(target.y),
+                          target.num_classes)
+    cfg = AdaptationConfig(epochs=3, batch_size=8, seed=4)
+    run = adapt if optimize_features else weights_only_adapt
+    traces = ([], [])
+    a, b = (run(sources, target.inputs_only(), cfg, eval_set=labels, on_step=trace.append)
+            for labels, trace in zip((target, permuted), traces))
+    assert len(traces[0]) == len(traces[1]) == 27
+    for got, want in zip(*traces):
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(a.alpha, b.alpha)
+    for got, want in zip(a.models, b.models):
+        for x, y in zip(got.params, want.params):
+            np.testing.assert_array_equal(x, y)
+
+    def without_accuracy(rows):
+        return [{k: v for k, v in row.items() if k != "target_accuracy"} for row in rows]
+
+    assert len(a.metrics) == 3
+    assert without_accuracy(a.metrics) == without_accuracy(b.metrics)
+    assert [r["target_accuracy"] for r in a.metrics] != [r["target_accuracy"] for r in b.metrics]
 
 
 # -- soft ensemble --------------------------------------------------------------------

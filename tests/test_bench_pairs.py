@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -80,3 +81,30 @@ def test_workload_entry_keeps_env_once_per_side_and_counts_failures():
     assert entry["incorrect_runs"] == {"parent": 0, "change": 1}
     assert entry["summary"]["x"]["pairs"] == 1
     assert pairs[0]["parent"]["env"] == {"nproc": 2}  # the input rows are not changed
+
+
+def _code_tree(root, module=b"x = 1\n"):
+    (root / "src" / "pkg").mkdir(parents=True)
+    (root / "src" / "pkg" / "mod.py").write_bytes(module)
+    (root / "perfbench").mkdir()
+    (root / "perfbench" / "run.py").write_text("print(1)\n")
+    return root
+
+
+def test_tree_digest_tells_trees_apart_by_their_code_and_needs_no_git(tmp_path):
+    tree = _code_tree(tmp_path / "tree")
+    (tree / ".git").mkdir()
+    (tree / ".git" / "HEAD").write_text("ref: refs/heads/main\n")
+    (tree / "src" / "pkg" / "__pycache__").mkdir()
+    (tree / "src" / "pkg" / "__pycache__" / "mod.cpython-311.pyc").write_bytes(b"\0")
+    digest = bench_pairs.tree_digest(tree)
+    assert len(digest) == 64
+    # one src byte apart
+    assert bench_pairs.tree_digest(_code_tree(tmp_path / "other", b"x = 2\n")) != digest
+    # the same code exported without .git (and without its bytecode)
+    copy = tmp_path / "copy"
+    shutil.copytree(tree, copy, ignore=shutil.ignore_patterns(".git", "__pycache__"))
+    assert bench_pairs.tree_digest(copy) == digest
+    # a file's path counts, not only its bytes
+    (copy / "src" / "pkg" / "mod.py").rename(copy / "src" / "pkg" / "mod2.py")
+    assert bench_pairs.tree_digest(copy) != digest

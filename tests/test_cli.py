@@ -58,6 +58,13 @@ def test_config_roundtrip(tmp_path):
     assert loaded.adaptation == cfg.adaptation
 
 
+def test_shipped_moons_config_is_the_seed_0_fixture():
+    # the acceptance fixtures build moons_fixture(0); the benchmark's base
+    # config is the shipped file, so the two must not drift apart
+    shipped = Path(__file__).parents[1] / "configs" / "moons3p1.yaml"
+    assert config_mod.load(shipped) == moons_fixture(0)
+
+
 def test_unknown_keys_are_rejected(tmp_path):
     doc = small_config()
     doc["adaptation"]["learning_rate"] = 0.1  # typo for lr_backbone

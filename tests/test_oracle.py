@@ -8,15 +8,21 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from decision import oracle
-from decision.oracle import (LOSS_SENTINEL, LOSSES, DiscreteDomain, TabularPredictor,
-                             check_instance, density_ratio_weights,
-                             expected_loss, expected_losses, mixture_domain,
-                             mixture_predictor, optimal_predictor, random_instance,
-                             uniform_mixture_weights, verify_combination_bound)
+from decision.oracle import (LOSS_SENTINEL, LOSSES, DiscreteDomains, check_instance,
+                             density_ratio_weights, expected_loss, expected_losses,
+                             mixture_domain, mixture_predictor, optimal_predictors,
+                             random_instance, uniform_mixture_weights,
+                             verify_combination_bound)
 
 
 def _domain(qx, cond):
-    return DiscreteDomain(np.asarray(qx, float), np.asarray(cond, float))
+    """A one-domain stack."""
+    return DiscreteDomains(np.asarray(qx, float)[None], np.asarray(cond, float)[None])
+
+
+def _one(domains, i):
+    """Domain ``i`` of a stack, as a one-domain stack."""
+    return DiscreteDomains(domains.qx[i:i + 1], domains.cond[i:i + 1])
 
 
 def test_domain_validation():
@@ -25,17 +31,18 @@ def test_domain_validation():
     with pytest.raises(ValueError):
         _domain([0.5, 0.5], [[0.9, 0.2], [0, 1]])  # conditional row off-simplex
     with pytest.raises(ValueError):
-        TabularPredictor(np.array([[0.5, 0.6]]))
+        expected_loss(_domain([1.0], [[1.0, 0.0]]), np.array([[0.5, 0.6]]))
 
 
 _NAN = float("nan")
-_TWO_POINTS = [_domain([0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]])] * 2
+_ONE_OF_TWO_POINTS = _domain([0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]])
+_TWO_POINTS = DiscreteDomains([[0.5, 0.5]] * 2, [[[1.0, 0.0], [0.0, 1.0]]] * 2)
 
 
 @pytest.mark.parametrize("build", [
     lambda: _domain([_NAN, 1.0], [[1.0, 0.0], [0.0, 1.0]]),
     lambda: _domain([0.5, 0.5], [[_NAN, 1.0], [0.0, 1.0]]),
-    lambda: TabularPredictor([[_NAN, 0.5], [0.5, 0.5]]),
+    lambda: expected_loss(_ONE_OF_TWO_POINTS, [[_NAN, 0.5], [0.5, 0.5]]),
     lambda: density_ratio_weights(_TWO_POINTS, [_NAN, 1.0]),
     lambda: check_instance(_TWO_POINTS, [_NAN, 1.0]),
     lambda: uniform_mixture_weights([0.5, 0.5], [_NAN, 1.0]),
@@ -47,11 +54,25 @@ def test_oracle_inputs_reject_nan(build):
         build()
 
 
+_THREE_POINTS = DiscreteDomains([[0.5, 0.5]] * 3, [[[1.0, 0.0], [0.0, 1.0]]] * 3)
+
+
+@pytest.mark.parametrize("corrupt", [False, True], ids=["combined", "corrupt"])
+@pytest.mark.parametrize("lam", [[0.25] * 4, [2.0, -1.0, 0.0]],
+                         ids=["one-too-long", "off-simplex"])
+def test_mixture_weights_are_checked_at_the_oracle_boundary(lam, corrupt):
+    # the error names the weights, not numpy's broadcasting or the domains
+    with pytest.raises(ValueError, match="mixture weights"):
+        check_instance(_THREE_POINTS, lam, corrupt=corrupt)
+    with pytest.raises(ValueError, match="mixture weights"):
+        density_ratio_weights(_THREE_POINTS, lam)
+
+
 def test_optimal_predictor_is_posterior():
     d = _domain([0.3, 0.7], [[1.0, 0.0], [0.0, 1.0]])
-    np.testing.assert_array_equal(optimal_predictor(d).rows, d.cond)
+    np.testing.assert_array_equal(optimal_predictors(d), d.cond)
     d2 = _domain([1.0, 0.0], [[0.7, 0.3], [0.2, 0.8]])
-    rows = optimal_predictor(d2).rows
+    rows = optimal_predictors(d2)[0]
     np.testing.assert_array_equal(rows[0], [0.7, 0.3])
     np.testing.assert_array_equal(rows[1], [0.5, 0.5])  # off-support -> uniform
 
@@ -78,45 +99,46 @@ def test_optimal_predictor_vs_golden_section_search(loss):
     rng = np.random.default_rng(8)
     for _ in range(10):
         d = _domain(rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(2), size=3))
-        pred = optimal_predictor(d)
+        pred = optimal_predictors(d)[0]
+        qx, cond = d.qx[0], d.cond[0]
         for x in range(3):
-            if d.qx[x] == 0:
+            if qx[x] == 0:
                 continue
 
             def row_loss(p0):
                 row = np.array([p0, 1.0 - p0])
                 if loss == "cross_entropy":
-                    return -(d.cond[x, 0] * math.log(p0) + d.cond[x, 1] * math.log(1 - p0))
-                return float(d.cond[x] @ [((row - [1, 0]) ** 2).sum(),
-                                          ((row - [0, 1]) ** 2).sum()])
+                    return -(cond[x, 0] * math.log(p0) + cond[x, 1] * math.log(1 - p0))
+                return float(cond[x] @ [((row - [1, 0]) ** 2).sum(),
+                                        ((row - [0, 1]) ** 2).sum()])
 
             best = _golden_section(row_loss, 1e-9, 1.0 - 1e-9)
-            assert pred.rows[x, 0] == pytest.approx(best, abs=1e-6)
+            assert pred[x, 0] == pytest.approx(best, abs=1e-6)
 
 
 def test_optimal_predictor_is_a_local_argmin_under_simplex_perturbations():
     rng = np.random.default_rng(9)
     for loss in ("cross_entropy", "squared_error"):
         d = _domain(rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(3), size=4))
-        pred = optimal_predictor(d)
+        pred = optimal_predictors(d)[0]
         base, _ = expected_loss(d, pred, loss)
         for a in range(3):
             for b in range(3):
                 if a == b:
                     continue
-                rows = pred.rows.copy()
+                rows = pred.copy()
                 rows[:, a] += 1e-3
                 rows[:, b] -= 1e-3
                 if rows.min() < 0.0:
                     continue
-                perturbed, _ = expected_loss(d, TabularPredictor(rows), loss)
+                perturbed, _ = expected_loss(d, rows, loss)
                 assert perturbed >= base - 1e-12
 
 
 def test_density_ratio_weights_reduce_to_lambda_for_shared_marginal():
     q = np.array([0.2, 0.3, 0.5])
     cond = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
-    domains = [_domain(q, cond), _domain(q, cond[::-1])]
+    domains = DiscreteDomains([q, q], [cond, cond[::-1]])
     lam = np.array([0.3, 0.7])
     w = density_ratio_weights(domains, lam)
     np.testing.assert_allclose(w, np.tile(lam, (3, 1)), atol=1e-15)
@@ -125,43 +147,44 @@ def test_density_ratio_weights_reduce_to_lambda_for_shared_marginal():
 def test_single_source_target_predictor_is_that_source():
     rng = np.random.default_rng(10)
     d = _domain(rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(2), size=4))
-    pred = optimal_predictor(d)
-    combined = mixture_predictor([d], [1.0], [pred])
-    np.testing.assert_array_equal(combined.rows, pred.rows)
+    pred = optimal_predictors(d)
+    combined = mixture_predictor(d, [1.0], pred)
+    np.testing.assert_array_equal(combined, pred)
 
 
 def test_disjoint_supports_partition_the_combination():
-    d1 = _domain([0.5, 0.5, 0.0, 0.0], [[1, 0]] * 4)
-    d2 = _domain([0.0, 0.0, 0.5, 0.5], [[0, 1]] * 4)
-    p1 = TabularPredictor(np.tile([0.9, 0.1], (4, 1)))
-    p2 = TabularPredictor(np.tile([0.2, 0.8], (4, 1)))
-    combined = mixture_predictor([d1, d2], [0.5, 0.5], [p1, p2])
-    np.testing.assert_array_equal(combined.rows[:2], p1.rows[:2])
-    np.testing.assert_array_equal(combined.rows[2:], p2.rows[2:])
+    domains = DiscreteDomains([[0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5]],
+                              [[[1, 0]] * 4, [[0, 1]] * 4])
+    p1 = np.tile([0.9, 0.1], (4, 1))
+    p2 = np.tile([0.2, 0.8], (4, 1))
+    (combined,) = mixture_predictor(domains, [0.5, 0.5], np.array([p1, p2]))
+    np.testing.assert_array_equal(combined[:2], p1[:2])
+    np.testing.assert_array_equal(combined[2:], p2[2:])
 
 
 # -- expected loss -----------------------------------------------------------------
 
 def test_expected_loss_perfect_predictor_on_deterministic_labels():
     d = _domain([0.25, 0.75], [[1.0, 0.0], [0.0, 1.0]])
-    value, saturated = expected_loss(d, TabularPredictor(d.cond))
+    value, saturated = expected_loss(d, d.cond[0])
     assert value == 0.0 and not saturated
 
 
 def test_expected_loss_uniform_predictor_binary():
     d = _domain([0.4, 0.6], [[1.0, 0.0], [0.0, 1.0]])
-    value, _ = expected_loss(d, TabularPredictor(np.full((2, 2), 0.5)))
+    value, _ = expected_loss(d, np.full((2, 2), 0.5))
     assert value == pytest.approx(math.log(2.0), rel=1e-15)
 
 
 def test_expected_loss_vs_high_precision_oracle():
     rng = np.random.default_rng(11)
     d = _domain(rng.dirichlet(np.ones(5)), rng.dirichlet(np.ones(3), size=5))
-    pred = TabularPredictor(rng.dirichlet(np.ones(3), size=5))
+    pred = rng.dirichlet(np.ones(3), size=5)
     got, _ = expected_loss(d, pred)
+    qx, cond = d.qx[0], d.cond[0]
     with mpmath.workprec(128):
         want = mpmath.fsum(
-            mpmath.mpf(d.qx[x]) * mpmath.mpf(d.cond[x, y]) * -mpmath.log(mpmath.mpf(pred.rows[x, y]))
+            mpmath.mpf(qx[x]) * mpmath.mpf(cond[x, y]) * -mpmath.log(mpmath.mpf(pred[x, y]))
             for x in range(5)
             for y in range(3)
         )
@@ -170,7 +193,7 @@ def test_expected_loss_vs_high_precision_oracle():
 
 def test_zero_probability_with_mass_saturates_to_sentinel():
     d = _domain([1.0], [[0.5, 0.5]])
-    pred = TabularPredictor(np.array([[1.0, 0.0]]))
+    pred = np.array([[1.0, 0.0]])
     value, saturated = expected_loss(d, pred)
     assert value == LOSS_SENTINEL and saturated
     # squared error stays finite on the same predictor
@@ -181,24 +204,24 @@ def test_zero_probability_with_mass_saturates_to_sentinel():
 @pytest.mark.parametrize("shape", [(3, 2), (2, 3), (1, 2)])
 def test_expected_loss_rejects_a_predictor_of_the_wrong_shape(shape):
     d = _domain([0.5, 0.5], [[1.0, 0.0], [0.0, 1.0]])
-    pred = TabularPredictor(np.full(shape, 1.0 / shape[1]))
+    pred = np.full(shape, 1.0 / shape[1])
     for loss in LOSSES:
         with pytest.raises(ValueError, match=re.escape(str(shape))) as exc:
             expected_loss(d, pred, loss)
         assert "(2, 2)" in str(exc.value)
 
 
-def _reference_expected_loss(domain, predictor, loss):
+def _reference_expected_loss(qx, cond, predictor, loss):
     """expected_loss as a per-entry double loop over support points and classes."""
     total = 0.0
-    for x in range(domain.support_size):
-        if domain.qx[x] == 0.0:
+    for x in range(len(qx)):
+        if qx[x] == 0.0:
             continue
-        for y in range(domain.num_classes):
-            mass = domain.qx[x] * domain.cond[x, y]
+        for y in range(cond.shape[1]):
+            mass = qx[x] * cond[x, y]
             if mass == 0.0:
                 continue
-            row = predictor.rows[x]
+            row = predictor[x]
             if loss == "cross_entropy":
                 if row[y] <= 0.0:
                     return LOSS_SENTINEL, True
@@ -224,27 +247,28 @@ def _domains_and_predictors(draw):
         w[w.sum(axis=1) == 0.0, 0] = 1.0
         return w / w.sum(axis=1, keepdims=True)
 
-    domains = [DiscreteDomain(simplex_rows(1, m)[0], simplex_rows(m, k))
-               for _ in range(draw(st.integers(1, 3)))]
-    return domains, [TabularPredictor(simplex_rows(m, k)) for _ in range(draw(st.integers(1, 3)))]
+    pairs = [(simplex_rows(1, m)[0], simplex_rows(m, k))
+             for _ in range(draw(st.integers(1, 3)))]
+    domains = DiscreteDomains(*zip(*pairs))
+    return domains, np.array([simplex_rows(m, k) for _ in range(draw(st.integers(1, 3)))])
 
 
 @given(_domains_and_predictors(), st.sampled_from(LOSSES))
-@example(([_domain([1.0], [[0.5, 0.5]])], [TabularPredictor([[1.0, 0.0]])]), "cross_entropy")
-@example(([_domain([0.0, 1.0], [[0.5, 0.5], [0.0, 1.0]])],
-          [TabularPredictor([[1.0, 0.0], [0.0, 1.0]])]), "cross_entropy")
+@example((_domain([1.0], [[0.5, 0.5]]), np.array([[[1.0, 0.0]]])), "cross_entropy")
+@example((_domain([0.0, 1.0], [[0.5, 0.5], [0.0, 1.0]]),
+          np.array([[[1.0, 0.0], [0.0, 1.0]]])), "cross_entropy")
 def test_expected_loss_matches_the_per_entry_loop(case, loss):
     domains, predictors = case
     values, saturated = expected_losses(domains, predictors, loss)
     assert values.shape == saturated.shape == (len(domains), len(predictors))
-    for i, domain in enumerate(domains):
+    for i, (qx, cond) in enumerate(zip(domains.qx, domains.cond)):
         for j, predictor in enumerate(predictors):
-            want, want_saturated = _reference_expected_loss(domain, predictor, loss)
+            want, want_saturated = _reference_expected_loss(qx, cond, predictor, loss)
             assert saturated[i, j] == want_saturated
             assert values[i, j] == pytest.approx(want, rel=1e-15, abs=1e-15)
             if want_saturated:
                 assert values[i, j] == LOSS_SENTINEL
-    assert expected_loss(domains[0], predictors[0], loss) == (values[0, 0], saturated[0, 0])
+    assert expected_loss(_one(domains, 0), predictors[0], loss) == (values[0, 0], saturated[0, 0])
 
 
 # -- the guarantee ------------------------------------------------------------------
@@ -252,7 +276,7 @@ def test_expected_loss_matches_the_per_entry_loop(case, loss):
 def test_single_source_gives_exact_equality():
     rng = np.random.default_rng(12)
     d = _domain(rng.dirichlet(np.ones(4)), rng.dirichlet(np.ones(3), size=4))
-    violations, slack, strict = check_instance([d], [1.0])
+    violations, slack, strict = check_instance(d, [1.0])
     assert violations == []
     assert abs(slack) < 1e-12  # lhs == rhs exactly up to float summation
     assert strict == 0
@@ -261,10 +285,10 @@ def test_single_source_gives_exact_equality():
 def test_identical_sources_give_equality_of_both_sides():
     rng = np.random.default_rng(13)
     d = _domain(rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(2), size=3))
-    domains = [d, _domain(d.qx.copy(), d.cond.copy())]
-    predictors = [optimal_predictor(x) for x in domains]
+    domains = DiscreteDomains(np.concatenate([d.qx, d.qx]), np.concatenate([d.cond, d.cond]))
+    predictors = optimal_predictors(domains)
     target = mixture_domain(domains, [0.5, 0.5])
-    lhs, _ = expected_loss(target, mixture_predictor(domains, [0.5, 0.5], predictors))
+    lhs, _ = expected_loss(target, mixture_predictor(domains, [0.5, 0.5], predictors)[0])
     rhs, _ = expected_loss(target, predictors[0])
     assert lhs == pytest.approx(rhs, abs=1e-12)
     assert check_instance(domains, [0.5, 0.5])[0] == []
@@ -296,7 +320,8 @@ def test_check_instance_matches_per_pair_losses(monkeypatch, loss, corrupt):
     one_pair = oracle.expected_losses
 
     def per_pair(domains, predictors, loss):
-        cells = [[one_pair([d], [p], loss) for p in predictors] for d in domains]
+        cells = [[one_pair(_one(domains, i), p[None], loss) for p in predictors]
+                 for i in range(len(domains))]
         return (np.array([[v[0, 0] for v, _ in row] for row in cells]),
                 np.array([[s[0, 0] for _, s in row] for row in cells]))
 
@@ -351,8 +376,8 @@ def test_random_instance_respects_size_caps_and_positivity():
     rng = np.random.default_rng(14)
     for _ in range(50):
         domains, lam = random_instance(rng)
-        assert 2 <= domains[0].support_size <= 6
-        assert 2 <= domains[0].num_classes <= 3
+        assert 2 <= domains.support_size <= 6
+        assert 2 <= domains.num_classes <= 3
         assert 1 <= len(domains) <= 4
         assert lam.min() > 1e-3
 
@@ -361,19 +386,18 @@ def test_random_instances_share_conditionals_on_overlapping_mass():
     rng = np.random.default_rng(16)
     for _ in range(50):
         domains, _ = random_instance(rng)
-        for x in range(domains[0].support_size):
-            owners = [d for d in domains if d.qx[x] > 0]
+        for x in range(domains.support_size):
+            owners = domains.cond[domains.qx[:, x] > 0, x]  # their rows at x
             if len(owners) >= 2:
-                for d in owners[1:]:
-                    np.testing.assert_array_equal(d.cond[x], owners[0].cond[x])
+                for row in owners[1:]:
+                    np.testing.assert_array_equal(row, owners[0])
 
 
 def test_disagreeing_conditionals_on_shared_mass_break_the_intermediate_bound():
     # mixing distinct conditionals raises the target's conditional entropy, so
     # the chain's middle bound fails; the checker must flag it
-    d1 = _domain([1.0], [[1.0, 0.0]])
-    d2 = _domain([1.0], [[0.0, 1.0]])
-    violations, _, _ = check_instance([d1, d2], [0.5, 0.5])
+    domains = DiscreteDomains([[1.0], [1.0]], [[[1.0, 0.0]], [[0.0, 1.0]]])
+    violations, _, _ = check_instance(domains, [0.5, 0.5])
     assert any(v["check"] == "convexity_bound" for v in violations)
     # the headline bound itself still holds: the combination is the posterior
     assert not any(v["check"] == "combined_vs_best_source" for v in violations)
@@ -385,7 +409,7 @@ def test_pointwise_convexity_of_both_losses():
 
     def pointwise(row, y, loss):
         # a one-point domain labelled y weighs L(row, y) with mass 1
-        return expected_loss(_domain([1.0], [eye[y]]), TabularPredictor(row[None]), loss)[0]
+        return expected_loss(_domain([1.0], [eye[y]]), row[None], loss)[0]
 
     for loss in ("cross_entropy", "squared_error"):
         for _ in range(100):
@@ -415,12 +439,12 @@ def test_uniform_marginals_collapse_per_input_weights_to_the_formula():
     rng = np.random.default_rng(15)
     m = 4
     c = np.array([0.05, 0.125, 0.22])
-    domains = []
+    qxs, conds = [], []
     for ck in c:
-        qx = np.concatenate([np.full(m, ck), [1.0 - m * ck]])
-        domains.append(_domain(qx, rng.dirichlet(np.ones(2), size=m + 1)))
+        qxs.append(np.concatenate([np.full(m, ck), [1.0 - m * ck]]))
+        conds.append(rng.dirichlet(np.ones(2), size=m + 1))
     lam = np.array([0.5, 0.2, 0.3])
-    w = density_ratio_weights(domains, lam)
+    w = density_ratio_weights(DiscreteDomains(qxs, conds), lam)
     want = uniform_mixture_weights(lam, c)
     for x in range(m):
         np.testing.assert_allclose(w[x], want, atol=1e-12)

@@ -8,6 +8,9 @@ harness's own default. After every pair, the workload's entry in ``--out`` is
 rewritten with:
 
 - ``env``: the harness's environment line from each side;
+- ``tree_sha256``: per side, a digest of the code the side ran (see
+  ``tree_digest``), taken before the first pair; unlike the harness's git
+  revision, it tells apart uncommitted changes and needs no ``.git``;
 - ``pairs``: per pair, the seed, the side that ran first, and each side's
   ``correct``, ``attempted``, ``failed`` and metric values;
 - ``summary``: per end-to-end metric, each side's median and IQR (quartiles
@@ -26,6 +29,7 @@ imported from either tree into this process.
 """
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -33,6 +37,24 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+CODE_DIRS = ("src", "perfbench")
+
+
+def tree_digest(tree):
+    """sha256 over the sorted relative paths and bytes of the files under the
+    tree's ``src/`` and ``perfbench/``, ``__pycache__`` skipped.
+
+    Each file adds its path, a NUL and the sha256 of its bytes, so no two
+    different trees can join into the same stream.
+    """
+    root = Path(tree)
+    files = sorted(path.relative_to(root).as_posix()
+                   for top in CODE_DIRS for path in (root / top).rglob("*")
+                   if path.is_file() and "__pycache__" not in path.parts)
+    h = hashlib.sha256()
+    for rel in files:
+        h.update(rel.encode() + b"\0" + hashlib.sha256((root / rel).read_bytes()).digest())
+    return h.hexdigest()
 
 
 def order(pair):
@@ -123,6 +145,7 @@ def main(argv=None):
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
     trees = {"parent": args.parent, "change": args.change}
+    code = {side: tree_digest(trees[side]) for side in SIDES}
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.is_file() else {}
     doc["harness"] = ("perfbench/run.py --workload W --seed S --trace 0, at the "
@@ -134,7 +157,8 @@ def main(argv=None):
         for side in order(pair):
             row[side] = run_side(trees[side], args.workload, seed)
         pairs.append(row)
-        doc.setdefault("workloads", {})[args.workload] = workload_entry(pairs)
+        doc.setdefault("workloads", {})[args.workload] = {**workload_entry(pairs),
+                                                         "tree_sha256": code}
         out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
         print(f"pair {pair} seed {seed}: " + " ".join(
             f"{side}={row[side]['metrics'].get('pipeline_s', float('nan')):.3f}"
