@@ -243,8 +243,8 @@ def adapt(models, target, cfg, eval_set=None, on_step=None, optimize_features=Tr
         for step_terms in terms:
             for key in sums:
                 sums[key] += step_terms[key]
-        row = {key: sums[key] / len(terms) for key in sums}
-        row["epoch"] = epoch + 1
+        # in the column order of metrics/<method>.jsonl
+        row = {"epoch": epoch + 1, **{key: total / len(terms) for key, total in sums.items()}}
         row["alpha"] = [float(a) for a in result.alpha]
         row["target_accuracy"] = (
             accuracy(adapted, result.alpha, eval_set) if eval_set is not None else None

@@ -1,7 +1,8 @@
 """Command-line driver.
 
 Subcommands: train-sources, adapt, oracle, distill, report.
-Exit codes: 0 success, 1 verification violation, 2 config error, 3 I/O error
+Exit codes: 0 success, 1 verification violation, 2 config error (including a
+checkpoint whose sizes differ from the config's model), 3 I/O error
 (including a checkpoint file that cannot be read as a model), 4 divergence (a
 training value, step loss or pseudo-label distance that is not finite; the
 message names the method, the epoch, the step or the refresh, and the value,
@@ -93,9 +94,8 @@ def main(argv=None):
             runner.run_train_sources(_load_config(args), args.out)
         elif args.command == "adapt":
             report = runner.run_adapt(_load_config(args), args.out, args.checkpoints)
-            for method in runner.METHOD_ORDER:
-                if method in report["methods"]:
-                    print(f"{method}: {100 * report['methods'][method]:.2f}")
+            for method, acc in report["methods"].items():  # in METHOD_ORDER
+                print(f"{method}: {100 * acc:.2f}")
         elif args.command == "oracle":
             return cmd_oracle(args)
         elif args.command == "distill":

@@ -137,17 +137,17 @@ def _parse_domain(section, raw, default_name):
     kind = _need(section, raw, "kind")
     if kind not in GENERATOR_CLASSES:
         raise ConfigError(f"{section}: unknown generator kind {kind!r}")
-    try:
-        spec = DomainSpec(
-            kind=kind,
-            n=_integer("n", _need(section, raw, "n")),
-            seed=_integer("seed", _need(section, raw, "seed")),
-            rotation=math.radians(_real("rotation_deg", raw.get("rotation_deg", 0.0))),
-            translation=tuple(_real("translation", v)
-                              for v in raw.get("translation", (0.0, 0.0))),
-            noise_std=float(_real("noise_std", raw.get("noise_std", 0.1))),
-            label_corruption=float(_real("label_corruption", raw.get("label_corruption", 0.0))),
-        )
+    try:  # only the keys the file sets: DomainSpec holds the defaults
+        given = {"n": _integer("n", _need(section, raw, "n")),
+                 "seed": _integer("seed", _need(section, raw, "seed"))}
+        if "rotation_deg" in raw:
+            given["rotation"] = math.radians(_real("rotation_deg", raw["rotation_deg"]))
+        if "translation" in raw:
+            given["translation"] = tuple(_real("translation", v) for v in raw["translation"])
+        for key in ("noise_std", "label_corruption"):
+            if key in raw:
+                given[key] = float(_real(key, raw[key]))
+        spec = DomainSpec(kind, **given)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{section}: {exc}") from None
     return str(raw.get("name", default_name)), spec
@@ -194,17 +194,22 @@ def from_dict(doc):
     raw_distill = doc.get("distill", {})
     _check_keys("distill", raw_distill, _DISTILL_KEYS)
     try:
+        seed = _integer("seed", doc.get("seed", 0))
+        given = {}  # ExperimentConfig holds the defaults of the keys a file leaves out
+        if "eval_fraction" in doc:
+            given["eval_fraction"] = float(_real("eval_fraction", doc["eval_fraction"]))
+        if "epochs" in raw_distill:
+            given["distill_epochs"] = _integer("distill.epochs", raw_distill["epochs"])
         cfg = ExperimentConfig(
-            seed=_integer("seed", doc.get("seed", 0)),
+            seed=seed,
             source_specs=specs,
             source_names=names,
             target_spec=target,
-            eval_fraction=float(_real("eval_fraction", doc.get("eval_fraction", 0.2))),
             model=model,
             source_training=training,
             adaptation=adaptation,
             baselines=baselines,
-            distill_epochs=_integer("distill.epochs", raw_distill.get("epochs", 150)),
+            **given,
         )
     except ConfigError:
         raise

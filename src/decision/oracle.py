@@ -66,8 +66,9 @@ def _mixture_weights(lam, n):
 
 
 def mixture_domain(domains, lam):
-    """The lam-mixture of the source domains as a one-domain stack."""
-    lam = np.asarray(lam, dtype=np.float64)
+    """The lam-mixture of the source domains as a one-domain stack; ``lam`` off
+    the n-simplex raises ValueError."""
+    lam = _mixture_weights(lam, len(domains))
     qx = np.einsum("j,jm->m", lam, domains.qx)
     joint = (lam[:, None, None] * domains.qx[:, :, None] * domains.cond).sum(axis=0)  # (m, K)
     cond = np.full(joint.shape, 1.0 / joint.shape[1])
@@ -178,9 +179,9 @@ def check_instance(domains, lam, loss="cross_entropy", corrupt=False):
     detector self-test that must be flagged as a violation.
     """
     n = len(domains)
-    lam = _mixture_weights(lam, n)
+    target = mixture_domain(domains, lam)  # checks lam
+    lam = np.asarray(lam, dtype=np.float64)
     predictors = optimal_predictors(domains)
-    target = mixture_domain(domains, lam)
     scored = predictors if corrupt else np.concatenate(
         [predictors, mixture_predictor(domains, lam, predictors)])
     (on_target,), _ = expected_losses(target, scored, loss)

@@ -4,13 +4,19 @@ A run directory is self-describing: the resolved config echo, checkpoints,
 per-epoch metrics (JSON lines), alpha trajectories (CSV), and a report.json
 holding every headline number. Aggregation (`run_report`) only reads those
 artifacts; nothing is recomputed.
+
+`run_adapt` runs each method once when any accuracy row that needs it is
+enabled in the config's `baselines`, and writes the enabled rows in
+`METHOD_ORDER`. Every checkpoint a command reads goes through
+`load_source_models`, which rejects one whose sizes differ from the config's
+model before anything is written.
 """
 
 import contextlib
 import csv
 import json
 import time
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,13 +25,18 @@ from . import config as config_mod
 from . import kernels
 from .adaptation import adapt, soft_ensemble_accuracy, weights_only_adapt
 from .autodiff import DivergenceError
+from .config import ConfigError
 from .data import generate_domain, split_train_eval
 from .distill import TeacherView, train_student
 from .models import (CheckpointError, SourceModel, SourceTrainConfig, accuracy,
                      load_checkpoint, save_checkpoint, train_source)
 
-METHOD_ORDER = ("Source-best", "Source-worst", "SHOT-best", "SHOT-worst",
-                "SHOT-Ens", "DECISION-weights", "DECISION", "DECISION-distill")
+# each accuracy-table row, in table order, and the `baselines` key that enables it
+METHOD_KEYS = {"Source-best": "source_best", "Source-worst": "source_worst",
+               "SHOT-best": "shot_best", "SHOT-worst": "shot_worst", "SHOT-Ens": "shot_ens",
+               "DECISION-weights": "weights_only", "DECISION": "decision",
+               "DECISION-distill": "distill"}
+METHOD_ORDER = tuple(METHOD_KEYS)
 
 
 def resolved_seeds(cfg):
@@ -82,10 +93,7 @@ def _write_json(path, doc):
 def write_metrics_jsonl(path, metrics):
     with open(path, "w") as fh:
         for row in metrics:
-            ordered = {key: row[key] for key in
-                       ("epoch", "L_ent", "L_div", "L_pl", "L_tot", "alpha",
-                        "target_accuracy")}
-            fh.write(json.dumps(ordered) + "\n")
+            fh.write(json.dumps(row) + "\n")
 
 
 def write_alpha_csv(path, metrics):
@@ -133,28 +141,39 @@ def run_train_sources(cfg, out):
 
 
 def load_source_models(cfg, ckpt_dir):
-    from .config import ConfigError
+    """One model per source, in config order, from ``<ckpt_dir>/<name>.json``.
 
+    A missing file raises FileNotFoundError, a file that is not a model
+    CheckpointError, and a model whose sizes (input, hidden, feature, classes)
+    differ from the config's model ConfigError naming the file and both sizes.
+    """
     ckpt_dir = Path(ckpt_dir)
+    sizes = astuple(cfg.resolved_model())  # ModelConfig's fields are SourceModel.dims
     models = []
     for name in cfg.source_names:
         path = ckpt_dir / f"{name}.json"
         if not path.exists():
             raise FileNotFoundError(f"missing checkpoint {path}")
-        models.append(load_checkpoint(path))
-    arch = cfg.resolved_model()
-    for m in models:
-        if m.num_classes != arch.num_classes or m.feature_dim != arch.feature_dim:
-            raise ConfigError(
-                f"checkpoint '{m.domain}' incompatible with config: "
-                f"K={m.num_classes}/d={m.feature_dim} vs "
-                f"K={arch.num_classes}/d={arch.feature_dim}"
-            )
+        model = load_checkpoint(path)
+        if model.dims != sizes:
+            raise ConfigError(f"checkpoint {path} has sizes {model.dims} (input, hidden, "
+                              f"feature, classes), but the config's model is {sizes}")
+        models.append(model)
     return models
 
 
+def _write_trajectory(out, report, stem, metrics):
+    """Write a joint run's per-epoch rows and alpha trajectory; list both files."""
+    files = report["files"]
+    files[f"{stem}_metrics"] = f"metrics/{stem}.jsonl"
+    files[f"{stem}_alpha"] = f"metrics/{stem}_alpha.csv"
+    write_metrics_jsonl(out / files[f"{stem}_metrics"], metrics)
+    write_alpha_csv(out / files[f"{stem}_alpha"], metrics)
+
+
 def run_adapt(cfg, out, ckpt_dir=None):
-    """Run every enabled method on the target; emit report, tables, metrics."""
+    """Run every method an enabled row needs on the target; emit report, tables,
+    metrics. A row's value does not depend on which other rows are enabled."""
     t0 = time.perf_counter()
     out = Path(out)
     # a malformed checkpoint fails before anything is written under out
@@ -163,7 +182,7 @@ def run_adapt(cfg, out, ckpt_dir=None):
     config_mod.save(cfg, out / "config.yaml")
     seeds = resolved_seeds(cfg)
     target, tgt_eval = _target(cfg)
-    toggles = cfg.baselines
+    enabled = [row for row, key in METHOD_KEYS.items() if cfg.baselines[key]]
 
     uniform = np.full(len(models), 1.0 / len(models))
     unadapted = [accuracy([m], [1.0], tgt_eval) for m in models]
@@ -173,20 +192,13 @@ def run_adapt(cfg, out, ckpt_dir=None):
         "config": cfg.to_dict(),
         "resolved_seeds": seeds,
         "backend": kernels.active_backend(),
-        "methods": {},
         "per_source": per_source,
         "uniform_ensemble_accuracy": accuracy(models, uniform, tgt_eval),
         "files": {},
     }
-    methods = report["methods"]
+    found = {"Source-best": max(unadapted), "Source-worst": min(unadapted)}
 
-    if toggles["source_best"]:
-        methods["Source-best"] = max(unadapted)
-    if toggles["source_worst"]:
-        methods["Source-worst"] = min(unadapted)
-
-    need_shot = toggles["shot_best"] or toggles["shot_worst"] or toggles["shot_ens"]
-    if need_shot:
+    if {"SHOT-best", "SHOT-worst", "SHOT-Ens"}.intersection(enabled):
         shot_models, shot_accs = [], []
         for name, m, seed in zip(cfg.source_names, models, seeds["shot_adapt"]):
             with _method(f"SHOT {name}"):  # no eval_set: its per-epoch rows go unwritten
@@ -195,77 +207,58 @@ def run_adapt(cfg, out, ckpt_dir=None):
             shot_accs.append(accuracy(res.models, res.alpha, tgt_eval))
         for entry, acc in zip(per_source, shot_accs):
             entry["single_adapted_accuracy"] = acc
-        if toggles["shot_best"]:
-            methods["SHOT-best"] = max(shot_accs)
-        if toggles["shot_worst"]:
-            methods["SHOT-worst"] = min(shot_accs)
-        if toggles["shot_ens"]:
-            methods["SHOT-Ens"] = soft_ensemble_accuracy(shot_models, tgt_eval)
+        found.update({"SHOT-best": max(shot_accs), "SHOT-worst": min(shot_accs),
+                      "SHOT-Ens": soft_ensemble_accuracy(shot_models, tgt_eval)})
 
-    if toggles["weights_only"]:
+    if "DECISION-weights" in enabled:
         with _method("DECISION-weights"):
             res = weights_only_adapt(
                 models, target, replace(cfg.adaptation, seed=seeds["weights_only_adapt"]),
                 tgt_eval,
             )
-        methods["DECISION-weights"] = accuracy(res.models, res.alpha, tgt_eval)
-        write_metrics_jsonl(out / "metrics" / "weights_only.jsonl", res.metrics)
-        write_alpha_csv(out / "metrics" / "weights_only_alpha.csv", res.metrics)
-        report["files"]["weights_only_metrics"] = "metrics/weights_only.jsonl"
-        report["files"]["weights_only_alpha"] = "metrics/weights_only_alpha.csv"
+        found["DECISION-weights"] = accuracy(res.models, res.alpha, tgt_eval)
+        _write_trajectory(out, report, "weights_only", res.metrics)
         report["weights_only_alpha"] = [float(a) for a in res.alpha]
 
-    decision_res = None
-    if toggles["decision"] or toggles["distill"]:
+    if {"DECISION", "DECISION-distill"}.intersection(enabled):
         with _method("DECISION"):
-            decision_res = adapt(
+            res = adapt(
                 models, target, replace(cfg.adaptation, seed=seeds["decision_adapt"]),
                 tgt_eval,
             )
-        methods["DECISION"] = accuracy(decision_res.models, decision_res.alpha, tgt_eval)
-        write_metrics_jsonl(out / "metrics" / "decision.jsonl", decision_res.metrics)
-        write_alpha_csv(out / "metrics" / "decision_alpha.csv", decision_res.metrics)
-        report["files"]["decision_metrics"] = "metrics/decision.jsonl"
-        report["files"]["decision_alpha"] = "metrics/decision_alpha.csv"
-        report["alpha"] = [float(a) for a in decision_res.alpha]
-        for entry, a in zip(per_source, decision_res.alpha):
-            entry["alpha"] = float(a)
+        found["DECISION"] = accuracy(res.models, res.alpha, tgt_eval)
+        _write_trajectory(out, report, "decision", res.metrics)
+        report["alpha"] = [float(a) for a in res.alpha]
+        for entry, a in zip(per_source, report["alpha"]):
+            entry["alpha"] = a
         adapted_dir = out / "adapted"
         adapted_dir.mkdir(exist_ok=True)
-        for name, m in zip(cfg.source_names, decision_res.models):
+        for name, m in zip(cfg.source_names, res.models):
             save_checkpoint(m, adapted_dir / f"{name}.json")
-        _write_json(adapted_dir / "alpha.json",
-                    {"alpha": [float(a) for a in decision_res.alpha]})
+        _write_json(adapted_dir / "alpha.json", {"alpha": report["alpha"]})
+        if "DECISION-distill" in enabled:
+            student, agreement = _student(cfg, TeacherView(res.models, res.alpha), target)
+            found["DECISION-distill"] = accuracy([student], [1.0], tgt_eval)
+            report["distill_agreement"] = agreement
+            save_checkpoint(student, out / "student.json")
 
-    if toggles["distill"]:
-        teacher = TeacherView(decision_res.models, decision_res.alpha)
-        student, agreement = _student(cfg, teacher, target)
-        methods["DECISION-distill"] = accuracy([student], [1.0], tgt_eval)
-        report["distill_agreement"] = agreement
-        save_checkpoint(student, out / "student.json")
-
-    if not toggles["decision"]:
-        methods.pop("DECISION", None)
-
+    report["methods"] = {row: found[row] for row in enabled}
     report["wall_clock_sec"] = time.perf_counter() - t0
     _write_json(out / "report.json", report)
     with open(out / "accuracy.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["method", "accuracy"])
-        for name in METHOD_ORDER:
-            if name in methods:
-                writer.writerow([name, repr(methods[name])])
+        writer.writerows([row, repr(acc)] for row, acc in report["methods"].items())
     return report
 
 
 def run_distill(cfg, out, run_dir=None):
     """Standalone distillation from a completed adaptation run directory."""
     out = Path(out)
-    run_dir = Path(run_dir or out)
-    adapted_dir = run_dir / "adapted"
+    adapted_dir = Path(run_dir or out) / "adapted"
     if not adapted_dir.exists():
         raise FileNotFoundError(f"no adapted ensemble under {adapted_dir}")
-    models = [load_checkpoint(adapted_dir / f"{name}.json") for name in cfg.source_names]
+    models = load_source_models(cfg, adapted_dir)
     alpha_path = adapted_dir / "alpha.json"
     try:  # validated before anything is written
         with open(alpha_path) as fh:

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from decision import config as config_mod
 from decision import runner
 from decision.cli import main
 from decision.config import ConfigError, moons_fixture
+from decision.data import DomainSpec
 from decision.models import SourceModel, save_checkpoint
 
 
@@ -63,6 +65,12 @@ def test_shipped_moons_config_is_the_seed_0_fixture():
     # config is the shipped file, so the two must not drift apart
     shipped = Path(__file__).parents[1] / "configs" / "moons3p1.yaml"
     assert config_mod.load(shipped) == moons_fixture(0)
+
+
+def test_domain_defaults_are_domain_spec_defaults():
+    doc = small_config()
+    doc["target"] = {"kind": "two-moons", "n": 80, "seed": 13}
+    assert config_mod.from_dict(doc).target_spec == DomainSpec("two-moons", 80, 13)
 
 
 def test_unknown_keys_are_rejected(tmp_path):
@@ -303,6 +311,39 @@ def test_v1_checkpoint_exits_3_naming_its_version(trained_run, tmp_path, capsys)
     assert "unsupported checkpoint version 'decision-ckpt-v1'" in capsys.readouterr().err
 
 
+def test_adapt_rejects_a_checkpoint_of_another_hidden_dim_before_writing(trained_run, tmp_path,
+                                                                         capsys):
+    _, path, out = trained_run
+    ckpts = tmp_path / "checkpoints"
+    shutil.copytree(out / "checkpoints", ckpts)
+    arch = config_mod.load(path).resolved_model()  # hidden_dim 16
+    save_checkpoint(SourceModel.init("b", replace(arch, hidden_dim=32), seed=0), ckpts / "b.json")
+    run = tmp_path / "o"
+    assert main(["adapt", "--config", str(path), "--out", str(run),
+                 "--checkpoints", str(ckpts)]) == 2
+    err = capsys.readouterr().err
+    assert str(ckpts / "b.json") in err
+    assert "(2, 32, 8, 2)" in err and "(2, 16, 8, 2)" in err
+    assert not run.exists()  # no config.yaml, metrics/ or report.json
+
+
+def test_distill_rejects_an_adapted_checkpoint_of_another_feature_dim_before_writing(
+        tmp_path, capsys):
+    cfg_path = write_config(tmp_path, small_config())
+    arch = config_mod.load(cfg_path).resolved_model()  # feature_dim 8
+    adapted = tmp_path / "run" / "adapted"
+    adapted.mkdir(parents=True)
+    save_checkpoint(SourceModel.init("a", arch, seed=0), adapted / "a.json")
+    save_checkpoint(SourceModel.init("b", replace(arch, feature_dim=4), seed=0),
+                    adapted / "b.json")
+    (adapted / "alpha.json").write_text(json.dumps({"alpha": [0.5, 0.5]}))
+    out = tmp_path / "distilled"
+    assert main(["distill", "--config", str(cfg_path), "--out", str(out),
+                 "--run", str(tmp_path / "run")]) == 2
+    assert str(adapted / "b.json") in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- train-sources ---------------------------------------------------------------
 
 def test_seed_flag_overrides_global_seed_but_not_domain_data(tmp_path):
@@ -466,16 +507,33 @@ def test_divergence_exits_4_naming_epoch_step_source_and_value(tmp_path):
                            "pseudo-label distances not finite\n")
 
 
-def test_single_enabled_method_yields_single_row(tmp_path):
-    doc = small_config()
-    doc["baselines"] = {k: False for k in config_mod.BASELINE_KEYS}
-    doc["baselines"]["decision"] = True
-    path = write_config(tmp_path, doc)
-    out = tmp_path / "out"
-    assert main(["train-sources", "--config", str(path), "--out", str(out)]) == 0
-    assert main(["adapt", "--config", str(path), "--out", str(out)]) == 0
-    report = json.loads((out / "report.json").read_text())
-    assert list(report["methods"]) == ["DECISION"]
+def test_a_row_does_not_depend_on_which_other_rows_are_enabled(trained_run, tmp_path):
+    _, _, out = trained_run
+    runs = {  # enabled baselines keys -> the rows accuracy.csv lists, in order
+        config_mod.BASELINE_KEYS: list(runner.METHOD_ORDER),
+        ("decision",): ["DECISION"],
+        ("distill",): ["DECISION-distill"],
+        ("shot_ens", "weights_only"): ["SHOT-Ens", "DECISION-weights"],
+    }
+    all_on = None  # the all-rows run's report
+    for i, (keys, rows) in enumerate(runs.items()):
+        doc = small_config()
+        doc["baselines"] = {k: k in keys for k in config_mod.BASELINE_KEYS}
+        run = tmp_path / f"run{i}"
+        assert main(["adapt", "--config", str(write_config(tmp_path, doc, f"cfg{i}.yaml")),
+                     "--out", str(run), "--checkpoints", str(out / "checkpoints")]) == 0
+        report = json.loads((run / "report.json").read_text())
+        all_on = all_on or report
+        methods = report["methods"]
+        assert methods == {row: all_on["methods"][row] for row in rows}
+        for key in ("alpha", "weights_only_alpha", "distill_agreement"):  # finer than accuracy
+            assert report.get(key, all_on[key]) == all_on[key]
+        with open(run / "accuracy.csv") as fh:
+            table = [(r[0], float(r[1])) for r in list(csv.reader(fh))[1:]]
+        assert table == [(row, methods[row]) for row in rows]
+        decision_ran = "decision" in keys or "distill" in keys
+        assert (run / "metrics" / "decision.jsonl").exists() == decision_ran
+        assert (run / "adapted" / "alpha.json").exists() == decision_ran
 
 
 # -- distill -----------------------------------------------------------------------
@@ -493,18 +551,6 @@ def test_three_class_mixture_pipeline(tmp_path):
     assert len(report["alpha"]) == 2
     row = json.loads((out / "metrics" / "decision.jsonl").read_text().splitlines()[0])
     assert len(row["alpha"]) == 2
-
-
-def test_distill_only_toggle_keeps_decision_row_out(tmp_path):
-    doc = small_config()
-    doc["baselines"] = {k: k == "distill" for k in config_mod.BASELINE_KEYS}
-    path = write_config(tmp_path, doc)
-    out = tmp_path / "out"
-    assert main(["train-sources", "--config", str(path), "--out", str(out)]) == 0
-    assert main(["adapt", "--config", str(path), "--out", str(out)]) == 0
-    report = json.loads((out / "report.json").read_text())
-    assert list(report["methods"]) == ["DECISION-distill"]
-    assert (out / "adapted" / "alpha.json").exists()
 
 
 def test_standalone_distill_from_run_dir(trained_run):

@@ -66,6 +66,10 @@ def test_mixture_weights_are_checked_at_the_oracle_boundary(lam, corrupt):
         check_instance(_THREE_POINTS, lam, corrupt=corrupt)
     with pytest.raises(ValueError, match="mixture weights"):
         density_ratio_weights(_THREE_POINTS, lam)
+    # over three identical domains [2, -1, 0] mixes to a distribution, so only
+    # the weight check catches it
+    with pytest.raises(ValueError, match="mixture weights"):
+        mixture_domain(_THREE_POINTS, lam)
 
 
 def test_optimal_predictor_is_posterior():
