@@ -536,6 +536,32 @@ def test_a_row_does_not_depend_on_which_other_rows_are_enabled(trained_run, tmp_
         assert (run / "adapted" / "alpha.json").exists() == decision_ran
 
 
+def test_single_enabled_method_yields_single_row(trained_run, tmp_path):
+    _, _, trained = trained_run
+    doc = small_config()
+    doc["baselines"] = {k: False for k in config_mod.BASELINE_KEYS}
+    doc["baselines"]["decision"] = True
+    path = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["adapt", "--config", str(path), "--out", str(out),
+                 "--checkpoints", str(trained / "checkpoints")]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert list(report["methods"]) == ["DECISION"]
+
+
+def test_distill_only_toggle_keeps_decision_row_out(trained_run, tmp_path):
+    _, _, trained = trained_run
+    doc = small_config()
+    doc["baselines"] = {k: k == "distill" for k in config_mod.BASELINE_KEYS}
+    path = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["adapt", "--config", str(path), "--out", str(out),
+                 "--checkpoints", str(trained / "checkpoints")]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert list(report["methods"]) == ["DECISION-distill"]
+    assert (out / "adapted" / "alpha.json").exists()
+
+
 # -- distill -----------------------------------------------------------------------
 
 def test_three_class_mixture_pipeline(tmp_path):
