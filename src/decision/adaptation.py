@@ -13,12 +13,23 @@ weights, an (n,) tensor whose sigmoid-normalized view alpha, a plain array,
 is recomputed after each optimizer step and checked to lie on the probability
 simplex. The objective is one batched ``Tape.mlp`` forward, one
 ``Tape.simplex`` node for the weights and one fused ``Tape.im_loss`` node for
-the loss, with the pseudo-labels as one-hot targets; evaluation and
-pseudo-labels run the same forward, ``mlp_forward``, in numpy on each
-per-source view. The epochs run in ``optim.run_epochs``, the loop source
-training also uses; ``adapt`` supplies the objective, the pseudo-label refresh
-at each epoch's start, the alpha update after each step and the metrics row
-after each epoch.
+the loss, with the pseudo-labels as one-hot targets. The epochs run in
+``optim.run_epochs``, the loop source training also uses; ``adapt`` supplies
+the objective, the pseudo-label refresh at each epoch's start, the alpha
+update after each step and the metrics row after each epoch.
+
+Evaluation and pseudo-labels run the same forward, ``mlp_forward``, in numpy
+on each per-source view, once per parameter state. Each epoch's refresh
+computes one ``target_forward`` (every source's features, logits and round-0
+centroids over the whole target), and the epoch's ensemble mean
+(``mean_prediction``) reuses its logits. When the extractors train, that
+forward is dropped before the epoch's steps, and the eval accuracy after the
+steps runs its own forward of the eval rows. When they are frozen
+(``weights_only_adapt``), the eval logits and the target forward are computed
+once per run, at the first refresh, and each epoch redoes only the work that
+depends on alpha: the assignment rounds, the weighted sums and the argmax.
+Every weighted sum is ``models.weighted_logits``, so the cached and the fresh
+paths give the same bits.
 """
 
 import math
@@ -29,7 +40,8 @@ import numpy as np
 from . import kernels
 from .autodiff import DivergenceError, ShapeMismatchError, Tensor, mlp_forward, sigmoid
 from .data import UnlabeledSet
-from .models import SourceStack, accuracy, aggregate_logits, check_compatible, predict
+from .models import (SourceStack, accuracy, aggregate_logits, check_compatible, predict,
+                     weighted_logits)
 from .optim import (ParamGroup, SgdMomentum, check_lr, check_momentum, check_weight_decay,
                     run_epochs)
 
@@ -144,31 +156,59 @@ def assign_pseudo_labels(feats, cents, alpha, mode):
     return np.argmin(dists, axis=1)
 
 
-def update_pseudo_labels(models, alpha, x, refinement_rounds=1, mode="per-source"):
-    """Pseudo-labels (N,) of the whole target set, from centroid/assignment rounds.
-
-    Round 0 weighs features by each source's own softmax (a class whose
-    probability underflowed on every sample gets the source's mean feature);
-    each refinement round re-estimates centroids from the previous hard
-    assignment (an empty class keeps its centroid). All of this is plain
-    numpy: pseudo-labels are constants for the optimizer. numpy's overflow and
-    invalid-value warnings are off here: a softmax that is not finite (the
-    logits overflowed, and round 0 would put every class on its fallback) and
-    each assignment's finiteness check raise DivergenceError instead.
+@dataclass(frozen=True)
+class TargetForward:
+    """Every source's numpy forward of the target set, none of it depending on
+    alpha: features (n, N, d), logits (n, N, K), and the round-0 class
+    centroids (n, K, d), which weigh the features by each source's own softmax.
     """
-    k, _ = check_compatible(models)
-    alpha = np.asarray(alpha, dtype=np.float64)
+    feats: np.ndarray
+    logits: np.ndarray
+    centroids: np.ndarray
+
+
+def target_forward(models, x):
+    """The TargetForward of ``models`` over ``x``: one ``mlp_forward`` per source.
+
+    A class whose probability underflowed on every sample gets the source's
+    mean feature as its round-0 centroid. A softmax that is not finite (the
+    logits overflowed, and round 0 would put every class on its fallback)
+    raises DivergenceError; numpy's overflow and invalid-value warnings are
+    off here.
+    """
+    check_compatible(models)
     with np.errstate(over="ignore", invalid="ignore"):
         # a generator, so no source's (N, h) pre-activation outlives its forward
         feats, logits = zip(*(mlp_forward(x, m.params)[1:] for m in models))
-        feats = np.stack(feats)
+        feats = np.stack(feats)  # one stack at a time: the lower peak
+        logits = np.stack(logits)
         probs = np.stack([kernels.softmax_rows(z) for z in logits])
         if not np.isfinite(probs).all():
             raise DivergenceError("pseudo-label softmax not finite")
-        cents = _source_centroids(feats, probs, None)
+        return TargetForward(feats, logits, _source_centroids(feats, probs, None))
+
+
+def update_pseudo_labels(models, alpha, x, refinement_rounds=1, mode="per-source",
+                         forward=None):
+    """Pseudo-labels (N,) of the whole target set, from centroid/assignment rounds.
+
+    Round 0 assigns against ``forward``'s softmax-weighted centroids; each
+    refinement round re-estimates centroids from the previous hard assignment
+    (an empty class keeps its centroid). ``forward`` is ``target_forward(models,
+    x)``, computed here unless the caller passes the one it holds (``models``
+    and ``x`` are not read then). All of this is plain numpy: pseudo-labels are
+    constants for the optimizer. numpy's overflow and invalid-value warnings
+    are off here: each assignment's finiteness check raises DivergenceError
+    instead.
+    """
+    if forward is None:
+        forward = target_forward(models, x)
+    alpha = np.asarray(alpha, dtype=np.float64)
+    feats, cents = forward.feats, forward.centroids
+    with np.errstate(over="ignore", invalid="ignore"):
         labels = assign_pseudo_labels(feats, cents, alpha, mode)
         for _ in range(refinement_rounds):
-            onehot = np.broadcast_to(np.eye(k)[labels], probs.shape)
+            onehot = np.broadcast_to(np.eye(cents.shape[1])[labels], forward.logits.shape)
             cents = _source_centroids(feats, onehot, cents)
             labels = assign_pseudo_labels(feats, cents, alpha, mode)
     return labels
@@ -184,9 +224,15 @@ class AdaptationResult:
     epoch_pbar: list = field(default_factory=list)  # full-set mean prediction, per epoch
 
 
-def mean_prediction(models, alpha, x):
-    """Mean softmax of the weighted ensemble over a whole input set."""
-    return kernels.softmax_rows(aggregate_logits(models, alpha, x)).mean(axis=0)
+def mean_prediction(logits, alpha):
+    """Mean softmax of the weighted ensemble over a whole input set, from every
+    source's logits (n, N, K) of that set."""
+    return kernels.softmax_rows(weighted_logits(alpha, logits)).mean(axis=0)
+
+
+def _source_logits(models, x):
+    """Every source's logits (n, N, K) of ``x``."""
+    return np.stack([mlp_forward(x, m.params)[2] for m in models])
 
 
 def _check_simplex(alpha, atol=1e-9):
@@ -220,12 +266,26 @@ def adapt(models, target, cfg, eval_set=None, on_step=None, optimize_features=Tr
     result = AdaptationResult(adapted, alpha_project(raw.values))
     _check_simplex(result.alpha)  # the first refresh reads it
 
+    # frozen extractors: the eval logits and the target forward of the run's
+    # one parameter state, made at the first refresh
+    eval_logits = frozen = None
+
     def epoch_arrays(epoch):
-        labels = update_pseudo_labels(adapted, result.alpha, target.x,
-                                      cfg.refinement_rounds, cfg.distance_mode)
+        nonlocal eval_logits, frozen
+        forward = frozen
+        if forward is None:
+            if not optimize_features and eval_set is not None:
+                # before the target forward, whose arrays would otherwise sit
+                # under the eval forward's temporaries
+                eval_logits = _source_logits(adapted, eval_set.x)
+            forward = target_forward(adapted, target.x)
+            if not optimize_features:
+                frozen = forward
+        labels = update_pseudo_labels(adapted, result.alpha, target.x, cfg.refinement_rounds,
+                                      cfg.distance_mode, forward=forward)
         # epoch-level mean embedding: diagnostic only; optimization uses the
         # per-batch estimate inside the objective's diversity term
-        result.epoch_pbar.append(mean_prediction(adapted, result.alpha, target.x))
+        result.epoch_pbar.append(mean_prediction(forward.logits, result.alpha))
         return [target.x[None], labels[None]]
 
     def step_loss(tape, xb, lb):  # one batch order: the source axis has length 1
@@ -246,9 +306,13 @@ def adapt(models, target, cfg, eval_set=None, on_step=None, optimize_features=Tr
         # in the column order of metrics/<method>.jsonl
         row = {"epoch": epoch + 1, **{key: total / len(terms) for key, total in sums.items()}}
         row["alpha"] = [float(a) for a in result.alpha]
-        row["target_accuracy"] = (
-            accuracy(adapted, result.alpha, eval_set) if eval_set is not None else None
-        )
+        if eval_set is None:
+            row["target_accuracy"] = None
+        elif eval_logits is None:  # the extractors moved: a fresh forward
+            row["target_accuracy"] = accuracy(adapted, result.alpha, eval_set)
+        else:  # models.accuracy's sum and argmax over the cached logits
+            row["target_accuracy"] = float(np.mean(
+                predict(weighted_logits(result.alpha, eval_logits)) == eval_set.y))
         result.metrics.append(row)
     return result
 

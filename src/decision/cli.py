@@ -3,7 +3,8 @@
 Subcommands: train-sources, adapt, oracle, distill, report.
 Exit codes: 0 success, 1 verification violation, 2 config error (including a
 checkpoint whose sizes differ from the config's model), 3 I/O error
-(including a checkpoint file that cannot be read as a model), 4 divergence (a
+(including a checkpoint file that cannot be read as a model, and a run's
+report.json that ``report`` cannot read), 4 divergence (a
 training value, step loss or pseudo-label distance that is not finite; the
 message names the method, the epoch, the step or the refresh, and the value,
 and the source for a training value).
@@ -108,7 +109,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (CheckpointError, OSError) as exc:
+    except (CheckpointError, runner.ReportError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
     except DivergenceError as exc:

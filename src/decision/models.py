@@ -168,16 +168,27 @@ def _stacked_params(models, trainable):
             for i, kind in enumerate(kinds)]
 
 
+def weighted_logits(alpha, logits):
+    """alpha[0]*logits[0] + alpha[1]*logits[1] + ..., summed in source order.
+
+    ``logits`` iterates over the per-source (N, K) arrays: a stacked (n, N, K)
+    array, or a generator that computes one at a time. Every numpy ensemble
+    sum goes through here, so cached and fresh logits give the same bits.
+    """
+    logits = iter(logits)
+    out = alpha[0] * next(logits)
+    for a, z in zip(alpha[1:], logits):
+        out += a * z
+    return out
+
+
 def aggregate_logits(models, alpha, x):
     """Weighted sum of per-source logits (numpy path)."""
     alpha = np.asarray(alpha, dtype=np.float64)
     if len(alpha) != len(models):
         raise ValueError(f"alpha length {len(alpha)} != {len(models)} models")
     check_compatible(models)
-    out = alpha[0] * models[0].logits(x)
-    for a, m in zip(alpha[1:], models[1:]):
-        out += a * m.logits(x)
-    return out
+    return weighted_logits(alpha, (m.logits(x) for m in models))
 
 
 def predict(logits):

@@ -300,10 +300,30 @@ def spearman(a, b):
     return float(np.mean((ra - ra.mean()) * (rb - rb.mean())) / (sa * sb))
 
 
+class ReportError(ValueError):
+    """A run's report.json that ``run_report`` cannot read; names the file."""
+
+
+def _read_report(path):
+    """What ``run_report`` reads of one run's report.json: the accuracy rows in
+    METHOD_ORDER, (name, unadapted accuracy, alpha) of every weighted source,
+    and lambda_pl. A file that is not JSON or lacks one of these keys raises
+    ReportError."""
+    try:
+        with open(path) as fh:
+            rep = json.load(fh)
+        methods = {row: rep["methods"][row] for row in METHOD_ORDER if row in rep["methods"]}
+        weighted = [(e["name"], e["unadapted_accuracy"], e["alpha"])
+                    for e in rep["per_source"] if "alpha" in e]
+        lam = rep["config"]["adaptation"]["lambda_pl"]
+    except (KeyError, TypeError, ValueError) as exc:  # text that is not JSON: ValueError
+        raise ReportError(f"{path}: not a run report: {exc!r}") from None
+    return methods, weighted, lam
+
+
 def run_report(run_dirs, out):
-    """Aggregate completed runs into CSV tables and plot-ready data."""
-    out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
+    """Aggregate completed runs into CSV tables and plot-ready data. Every
+    report is read and checked before ``out`` is created."""
     runs = []
     seen = set()
     for d in run_dirs:
@@ -312,37 +332,29 @@ def run_report(run_dirs, out):
             raise FileNotFoundError(f"missing run artifact {path}")
         name = Path(d).name if Path(d).name not in seen else str(d)
         seen.add(name)
-        with open(path) as fh:
-            runs.append((name, json.load(fh)))
+        runs.append((name, *_read_report(path)))
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
 
     with open(out / "methods_accuracy.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["run", "method", "accuracy"])
-        for run_name, rep in runs:
-            for method in METHOD_ORDER:
-                if method in rep["methods"]:
-                    writer.writerow([run_name, method, repr(rep["methods"][method])])
+        for run_name, methods, _, _ in runs:
+            writer.writerows([run_name, method, repr(acc)] for method, acc in methods.items())
 
     correlations = {}
     with open(out / "alpha_vs_source_accuracy.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["run", "source", "unadapted_accuracy", "alpha"])
-        for run_name, rep in runs:
-            pairs = [(e["unadapted_accuracy"], e["alpha"])
-                     for e in rep["per_source"] if "alpha" in e]
-            for entry in rep["per_source"]:
-                if "alpha" in entry:
-                    writer.writerow([run_name, entry["name"],
-                                     repr(entry["unadapted_accuracy"]), repr(entry["alpha"])])
-            if len(pairs) >= 2:
-                correlations[run_name] = spearman(*zip(*pairs))
+        for run_name, _, weighted, _ in runs:
+            for source, unadapted, alpha in weighted:
+                writer.writerow([run_name, source, repr(unadapted), repr(alpha)])
+            if len(weighted) >= 2:
+                correlations[run_name] = spearman(*zip(*(w[1:] for w in weighted)))
 
-    lambdas = {}
-    for run_name, rep in runs:
-        lam = rep["config"]["adaptation"]["lambda_pl"]
-        if "DECISION" in rep["methods"]:
-            lambdas[run_name] = (lam, rep["methods"]["DECISION"])
-    summary = {"runs": [name for name, _ in runs], "alpha_accuracy_spearman": correlations}
+    lambdas = {run_name: (lam, methods["DECISION"])
+               for run_name, methods, _, lam in runs if "DECISION" in methods}
+    summary = {"runs": [name for name, *_ in runs], "alpha_accuracy_spearman": correlations}
     if len({lam for lam, _ in lambdas.values()}) >= 2:
         rows = sorted(lambdas.values())
         with open(out / "lambda_sweep.csv", "w", newline="") as fh:

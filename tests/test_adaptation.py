@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from decision import adaptation, kernels
+from decision import models as models_mod
 from decision.adaptation import (DISTANCE_MODES, AdaptationConfig, adapt,
                                  alpha_project, assign_pseudo_labels,
                                  loss_coefficients, objective,
@@ -14,7 +15,7 @@ from decision.adaptation import (DISTANCE_MODES, AdaptationConfig, adapt,
                                  weights_only_adapt)
 from decision.autodiff import DivergenceError, ShapeMismatchError, Tape, Tensor, mlp_forward
 from decision.data import DomainSpec, LabeledSet, generate_domain
-from decision.models import SourceStack, accuracy, classifier_checksum
+from decision.models import SourceStack, accuracy, aggregate_logits, classifier_checksum
 from decision.optim import ParamGroup, SgdMomentum, lr_schedule
 
 from conftest import constant_logit_model, finite_diff, make_models, max_rel_err
@@ -774,6 +775,48 @@ def test_eval_set_labels_reach_only_target_accuracy(optimize_features):
     assert len(a.metrics) == 3
     assert without_accuracy(a.metrics) == without_accuracy(b.metrics)
     assert [r["target_accuracy"] for r in a.metrics] != [r["target_accuracy"] for r in b.metrics]
+
+
+def _count_forwards(monkeypatch, *inputs):
+    """Per input array of ``inputs``, the number of numpy model forwards over
+    it (matched by identity), through the forward bindings of ``adaptation``
+    and ``models``: one forward of one source counts once."""
+    counts = [0] * len(inputs)
+
+    def counting(x, params):
+        for i, rows in enumerate(inputs):
+            counts[i] += x is rows
+        return mlp_forward(x, params)
+
+    monkeypatch.setattr(adaptation, "mlp_forward", counting)
+    monkeypatch.setattr(models_mod, "mlp_forward", counting)
+    return counts
+
+
+@pytest.mark.parametrize("optimize_features", [True, False], ids=["adapt", "weights-only"])
+@pytest.mark.parametrize("n", [1, 3])
+def test_one_forward_of_the_target_per_parameter_state(monkeypatch, n, optimize_features):
+    # training extractors: each source's forward of the whole target runs once
+    # per epoch, shared by the refresh and the epoch's mean prediction, and of
+    # the eval rows once per epoch; frozen ones: each runs once per run
+    sources = [_trained_source(seed)[0] for seed in range(n)]
+    target = _blob_domain(seed=7, n=70).inputs_only()
+    eval_set = _blob_domain(seed=8, n=50)
+    counts = _count_forwards(monkeypatch, target.x, eval_set.x)
+    run = adapt if optimize_features else weights_only_adapt
+    run(sources, target, AdaptationConfig(epochs=3, batch_size=8, seed=4), eval_set=eval_set)
+    per_source = 3 if optimize_features else 1
+    assert counts == [n * per_source, n * per_source]
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_mean_prediction_on_shared_logits_is_bit_equal_to_a_fresh_forward(n):
+    models = make_models(n, seed=12)
+    x = np.random.default_rng(3).standard_normal((40, 3))
+    alpha = alpha_project(np.random.default_rng(4).standard_normal(n))
+    np.testing.assert_array_equal(
+        adaptation.mean_prediction(adaptation.target_forward(models, x).logits, alpha),
+        kernels.softmax_rows(aggregate_logits(models, alpha, x)).mean(0))
 
 
 # -- soft ensemble --------------------------------------------------------------------

@@ -625,6 +625,25 @@ def test_standalone_distill_malformed_alpha_exit_code(tmp_path, capsys, text):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text", ["not json", "{}"], ids=["not-json", "no-methods-key"])
+def test_report_on_a_malformed_report_exits_3_without_output(tmp_path, capsys, text):
+    # the good run is read first: every report is checked before --out is made
+    good, bad = tmp_path / "good", tmp_path / "bad"
+    good.mkdir()
+    bad.mkdir()
+    (good / "report.json").write_text(json.dumps(
+        {"methods": {"DECISION": 0.5}, "per_source": [],
+         "config": {"adaptation": {"lambda_pl": 0.3}}}))
+    (bad / "report.json").write_text(text)
+    out = tmp_path / "agg"
+    assert main(["report", str(good), str(bad), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"i/o error: {bad / 'report.json'}: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+    assert main(["report", str(good), "--out", str(out)]) == 0  # the good run alone
+
+
 # -- oracle ------------------------------------------------------------------------
 
 def test_oracle_zero_trials_exits_clean(tmp_path):
