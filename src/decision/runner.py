@@ -15,6 +15,7 @@ model before anything is written.
 import contextlib
 import csv
 import json
+import math
 import time
 from dataclasses import astuple, replace
 from pathlib import Path
@@ -307,8 +308,9 @@ class ReportError(ValueError):
 def _read_report(path):
     """What ``run_report`` reads of one run's report.json: the accuracy rows in
     METHOD_ORDER, (name, unadapted accuracy, alpha) of every weighted source,
-    and lambda_pl. A file that is not JSON or lacks one of these keys raises
-    ReportError."""
+    and lambda_pl. A file that is not JSON, lacks one of these keys, or holds
+    anything but a finite number (a bool is not one) in one of these values
+    raises ReportError."""
     try:
         with open(path) as fh:
             rep = json.load(fh)
@@ -318,6 +320,13 @@ def _read_report(path):
         lam = rep["config"]["adaptation"]["lambda_pl"]
     except (KeyError, TypeError, ValueError) as exc:  # text that is not JSON: ValueError
         raise ReportError(f"{path}: not a run report: {exc!r}") from None
+    values = [(f"methods.{row}", acc) for row, acc in methods.items()]
+    for name, unadapted, alpha in weighted:
+        values += [(f"{name}.unadapted_accuracy", unadapted), (f"{name}.alpha", alpha)]
+    for key, value in values + [("lambda_pl", lam)]:
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not math.isfinite(value)):
+            raise ReportError(f"{path}: not a run report: {key} is {value!r}, not a number")
     return methods, weighted, lam
 
 

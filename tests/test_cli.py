@@ -33,7 +33,7 @@ def small_config(seed=0, **adapt_overrides):
         "target": {"kind": "two-moons", "n": 80, "seed": 13,
                    "rotation_deg": 15.0, "noise_std": 0.15},
         "model": {"hidden_dim": 16, "feature_dim": 8},
-        "source_training": {"epochs": 4, "batch_size": 16},
+        "source_training": {"epochs": 20, "batch_size": 16},
         "adaptation": {"epochs": 2, "batch_size": 16, **adapt_overrides},
         "distill": {"epochs": 3},
     }
@@ -435,6 +435,8 @@ def test_adapt_emits_report_tables_and_metrics(trained_run):
     # every per-source entry pairs unadapted accuracy with a learned weight
     assert all({"name", "unadapted_accuracy", "alpha",
                 "single_adapted_accuracy"} <= set(e) for e in report["per_source"])
+    # the two sources are told apart, and each beats chance on the target
+    assert report["methods"]["Source-best"] > report["methods"]["Source-worst"] > 0.5
 
 
 def test_zero_epoch_adaptation_equals_uniform_unadapted_ensemble(tmp_path):
@@ -642,6 +644,33 @@ def test_report_on_a_malformed_report_exits_3_without_output(tmp_path, capsys, t
     assert err.count("\n") == 1
     assert not out.exists()
     assert main(["report", str(good), "--out", str(out)]) == 0  # the good run alone
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda rep: [source.update(unadapted_accuracy=value)
+                  for source, value in zip(rep["per_source"], "xy")],
+     "a.unadapted_accuracy is 'x'"),
+    (_set("per_source", 1, "alpha", None), "b.alpha is None"),
+    (_set("methods", "DECISION", True), "methods.DECISION is True"),
+    (_set("config", "adaptation", "lambda_pl", "0.3"), "lambda_pl is '0.3'"),
+    (_set("methods", "SHOT-Ens", float("nan")), "methods.SHOT-Ens is nan"),
+], ids=["string-unadapted-accuracies", "null-alpha", "boolean-accuracy", "string-lambda",
+        "nan-accuracy"])
+def test_report_on_a_value_that_is_not_a_number_exits_3_without_output(tmp_path, capsys,
+                                                                       edit, named):
+    rep = {"methods": {"SHOT-Ens": 0.7, "DECISION": 0.8},
+           "per_source": [{"name": "a", "unadapted_accuracy": 0.6, "alpha": 0.3},
+                          {"name": "b", "unadapted_accuracy": 0.9, "alpha": 0.7}],
+           "config": {"adaptation": {"lambda_pl": 0.3}}}
+    edit(rep)
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "report.json").write_text(json.dumps(rep))
+    out = tmp_path / "agg"
+    assert main(["report", str(run), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"i/o error: {run / 'report.json'}: not a run report: {named}, not a number\n"
+    assert not out.exists()
 
 
 # -- oracle ------------------------------------------------------------------------

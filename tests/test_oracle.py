@@ -58,8 +58,8 @@ _THREE_POINTS = DiscreteDomains([[0.5, 0.5]] * 3, [[[1.0, 0.0], [0.0, 1.0]]] * 3
 
 
 @pytest.mark.parametrize("corrupt", [False, True], ids=["combined", "corrupt"])
-@pytest.mark.parametrize("lam", [[0.25] * 4, [2.0, -1.0, 0.0]],
-                         ids=["one-too-long", "off-simplex"])
+@pytest.mark.parametrize("lam", [[0.25] * 4, [2.0, -1.0, 0.0], [0.5, _NAN, 0.5]],
+                         ids=["one-too-long", "off-simplex", "nan"])
 def test_mixture_weights_are_checked_at_the_oracle_boundary(lam, corrupt):
     # the error names the weights, not numpy's broadcasting or the domains
     with pytest.raises(ValueError, match="mixture weights"):
@@ -70,6 +70,8 @@ def test_mixture_weights_are_checked_at_the_oracle_boundary(lam, corrupt):
     # the weight check catches it
     with pytest.raises(ValueError, match="mixture weights"):
         mixture_domain(_THREE_POINTS, lam)
+    with pytest.raises(ValueError, match="mixture weights"):
+        uniform_mixture_weights(lam, [1.0, 2.0, 3.0])
 
 
 def test_optimal_predictor_is_posterior():
@@ -367,6 +369,171 @@ def test_check_instance_builds_two_loss_tables(monkeypatch):
             # the target row (n optimal predictors, plus the combined one
             # unless corrupt), then the n x n cross table
             assert calls == [(1, n + (not corrupt)), (n, n)]
+
+
+def _check_one_by_one(domains, lam, loss, corrupt):
+    """check_instance as a loop over the checks of one instance, in their order."""
+    n = len(domains)
+    lam = np.asarray(lam)
+    predictors = optimal_predictors(domains)
+    scored = predictors if corrupt else np.concatenate(
+        [predictors, mixture_predictor(domains, lam, predictors)])
+    (on_target,), _ = expected_losses(mixture_domain(domains, lam), scored, loss)
+    per_source = on_target[:n].tolist()
+    lhs = max(per_source) if corrupt else float(on_target[n])
+    cross, _ = expected_losses(domains, predictors, loss)
+    self_losses = np.diag(cross)
+
+    def mix(values):
+        return LOSS_SENTINEL if (values >= LOSS_SENTINEL).any() else float(np.dot(lam, values))
+
+    violations, slack = [], -np.inf
+
+    def check(tag, left, right):
+        nonlocal slack
+        slack = max(slack, left - right)
+        if left > right + oracle.SLACK:
+            violations.append((tag, left, right))
+
+    rhs = min(per_source)
+    check("combined_vs_best_source", lhs, rhs)
+    mid = mix(self_losses)
+    check("convexity_bound", lhs, mid)
+    for j in range(n):
+        mixed_j = mix(cross[:, j])
+        check("mixture_decomposition", abs(per_source[j] - mixed_j), 0.0)
+        check("self_optimality_chain", mid, mixed_j)
+        for i in range(n):
+            check("per_source_optimality", self_losses[i], cross[i, j])
+    beta = int(np.argmin(per_source))
+    strict = int(lam.min() > 0.0 and (self_losses < cross[:, beta] - 1e-12).any()
+                 and rhs < LOSS_SENTINEL)
+    if strict and not lhs < rhs:
+        violations.append(("strictness", lhs, rhs))
+    return [{"check": tag, "lhs": left, "rhs": right, "lam": lam.tolist(), "loss": loss,
+             "marginals": domains.qx.tolist(), "conditionals": domains.cond.tolist()}
+            for tag, left, right in violations], slack, strict
+
+
+@pytest.mark.parametrize("corrupt", [False, True], ids=["combined", "corrupt"])
+@pytest.mark.parametrize("loss", LOSSES)
+def test_a_stack_checks_as_its_instances_one_by_one(loss, corrupt):
+    rng = np.random.default_rng(21)
+    groups = {}
+    for _ in range(1000):
+        domains, lam = random_instance(rng)
+        groups.setdefault(domains.cond.shape, []).append((domains, lam))
+    flagged = 0
+    for instances in groups.values():
+        stack = DiscreteDomains(np.stack([d.qx for d, _ in instances]),
+                                np.stack([d.cond for d, _ in instances]))
+        lams = np.stack([lam for _, lam in instances])
+        violations, slack, strict = check_instance(stack, lams, loss, corrupt)
+        assert len(violations) == len(slack) == len(strict) == len(instances)
+        for (domains, lam), *got in zip(instances, violations, slack, strict):
+            want = _check_one_by_one(domains, lam, loss, corrupt)
+            for one in (check_instance(domains, lam, loss, corrupt), want):
+                assert got[0] == one[0]  # the same checks fail, in the same order
+                assert got[1] == one[1]
+                assert got[2] == one[2]
+            flagged += len(want[0])
+    assert len(groups) == 4 * 5 * 2
+    assert (flagged > 0) == corrupt
+
+
+@pytest.mark.parametrize("chunk", [oracle.CHUNK, 300])
+def test_the_verifier_checks_each_group_of_a_chunk_in_one_call(monkeypatch, chunk):
+    # the benchmark harness times the verifier through this binding
+    calls = []
+    check = oracle.check_instance
+
+    def recording(domains, lam, loss, corrupt):
+        calls.append((domains.qx, domains.cond, lam, loss))
+        return check(domains, lam, loss, corrupt)
+
+    monkeypatch.setattr(oracle, "check_instance", recording)
+    monkeypatch.setattr(oracle, "CHUNK", chunk)
+    report = verify_combination_bound(1000, 0)
+    monkeypatch.undo()
+    assert report == verify_combination_bound(1000, 0)  # the default chunk's report
+
+    rng = np.random.default_rng(0)
+    draws = [random_instance(rng) for _ in range(1000)]
+    calls = iter(calls)
+    for start in range(0, 1000, chunk):
+        groups = {}
+        for t in range(start, min(start + chunk, 1000)):
+            groups.setdefault((*draws[t][0].cond.shape, LOSSES[t % 2]), []).append(t)
+        made = [next(calls) for _ in groups]  # one call per group of the chunk
+        assert {(*cond.shape[1:], loss) for _, cond, _, loss in made} == set(groups)
+        for qx, cond, lam, loss in made:
+            trials = groups[(*cond.shape[1:], loss)]  # each call has one shape
+            assert qx.shape[0] == cond.shape[0] == lam.shape[0] == len(trials)
+            for t, *stacked in zip(trials, qx, cond, lam):  # back in trial order
+                domains, want_lam = draws[t]
+                np.testing.assert_array_equal(stacked[0], domains.qx)
+                np.testing.assert_array_equal(stacked[1], domains.cond)
+                np.testing.assert_array_equal(stacked[2], want_lam)
+    assert next(calls, None) is None
+
+
+@pytest.mark.parametrize("chunk", [oracle.CHUNK, 64])
+def test_a_corrupt_report_folds_the_trials_in_their_order(monkeypatch, chunk):
+    monkeypatch.setattr(oracle, "CHUNK", chunk)
+    rng = np.random.default_rng(5)
+    violations, slack, strict = [], -np.inf, 0
+    for t in range(300):
+        domains, lam = random_instance(rng)
+        found, used, checked = _check_one_by_one(domains, lam, LOSSES[t % 2], True)
+        violations += found
+        slack = max(slack, used)
+        strict += checked
+    report = verify_combination_bound(300, 5, corrupt=True)
+    assert report.violations == violations
+    assert report.max_slack_used == slack
+    assert report.strict_cases_checked == strict
+
+
+def _dirichlet_instance(rng):
+    """random_instance's draw written with ``rng.dirichlet``: (qx, cond, lam,
+    number of lam draws)."""
+    m = int(rng.integers(2, 7))
+    k = int(rng.integers(2, 4))
+    n = int(rng.integers(1, 5))
+    shared = rng.dirichlet(np.ones(k), size=m)
+    masks = np.empty((n, m), dtype=bool)
+    for mask in masks:
+        mask[:] = rng.random(m) < 0.7
+        if not mask.any():
+            mask[int(rng.integers(0, m))] = True
+    qx, cond = np.zeros((n, m)), np.empty((n, m, k))
+    for i, mask in enumerate(masks):
+        cond[i] = rng.dirichlet(np.ones(k), size=m)
+        qx[i, mask] = rng.dirichlet(np.ones(int(mask.sum())))
+    overlap = masks.sum(axis=0) >= 2
+    cond[:, overlap] = shared[overlap]
+    for tries in range(1, 100):
+        lam = rng.dirichlet(np.ones(n))
+        if lam.min() > 1e-3:
+            return qx, cond, lam, tries
+
+
+def test_random_instance_draws_what_rng_dirichlet_draws():
+    # the draws scale exponentials as rng.dirichlet does; the recorded strict
+    # counts depend on every bit and on the generator's position after each draw
+    redrawn = 0
+    for seed in range(3):
+        ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(1000):
+            domains, lam = random_instance(ours)
+            qx, cond, want_lam, tries = _dirichlet_instance(reference)
+            assert domains.qx.tobytes() == qx.tobytes() and domains.qx.shape == qx.shape
+            assert domains.cond.tobytes() == cond.tobytes()
+            assert domains.cond.shape == cond.shape
+            assert lam.tobytes() == want_lam.tobytes()
+            redrawn += tries > 1
+        assert ours.bit_generator.state == reference.bit_generator.state
+    assert redrawn > 0  # the MIN_LAM redraw was taken
 
 
 def test_corrupted_predictor_is_detected():
