@@ -22,9 +22,11 @@ package calls:
   cross-entropy's value.
 
 The tape records operations only. A parameter (a tensor with
-``requires_grad``) is an operand, not a node: backward adds its gradient
-straight into ``.grad``. ``Tape.mlp`` is the only place values are checked for
-finiteness; a value that is not finite raises ``DivergenceError``.
+``requires_grad``) is an operand, not a node: backward writes its first
+gradient into the row of its optimizer's gradient buffer (``grad_row``), or a
+fresh array when no optimizer owns it, and adds later ones to ``.grad``.
+``Tape.mlp`` is the only place values are checked for finiteness; a value that
+is not finite raises ``DivergenceError``.
 
 Evaluation and pseudo-labels call ``mlp_forward`` in numpy: one forward.
 """
@@ -59,7 +61,8 @@ def sigmoid(v):
 
 def _check_finite(name, values):
     """Raise DivergenceError if (b, k) or (n, b, k) ``values`` are not all finite."""
-    if not np.isfinite(values).all():
+    finite = np.isfinite(values)
+    if np.count_nonzero(finite) != finite.size:  # .all() without the reduction machinery
         rows = np.isfinite(values.reshape(-1, *values.shape[-2:])).all(axis=(1, 2))
         raise DivergenceError(f"{name} not finite in source {int(np.argmin(rows))}")
 
@@ -75,20 +78,30 @@ def mlp_forward(x, params):
     w1, b1, w2, b2, w, b = params
     if x.shape[-1] != w1.shape[-2]:
         raise ShapeMismatchError(f"input dim {x.shape[-1]} != {w1.shape[-2]}")
+    # Out of place, with the relu output a temporary: adding the biases in
+    # place, or keeping the relu output for the tape's backward, raised the
+    # benchmark's 16-source peak RSS by 0.4-0.8 MB through the numpy forwards
+    # over whole sets.
     pre = kernels.matmul_nn(x, w1) + b1[..., None, :]
     feats = kernels.matmul_nn(kernels.relu_fwd(pre), w2) + b2[..., None, :]
     return pre, feats, kernels.matmul_nn(feats, w) + b[..., None, :]
 
 
 class Tensor:
-    """A dense array plus an optional gradient buffer and tape handle."""
+    """A dense array plus an optional gradient and tape handle.
 
-    __slots__ = ("values", "grad", "requires_grad", "_node")
+    ``grad_row`` is None, or the row of an optimizer's gradient buffer that
+    ``SgdMomentum`` gave this parameter: backward then writes the parameter's
+    first gradient there, and ``.grad`` is that row until ``zero_grad``.
+    """
+
+    __slots__ = ("values", "grad", "requires_grad", "grad_row", "_node")
 
     def __init__(self, data, requires_grad=False):
         self.values = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = requires_grad
+        self.grad_row = None
         self._node = None  # (tape, node index) once recorded
 
     @property
@@ -107,7 +120,7 @@ class _Node:
 
     def __init__(self, op, parents, backward):
         self.op = op
-        self.parents = parents  # per operand, as Tape._operand gives it
+        self.parents = parents  # per operand, as Tape._operands gives them
         self.backward = backward  # grad -> list of per-operand contributions
 
 
@@ -122,18 +135,19 @@ class Tape:
 
     # -- recording ----------------------------------------------------------
 
-    def _operand(self, t):
-        """Its node index if recorded here, else t if a parameter, else None.
-        Never a recorded tensor: it points back at its tape, a cycle."""
-        if t._node is not None and t._node[0] is self:
-            return t._node[1]
-        return t if t.requires_grad else None
+    def _operands(self, *tensors):
+        """Per tensor: its node index if recorded here, else the tensor if a
+        parameter, else None. Never a recorded tensor: it points back at its
+        tape, a cycle."""
+        return tuple([t._node[1] if t._node is not None and t._node[0] is self
+                      else t if t.requires_grad else None for t in tensors])
 
     def _record(self, op, values, parents, backward):
+        """The output tensor; a node only when some operand takes a gradient."""
         out = Tensor(values)
-        if any(p is not None for p in parents):
-            self.nodes.append(_Node(op, tuple(parents), backward))
-            out._node = (self, len(self.nodes) - 1)
+        if parents.count(None) != len(parents):
+            out._node = (self, len(self.nodes))
+            self.nodes.append(_Node(op, parents, backward))
         return out
 
     # -- primitive operations ------------------------------------------------
@@ -156,16 +170,15 @@ class Tape:
         _check_finite("pre-activation", pre)
         _check_finite("logits", logits)
         _, _, w2, _, w, _ = values
-        parents = [self._operand(p) for p in params]
+        parents = self._operands(*params)
 
         def backward(g):
             gf = kernels.matmul_nt(g, w)
-            gw = kernels.matmul_tn(feats, g) if parents[4] is not None else None
-            gb = g.sum(axis=-2) if parents[5] is not None else None
-            gh = kernels.matmul_nt(gf, w2)
-            gw2, gb2 = kernels.matmul_tn(kernels.relu_fwd(pre), gf), gf.sum(axis=-2)
-            gpre = kernels.relu_bwd(pre, gh)
-            return [kernels.matmul_tn(x, gpre), gpre.sum(axis=-2), gw2, gb2, gw, gb]
+            gpre = kernels.relu_bwd(pre, kernels.matmul_nt(gf, w2))
+            return [kernels.matmul_tn(x, gpre), np.add.reduce(gpre, axis=-2),
+                    kernels.matmul_tn(kernels.relu_fwd(pre), gf), np.add.reduce(gf, axis=-2),
+                    kernels.matmul_tn(feats, g) if parents[4] is not None else None,
+                    np.add.reduce(g, axis=-2) if parents[5] is not None else None]
 
         return self._record("mlp", logits, parents, backward)
 
@@ -176,14 +189,14 @@ class Tape:
             raise ShapeMismatchError(f"weighted_sum: {alpha.shape} . {z.shape}")
         n, b, k = zv.shape
         flat = zv.reshape(n, b * k)
-        pa, pz = self._operand(alpha), self._operand(z)
+        pa, pz = parents = self._operands(alpha, z)
 
         def backward(g):
             ga = flat @ g.reshape(-1) if pa is not None else None
             gz = av[:, None, None] * g if pz is not None else None
             return [ga, gz]
 
-        return self._record("weighted_sum", (av @ flat).reshape(b, k), (pa, pz), backward)
+        return self._record("weighted_sum", (av @ flat).reshape(b, k), parents, backward)
 
     def simplex(self, raw):
         """sigmoid(raw) / sum(sigmoid(raw)): raw weights (n,) -> a point on the simplex.
@@ -194,19 +207,19 @@ class Tape:
         """
         s = sigmoid(raw.values)
         ds = 1.0 - s
-        total = s.sum()
+        total = np.add.reduce(s)
         if total == 0.0:
             raise ZeroDivisionError("simplex: every sigmoid underflowed to 0")
         if total < 2.0 ** -500:
             s = np.ldexp(s, -np.frexp(total)[1])
-            total = s.sum()
+            total = np.add.reduce(s)
         inv = 1.0 / total
 
         def backward(g):
-            gr = -(g * s).sum() / (total * total)
+            gr = -np.add.reduce(g * s) / (total * total)
             return [(g * inv + gr) * s * ds]
 
-        return self._record("simplex", s * inv, (self._operand(raw),), backward)
+        return self._record("simplex", s * inv, self._operands(raw), backward)
 
     def im_loss(self, z, q, c_ent, c_div, c_pl, pl_only=False):
         """c_ent*L_ent + c_div*L_div + c_pl*L_pl over logits z (b, k), as one node.
@@ -233,27 +246,37 @@ class Tape:
         zv = z.values
         if zv.ndim not in (2, 3):
             raise ShapeMismatchError(f"im_loss expects (b, k) or (n, b, k) logits, got {z.shape}")
-        b, k = zv.shape[-2:]
+        b = zv.shape[-2]
         if b == 0:
             raise ValueError("im_loss: empty batch")
         if pl_only and (c_ent or c_div):
             raise ValueError("pl_only takes c_ent = c_div = 0")
+        if q is None:
+            if c_pl or pl_only:
+                raise ValueError("the pseudo-label term needs target labels q")
+        elif q.shape != zv.shape:
+            raise ShapeMismatchError(f"im_loss: targets {q.shape} for logits {z.shape}")
+        # np.add.reduce is ndarray.sum without its Python wrapper: the same bits
         logp = kernels.log_softmax_rows(zv)
         p = np.exp(logp)
-        l_ent = l_div = l_pl = None
-        if not pl_only:
-            h = -(p * logp).sum(axis=-1)
-            pbar = p.mean(axis=-2)
-            filled = pbar > 0.0
-            log_pbar = np.zeros(pbar.shape)
-            log_pbar[filled] = np.log(pbar[filled])
-            l_ent, l_div = h.mean(axis=-1), -(pbar * log_pbar).sum(axis=-1)
-        if q is not None:
-            if q.shape != zv.shape:
-                raise ShapeMismatchError(f"im_loss: targets {q.shape} for logits {z.shape}")
-            l_pl = (q * logp).sum(axis=(-2, -1)) * (-1.0 / b)
-        elif c_pl or pl_only:
-            raise ValueError("the pseudo-label term needs target labels q")
+        l_pl = None if q is None else np.add.reduce(q * logp, axis=(-2, -1)) * (-1.0 / b)
+        if pl_only:
+            # the c_pl term of the backward below, not added to zeros: with
+            # c_pl >= 0 no entry is -0, so that sum would change no bit
+            def backward(g):
+                return [c_pl * (p * np.add.reduce(q, axis=-1, keepdims=True) - q)
+                        * (float(g) / b)]
+
+            out = self._record("im_loss", np.add.reduce(c_pl * l_pl, axis=None),
+                               self._operands(z), backward)
+            return out, (None, None, float(l_pl) if zv.ndim == 2 else l_pl)
+
+        h = -np.add.reduce(p * logp, axis=-1)
+        pbar = np.add.reduce(p, axis=-2) / b  # the mean, as ndarray.mean divides
+        filled = pbar > 0.0
+        log_pbar = np.zeros(pbar.shape)
+        log_pbar[filled] = np.log(pbar[filled])
+        l_ent, l_div = np.add.reduce(h, axis=-1) / b, -np.add.reduce(pbar * log_pbar, axis=-1)
 
         def backward(g):
             gz = np.zeros(zv.shape)
@@ -263,14 +286,12 @@ class Tape:
                 u = np.where(filled, -(log_pbar + 1.0), 0.0)[..., None, :]
                 gz += c_div * p * (u - p @ u.swapaxes(-1, -2))
             if c_pl:  # dL_pl/dz = (p * sum_k q - q) / b, exact when sum_k q != 1
-                gz += c_pl * (p * q.sum(axis=-1, keepdims=True) - q)
+                gz += c_pl * (p * np.add.reduce(q, axis=-1, keepdims=True) - q)
             return [gz * (float(g) / b)]
 
-        if pl_only:  # the sum below without its two zero terms
-            total = (c_pl * l_pl).sum()
-        else:
-            total = (c_ent * l_ent + c_div * l_div + (c_pl * l_pl if c_pl else 0.0)).sum()
-        out = self._record("im_loss", total, (self._operand(z),), backward)
+        total = np.add.reduce(c_ent * l_ent + c_div * l_div + (c_pl * l_pl if c_pl else 0.0),
+                              axis=None)
+        out = self._record("im_loss", total, self._operands(z), backward)
         terms = (l_ent, l_div, l_pl)
         if zv.ndim == 2:
             terms = tuple(None if t is None else float(t) for t in terms)
@@ -279,21 +300,34 @@ class Tape:
     # -- reverse pass ---------------------------------------------------------
 
     def backward(self, root):
-        """Accumulate d(root)/d(parameter) into every parameter's ``.grad``."""
-        if root._node is None or root._node[0] is not self:
+        """Accumulate d(root)/d(parameter) into every parameter's ``.grad``.
+
+        A parameter's first gradient is copied into its ``grad_row`` when it
+        has one, else into a fresh array: never kept as the node's own
+        transient, which measured a higher peak RSS. Later ones add to it."""
+        node = root._node
+        if node is None or node[0] is not self:
             raise TapeError("backward root was not produced on this tape")
         if root.values.ndim != 0:
             raise TapeError(f"backward root must be scalar, got shape {root.shape}")
-        grads = [None] * len(self.nodes)
-        grads[root._node[1]] = np.asarray(1.0)
-        for i in range(root._node[1], -1, -1):
+        nodes, last = self.nodes, node[1]
+        grads = [None] * (last + 1)
+        grads[last] = np.asarray(1.0)
+        for i in range(last, -1, -1):
             g = grads[i]
             if g is None:
                 continue
-            for parent, contrib in zip(self.nodes[i].parents, self.nodes[i].backward(g)):
+            node = nodes[i]
+            for parent, contrib in zip(node.parents, node.backward(g)):
                 if parent is None or contrib is None:
                     continue
-                if isinstance(parent, Tensor):  # a parameter; aliasing measured a higher peak RSS
-                    parent.grad = contrib.copy() if parent.grad is None else parent.grad + contrib
+                if isinstance(parent, Tensor):  # a parameter
+                    if parent.grad is not None:
+                        parent.grad = parent.grad + contrib
+                    elif parent.grad_row is not None:
+                        parent.grad_row[...] = contrib
+                        parent.grad = parent.grad_row
+                    else:
+                        parent.grad = contrib.copy()
                 else:
                     grads[parent] = contrib if grads[parent] is None else grads[parent] + contrib

@@ -51,22 +51,23 @@ def relu_bwd(x, g):
     return g * (x > 0.0)
 
 
-# the row softmaxes reduce over the last axis, so a leading source axis batches
+# the row softmaxes reduce over the last axis, so a leading source axis batches;
+# the ufunc reductions are ndarray.max and .sum without their Python wrappers
 def softmax_rows(x):
-    shifted = x - x.max(axis=-1, keepdims=True)
+    shifted = x - np.maximum.reduce(x, axis=-1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def log_softmax_rows(x):
-    shifted = x - x.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    shifted = x - np.maximum.reduce(x, axis=-1, keepdims=True)
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
 
 
 # sums[..., k, :] = sum_x weights[..., x, k] * feats[..., x, :] and
 # denom[..., k] = sum_x weights[..., x, k]; a leading source axis batches
 def weighted_feature_sums(feats, weights):
-    return weights.swapaxes(-1, -2) @ feats, weights.sum(axis=-2)
+    return weights.swapaxes(-1, -2) @ feats, np.add.reduce(weights, axis=-2)
 
 
 def per_source_sqdist(feats, cents, alpha):

@@ -61,10 +61,14 @@ class SgdMomentum:
     of it, so an array taken from ``values`` before the optimizer was built no
     longer follows the parameter; one taken after does, since a step updates
     the buffer in place. Velocity, gradients and scratch live in a separate
-    array, so views kept after the optimizer is gone hold only the values. A
-    step copies each gradient into its gradient row, then updates the group with six in-place numpy calls, whatever its number
-    of parameters, and allocates no array. A parameter listed twice raises
-    ValueError.
+    array, so views kept after the optimizer is gone hold only the values.
+
+    Each parameter's ``grad_row`` is its view of the gradient row, and
+    ``Tape.backward`` writes the parameter's first gradient there. A step
+    copies in only a ``.grad`` that is another array (one set by hand, or the
+    sum of two backward passes), then updates the group with six in-place
+    numpy calls, whatever its number of parameters, and allocates no array. A
+    parameter listed twice raises ValueError.
     """
 
     def __init__(self, groups, momentum=0.9):
@@ -80,19 +84,20 @@ class SgdMomentum:
                 if first != (i, j):
                     raise ValueError(f"parameter {j} of group {i} {p!r} is already "
                                      f"parameter {first[1]} of group {first[0]}")
-        # per group: (P, V, G, T) and (param, its view of G) pairs
+        # per group: (P, V, G, T) and each parameter's view of G
         self._flat = [_pack(group.params) for group in groups]
 
     def step(self, lr_factor=1.0):
-        for group, ((P, V, G, T), slots) in zip(self.groups, self._flat):
-            for p, g in slots:
-                if p.grad is None:
-                    raise ValueError("parameter has no gradient; run backward first")
-                if p.grad.shape != g.shape:
-                    raise ShapeMismatchError(
-                        f"gradient shape {p.grad.shape} != parameter shape {g.shape}"
-                    )
-                g[...] = p.grad
+        for group, ((P, V, G, T), rows) in zip(self.groups, self._flat):
+            for p, row in zip(group.params, rows):
+                if p.grad is not row:  # not written by backward: copy it in
+                    if p.grad is None:
+                        raise ValueError("parameter has no gradient; run backward first")
+                    if p.grad.shape != row.shape:
+                        raise ShapeMismatchError(
+                            f"gradient shape {p.grad.shape} != parameter shape {row.shape}"
+                        )
+                    row[...] = p.grad
             # T = wd*P + G and T = V*lr are p.grad + wd*p.values and lr*v bit for bit
             np.multiply(P, group.weight_decay, out=T)
             T += G
@@ -102,8 +107,8 @@ class SgdMomentum:
             P -= T
 
     def zero_grad(self):
-        for _, slots in self._flat:
-            for p, _ in slots:
+        for group in self.groups:
+            for p in group.params:
                 p.grad = None
 
 
@@ -111,20 +116,22 @@ def _pack(params):
     """Flat buffers of the group's total size: P (values), and V (velocity,
     zero), G (gradients) and T (scratch) as rows of a second array, so views
     of P kept after the optimizer is gone keep only P alive. Each parameter's
-    values are copied into P and rebound to their view of it. Returns the
-    buffers and (param, its view of G) pairs."""
+    values are copied into P and rebound to their view of it, and its
+    ``grad_row`` is set to its view of G. Returns the buffers and those views
+    of G, in parameter order."""
     total = sum(p.values.size for p in params)
     P = np.zeros(total)
     V, G, T = np.zeros((3, total))
-    slots, start = [], 0
+    rows, start = [], 0
     for p in params:
         stop = start + p.values.size
         view = P[start:stop].reshape(p.values.shape)
         view[...] = p.values
         p.values = view
-        slots.append((p, G[start:stop].reshape(view.shape)))
+        p.grad_row = G[start:stop].reshape(view.shape)
+        rows.append(p.grad_row)
         start = stop
-    return (P, V, G, T), slots
+    return (P, V, G, T), rows
 
 
 def run_epochs(opt, epochs, batch_size, seeds, epoch_arrays, step_loss, after_step=None):

@@ -81,7 +81,11 @@ def _mixture_weights(lam, n, lead=()):
 def mixture_domain(domains, lam):
     """The lam-mixture of the source domains as a one-domain stack; ``lam`` off
     the n-simplex raises ValueError."""
-    lam = _mixture_weights(lam, len(domains), domains.lead)
+    return _mixture_domain(domains, _mixture_weights(lam, len(domains), domains.lead))
+
+
+def _mixture_domain(domains, lam):
+    """``mixture_domain`` for weights ``_mixture_weights`` returned."""
     qx = np.einsum("...j,...jm->...m", lam, domains.qx)
     joint = (lam[..., None, None] * domains.qx[..., None] * domains.cond).sum(axis=-3)
     cond = np.full(joint.shape, 1.0 / joint.shape[-1])  # (..., m, K)
@@ -105,8 +109,13 @@ def density_ratio_weights(domains, lam):
     Inputs where every scaled marginal vanishes are off the target support;
     they get uniform weights.
     """
+    return _density_ratio_weights(domains, _mixture_weights(lam, len(domains), domains.lead))
+
+
+def _density_ratio_weights(domains, lam):
+    """``density_ratio_weights`` for weights ``_mixture_weights`` returned."""
     n = len(domains)
-    scaled = _mixture_weights(lam, n, domains.lead)[..., None] * domains.qx  # (..., n, m)
+    scaled = lam[..., None] * domains.qx  # (..., n, m)
     denom = scaled.sum(axis=-2)
     w = np.full(denom.shape + (n,), 1.0 / n)
     np.divide(scaled.swapaxes(-1, -2), denom[..., None], out=w, where=(denom > 0.0)[..., None])
@@ -115,7 +124,11 @@ def density_ratio_weights(domains, lam):
 
 def mixture_predictor(domains, lam, predictors):
     """Density-ratio-weighted combination of the source predictors, as a (1, m, K) set."""
-    w = density_ratio_weights(domains, lam)  # (..., m, n)
+    return _combine(density_ratio_weights(domains, lam), predictors)
+
+
+def _combine(w, predictors):
+    """Each input's predictor rows (..., n, m, K) weighted by w (..., m, n)."""
     return np.einsum("...mn,...nmk->...mk", w, predictors)[..., None, :, :]
 
 
@@ -148,6 +161,11 @@ def expected_losses(domains, predictors, loss="cross_entropy"):
                          f"of shape {domains.cond.shape}")
     if not _on_simplex(rows):
         raise ValueError("a predictor row is not on the simplex")
+    return _loss_tables(domains, rows, loss)
+
+
+def _loss_tables(domains, rows, loss):
+    """``expected_losses`` for a loss in LOSSES and a checked float64 predictor set."""
     mass = domains.qx[..., None] * domains.cond  # (..., n_d, m, K)
     if loss == "cross_entropy":
         zero = rows <= 0.0
@@ -199,21 +217,24 @@ def _check_tags(n):
 def check_instance(domains, lam, loss="cross_entropy", corrupt=False):
     """Verify one instance; returns (violations, slack_used, strict_checked).
 
-    Two ``expected_losses`` tables hold every loss checked: the n optimal
-    predictors and their combination on the target, and predictor j on source i.
+    Two loss tables hold every loss checked: the n optimal predictors and
+    their combination on the target, and predictor j on source i. ``lam`` is
+    checked once, on entry; the predictor rows once, by ``expected_losses``
+    building the first table.
     ``corrupt`` swaps the combined predictor for the worst single source, a
     detector self-test that must be flagged as a violation. On a stack of T
     instances (``lam`` (T, n)) it returns the same three values per trial: a
     list of T violation lists and two (T,) arrays.
     """
     n = len(domains)
-    target = mixture_domain(domains, lam)  # checks lam
-    lam = np.asarray(lam, dtype=np.float64)
+    lam = _mixture_weights(lam, n, domains.lead)
+    target = _mixture_domain(domains, lam)
     predictors = optimal_predictors(domains)
     scored = predictors if corrupt else np.concatenate(
-        [predictors, mixture_predictor(domains, lam, predictors)], axis=-3)
+        [predictors, _combine(_density_ratio_weights(domains, lam), predictors)], axis=-3)
+    # scored holds the optimal predictors, so the cross table's rows are checked too
     on_target = expected_losses(target, scored, loss)[0].reshape(-1, scored.shape[-3])
-    cross = expected_losses(domains, predictors, loss)[0].reshape(-1, n, n)
+    cross = _loss_tables(domains, predictors, loss)[0].reshape(-1, n, n)
     lam = lam.reshape(-1, n)  # one row per trial from here on
     trials = np.arange(len(lam))  # picks one entry per trial
     per_source_on_target = on_target[:, :n]

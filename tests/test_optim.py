@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from decision.autodiff import DivergenceError, ShapeMismatchError, Tensor
+from decision.autodiff import DivergenceError, ShapeMismatchError, Tape, Tensor
 from decision.optim import ParamGroup, SgdMomentum, lr_schedule, run_epochs
 
 
@@ -206,3 +206,75 @@ def test_step_allocates_no_array_at_sixteen_sources():
     finally:
         tracemalloc.stop()
     assert peak - before < 4096  # the parameters alone are 158 KB
+
+
+def _student_params(rng):
+    """One model's six stacked parameter tensors, all trainable."""
+    shapes = [(1, 2, 8), (1, 8), (1, 8, 4), (1, 4), (1, 4, 3), (1, 3)]
+    return [Tensor(rng.standard_normal(s), requires_grad=True) for s in shapes]
+
+
+def _backward(params, x, q):
+    tape = Tape()
+    loss, _ = tape.im_loss(tape.mlp(x, params), q, 0.0, 0.0, 1.0, pl_only=True)
+    tape.backward(loss)
+
+
+def _batches(rng, count):
+    return [(rng.standard_normal((1, 5, 2)), np.eye(3)[rng.integers(0, 3, (1, 5))])
+            for _ in range(count)]
+
+
+def test_a_parameter_no_optimizer_owns_gets_a_fresh_gradient_array():
+    rng = np.random.default_rng(21)
+    params = _student_params(rng)
+    (x, q), = _batches(rng, 1)
+    _backward(params, x, q)
+    for p in params:
+        assert p.grad_row is None
+        assert p.grad.shape == p.shape and p.grad.base is None and p.grad.flags.owndata
+    first = [p.grad for p in params]
+    for p in params:
+        p.grad = None
+    _backward(params, x, q)
+    for p, before in zip(params, first):
+        assert p.grad is not before and not np.shares_memory(p.grad, before)
+        assert np.array_equal(p.grad, before)
+
+
+def test_an_owned_parameter_gets_its_gradient_in_its_optimizer_row():
+    rng = np.random.default_rng(22)
+    owned = _student_params(rng)
+    plain = [Tensor(p.values.copy(), requires_grad=True) for p in owned]
+    opt = SgdMomentum([ParamGroup(owned, lr=0.1)])
+    (x, q), = _batches(rng, 1)
+    _backward(owned, x, q)
+    _backward(plain, x, q)
+    for p, ref in zip(owned, plain):
+        assert p.grad is p.grad_row and np.array_equal(p.grad, ref.grad)
+    opt.zero_grad()
+    assert all(p.grad is None for p in owned)
+
+
+def test_two_backward_passes_before_one_step_add_their_gradients():
+    rng = np.random.default_rng(23)
+    start = [p.values.copy() for p in _student_params(rng)]
+    batches = _batches(rng, 2)
+    single = []  # each batch's gradients alone
+    for x, q in batches:
+        params = [Tensor(v.copy(), requires_grad=True) for v in start]
+        _backward(params, x, q)
+        single.append([p.grad for p in params])
+    want = [g1 + g2 for g1, g2 in zip(*single)]
+    plain = [Tensor(v.copy(), requires_grad=True) for v in start]
+    owned = [Tensor(v.copy(), requires_grad=True) for v in start]
+    lr, wd = 0.1, 1e-3
+    opt = SgdMomentum([ParamGroup(owned, lr=lr, weight_decay=wd)])
+    for x, q in batches:
+        _backward(plain, x, q)
+        _backward(owned, x, q)
+    for p, ref in zip(plain + owned, want + want):
+        assert np.array_equal(p.grad, ref)
+    opt.step()
+    for p, v, g in zip(owned, start, want):
+        assert np.array_equal(p.values, v - lr * (g + wd * v))  # zero velocity before

@@ -323,7 +323,7 @@ def test_check_instance_matches_per_pair_losses(monkeypatch, loss, corrupt):
     rng = np.random.default_rng(18)
     instances = [random_instance(rng) for _ in range(200)]
     got = [check_instance(domains, lam, loss, corrupt) for domains, lam in instances]
-    one_pair = oracle.expected_losses
+    one_pair = oracle._loss_tables  # both tables are built here
 
     def per_pair(domains, predictors, loss):
         cells = [[one_pair(_one(domains, i), p[None], loss) for p in predictors]
@@ -331,7 +331,7 @@ def test_check_instance_matches_per_pair_losses(monkeypatch, loss, corrupt):
         return (np.array([[v[0, 0] for v, _ in row] for row in cells]),
                 np.array([[s[0, 0] for _, s in row] for row in cells]))
 
-    monkeypatch.setattr(oracle, "expected_losses", per_pair)
+    monkeypatch.setattr(oracle, "_loss_tables", per_pair)
     flagged = 0
     for (domains, lam), (violations, slack, strict) in zip(instances, got):
         want_violations, want_slack, want_strict = check_instance(domains, lam, loss, corrupt)
@@ -348,7 +348,7 @@ def test_check_instance_matches_per_pair_losses(monkeypatch, loss, corrupt):
 
 def test_check_instance_builds_two_loss_tables(monkeypatch):
     calls = []
-    table = oracle.expected_losses
+    table = oracle._loss_tables  # expected_losses builds its table here
 
     def counting(domains, predictors, loss):
         calls.append((len(domains), len(predictors)))
@@ -357,7 +357,7 @@ def test_check_instance_builds_two_loss_tables(monkeypatch):
     def per_pair(*args):
         raise AssertionError("check_instance called expected_loss")
 
-    monkeypatch.setattr(oracle, "expected_losses", counting)
+    monkeypatch.setattr(oracle, "_loss_tables", counting)
     monkeypatch.setattr(oracle, "expected_loss", per_pair)
     domains, lam = random_instance(np.random.default_rng(19))
     n = len(domains)
@@ -369,6 +369,24 @@ def test_check_instance_builds_two_loss_tables(monkeypatch):
             # the target row (n optimal predictors, plus the combined one
             # unless corrupt), then the n x n cross table
             assert calls == [(1, n + (not corrupt)), (n, n)]
+
+
+def test_check_instance_checks_lam_and_the_predictor_rows_once(monkeypatch):
+    shapes = []
+    on_simplex = oracle._on_simplex
+
+    def recording(a):
+        shapes.append(a.shape)
+        return on_simplex(a)
+
+    monkeypatch.setattr(oracle, "_on_simplex", recording)
+    domains, lam = random_instance(np.random.default_rng(19))
+    n, m, k = len(domains), domains.support_size, domains.num_classes
+    for corrupt in (False, True):
+        shapes.clear()
+        check_instance(domains, lam, "cross_entropy", corrupt)
+        # lam, the target's marginal and conditionals, then every scored row
+        assert shapes == [(n,), (1, m), (1, m, k), (n + (not corrupt), m, k)]
 
 
 def _check_one_by_one(domains, lam, loss, corrupt):
