@@ -13,10 +13,10 @@ weights, an (n,) tensor whose sigmoid-normalized view alpha, a plain array,
 is recomputed after each optimizer step and checked to lie on the probability
 simplex. The objective is one batched ``Tape.mlp`` forward, one
 ``Tape.simplex`` node for the weights and one fused ``Tape.im_loss`` node for
-the loss, with the pseudo-labels as one-hot targets. The epochs run in
-``optim.run_epochs``, the loop source training also uses; ``adapt`` supplies
-the objective, the pseudo-label refresh at each epoch's start, the alpha
-update after each step and the metrics row after each epoch.
+the loss, against one-hot pseudo-label rows that each epoch's refresh builds
+once. The epochs run in ``optim.run_epochs``, the loop source training also
+uses; ``adapt`` supplies the objective, the refresh at each epoch's start, the
+alpha update after each step and the metrics row after each epoch.
 
 Evaluation and pseudo-labels run the same forward, ``mlp_forward``, in numpy
 on each per-source view, once per parameter state. Each epoch's refresh
@@ -97,20 +97,16 @@ def loss_coefficients(cfg):
     return coefs
 
 
-def objective(tape, stack, raw, x, labels, cfg):
+def objective(tape, stack, raw, x, q, cfg):
     """Full training objective of a SourceStack on one tape; returns (L_tot, term values).
 
     The ensemble logits sum_j alpha_j * logits_j come from one batched forward
     over the stacked parameters, weighted by ``Tape.simplex`` of the raw
-    weights ``raw``, an (n,) tensor; ``labels`` may be None when lambda_pl is 0.
+    weights ``raw``, an (n,) tensor; ``q`` holds the batch's one-hot
+    pseudo-label rows (b, K), or None when lambda_pl is 0.
     """
     alpha_t = tape.simplex(raw)
     logits_t = tape.weighted_sum(alpha_t, tape.mlp(x, stack.params))
-    q = None
-    if labels is not None:
-        if len(labels) != len(x):
-            raise ShapeMismatchError(f"got {len(labels)} labels for a batch of {len(x)}")
-        q = np.eye(logits_t.shape[1])[labels]
     l_tot, (l_ent, l_div, l_pl) = tape.im_loss(logits_t, q, *loss_coefficients(cfg))
     return l_tot, {"L_ent": l_ent, "L_div": l_div, "L_pl": l_pl, "L_tot": l_tot.item()}
 
@@ -182,28 +178,29 @@ def target_forward(models, x):
         feats, logits = zip(*(mlp_forward(x, m.params)[1:] for m in models))
         feats = np.stack(feats)  # one stack at a time: the lower peak
         logits = np.stack(logits)
-        probs = np.stack([kernels.softmax_rows(z) for z in logits])
+        probs = kernels.softmax_rows(logits)
         if not np.isfinite(probs).all():
             raise DivergenceError("pseudo-label softmax not finite")
         return TargetForward(feats, logits, _source_centroids(feats, probs, None))
 
 
-def update_pseudo_labels(models, alpha, x, refinement_rounds=1, mode="per-source",
-                         forward=None):
+def update_pseudo_labels(forward, alpha, refinement_rounds=1, mode="per-source"):
     """Pseudo-labels (N,) of the whole target set, from centroid/assignment rounds.
 
-    Round 0 assigns against ``forward``'s softmax-weighted centroids; each
-    refinement round re-estimates centroids from the previous hard assignment
-    (an empty class keeps its centroid). ``forward`` is ``target_forward(models,
-    x)``, computed here unless the caller passes the one it holds (``models``
-    and ``x`` are not read then). All of this is plain numpy: pseudo-labels are
+    ``forward`` is the ``target_forward`` of the current parameter state, and
+    ``alpha`` a point on the simplex with one weight per source. Round 0
+    assigns against ``forward``'s softmax-weighted centroids; each refinement
+    round re-estimates centroids from the previous hard assignment (an empty
+    class keeps its centroid). All of this is plain numpy: pseudo-labels are
     constants for the optimizer. numpy's overflow and invalid-value warnings
     are off here: each assignment's finiteness check raises DivergenceError
     instead.
     """
-    if forward is None:
-        forward = target_forward(models, x)
     alpha = np.asarray(alpha, dtype=np.float64)
+    n = len(forward.feats)
+    if alpha.shape != (n,):
+        raise ShapeMismatchError(f"alpha of shape {alpha.shape} for {n} sources")
+    _check_simplex(alpha, ValueError)
     feats, cents = forward.feats, forward.centroids
     with np.errstate(over="ignore", invalid="ignore"):
         labels = assign_pseudo_labels(feats, cents, alpha, mode)
@@ -235,9 +232,9 @@ def _source_logits(models, x):
     return np.stack([mlp_forward(x, m.params)[2] for m in models])
 
 
-def _check_simplex(alpha, atol=1e-9):
-    if not (alpha.min() >= 0.0 and abs(alpha.sum() - 1.0) <= atol):  # NaN fails too
-        raise AssertionError(f"simplex invariant violated: {alpha}")
+def _check_simplex(alpha, error=AssertionError):
+    if not (alpha.min() >= 0.0 and abs(alpha.sum() - 1.0) <= 1e-9):  # NaN fails too
+        raise error(f"alpha is not on the simplex: {alpha}")
 
 
 def adapt(models, target, cfg, eval_set=None, on_step=None, optimize_features=True):
@@ -281,15 +278,15 @@ def adapt(models, target, cfg, eval_set=None, on_step=None, optimize_features=Tr
             forward = target_forward(adapted, target.x)
             if not optimize_features:
                 frozen = forward
-        labels = update_pseudo_labels(adapted, result.alpha, target.x, cfg.refinement_rounds,
-                                      cfg.distance_mode, forward=forward)
+        labels = update_pseudo_labels(forward, result.alpha, cfg.refinement_rounds,
+                                      cfg.distance_mode)
         # epoch-level mean embedding: diagnostic only; optimization uses the
         # per-batch estimate inside the objective's diversity term
         result.epoch_pbar.append(mean_prediction(forward.logits, result.alpha))
-        return [target.x[None], labels[None]]
+        return [target.x[None], np.eye(forward.logits.shape[-1])[labels][None]]
 
-    def step_loss(tape, xb, lb):  # one batch order: the source axis has length 1
-        return objective(tape, stack, raw, xb[0], lb[0], cfg)
+    def step_loss(tape, xb, qb):  # one batch order: the source axis has length 1
+        return objective(tape, stack, raw, xb[0], qb[0], cfg)
 
     def after_step():
         result.alpha = alpha_project(raw.values)

@@ -173,11 +173,12 @@ def weighted_logits(alpha, logits):
 
     ``logits`` iterates over the per-source (N, K) arrays: a stacked (n, N, K)
     array, or a generator that computes one at a time. Every numpy ensemble
-    sum goes through here, so cached and fresh logits give the same bits.
+    sum goes through here, so cached and fresh logits give the same bits. One
+    weight per source: a length mismatch raises ValueError.
     """
     logits = iter(logits)
     out = alpha[0] * next(logits)
-    for a, z in zip(alpha[1:], logits):
+    for a, z in zip(alpha[1:], logits, strict=True):
         out += a * z
     return out
 

@@ -155,11 +155,11 @@ def test_criterion_1_gradients_of_full_objective(capsys):
             pre = x @ w1 + b1[:, None, :]  # (n, b, h)
             if np.abs(pre).min() > 1e-4:
                 break
-        labels = rng.integers(0, k, b)
+        q = np.eye(k)[rng.integers(0, k, b)]  # one-hot rows, as the refresh builds them
 
         def f():
             tape = Tape()
-            loss, _ = objective(tape, stack, raw, x, labels, cfg)
+            loss, _ = objective(tape, stack, raw, x, q, cfg)
             return loss
 
         loss = f()

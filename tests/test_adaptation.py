@@ -4,6 +4,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decision import adaptation, kernels
 from decision import models as models_mod
@@ -11,14 +13,14 @@ from decision.adaptation import (DISTANCE_MODES, AdaptationConfig, adapt,
                                  alpha_project, assign_pseudo_labels,
                                  loss_coefficients, objective,
                                  prediction_label_entropy,
-                                 soft_ensemble_predict, update_pseudo_labels,
-                                 weights_only_adapt)
+                                 soft_ensemble_predict, target_forward,
+                                 update_pseudo_labels, weights_only_adapt)
 from decision.autodiff import DivergenceError, ShapeMismatchError, Tape, Tensor, mlp_forward
 from decision.data import DomainSpec, LabeledSet, generate_domain
 from decision.models import SourceStack, accuracy, aggregate_logits, classifier_checksum
 from decision.optim import ParamGroup, SgdMomentum, lr_schedule
 
-from conftest import constant_logit_model, finite_diff, make_models, max_rel_err
+from conftest import constant_logit_model, finite_diff, make_models, max_rel_err, tiny_arch
 
 
 # -- alpha projection -----------------------------------------------------------
@@ -55,11 +57,13 @@ def _terms(models, x, labels=None, raw=None, **toggles):
     """The objective's term values for ``models`` stacked as adapt stacks them.
 
     ``raw`` sets the raw ensemble weights (default: uniform alpha); the
-    pseudo-label term is off unless ``lambda_pl`` is given.
+    pseudo-label term is off unless ``lambda_pl`` is given. ``labels`` become
+    one-hot target rows, as the refresh builds them.
     """
     raw = Tensor(np.zeros(len(models)) if raw is None else raw, requires_grad=True)
     cfg = AdaptationConfig(**{"lambda_pl": 0.0, **toggles})
-    return objective(Tape(), SourceStack(models), raw, x, labels, cfg)[1]
+    q = None if labels is None else np.eye(models[0].num_classes)[labels]
+    return objective(Tape(), SourceStack(models), raw, x, q, cfg)[1]
 
 
 def _im_term(logits, labels, *coefs):
@@ -143,7 +147,7 @@ def test_pl_loss_vs_high_precision_oracle():
 
 def test_pl_loss_requires_all_labels():
     model, x = constant_logit_model([0.0, 0.0]), np.zeros((3, 2))
-    with pytest.raises(ValueError, match="labels"):
+    with pytest.raises(ValueError, match="targets"):
         _terms([model], x, [0, 1], lambda_pl=0.3)
     with pytest.raises(ValueError, match="labels"):
         _terms([model], x, None, lambda_pl=0.3)
@@ -177,10 +181,10 @@ def test_objective_reports_disabled_terms():
     stack = SourceStack(make_models(3, seed=23))
     raw = Tensor([0.4, -1.2, 0.3], requires_grad=True)
     x = np.random.default_rng(5).standard_normal((8, 3))
-    labels = np.array([0, 1, 2, 0, 1, 0, 2, 1])
+    q = np.eye(3)[[0, 1, 2, 0, 1, 0, 2, 1]]
 
     def terms(cfg):
-        return objective(Tape(), stack, raw, x, labels, cfg)[1]
+        return objective(Tape(), stack, raw, x, q, cfg)[1]
 
     full = terms(AdaptationConfig())
     pl = terms(AdaptationConfig(use_entropy=False, use_diversity=False))
@@ -226,9 +230,10 @@ def _brute_force_round0(models, x):
     return np.array(feats), np.array(cents)
 
 
-def _pseudo_label_rounds(monkeypatch, *args, **kwargs):
-    """``update_pseudo_labels``'s labels, and the (fallback, centroids) pair of
-    each of its centroid rounds in order."""
+def _pseudo_label_rounds(monkeypatch, models, x, *args, **kwargs):
+    """``update_pseudo_labels``'s labels on ``target_forward(models, x)``, and
+    the (fallback, centroids) pair of each centroid round in order, round 0
+    (in ``target_forward``) first."""
     rounds = []
     source_centroids = adaptation._source_centroids
 
@@ -238,7 +243,7 @@ def _pseudo_label_rounds(monkeypatch, *args, **kwargs):
 
     with monkeypatch.context() as m:
         m.setattr(adaptation, "_source_centroids", recording)
-        labels = update_pseudo_labels(*args, **kwargs)
+        labels = update_pseudo_labels(target_forward(models, x), *args, **kwargs)
     return labels, rounds
 
 
@@ -248,13 +253,14 @@ def test_round0_centroids_match_brute_force_on_six_point_fixture(monkeypatch):
     for x_seed in (9, 11):  # the two distance modes disagree on the second draw only
         x = np.random.default_rng(x_seed).standard_normal((6, 3))
         feats, per_source = _brute_force_round0(models, x)
-        labels, [(_, cents)] = _pseudo_label_rounds(monkeypatch, models, alpha, x,
+        labels, [(_, cents)] = _pseudo_label_rounds(monkeypatch, models, x, alpha,
                                                     refinement_rounds=0)
         np.testing.assert_allclose(cents, per_source, atol=1e-12)
 
         # labels: exhaustive argmin over alpha-combined per-source distances, and
         # over the alpha-combined feature's distances to the combined centroids
-        combined_labels = update_pseudo_labels(models, alpha, x, 0, mode="combined-feature")
+        combined_labels = update_pseudo_labels(target_forward(models, x), alpha, 0,
+                                               mode="combined-feature")
         combined = alpha[0] * per_source[0] + alpha[1] * per_source[1]
         mean_feat = alpha[0] * feats[0] + alpha[1] * feats[1]
         for i in range(6):
@@ -274,8 +280,10 @@ def test_vertex_alpha_keeps_single_source_centroids():
     x = np.random.default_rng(11).standard_normal((10, 3))
     for mode in DISTANCE_MODES:
         np.testing.assert_array_equal(
-            update_pseudo_labels(models, [1.0, 0.0], x, refinement_rounds=0, mode=mode),
-            update_pseudo_labels(models[:1], [1.0], x, refinement_rounds=0, mode=mode))
+            update_pseudo_labels(target_forward(models, x), [1.0, 0.0], refinement_rounds=0,
+                                 mode=mode),
+            update_pseudo_labels(target_forward(models[:1], x), [1.0], refinement_rounds=0,
+                                 mode=mode))
 
 
 def test_one_hot_predictions_give_class_mean_centroids(monkeypatch):
@@ -291,7 +299,7 @@ def test_one_hot_predictions_give_class_mean_centroids(monkeypatch):
         head_param *= 200.0 / min_gap
     _, feats, logits = mlp_forward(x, m.params)
     hard = np.argmax(logits, axis=1)
-    _, [(_, cents)] = _pseudo_label_rounds(monkeypatch, models, [1.0], x, refinement_rounds=0)
+    _, [(_, cents)] = _pseudo_label_rounds(monkeypatch, models, x, [1.0], refinement_rounds=0)
     for k in range(m.num_classes):
         if (hard == k).any():
             np.testing.assert_allclose(cents[0, k], feats[hard == k].mean(axis=0), atol=1e-12)
@@ -303,7 +311,7 @@ def test_round0_class_with_underflowed_probability_gets_the_mean_feature(monkeyp
     x = np.random.default_rng(14).standard_normal((12, 3))
     _, feats, logits = mlp_forward(x, models[0].params)
     assert not kernels.softmax_rows(logits)[:, 1].any()
-    _, [(_, cents)] = _pseudo_label_rounds(monkeypatch, models, [1.0], x, refinement_rounds=0)
+    _, [(_, cents)] = _pseudo_label_rounds(monkeypatch, models, x, [1.0], refinement_rounds=0)
     np.testing.assert_array_equal(cents[0, 1], feats.mean(axis=0))
 
 
@@ -362,7 +370,7 @@ def test_tie_breaks_toward_smaller_class_index():
 def test_single_source_reduces_to_nearest_centroid(monkeypatch):
     models = make_models(1, seed=60)
     x = np.random.default_rng(17).standard_normal((9, 3))
-    labels, rounds = _pseudo_label_rounds(monkeypatch, models, [1.0], x, refinement_rounds=1)
+    labels, rounds = _pseudo_label_rounds(monkeypatch, models, x, [1.0], refinement_rounds=1)
     cents = rounds[-1][1][0]
     feats = mlp_forward(x, models[0].params)[1]
     for i in range(9):
@@ -374,8 +382,9 @@ def test_refinement_reaches_fixed_point_on_separated_clusters():
     rng = np.random.default_rng(23)
     x = np.vstack([rng.normal(-4, 0.2, (30, 3)), rng.normal(4, 0.2, (30, 3))])
     models = make_models(2, seed=70, arch=None)
-    one = update_pseudo_labels(models, [0.5, 0.5], x, refinement_rounds=1)
-    two = update_pseudo_labels(models, [0.5, 0.5], x, refinement_rounds=2)
+    forward = target_forward(models, x)
+    one = update_pseudo_labels(forward, [0.5, 0.5], refinement_rounds=1)
+    two = update_pseudo_labels(forward, [0.5, 0.5], refinement_rounds=2)
     assert np.array_equal(one, two)
 
 
@@ -384,9 +393,9 @@ def test_empty_refined_class_keeps_previous_centroid(monkeypatch):
     # break to class 0, so classes 1 and 2 are empty at round 1
     models = make_models(1, seed=80)
     x = np.zeros((8, 3))
-    r0 = update_pseudo_labels(models, [1.0], x, refinement_rounds=0)
+    r0 = update_pseudo_labels(target_forward(models, x), [1.0], refinement_rounds=0)
     assert set(np.unique(r0)) == {0}
-    _, [(_, round0), (fallback, refined)] = _pseudo_label_rounds(monkeypatch, models, [1.0], x,
+    _, [(_, round0), (fallback, refined)] = _pseudo_label_rounds(monkeypatch, models, x, [1.0],
                                                                  refinement_rounds=1)
     assert fallback is round0
     assert np.array_equal(refined[0, 1:], round0[0, 1:])
@@ -395,9 +404,91 @@ def test_empty_refined_class_keeps_previous_centroid(monkeypatch):
 def test_combined_feature_distance_mode_matches_per_source_at_n1():
     models = make_models(1, seed=90)
     x = np.random.default_rng(31).standard_normal((14, 3))
-    a = update_pseudo_labels(models, [1.0], x, 1, mode="per-source")
-    b = update_pseudo_labels(models, [1.0], x, 1, mode="combined-feature")
+    forward = target_forward(models, x)
+    a = update_pseudo_labels(forward, [1.0], 1, mode="per-source")
+    b = update_pseudo_labels(forward, [1.0], 1, mode="combined-feature")
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("alpha", [[0.5, 0.5, 7.0], [1.0]], ids=["long", "short"])
+def test_refresh_rejects_an_alpha_of_another_length(alpha):
+    forward = target_forward(make_models(2, seed=42), np.zeros((4, 3)))
+    with pytest.raises(ShapeMismatchError, match=rf"shape \({len(alpha)},\) for 2 sources"):
+        update_pseudo_labels(forward, alpha)
+
+
+@pytest.mark.parametrize("alpha", [[-3.0, 4.0], [0.5, 0.6], [np.nan, 1.0]])
+def test_refresh_rejects_an_alpha_off_the_simplex(alpha):
+    forward = target_forward(make_models(2, seed=42), np.zeros((4, 3)))
+    with pytest.raises(ValueError, match="not on the simplex"):
+        update_pseudo_labels(forward, alpha)
+
+
+def _brute_force_labels(models, x, alpha, rounds):
+    """Nearest-centroid pseudo-labels and, per point, the classes within
+    rounding of the nearest, one point, source and class at a time: round-0
+    centroids weighted by each source's softmax (the mean feature for a class
+    with no weight), then ``rounds`` rounds of hard-assignment centroids (an
+    empty class keeps its centroid). A near-tie goes to the smaller class."""
+    k = models[0].num_classes
+    feats, cents = [], []
+    for m in models:
+        f, logits = _manual_forward(m, x)
+        p = _manual_softmax(logits)
+        feats.append(f)
+        cents.append([(p[:, c : c + 1] * f).sum(axis=0) / p[:, c].sum() if p[:, c].sum() > 0
+                      else f.mean(axis=0) for c in range(k)])
+    for r in range(rounds + 1):
+        if r:
+            cents = [[f[labels == c].mean(axis=0) if (labels == c).any() else cent[c]
+                      for c in range(k)] for f, cent in zip(feats, cents)]
+        labels, near = np.zeros(len(x), dtype=np.int64), []
+        for i in range(len(x)):
+            dists = [sum(a * np.sum((f[i] - cent[c]) ** 2)
+                         for a, f, cent in zip(alpha, feats, cents)) for c in range(k)]
+            tol = 1e-9 * (1.0 + max(dists))
+            near.append({c for c in range(k) if dists[c] <= min(dists) + tol})
+            labels[i] = min(near[-1])
+    return labels, near
+
+
+@st.composite
+def _refresh_cases(draw):
+    """Sources, target rows, a simplex alpha, a round count, and whether the
+    last class is a twin of class 0 in every source's head. Some sources get
+    a class whose softmax underflows to 0 on every row."""
+    n, size, k = draw(st.integers(1, 4)), draw(st.integers(1, 12)), draw(st.integers(2, 3))
+    models = make_models(n, seed=draw(st.integers(0, 10**6)), arch=tiny_arch(num_classes=k))
+    twin = draw(st.booleans())
+    for m in models:
+        dead = draw(st.one_of(st.none(), st.integers(0, k - 1)))
+        if dead is not None:
+            m.params[5][dead] -= 1e4
+        if twin:
+            m.params[4][:, -1], m.params[5][-1] = m.params[4][:, 0], m.params[5][0]
+    x = np.array(draw(st.lists(st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
+                               min_size=size, max_size=size)))
+    w = np.array(draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
+                               min_size=n, max_size=n)))
+    if not w.any():
+        w[0] = 1.0
+    return models, x, w / w.sum(), draw(st.integers(0, 2)), twin
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_refresh_cases())
+def test_refresh_matches_brute_force_nearest_centroid_rounds(case):
+    # covers N < K and empty classes at every round; within rounding of a
+    # tie either class is nearest, and the brute force takes the smaller
+    models, x, alpha, rounds, twin = case
+    got = update_pseudo_labels(target_forward(models, x), alpha, rounds)
+    want, near = _brute_force_labels(models, x, alpha, rounds)
+    for i in range(len(x)):
+        assert got[i] in near[i]
+        if len(near[i]) == 1:
+            assert got[i] == want[i]
+    if twin and rounds == 0:  # twin classes tie exactly: the last never wins
+        assert (got != models[0].num_classes - 1).all()
 
 
 # -- objective gradients -----------------------------------------------------------
@@ -406,14 +497,14 @@ def test_objective_gradient_through_raw_alpha_matches_finite_differences():
     models = make_models(2, seed=95)
     raw = Tensor([0.4, -0.3], requires_grad=True)
     x = np.random.default_rng(37).standard_normal((6, 3))
-    labels = np.random.default_rng(38).integers(0, 3, 6)
+    q = np.eye(3)[np.random.default_rng(38).integers(0, 3, 6)]
     cfg = AdaptationConfig()
 
     stack = SourceStack(models)
 
     def f():
         t = Tape()
-        loss, _ = objective(t, stack, raw, x, labels, cfg)
+        loss, _ = objective(t, stack, raw, x, q, cfg)
         return loss
 
     loss = f()
@@ -426,12 +517,12 @@ def test_objective_gradient_through_raw_alpha_matches_finite_differences():
 
 def test_objective_on_a_source_stack_records_the_same_node_count_for_any_n():
     x = np.random.default_rng(39).standard_normal((6, 3))
-    labels = np.random.default_rng(40).integers(0, 3, 6)
+    q = np.eye(3)[np.random.default_rng(40).integers(0, 3, 6)]
     counts = []
     for n in (1, 4, 16):
         tape = Tape()
         objective(tape, SourceStack(make_models(n, seed=96)),
-                  Tensor(np.zeros(n), requires_grad=True), x, labels, AdaptationConfig())
+                  Tensor(np.zeros(n), requires_grad=True), x, q, AdaptationConfig())
         counts.append(len(tape))
     assert counts == [4] * 3  # the 4 ops; n = 1 is a SHOT step
 
@@ -607,7 +698,7 @@ def test_refresh_on_features_that_overflow_raises_divergence_naming_the_refresh(
                        match=r"^epoch 1, refresh: pseudo-label distances not finite$"):
         adapt([model], data.inputs_only(), AdaptationConfig(epochs=1, seed=0))
     with pytest.raises(DivergenceError, match="pseudo-label distances not finite"):
-        update_pseudo_labels([model], [1.0], data.x, 0, "combined-feature")
+        update_pseudo_labels(target_forward([model], data.x), [1.0], 0, "combined-feature")
 
 
 def test_refresh_on_logits_that_overflow_raises_divergence_naming_the_softmax():
@@ -620,7 +711,7 @@ def test_refresh_on_logits_that_overflow_raises_divergence_naming_the_softmax():
                        match=r"^epoch 1, refresh: pseudo-label softmax not finite$"):
         adapt([model], data.inputs_only(), AdaptationConfig(epochs=1, seed=0))
     with pytest.raises(DivergenceError, match="pseudo-label softmax not finite"):
-        update_pseudo_labels([model], [1.0], data.x, 0, "per-source")
+        target_forward([model], data.x)
 
 
 def test_full_batch_epoch_does_not_increase_im_objective():
@@ -660,7 +751,7 @@ def test_weights_only_computes_no_extractor_gradients(monkeypatch):
     stack = SourceStack([model, copy.deepcopy(model)], requires_grad=False)
     raw = Tensor(np.zeros(2), requires_grad=True)
     tape = Tape()
-    loss, _ = objective(tape, stack, raw, data.x[:8], np.zeros(8, np.int64),
+    loss, _ = objective(tape, stack, raw, data.x[:8], np.eye(model.num_classes)[np.zeros(8, int)],
                         AdaptationConfig())
     tape.backward(loss)
     assert all(p.grad is None for p in stack.params)
@@ -701,14 +792,15 @@ def _adapt_alone(models, target, cfg, eval_set, optimize_features):
     n_batches = -(-n // cfg.batch_size)
     step, metrics, trace = 0, [], []
     for epoch in range(cfg.epochs):
-        labels = update_pseudo_labels(stack.models, alpha, target.x, cfg.refinement_rounds,
-                                      cfg.distance_mode)
+        labels = update_pseudo_labels(target_forward(stack.models, target.x), alpha,
+                                      cfg.refinement_rounds, cfg.distance_mode)
+        q = np.eye(stack.models[0].num_classes)[labels]
         perm = np.random.default_rng(cfg.seed * 1_000_003 + epoch).permutation(n)
         sums = dict.fromkeys(("L_ent", "L_div", "L_pl", "L_tot"), 0.0)
         for start in range(0, n, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
             tape = Tape()
-            l_tot, terms = objective(tape, stack, raw, target.x[idx], labels[idx], cfg)
+            l_tot, terms = objective(tape, stack, raw, target.x[idx], q[idx], cfg)
             tape.backward(l_tot)
             opt.step(lr_factor=lr_schedule(1.0, step / max(1, cfg.epochs * n_batches - 1)))
             opt.zero_grad()

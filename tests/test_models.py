@@ -10,7 +10,8 @@ from decision.data import DomainSpec, LabeledSet, generate_domain
 from decision.models import (CheckpointError, ModelConfig, SourceModel, SourceTrainConfig,
                              aggregate_logits, check_compatible,
                              classifier_checksum, load_checkpoint, predict,
-                             save_checkpoint, smoothed_targets, train_source)
+                             save_checkpoint, smoothed_targets, train_source,
+                             weighted_logits)
 from decision.optim import ParamGroup, SgdMomentum, lr_schedule
 
 from conftest import constant_logit_model, make_models, tiny_arch
@@ -52,6 +53,15 @@ def test_aggregate_degenerate_and_vertex_cases():
     )
     with pytest.raises(ValueError, match="alpha length"):
         aggregate_logits([m1, m2], [1.0], x)
+
+
+@pytest.mark.parametrize("alpha", [[0.5, 0.5, 3.0], [1.0]], ids=["long", "short"])
+def test_weighted_logits_rejects_a_weight_count_other_than_the_source_count(alpha):
+    logits = np.random.default_rng(6).standard_normal((2, 4, 3))
+    with pytest.raises(ValueError, match="zip"):
+        weighted_logits(alpha, logits)
+    with pytest.raises(ValueError, match="zip"):
+        weighted_logits(alpha, (z for z in logits))
 
 
 def test_opposite_logits_cancel():
