@@ -11,12 +11,14 @@ step together as one ``SourceStack``: its heads are constants, so gradients
 flow only into the stacked feature extractors and into the raw ensemble
 weights, an (n,) tensor whose sigmoid-normalized view alpha, a plain array,
 is recomputed after each optimizer step and checked to lie on the probability
-simplex. The objective is one batched ``Tape.mlp`` forward, one
-``Tape.simplex`` node for the weights and one fused ``Tape.im_loss`` node for
-the loss, against one-hot pseudo-label rows that each epoch's refresh builds
-once. The epochs run in ``optim.run_epochs``, the loop source training also
-uses; ``adapt`` supplies the objective, the refresh at each epoch's start, the
-alpha update after each step and the metrics row after each epoch.
+simplex by ``models.simplex_weights``, the one check the refresh and the
+teacher also use. The objective is one batched ``Tape.mlp`` forward, one
+``Tape.ensemble`` node that weighs the sources' logits by alpha, and one fused
+``Tape.im_loss`` node for the loss, against one-hot pseudo-label rows that
+each epoch's refresh builds once. The epochs run in ``optim.run_epochs``, the
+loop source training also uses; ``adapt`` supplies the objective, the refresh
+at each epoch's start, the alpha update after each step and the metrics row
+after each epoch.
 
 Evaluation and pseudo-labels run the same forward, ``mlp_forward``, in numpy
 on each per-source view, once per parameter state. Each epoch's refresh
@@ -38,14 +40,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .autodiff import DivergenceError, ShapeMismatchError, Tensor, mlp_forward, sigmoid
+from .autodiff import DivergenceError, Tensor, mlp_forward, sigmoid
 from .data import UnlabeledSet
 from .models import (SourceStack, accuracy, aggregate_logits, check_compatible, predict,
-                     weighted_logits)
+                     simplex_weights, weighted_logits)
 from .optim import (ParamGroup, SgdMomentum, check_lr, check_momentum, check_weight_decay,
                     run_epochs)
 
-DISTANCE_MODES = ("per-source", "combined-feature")
+
+# distance mode -> the (N, K) distances of features (n, N, d) to centroids
+# (n, K, d) under alpha; each call reads the kernel from its module
+_DISTANCES = {
+    "per-source": lambda f, c, a: kernels.per_source_sqdist(f, c, a),
+    "combined-feature": lambda f, c, a: kernels.pairwise_sqdist(np.einsum("j,jnd->nd", a, f),
+                                                                np.einsum("j,jkd->kd", a, c)),
+}
+DISTANCE_MODES = tuple(_DISTANCES)
 
 
 @dataclass(frozen=True)
@@ -82,6 +92,8 @@ class AdaptationConfig:
 
 def alpha_project(raw):
     """Sigmoid then normalize: always a point on the probability simplex."""
+    # s / S is the alpha every artifact records; Tape.ensemble's s * (1/S) can
+    # differ in the last bit, and one formula in both would change artifacts
     s = sigmoid(np.asarray(raw, dtype=np.float64))
     return s / s.sum()
 
@@ -100,14 +112,13 @@ def loss_coefficients(cfg):
 def objective(tape, stack, raw, x, q, cfg):
     """Full training objective of a SourceStack on one tape; returns (L_tot, term values).
 
-    The ensemble logits sum_j alpha_j * logits_j come from one batched forward
-    over the stacked parameters, weighted by ``Tape.simplex`` of the raw
-    weights ``raw``, an (n,) tensor; ``q`` holds the batch's one-hot
-    pseudo-label rows (b, K), or None when lambda_pl is 0.
+    The ensemble logits sum_j alpha_j * logits_j are one ``Tape.ensemble``
+    node over one batched forward of the stacked parameters, with alpha the
+    sigmoid-normalized raw weights ``raw``, an (n,) tensor; ``q`` holds the
+    batch's one-hot pseudo-label rows (b, K), or None when lambda_pl is 0.
     """
-    alpha_t = tape.simplex(raw)
-    logits_t = tape.weighted_sum(alpha_t, tape.mlp(x, stack.params))
-    l_tot, (l_ent, l_div, l_pl) = tape.im_loss(logits_t, q, *loss_coefficients(cfg))
+    l_tot, (l_ent, l_div, l_pl) = tape.im_loss(tape.ensemble(raw, tape.mlp(x, stack.params)),
+                                               q, *loss_coefficients(cfg))
     return l_tot, {"L_ent": l_ent, "L_div": l_div, "L_pl": l_pl, "L_tot": l_tot.item()}
 
 
@@ -138,15 +149,13 @@ def assign_pseudo_labels(feats, cents, alpha, mode):
 
     "per-source" sums the alpha-weighted squared distances in each source's
     feature space; "combined-feature" measures the alpha-combined feature
-    against the alpha-combined centroids. Ties break toward the smaller class
-    index. A distance that is not finite raises DivergenceError: the features
-    and the centroids flow into it.
+    against the alpha-combined centroids; any other mode raises ValueError.
+    Ties break toward the smaller class index. A distance that is not finite
+    raises DivergenceError: the features and the centroids flow into it.
     """
-    if mode == "per-source":
-        dists = kernels.per_source_sqdist(feats, cents, alpha)
-    else:
-        dists = kernels.pairwise_sqdist(np.einsum("j,jnd->nd", alpha, feats),
-                                        np.einsum("j,jkd->kd", alpha, cents))
+    if mode not in _DISTANCES:
+        raise ValueError(f"unknown distance mode {mode!r}; known modes: {DISTANCE_MODES}")
+    dists = _DISTANCES[mode](feats, cents, alpha)
     if not np.isfinite(dists).all():
         raise DivergenceError("pseudo-label distances not finite")
     return np.argmin(dists, axis=1)
@@ -188,7 +197,8 @@ def update_pseudo_labels(forward, alpha, refinement_rounds=1, mode="per-source")
     """Pseudo-labels (N,) of the whole target set, from centroid/assignment rounds.
 
     ``forward`` is the ``target_forward`` of the current parameter state, and
-    ``alpha`` a point on the simplex with one weight per source. Round 0
+    ``alpha`` a point on the simplex with one weight per source
+    (``simplex_weights`` raises ShapeMismatchError or ValueError). Round 0
     assigns against ``forward``'s softmax-weighted centroids; each refinement
     round re-estimates centroids from the previous hard assignment (an empty
     class keeps its centroid). All of this is plain numpy: pseudo-labels are
@@ -196,11 +206,7 @@ def update_pseudo_labels(forward, alpha, refinement_rounds=1, mode="per-source")
     are off here: each assignment's finiteness check raises DivergenceError
     instead.
     """
-    alpha = np.asarray(alpha, dtype=np.float64)
-    n = len(forward.feats)
-    if alpha.shape != (n,):
-        raise ShapeMismatchError(f"alpha of shape {alpha.shape} for {n} sources")
-    _check_simplex(alpha, ValueError)
+    alpha = simplex_weights(alpha, len(forward.feats))
     feats, cents = forward.feats, forward.centroids
     with np.errstate(over="ignore", invalid="ignore"):
         labels = assign_pseudo_labels(feats, cents, alpha, mode)
@@ -232,11 +238,6 @@ def _source_logits(models, x):
     return np.stack([mlp_forward(x, m.params)[2] for m in models])
 
 
-def _check_simplex(alpha, error=AssertionError):
-    if not (alpha.min() >= 0.0 and abs(alpha.sum() - 1.0) <= 1e-9):  # NaN fails too
-        raise error(f"alpha is not on the simplex: {alpha}")
-
-
 def adapt(models, target, cfg, eval_set=None, on_step=None, optimize_features=True):
     """Run the full adaptation loop over frozen-classifier source models.
 
@@ -260,8 +261,11 @@ def adapt(models, target, cfg, eval_set=None, on_step=None, optimize_features=Tr
     groups.append(ParamGroup([raw], cfg.lr_alpha, 0.0))  # no decay pull on raw weights
     opt = SgdMomentum(groups, momentum=cfg.momentum)
     adapted = stack.models  # views of the optimizer's buffer, so taken after it
-    result = AdaptationResult(adapted, alpha_project(raw.values))
-    _check_simplex(result.alpha)  # the first refresh reads it
+
+    def checked_alpha():  # at the start, which the first refresh reads, and after each step
+        return simplex_weights(alpha_project(raw.values), len(models), AssertionError)
+
+    result = AdaptationResult(adapted, checked_alpha())
 
     # frozen extractors: the eval logits and the target forward of the run's
     # one parameter state, made at the first refresh
@@ -289,8 +293,7 @@ def adapt(models, target, cfg, eval_set=None, on_step=None, optimize_features=Tr
         return objective(tape, stack, raw, xb[0], qb[0], cfg)
 
     def after_step():
-        result.alpha = alpha_project(raw.values)
-        _check_simplex(result.alpha)
+        result.alpha = checked_alpha()
         if on_step is not None:
             on_step(result.alpha.copy())
 

@@ -1,18 +1,17 @@
 """Dense float64 tensors with reverse-mode differentiation on an explicit tape.
 
 One optimization run owns one ``Tape``; operations are tape methods so the
-recording scope is always explicit. The tape carries only the four ops the
+recording scope is always explicit. The tape carries only the three ops the
 package calls:
 
 - ``mlp``, the model forward ``mlp_forward`` (affine, relu, affine to
   features, then the affine head) as one node, over n models' parameters
   stacked on a leading source axis;
-- ``weighted_sum``, which contracts that axis with the ensemble weights, so a
-  step over n stacked source models records the same nodes for every n: 4
-  in adaptation (``simplex``, ``mlp``, ``weighted_sum``, ``im_loss``), 3 in
-  weights-only, whose forward reads only constants, and 2 in source training
-  and the student (``mlp``, ``im_loss``);
-- ``simplex``, the sigmoid-normalized ensemble weights, as one node;
+- ``ensemble``, which contracts that axis with the sigmoid-normalized
+  ensemble weights as one node, so a step over n stacked source models
+  records the same nodes for every n: 3 in adaptation (``mlp``,
+  ``ensemble``, ``im_loss``), 2 in weights-only, whose forward reads only
+  constants, and 2 in source training and the student (``mlp``, ``im_loss``);
 - ``im_loss``, every training loss as one node with an analytic gradient:
   entropy, diversity and a cross-entropy against soft targets (one-hot
   pseudo-labels, smoothed source labels). It also takes a leading source
@@ -51,12 +50,8 @@ class DivergenceError(ValueError):
 
 def sigmoid(v):
     """Elementwise logistic function without overflow for large |v| (numpy)."""
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    e = np.exp(v[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    e = np.exp(-np.abs(v))  # at most 1: 1/(1 + e) where v >= 0, e/(1 + e) below
+    return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _check_finite(name, values):
@@ -164,8 +159,8 @@ class Tape:
         # The tape's only finiteness checks. The relu hides a -inf
         # pre-activation; any other value that is not finite, a feature or a
         # parameter, makes logits non-finite. Finite logits keep the other
-        # ops finite: weighted_sum over simplex weights, simplex (sigmoid is
-        # bounded; a NaN raw weight fails adapt's per-step simplex check) and
+        # ops finite: ensemble (its weights are bounded sigmoids on the
+        # simplex; a NaN raw weight fails adapt's per-step simplex check) and
         # im_loss, as long as no logit row spans more than the float range.
         _check_finite("pre-activation", pre)
         _check_finite("logits", logits)
@@ -182,44 +177,37 @@ class Tape:
 
         return self._record("mlp", logits, parents, backward)
 
-    def weighted_sum(self, alpha, z):
-        """sum_j alpha_j * z_j over the leading axis: (n,), (n, b, k) -> (b, k)."""
-        av, zv = alpha.values, z.values
-        if av.ndim != 1 or zv.ndim != 3 or av.shape[0] != zv.shape[0]:
-            raise ShapeMismatchError(f"weighted_sum: {alpha.shape} . {z.shape}")
-        n, b, k = zv.shape
-        flat = zv.reshape(n, b * k)
-        pa, pz = parents = self._operands(alpha, z)
-
-        def backward(g):
-            ga = flat @ g.reshape(-1) if pa is not None else None
-            gz = av[:, None, None] * g if pz is not None else None
-            return [ga, gz]
-
-        return self._record("weighted_sum", (av @ flat).reshape(b, k), parents, backward)
-
-    def simplex(self, raw):
-        """sigmoid(raw) / sum(sigmoid(raw)): raw weights (n,) -> a point on the simplex.
+    def ensemble(self, raw, z):
+        """sum_j alpha_j * z_j, alpha = sigmoid(raw) / sum(sigmoid(raw)), as one
+        node: raw weights (n,) and values (n, b, k) -> (b, k).
 
         Raises ZeroDivisionError when every sigmoid underflows to 0. A sum so
         small that 1/S or S*S would leave the float range is first scaled up
-        by a power of two, which changes neither the value nor the gradient.
+        by a power of two, which changes neither alpha nor the gradient.
         """
+        zv = z.values
+        if raw.values.ndim != 1 or zv.ndim != 3 or raw.values.shape[0] != zv.shape[0]:
+            raise ShapeMismatchError(f"ensemble: {raw.shape} . {z.shape}")
+        n, b, k = zv.shape
+        flat = zv.reshape(n, b * k)
         s = sigmoid(raw.values)
-        ds = 1.0 - s
+        ds = 1.0 - s  # before the rescale
         total = np.add.reduce(s)
         if total == 0.0:
-            raise ZeroDivisionError("simplex: every sigmoid underflowed to 0")
+            raise ZeroDivisionError("ensemble: every sigmoid underflowed to 0")
         if total < 2.0 ** -500:
             s = np.ldexp(s, -np.frexp(total)[1])
             total = np.add.reduce(s)
         inv = 1.0 / total
+        alpha = s * inv
+        parents = self._operands(raw, z)
 
-        def backward(g):
-            gr = -np.add.reduce(g * s) / (total * total)
-            return [(g * inv + gr) * s * ds]
+        def backward(g):  # through alpha = s * (1/S), then the sigmoid
+            ga = flat @ g.reshape(-1)
+            gr = (ga * inv - np.add.reduce(ga * s) / (total * total)) * s * ds
+            return [gr, alpha[:, None, None] * g if parents[1] is not None else None]
 
-        return self._record("simplex", s * inv, self._operands(raw), backward)
+        return self._record("ensemble", (alpha @ flat).reshape(b, k), parents, backward)
 
     def im_loss(self, z, q, c_ent, c_div, c_pl, pl_only=False):
         """c_ent*L_ent + c_div*L_div + c_pl*L_pl over logits z (b, k), as one node.

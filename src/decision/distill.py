@@ -11,18 +11,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import LabeledSet, UnlabeledSet
-from .models import ModelConfig, SourceModel, aggregate_logits, predict, train_source
+from .models import (ModelConfig, SourceModel, aggregate_logits, predict, simplex_weights,
+                     train_source)
 
 
 @dataclass
 class TeacherView:
     models: list
-    alpha: np.ndarray
+    alpha: np.ndarray  # one weight per model, on the simplex: else ValueError
 
     def __post_init__(self):
-        self.alpha = np.asarray(self.alpha, dtype=np.float64)
-        if not (self.alpha.min() >= 0.0 and abs(self.alpha.sum() - 1.0) <= 1e-9):
-            raise ValueError("teacher weights must lie on the simplex")
+        self.alpha = simplex_weights(self.alpha, len(self.models))
 
 
 def teacher_label(teacher, x):

@@ -168,6 +168,18 @@ def _stacked_params(models, trainable):
             for i, kind in enumerate(kinds)]
 
 
+def simplex_weights(alpha, n, error=ValueError):
+    """``alpha`` as float64 weights of n sources: the one simplex check. A shape
+    other than (n,) raises ShapeMismatchError; a negative weight or a sum more
+    than 1e-9 off 1 (NaN included) raises ``error``."""
+    alpha = np.asarray(alpha, dtype=np.float64)
+    if alpha.shape != (n,):
+        raise ShapeMismatchError(f"alpha of shape {alpha.shape} for {n} sources")
+    if not (alpha.min() >= 0.0 and abs(alpha.sum() - 1.0) <= 1e-9):  # NaN fails too
+        raise error(f"alpha is not on the simplex: {alpha}")
+    return alpha
+
+
 def weighted_logits(alpha, logits):
     """alpha[0]*logits[0] + alpha[1]*logits[1] + ..., summed in source order.
 

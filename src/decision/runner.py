@@ -263,10 +263,7 @@ def run_distill(cfg, out, run_dir=None):
     alpha_path = adapted_dir / "alpha.json"
     try:  # validated before anything is written
         with open(alpha_path) as fh:
-            alpha = np.asarray(json.load(fh)["alpha"], dtype=np.float64)
-        if alpha.shape != (len(models),):
-            raise ValueError(f"weights of shape {alpha.shape} for {len(models)} sources")
-        teacher = TeacherView(models, alpha)
+            teacher = TeacherView(models, json.load(fh)["alpha"])
     except (KeyError, TypeError, ValueError) as exc:  # text that is not JSON: ValueError
         raise CheckpointError(f"{alpha_path}: not an ensemble weight file: {exc!r}") from None
     out.mkdir(parents=True, exist_ok=True)

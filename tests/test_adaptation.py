@@ -47,8 +47,9 @@ def test_alpha_project_random_draws_stay_on_simplex():
 
 def test_tape_simplex_matches_numpy_projection():
     raw = Tensor([0.7, -0.2, 1.4])
-    np.testing.assert_allclose(Tape().simplex(raw).values, alpha_project(raw.values),
-                               atol=1e-15)
+    unit_rows = Tensor(np.eye(3)[:, None])  # the ensemble of unit rows is alpha
+    np.testing.assert_allclose(Tape().ensemble(raw, unit_rows).values[0],
+                               alpha_project(raw.values), atol=1e-15)
 
 
 # -- loss closed forms ------------------------------------------------------------
@@ -424,6 +425,14 @@ def test_refresh_rejects_an_alpha_off_the_simplex(alpha):
         update_pseudo_labels(forward, alpha)
 
 
+def test_refresh_rejects_an_unknown_distance_mode():
+    forward = target_forward(make_models(2, seed=42), np.zeros((4, 3)))
+    with pytest.raises(ValueError, match=r"'bogus'.*per-source.*combined-feature"):
+        update_pseudo_labels(forward, [0.5, 0.5], 1, mode="bogus")
+    with pytest.raises(ValueError, match="distance_mode must be one of"):
+        AdaptationConfig(distance_mode="bogus")
+
+
 def _brute_force_labels(models, x, alpha, rounds):
     """Nearest-centroid pseudo-labels and, per point, the classes within
     rounding of the nearest, one point, source and class at a time: round-0
@@ -519,12 +528,15 @@ def test_objective_on_a_source_stack_records_the_same_node_count_for_any_n():
     x = np.random.default_rng(39).standard_normal((6, 3))
     q = np.eye(3)[np.random.default_rng(40).integers(0, 3, 6)]
     counts = []
-    for n in (1, 4, 16):
-        tape = Tape()
-        objective(tape, SourceStack(make_models(n, seed=96)),
-                  Tensor(np.zeros(n), requires_grad=True), x, q, AdaptationConfig())
-        counts.append(len(tape))
-    assert counts == [4] * 3  # the 4 ops; n = 1 is a SHOT step
+    for n in (1, 3, 16):
+        for optimize_features in (True, False):
+            tape = Tape()
+            objective(tape, SourceStack(make_models(n, seed=96), requires_grad=optimize_features),
+                      Tensor(np.zeros(n), requires_grad=True), x, q, AdaptationConfig())
+            counts.append(len(tape))
+    # mlp, ensemble and im_loss, or no mlp node when the extractors are
+    # constants (weights-only); n = 1 is a SHOT step
+    assert counts == [3, 2] * 3
 
 
 def test_source_stack_views_follow_in_place_updates():
@@ -628,6 +640,50 @@ def test_frozen_classifier_checksums_survive_adaptation():
                    AdaptationConfig(epochs=3, seed=2))
     after = [classifier_checksum(m) for m in result.models]
     assert before == after
+
+
+@st.composite
+def _adapt_cases(draw):
+    """Sources, target rows, a config and whether the extractors train, at the
+    loop's edge shapes: one source, one target row, a batch of one row, and a
+    batch as large as or larger than the target."""
+    n, k, size = draw(st.integers(1, 3)), draw(st.integers(2, 3)), draw(st.integers(1, 40))
+    models = make_models(n, seed=draw(st.integers(0, 10**6)), arch=tiny_arch(num_classes=k))
+    x = np.random.default_rng(draw(st.integers(0, 10**6))).standard_normal((size, 3))
+    cfg = AdaptationConfig(epochs=draw(st.integers(1, 2)),
+                           batch_size=draw(st.sampled_from([1, size, size + 7])),
+                           seed=draw(st.integers(0, 100)))
+    return models, x, cfg, draw(st.booleans())
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_adapt_cases())
+def test_adapt_at_edge_shapes_steps_on_the_simplex_and_repeats_bit_for_bit(case):
+    models, x, cfg, optimize_features = case
+    eval_set = LabeledSet(x, np.arange(len(x)) % models[0].num_classes,
+                          models[0].num_classes)
+    heads = [classifier_checksum(m) for m in models]
+    runs = []
+    for _ in range(2):
+        trace = []
+        result = adapt(models, eval_set.inputs_only(), cfg, eval_set=eval_set,
+                       on_step=trace.append, optimize_features=optimize_features)
+        runs.append((result, trace))
+    (result, trace), (again, again_trace) = runs
+    assert len(trace) == cfg.epochs * -(-len(x) // cfg.batch_size)
+    for alpha in trace:
+        assert alpha.shape == (len(models),)
+        assert alpha.min() >= 0.0 and abs(alpha.sum() - 1.0) <= 1e-9
+    assert [row["epoch"] for row in result.metrics] == list(range(1, cfg.epochs + 1))
+    for row in result.metrics:
+        assert all(math.isfinite(row[key]) for key in ("L_ent", "L_div", "L_pl", "L_tot"))
+    assert [classifier_checksum(m) for m in result.models] == heads
+    # a second run is bit-identical
+    np.testing.assert_array_equal(np.array(again_trace), np.array(trace))
+    assert again.metrics == result.metrics
+    for m, m_again in zip(result.models, again.models):
+        for p, p_again in zip(m.params, m_again.params):
+            np.testing.assert_array_equal(p_again, p)
 
 
 def test_adapt_raises_when_alpha_leaves_the_simplex(monkeypatch):
@@ -746,7 +802,7 @@ def test_weights_only_computes_no_extractor_gradients(monkeypatch):
     monkeypatch.setattr(Tape, "backward", counting)
     weights_only_adapt([model, copy.deepcopy(model)], data.inputs_only(),
                        AdaptationConfig(epochs=2, seed=3))
-    assert sizes == [3] * 6  # 90 rows in 32-row batches: simplex, weighted_sum, im_loss
+    assert sizes == [2] * 6  # 90 rows in 32-row batches: ensemble, im_loss
     # frozen extractors stay off the tape: only the weights receive a gradient
     stack = SourceStack([model, copy.deepcopy(model)], requires_grad=False)
     raw = Tensor(np.zeros(2), requires_grad=True)

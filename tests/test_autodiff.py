@@ -61,63 +61,87 @@ def test_backward_softmax_cross_entropy_analytic():
     np.testing.assert_allclose(logits.grad, [[-0.5, 0.5]], atol=1e-15)
 
 
-def _shared_layer_loss(t, alpha, z, x, rest, q):
+def _ensemble_chain(raw, z):
+    """The nodes ``Tape.ensemble`` replaced, replayed in numpy in tape order:
+    sigmoid, sum, reciprocal and scale give alpha, then the weighted sum of z.
+    Returns the value and a function from an output gradient g to the
+    gradients of raw and z."""
+    s = sigmoid(raw)
+    total = np.asarray(s.sum())
+    inv = 1.0 / total
+    alpha = s * float(inv)
+    flat = z.reshape(len(z), -1)
+
+    def grads(g):
+        g_alpha = flat @ g.reshape(-1)
+        g_sum = -np.asarray((g_alpha * s).sum()) / (total * total)
+        g_s = g_alpha * float(inv) + np.broadcast_to(g_sum, s.shape)
+        return g_s * s * (1.0 - s), alpha[:, None, None] * g
+
+    return (alpha @ flat).reshape(z.shape[1:]), grads
+
+
+def _shared_layer_loss(t, raw, z, x, rest, q):
     """A soft-target loss of one model whose two extractor layers are both the
-    node S = weighted_sum(alpha, z), so S reaches the loss along two paths."""
-    s = t.weighted_sum(alpha, z)
+    node S = ensemble(raw, z), so S reaches the loss along two paths."""
+    s = t.ensemble(raw, z)
     b1, b2, w, b = rest
     return t.im_loss(t.mlp(x, [s, b1, s, b2, w, b]), q, 0.0, 0.0, 1.0)[0]
 
 
 def _shared_layer_graph(seed):
     rng = np.random.default_rng(seed)
-    alpha = Tensor(rng.dirichlet(np.ones(2)), requires_grad=True)
+    raw = Tensor(rng.standard_normal(2), requires_grad=True)
     z = Tensor(rng.standard_normal((2, 3, 3)), requires_grad=True)
     rest = _constants(*(rng.standard_normal(s) for s in ((3,), (3,), (3, 2), (2,))))
-    return alpha, z, rng.standard_normal((5, 3)), rest, rng.dirichlet(np.ones(2), size=5)
+    return raw, z, rng.standard_normal((5, 3)), rest, rng.dirichlet(np.ones(2), size=5)
 
 
-def _sum_of_paths(alpha, z, x, rest, q):
-    """dL/dS as the sum of the gradients of two separate copies of S."""
-    s = alpha.values @ z.values.reshape(2, -1)
-    s1, s2 = (Tensor(s.reshape(3, 3), requires_grad=True) for _ in range(2))
+def _path_grads(s_values, x, rest, q):
+    """dL/dS1 and dL/dS2 of the mlp's two layers, as two separate parameters
+    holding the values ``s_values``."""
+    s1, s2 = (Tensor(v, requires_grad=True) for v in s_values)
     b1, b2, w, b = rest
     t = Tape()
     t.backward(t.im_loss(t.mlp(x, [s1, b1, s2, b2, w, b]), q, 0.0, 0.0, 1.0)[0])
-    return s1.grad + s2.grad
+    return s1.grad, s2.grad
+
+
+def _sum_of_paths(raw, z, x, rest, q):
+    """The gradients of raw and z when dL/dS is the sum over both paths."""
+    s, grads = _ensemble_chain(raw.values, z.values)
+    g1, g2 = _path_grads((s, s), x, rest, q)
+    return grads(g1 + g2)
 
 
 def test_backward_reused_node_accumulates_sum_of_paths():
-    alpha, z, x, rest, q = _shared_layer_graph(66)
+    raw, z, x, rest, q = _shared_layer_graph(66)
     t = Tape()
-    t.backward(_shared_layer_loss(t, alpha, z, x, rest, q))
-    g = _sum_of_paths(alpha, z, x, rest, q)
-    np.testing.assert_array_equal(z.grad, alpha.values[:, None, None] * g)
-    np.testing.assert_array_equal(alpha.grad, z.values.reshape(2, -1) @ g.reshape(-1))
+    t.backward(_shared_layer_loss(t, raw, z, x, rest, q))
+    g_raw, g_z = _sum_of_paths(raw, z, x, rest, q)
+    np.testing.assert_array_equal(z.grad, g_z)
+    np.testing.assert_array_equal(raw.grad, g_raw)
 
 
 def test_parameter_read_by_two_nodes_gets_the_sum_of_both_contributions():
-    # z feeds two weighted sums, S1 and S2, which feed the mlp as its two layers
-    alpha, z, x, rest, q = _shared_layer_graph(68)
-    a1, a2 = alpha.values, alpha.values[::-1].copy()
+    # z feeds two ensembles, S1 and S2, which feed the mlp as its two layers
+    raw, z, x, rest, q = _shared_layer_graph(68)
+    r1, r2 = raw.values, raw.values[::-1].copy()
     t = Tape()
-    s1, s2 = t.weighted_sum(Tensor(a1), z), t.weighted_sum(Tensor(a2), z)
+    s1, s2 = t.ensemble(Tensor(r1), z), t.ensemble(Tensor(r2), z)
     b1, b2, w, b = rest
     t.backward(t.im_loss(t.mlp(x, [s1, b1, s2, b2, w, b]), q, 0.0, 0.0, 1.0)[0])
-    assert [n.op for n in t.nodes] == ["weighted_sum", "weighted_sum", "mlp", "im_loss"]
+    assert [n.op for n in t.nodes] == ["ensemble", "ensemble", "mlp", "im_loss"]
     # dL/dS1 and dL/dS2 from two separate parameters holding their values
-    c1, c2 = (Tensor((a @ z.values.reshape(2, -1)).reshape(3, 3), requires_grad=True)
-              for a in (a1, a2))
-    ref = Tape()
-    ref.backward(ref.im_loss(ref.mlp(x, [c1, b1, c2, b2, w, b]), q, 0.0, 0.0, 1.0)[0])
-    want = a1[:, None, None] * c1.grad + a2[:, None, None] * c2.grad
-    np.testing.assert_array_equal(z.grad, want)
+    (c1, grads1), (c2, grads2) = (_ensemble_chain(r, z.values) for r in (r1, r2))
+    g1, g2 = _path_grads((c1, c2), x, rest, q)
+    np.testing.assert_array_equal(z.grad, grads1(g1)[1] + grads2(g2)[1])
 
 
 def test_backward_replays_each_node_exactly_once():
-    alpha, z, x, rest, q = _shared_layer_graph(67)
+    raw, z, x, rest, q = _shared_layer_graph(67)
     t = Tape()
-    loss = _shared_layer_loss(t, alpha, z, x, rest, q)  # weighted_sum feeds mlp twice
+    loss = _shared_layer_loss(t, raw, z, x, rest, q)  # the ensemble feeds mlp twice
     calls = {}
     for i, node in enumerate(t.nodes):
         def counted(g, _orig=node.backward, _i=i):
@@ -126,14 +150,15 @@ def test_backward_replays_each_node_exactly_once():
         node.backward = counted
     t.backward(loss)
     assert len(calls) == 3 and all(count == 1 for count in calls.values())
-    g = _sum_of_paths(alpha, z, x, rest, q)
-    np.testing.assert_array_equal(z.grad, alpha.values[:, None, None] * g)
+    g_raw, g_z = _sum_of_paths(raw, z, x, rest, q)
+    np.testing.assert_array_equal(z.grad, g_z)
+    np.testing.assert_array_equal(raw.grad, g_raw)
 
 
 def test_backward_root_must_be_scalar_and_on_tape():
     t = Tape()
     x = Tensor([[[1.0, 2.0]]], requires_grad=True)
-    y = t.weighted_sum(Tensor([1.0]), x)
+    y = t.ensemble(Tensor([0.0]), x)
     with pytest.raises(TapeError):
         t.backward(y)
     with pytest.raises(TapeError):
@@ -203,15 +228,13 @@ def _gradcheck(f, params):
 
 
 def _soft_target_loss_of(op, *args):
-    """A soft-target im_loss over op(*args); 1-d outputs reach it as the
-    weights of a weighted_sum, 3-d outputs as its stacked values."""
+    """A soft-target im_loss over op(*args); stacked (n, b, k) outputs reach it
+    through an ensemble with constant raw weights."""
     t = Tape()
     out = getattr(t, op)(*args)
     rng = np.random.default_rng(list(out.shape))
-    if out.values.ndim == 1:
-        out = t.weighted_sum(out, Tensor(rng.standard_normal(out.shape + (5, 3))))
-    elif out.values.ndim == 3:
-        out = t.weighted_sum(Tensor(rng.dirichlet(np.ones(out.shape[0]))), out)
+    if out.values.ndim == 3:
+        out = t.ensemble(Tensor(rng.standard_normal(out.shape[0])), out)
     q = rng.dirichlet(np.ones(out.shape[1]), size=out.shape[0])
     return t.im_loss(out, q, 0.0, 0.0, 1.0)[0]
 
@@ -328,14 +351,17 @@ def test_mlp_rejects_a_value_that_is_not_finite(layer, scale, value, trainable):
 
 
 def test_weighted_sum_definition_and_gradients():
+    # the ensemble's sum over the source axis, weighted by alpha of raw weights
     rng = np.random.default_rng(64)
-    alpha = Tensor(rng.dirichlet(np.ones(4)), requires_grad=True)
+    raw = Tensor(rng.standard_normal(4), requires_grad=True)
     z = Tensor(rng.standard_normal((4, 5, 3)), requires_grad=True)
-    want = sum(alpha.values[j] * z.values[j] for j in range(4))
-    np.testing.assert_allclose(Tape().weighted_sum(alpha, z).values, want, rtol=1e-14)
-    assert _gradcheck(lambda: _soft_target_loss_of("weighted_sum", alpha, z), [alpha, z]) < 1e-4
-    with pytest.raises(ShapeMismatchError):
-        Tape().weighted_sum(Tensor(np.ones(3)), z)
+    alpha = alpha_project(raw.values)
+    want = sum(alpha[j] * z.values[j] for j in range(4))
+    np.testing.assert_allclose(Tape().ensemble(raw, z).values, want, rtol=1e-14)
+    assert _gradcheck(lambda: _soft_target_loss_of("ensemble", raw, z), [raw, z]) < 1e-4
+    for shape in ((3, 5, 3), (4, 15)):
+        with pytest.raises(ShapeMismatchError, match="ensemble"):
+            Tape().ensemble(raw, Tensor(np.ones(shape)))
 
 
 @pytest.mark.parametrize("coefs", list(itertools.product((0.0, 1.0), (0.0, -1.0), (0.0, 0.7))),
@@ -388,7 +414,7 @@ def test_fused_loss_needs_labels_for_the_pseudo_label_term():
             Tape().im_loss(z, np.eye(2)[[0, 1, 1]], *coefs, pl_only=True)
 
 
-# -- the fused nodes: soft targets and the simplex --------------------------------
+# -- the fused nodes: soft targets and the ensemble's simplex weights --------------
 
 def test_soft_target_gradients_with_unnormalized_rows():
     # rows of q that do not sum to 1 (rounding, or no mass at all) keep the exact gradient
@@ -401,12 +427,15 @@ def test_soft_target_gradients_with_unnormalized_rows():
 
 
 def test_simplex_definition_and_gradients():
+    # the ensemble's weights alone: its sum over stacked unit rows is alpha
     rng = np.random.default_rng(68)
     for n in (1, 3, 16):
         raw = Tensor(rng.standard_normal(n) * 3.0, requires_grad=True)
         s = sigmoid(raw.values)
-        np.testing.assert_allclose(Tape().simplex(raw).values, s / s.sum(), rtol=1e-15)
-        assert _gradcheck(lambda: _soft_target_loss_of("simplex", raw), [raw]) < 1e-4
+        np.testing.assert_allclose(Tape().ensemble(raw, Tensor(np.eye(n)[:, None])).values[0],
+                                   s / s.sum(), rtol=1e-15)
+        z = Tensor(rng.standard_normal((n, 5, 3)))
+        assert _gradcheck(lambda: _soft_target_loss_of("ensemble", raw, z), [raw]) < 1e-4
 
 
 def _im_loss_grad(z, q):
@@ -465,22 +494,23 @@ def test_pl_only_loss_is_bit_identical_to_the_all_terms_call(shape, eps, c_pl):
         np.testing.assert_array_equal(lean_grad, grad)
 
 
+# This pin holds the ensemble node, simplex weights and weighted sum, to the
+# bits of the chain it replaced; a change here changes every adapted model.
 def test_simplex_backward_is_bit_identical_to_the_composed_chain():
     rng = np.random.default_rng(71)
     for n in (1, 4, 16):
         raw = Tensor(rng.standard_normal(n), requires_grad=True)
-        g = rng.standard_normal(n)
+        z = Tensor(rng.standard_normal((n, 6, 3)), requires_grad=True)
+        g = rng.standard_normal((6, 3))
         t = Tape()
-        alpha = t.simplex(raw)
-        got = t.nodes[alpha._node[1]].backward(g)[0]  # the simplex node, fed g
-        # sigmoid -> sum -> reciprocal -> mul_scalar, replayed in tape order
-        s = sigmoid(raw.values)
-        total = np.asarray(s.sum())
-        inv = 1.0 / total
-        np.testing.assert_array_equal(alpha.values, s * float(inv))
-        g_sum = -np.asarray((g * s).sum()) / (total * total)
-        g_s = g * float(inv) + np.broadcast_to(g_sum, s.shape)
-        np.testing.assert_array_equal(got, g_s * s * (1.0 - s))
+        out = t.ensemble(raw, z)
+        want, grads = _ensemble_chain(raw.values, z.values)
+        np.testing.assert_array_equal(out.values, want)
+        for have, ref in zip(t.nodes[out._node[1]].backward(g), grads(g)):
+            np.testing.assert_array_equal(have, ref)
+    # constant values, as in weights-only, get no gradient computed
+    t = Tape()
+    assert t.nodes[t.ensemble(raw, Tensor(z.values))._node[1]].backward(g)[1] is None
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -492,18 +522,43 @@ def test_simplex_backward_is_bit_identical_to_the_composed_chain():
 @example([1e3, -1e3])
 def test_simplex_is_on_the_simplex_or_raises_when_every_sigmoid_underflows(raw):
     raw = Tensor(np.array(raw), requires_grad=True)
-    s = sigmoid(raw.values)
-    t = Tape()
-    if not s.any():
+    n = len(raw.values)
+    z = Tensor(np.linspace(-2.0, 2.0, n * 6).reshape(n, 2, 3))
+    if not sigmoid(raw.values).any():
         with pytest.raises(ZeroDivisionError):
-            t.simplex(raw)
+            Tape().ensemble(raw, z)
         return
-    alpha = t.simplex(raw)
-    assert alpha.values.min() >= 0.0 and abs(alpha.values.sum() - 1.0) <= 1e-12
-    np.testing.assert_allclose(alpha.values, alpha_project(raw.values), rtol=0.0, atol=1e-15)
-    z = Tensor(np.linspace(-2.0, 2.0, len(s) * 6).reshape(len(s), 2, 3))
-    t.backward(t.im_loss(t.weighted_sum(alpha, z), np.eye(3)[[0, 2]], 1.0, -1.0, 0.3)[0])
+    alpha = Tape().ensemble(raw, Tensor(np.eye(n)[:, None])).values[0]  # unit rows read alpha
+    assert alpha.min() >= 0.0 and abs(alpha.sum() - 1.0) <= 1e-12
+    np.testing.assert_allclose(alpha, alpha_project(raw.values), rtol=0.0, atol=1e-15)
+    t = Tape()
+    t.backward(t.im_loss(t.ensemble(raw, z), np.eye(3)[[0, 2]], 1.0, -1.0, 0.3)[0])
     assert np.isfinite(raw.grad).all()
+
+
+def _two_branch_sigmoid(v):
+    """The logistic function as the package computed it before: boolean masks,
+    1/(1 + exp(-v)) where v >= 0 and exp(v)/(1 + exp(v)) elsewhere."""
+    out = np.empty_like(v)
+    pos = v >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+    e = np.exp(v[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def test_sigmoid_gives_the_bits_of_the_two_branch_formula():
+    # the suite turns RuntimeWarning into an error: no overflow warning either
+    edges = np.array([0.0, 1e-300, 36.7, 709.8, 745.2, 1e3, np.inf])
+    edges = np.concatenate([edges, -edges, [np.nan]])
+    have = sigmoid(edges)
+    np.testing.assert_array_equal(have, _two_branch_sigmoid(edges))  # NaN where NaN
+    assert np.isnan(have[-1]) and not np.signbit(have[:-1]).any()
+    assert have[0] == have[len(edges) // 2] == 0.5  # +0 and -0
+    rng = np.random.default_rng(73)
+    for scale in (1e-3, 1.0, 30.0, 800.0):
+        v = rng.standard_normal(10_000) * scale
+        np.testing.assert_array_equal(sigmoid(v), _two_branch_sigmoid(v))
 
 
 def test_every_public_tape_op_is_called_from_the_package():
@@ -517,7 +572,7 @@ def test_every_public_tape_op_is_called_from_the_package():
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
                     and isinstance(node.func.value, ast.Name) and node.func.value.id == "tape":
                 called.add(node.func.attr)
-    assert ops == {"mlp", "weighted_sum", "simplex", "im_loss"}
+    assert ops == {"mlp", "ensemble", "im_loss"}
     assert ops <= called, f"tape ops no module calls: {sorted(ops - called)}"
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from decision.autodiff import ShapeMismatchError
 from decision.data import DomainSpec, UnlabeledSet, generate_domain
 from decision.distill import TeacherView, teacher_label, train_student
 from decision.models import ModelConfig, SourceModel, SourceTrainConfig, predict
@@ -12,6 +13,13 @@ def test_teacher_view_requires_simplex_weights():
     models = make_models(2, seed=1)
     with pytest.raises(ValueError, match="simplex"):
         TeacherView(models, [0.9, 0.9])
+
+
+@pytest.mark.parametrize("alpha", [[0.5, 0.3, 0.2], [1.0]], ids=["long", "short"])
+def test_teacher_view_requires_one_weight_per_model(alpha):
+    # [0.5, 0.3, 0.2] lies on the simplex: only its length is wrong
+    with pytest.raises(ShapeMismatchError, match=rf"shape \({len(alpha)},\) for 2 sources"):
+        TeacherView(make_models(2, seed=1), alpha)
 
 
 def test_vertex_teacher_equals_single_model_argmax():
