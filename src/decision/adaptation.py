@@ -12,13 +12,16 @@ flow only into the stacked feature extractors and into the raw ensemble
 weights, an (n,) tensor whose sigmoid-normalized view alpha, a plain array,
 is recomputed after each optimizer step and checked to lie on the probability
 simplex by ``models.simplex_weights``, the one check the refresh and the
-teacher also use. The objective is one batched ``Tape.mlp`` forward, one
-``Tape.ensemble`` node that weighs the sources' logits by alpha, and one fused
-``Tape.im_loss`` node for the loss, against one-hot pseudo-label rows that
-each epoch's refresh builds once. The epochs run in ``optim.run_epochs``, the
-loop source training also uses; ``adapt`` supplies the objective, the refresh
-at each epoch's start, the alpha update after each step and the metrics row
-after each epoch.
+teacher also use. A step records only what the optimizer can move. With
+several sources (DECISION) the objective is one batched ``Tape.mlp`` forward,
+one ``Tape.ensemble`` node that weighs the sources' logits by alpha, and one
+fused ``Tape.im_loss`` node for the loss, against one-hot pseudo-label rows
+that each epoch's refresh builds once. One source (SHOT) has the constant
+alpha [1.0], checked once at the start: its step is the forward and the loss,
+and no raw weight trains. The epochs run in ``optim.run_epochs``, the loop
+source training also uses; ``adapt`` supplies the objective, the refresh at
+each epoch's start, the alpha update after each step and the metrics row after
+each epoch.
 
 Evaluation and pseudo-labels run the same forward, ``mlp_forward``, in numpy
 on each per-source view, once per parameter state. Each epoch's refresh
@@ -28,10 +31,12 @@ centroids over the whole target), and the epoch's ensemble mean
 forward is dropped before the epoch's steps, and the eval accuracy after the
 steps runs its own forward of the eval rows. When they are frozen
 (``weights_only_adapt``), the eval logits and the target forward are computed
-once per run, at the first refresh, and each epoch redoes only the work that
-depends on alpha: the assignment rounds, the weighted sums and the argmax.
-Every weighted sum is ``models.weighted_logits``, so the cached and the fresh
-paths give the same bits.
+once per run, at the first refresh. Each step then reads its batch's rows of
+the cached target logits as a constant of ``Tape.ensemble`` and runs no
+forward, and each epoch redoes only the work that depends on alpha: the
+assignment rounds, the weighted sums and the argmax. Every weighted sum is
+``models.weighted_logits``, so the cached and the fresh paths give the same
+bits.
 """
 
 import math
@@ -110,15 +115,25 @@ def loss_coefficients(cfg):
 
 
 def objective(tape, stack, raw, x, q, cfg):
-    """Full training objective of a SourceStack on one tape; returns (L_tot, term values).
+    """Full training objective of the sources on one tape; returns (L_tot, term values).
 
-    The ensemble logits sum_j alpha_j * logits_j are one ``Tape.ensemble``
-    node over one batched forward of the stacked parameters, with alpha the
-    sigmoid-normalized raw weights ``raw``, an (n,) tensor; ``q`` holds the
-    batch's one-hot pseudo-label rows (b, K), or None when lambda_pl is 0.
+    With a SourceStack ``stack``, ``x`` is a constant batch (b, i) and the
+    sources' logits are one batched ``Tape.mlp`` forward of its stacked
+    parameters; with ``stack`` None, ``x`` holds the frozen sources' logits
+    (n, b, K) of the batch, a constant. The ensemble logits sum_j alpha_j *
+    logits_j are one ``Tape.ensemble`` node, with alpha the sigmoid-normalized
+    raw weights ``raw``, an (n,) tensor. With ``raw`` None there is one source,
+    whose alpha is the constant [1.0]: its (1, b, K) logits are the loss's
+    input. ``q`` holds the batch's one-hot pseudo-label rows (b, K), or None
+    when lambda_pl is 0.
     """
-    l_tot, (l_ent, l_div, l_pl) = tape.im_loss(tape.ensemble(raw, tape.mlp(x, stack.params)),
-                                               q, *loss_coefficients(cfg))
+    z = Tensor(x) if stack is None else tape.mlp(x, stack.params)
+    if raw is None:
+        l_tot, terms = tape.im_loss(z, None if q is None else q[None], *loss_coefficients(cfg))
+        terms = [None if t is None else float(t[0]) for t in terms]
+    else:
+        l_tot, terms = tape.im_loss(tape.ensemble(raw, z), q, *loss_coefficients(cfg))
+    l_ent, l_div, l_pl = terms
     return l_tot, {"L_ent": l_ent, "L_div": l_div, "L_pl": l_pl, "L_tot": l_tot.item()}
 
 
@@ -178,8 +193,10 @@ def target_forward(models, x):
     A class whose probability underflowed on every sample gets the source's
     mean feature as its round-0 centroid. A softmax that is not finite (the
     logits overflowed, and round 0 would put every class on its fallback)
-    raises DivergenceError; numpy's overflow and invalid-value warnings are
-    off here.
+    raises DivergenceError, and so does any other logit that is not finite: a
+    -inf that is no row's maximum leaves the softmax finite, and weights-only
+    steps read these logits unchecked. numpy's overflow and invalid-value
+    warnings are off here.
     """
     check_compatible(models)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -190,6 +207,8 @@ def target_forward(models, x):
         probs = kernels.softmax_rows(logits)
         if not np.isfinite(probs).all():
             raise DivergenceError("pseudo-label softmax not finite")
+        if not np.isfinite(logits).all():
+            raise DivergenceError("pseudo-label logits not finite")
         return TargetForward(feats, logits, _source_centroids(feats, probs, None))
 
 
@@ -247,7 +266,7 @@ def adapt(models, target, cfg, eval_set=None, on_step=None, optimize_features=Tr
     mutated. All sources step together as one ``SourceStack`` (frozen heads,
     extractors trainable when ``optimize_features``); the returned models are
     its per-source views. Alpha is checked to lie on the simplex at the start
-    and after every step; leaving it raises AssertionError.
+    and after every step that trains it; leaving it raises AssertionError.
     """
     if not isinstance(target, UnlabeledSet):
         raise TypeError("adaptation target must be an UnlabeledSet")
@@ -255,10 +274,15 @@ def adapt(models, target, cfg, eval_set=None, on_step=None, optimize_features=Tr
         raise ValueError("target set is empty")
     stack = SourceStack(models, requires_grad=optimize_features)
     raw = Tensor(np.zeros(len(models)), requires_grad=True)  # uniform alpha
+    # One source's alpha stays [1.0] (its raw weight gets exactly 0 gradient
+    # at 0), so raw trains only with several sources, or with one frozen
+    # source, where it is the step's one parameter.
+    weights = raw if len(models) > 1 or not optimize_features else None
     groups = []
     if optimize_features:
         groups.append(ParamGroup(stack.extractor_params(), cfg.lr_backbone, cfg.weight_decay))
-    groups.append(ParamGroup([raw], cfg.lr_alpha, 0.0))  # no decay pull on raw weights
+    if weights is not None:
+        groups.append(ParamGroup([raw], cfg.lr_alpha, 0.0))  # no decay pull on raw weights
     opt = SgdMomentum(groups, momentum=cfg.momentum)
     adapted = stack.models  # views of the optimizer's buffer, so taken after it
 
@@ -287,13 +311,16 @@ def adapt(models, target, cfg, eval_set=None, on_step=None, optimize_features=Tr
         # epoch-level mean embedding: diagnostic only; optimization uses the
         # per-batch estimate inside the objective's diversity term
         result.epoch_pbar.append(mean_prediction(forward.logits, result.alpha))
-        return [target.x[None], np.eye(forward.logits.shape[-1])[labels][None]]
+        return [np.arange(len(target))[None], np.eye(forward.logits.shape[-1])[labels][None]]
 
-    def step_loss(tape, xb, qb):  # one batch order: the source axis has length 1
-        return objective(tape, stack, raw, xb[0], qb[0], cfg)
+    def step_loss(tape, rows, qb):  # one batch order: the source axis has length 1
+        if frozen is None:
+            return objective(tape, stack, weights, target.x[rows[0]], qb[0], cfg)
+        return objective(tape, None, weights, frozen.logits[:, rows[0]], qb[0], cfg)
 
     def after_step():
-        result.alpha = checked_alpha()
+        if weights is not None:
+            result.alpha = checked_alpha()
         if on_step is not None:
             on_step(result.alpha.copy())
 

@@ -9,9 +9,11 @@ package calls:
   stacked on a leading source axis;
 - ``ensemble``, which contracts that axis with the sigmoid-normalized
   ensemble weights as one node, so a step over n stacked source models
-  records the same nodes for every n: 3 in adaptation (``mlp``,
-  ``ensemble``, ``im_loss``), 2 in weights-only, whose forward reads only
-  constants, and 2 in source training and the student (``mlp``, ``im_loss``);
+  records the same nodes for every n > 1: 3 in adaptation (``mlp``,
+  ``ensemble``, ``im_loss``) and 2 in weights-only (``ensemble`` and
+  ``im_loss`` over cached logits, with no forward). One-source adaptation
+  (SHOT), whose ensemble weight is the constant 1, records 2 (``mlp``,
+  ``im_loss``), as source training and the student do at any n;
 - ``im_loss``, every training loss as one node with an analytic gradient:
   entropy, diversity and a cross-entropy against soft targets (one-hot
   pseudo-labels, smoothed source labels). It also takes a leading source
@@ -24,8 +26,9 @@ The tape records operations only. A parameter (a tensor with
 ``requires_grad``) is an operand, not a node: backward writes its first
 gradient into the row of its optimizer's gradient buffer (``grad_row``), or a
 fresh array when no optimizer owns it, and adds later ones to ``.grad``.
-``Tape.mlp`` is the only place values are checked for finiteness; a value that
-is not finite raises ``DivergenceError``.
+``Tape.mlp`` is the only place the tape checks values for finiteness; a value
+that is not finite raises ``DivergenceError``. The cached logits a weights-only
+step reads were checked once, by ``adaptation.target_forward``.
 
 Evaluation and pseudo-labels call ``mlp_forward`` in numpy: one forward.
 """
@@ -158,10 +161,11 @@ class Tape:
         pre, feats, logits = mlp_forward(x, values)
         # The tape's only finiteness checks. The relu hides a -inf
         # pre-activation; any other value that is not finite, a feature or a
-        # parameter, makes logits non-finite. Finite logits keep the other
-        # ops finite: ensemble (its weights are bounded sigmoids on the
-        # simplex; a NaN raw weight fails adapt's per-step simplex check) and
-        # im_loss, as long as no logit row spans more than the float range.
+        # parameter, makes logits non-finite. Finite logits (these, or the
+        # cached ones target_forward checked) keep the other ops finite:
+        # ensemble (its weights are bounded sigmoids on the simplex; a NaN raw
+        # weight fails adapt's per-step simplex check) and im_loss, as long as
+        # no logit row spans more than the float range.
         _check_finite("pre-activation", pre)
         _check_finite("logits", logits)
         _, _, w2, _, w, _ = values

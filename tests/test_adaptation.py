@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decision import adaptation, kernels
+from decision import adaptation, autodiff, kernels
 from decision import models as models_mod
 from decision.adaptation import (DISTANCE_MODES, AdaptationConfig, adapt,
                                  alpha_project, assign_pseudo_labels,
@@ -529,14 +529,19 @@ def test_objective_on_a_source_stack_records_the_same_node_count_for_any_n():
     q = np.eye(3)[np.random.default_rng(40).integers(0, 3, 6)]
     counts = []
     for n in (1, 3, 16):
-        for optimize_features in (True, False):
+        models = make_models(n, seed=96)
+        raw = Tensor(np.zeros(n), requires_grad=True)
+        for stack, rows in ((SourceStack(models), x), (None, target_forward(models, x).logits)):
             tape = Tape()
-            objective(tape, SourceStack(make_models(n, seed=96), requires_grad=optimize_features),
-                      Tensor(np.zeros(n), requires_grad=True), x, q, AdaptationConfig())
+            objective(tape, stack, raw, rows, q, AdaptationConfig())
             counts.append(len(tape))
-    # mlp, ensemble and im_loss, or no mlp node when the extractors are
-    # constants (weights-only); n = 1 is a SHOT step
+    # mlp, ensemble and im_loss, or no mlp node over the frozen sources'
+    # cached logits (weights-only)
     assert counts == [3, 2] * 3
+    # one source without raw weights (SHOT): alpha is 1, no ensemble node
+    tape = Tape()
+    objective(tape, SourceStack(make_models(1, seed=96)), None, x, q, AdaptationConfig())
+    assert [node.op for node in tape.nodes] == ["mlp", "im_loss"]
 
 
 def test_source_stack_views_follow_in_place_updates():
@@ -803,15 +808,87 @@ def test_weights_only_computes_no_extractor_gradients(monkeypatch):
     weights_only_adapt([model, copy.deepcopy(model)], data.inputs_only(),
                        AdaptationConfig(epochs=2, seed=3))
     assert sizes == [2] * 6  # 90 rows in 32-row batches: ensemble, im_loss
-    # frozen extractors stay off the tape: only the weights receive a gradient
-    stack = SourceStack([model, copy.deepcopy(model)], requires_grad=False)
+    # frozen extractors stay off the tape: their cached logits are a
+    # constant, and only the weights receive a gradient
     raw = Tensor(np.zeros(2), requires_grad=True)
     tape = Tape()
-    loss, _ = objective(tape, stack, raw, data.x[:8], np.eye(model.num_classes)[np.zeros(8, int)],
-                        AdaptationConfig())
+    loss, _ = objective(tape, None, raw, target_forward([model, model], data.x[:8]).logits,
+                        np.eye(model.num_classes)[np.zeros(8, int)], AdaptationConfig())
     tape.backward(loss)
-    assert all(p.grad is None for p in stack.params)
+    assert [node.op for node in tape.nodes] == ["ensemble", "im_loss"]
     assert raw.grad is not None
+
+
+def test_one_source_adapt_records_two_nodes_and_steps_only_the_extractors(monkeypatch):
+    # SHOT's alpha is the constant 1: no raw weight, no ensemble node
+    built, ops = [], []
+
+    class Recording(SgdMomentum):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    backward = Tape.backward
+
+    def recording(tape, root):
+        ops.append([node.op for node in tape.nodes])
+        return backward(tape, root)
+
+    model, data = _trained_source()
+    monkeypatch.setattr(adaptation, "SgdMomentum", Recording)
+    monkeypatch.setattr(Tape, "backward", recording)
+    result = adapt([model], data.inputs_only(), AdaptationConfig(epochs=2, seed=3))
+    assert ops == [["mlp", "im_loss"]] * 6  # 90 rows in 32-row batches
+    (opt,) = built
+    (group,) = opt.groups  # no raw-weight group
+    assert [p.values.shape for p in group.params] == [(1, *a.shape) for a in model.params[:4]]
+    assert result.alpha.tolist() == [1.0]
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_weights_only_runs_no_forward_after_the_first_refresh(monkeypatch, n):
+    # the first refresh runs each source's forward of the eval rows and of
+    # the target; every step then reads the cached target logits
+    calls, at_refresh = [], []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    refresh = adaptation.update_pseudo_labels
+
+    def marking(*args):
+        at_refresh.append(len(calls))
+        return refresh(*args)
+
+    sources = [_trained_source(seed)[0] for seed in range(n)]
+    monkeypatch.setattr(Tape, "mlp", counted(Tape.mlp))
+    for module in (adaptation, models_mod, autodiff):
+        monkeypatch.setattr(module, "mlp_forward", counted(mlp_forward))
+    monkeypatch.setattr(adaptation, "update_pseudo_labels", marking)
+    weights_only_adapt(sources, _blob_domain(seed=7, n=70).inputs_only(),
+                       AdaptationConfig(epochs=3, batch_size=8, seed=4),
+                       eval_set=_blob_domain(seed=8, n=50))
+    assert calls == ["mlp_forward"] * (2 * n)
+    assert at_refresh == [2 * n] * 3
+
+
+def test_weights_only_run_with_a_minus_inf_logit_diverges_at_the_refresh():
+    # a -inf logit that is no row's maximum leaves the softmax finite; the
+    # steps read the cached logits unchecked, so the refresh checks them
+    model, data = _trained_source()
+    model.params[3][0] = 1e10  # feature 0 is about 1e10 on every row,
+    model.params[4][0, 1] = -1e297  # so class 1's logit is about -1e307,
+    model.params[5][1] = -1.79e308  # and this bias takes it below -1.8e308
+    with np.errstate(over="ignore"):
+        logits = model.logits(data.x)
+    assert np.isneginf(logits[:, 1]).all() and np.isfinite(logits[:, [0, 2]]).all()
+    with pytest.raises(DivergenceError,
+                       match=r"^epoch 1, refresh: pseudo-label logits not finite$"):
+        weights_only_adapt([model, copy.deepcopy(model)], data.inputs_only(),
+                           AdaptationConfig(epochs=1, seed=0))
 
 
 def test_metrics_rows_carry_the_contracted_keys():
@@ -835,7 +912,11 @@ def _adapt_alone(models, target, cfg, eval_set, optimize_features):
     seeded permutation sliced into batches with the short last batch kept, one
     tape per step, the lr schedule, momentum SGD, alpha projected after every
     step, and per-epoch rows of the step terms summed in step order. Returns
-    (models, alpha, metrics rows, alpha after every step)."""
+    (models, alpha, metrics rows, alpha after every step).
+
+    Every step records a forward and an ensemble node: at n = 1 it keeps the
+    raw weight ``adapt`` drops, and with frozen extractors it runs the batch's
+    forward where ``adapt`` reads cached logits, so it pins the bits of both."""
     stack = SourceStack(models, requires_grad=optimize_features)
     raw = Tensor(np.zeros(len(models)), requires_grad=True)
     alpha = alpha_project(raw.values)
