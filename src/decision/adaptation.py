@@ -19,9 +19,10 @@ fused ``Tape.im_loss`` node for the loss, against one-hot pseudo-label rows
 that each epoch's refresh builds once. One source (SHOT) has the constant
 alpha [1.0], checked once at the start: its step is the forward and the loss,
 and no raw weight trains. The epochs run in ``optim.run_epochs``, the loop
-source training also uses; ``adapt`` supplies the objective, the refresh at
-each epoch's start, the alpha update after each step and the metrics row after
-each epoch.
+source training also uses; ``adapt`` supplies the step (the objective on a
+fresh tape, whose backward the loop calls once the loss is checked), the
+refresh at each epoch's start, the alpha update after each step and the
+metrics row after each epoch.
 
 Evaluation and pseudo-labels run the same forward, ``mlp_forward``, in numpy
 on each per-source view, once per parameter state. Each epoch's refresh
@@ -45,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .autodiff import DivergenceError, Tensor, mlp_forward, sigmoid
+from .autodiff import DivergenceError, Tape, Tensor, mlp_forward, sigmoid
 from .data import UnlabeledSet
 from .models import (SourceStack, accuracy, aggregate_logits, check_compatible, predict,
                      simplex_weights, weighted_logits)
@@ -313,10 +314,13 @@ def adapt(models, target, cfg, eval_set=None, on_step=None, optimize_features=Tr
         result.epoch_pbar.append(mean_prediction(forward.logits, result.alpha))
         return [np.arange(len(target))[None], np.eye(forward.logits.shape[-1])[labels][None]]
 
-    def step_loss(tape, rows, qb):  # one batch order: the source axis has length 1
+    def step(rows, qb):  # one batch order: the source axis has length 1
+        tape = Tape()
         if frozen is None:
-            return objective(tape, stack, weights, target.x[rows[0]], qb[0], cfg)
-        return objective(tape, None, weights, frozen.logits[:, rows[0]], qb[0], cfg)
+            loss, terms = objective(tape, stack, weights, target.x[rows[0]], qb[0], cfg)
+        else:
+            loss, terms = objective(tape, None, weights, frozen.logits[:, rows[0]], qb[0], cfg)
+        return loss.values, terms, lambda: tape.backward(loss)
 
     def after_step():
         if weights is not None:
@@ -325,7 +329,7 @@ def adapt(models, target, cfg, eval_set=None, on_step=None, optimize_features=Tr
             on_step(result.alpha.copy())
 
     for epoch, terms in run_epochs(opt, cfg.epochs, cfg.batch_size, [cfg.seed],
-                                   epoch_arrays, step_loss, after_step):
+                                   epoch_arrays, step, after_step):
         sums = {"L_ent": 0.0, "L_div": 0.0, "L_pl": 0.0, "L_tot": 0.0}
         for step_terms in terms:
             for key in sums:

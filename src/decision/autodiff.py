@@ -1,8 +1,8 @@
 """Dense float64 tensors with reverse-mode differentiation on an explicit tape.
 
-One optimization run owns one ``Tape``; operations are tape methods so the
-recording scope is always explicit. The tape carries only the three ops the
-package calls:
+Adaptation (SHOT, DECISION, weights-only) records one ``Tape`` per step;
+operations are tape methods so the recording scope is always explicit. The
+tape carries only the three ops the package calls:
 
 - ``mlp``, the model forward ``mlp_forward`` (affine, relu, affine to
   features, then the affine head) as one node, over n models' parameters
@@ -13,14 +13,18 @@ package calls:
   ``ensemble``, ``im_loss``) and 2 in weights-only (``ensemble`` and
   ``im_loss`` over cached logits, with no forward). One-source adaptation
   (SHOT), whose ensemble weight is the constant 1, records 2 (``mlp``,
-  ``im_loss``), as source training and the student do at any n;
-- ``im_loss``, every training loss as one node with an analytic gradient:
+  ``im_loss``);
+- ``im_loss``, every adaptation loss as one node with an analytic gradient:
   entropy, diversity and a cross-entropy against soft targets (one-hot
-  pseudo-labels, smoothed source labels). It also takes a leading source
-  axis, summing n independent per-source losses, so n source models train
-  in one step. It counts underflowed probabilities as 0 rather than NaN.
-  With ``pl_only`` (source training and the student) it computes only the
-  cross-entropy's value.
+  pseudo-labels). It also takes a leading source axis, summing n independent
+  per-source losses. It counts underflowed probabilities as 0 rather than
+  NaN.
+
+Supervised training (the sources and the distillation student) records no
+tape: its graph is always the mlp and a cross-entropy against fixed targets,
+so ``models.train_source`` runs ``mlp_forward`` and the analytic backward
+itself. ``mlp_backward`` is the one mlp backward, of that step and of
+``Tape.mlp``.
 
 The tape records operations only. A parameter (a tensor with
 ``requires_grad``) is an operand, not a node: backward writes its first
@@ -83,6 +87,32 @@ def mlp_forward(x, params):
     pre = kernels.matmul_nn(x, w1) + b1[..., None, :]
     feats = kernels.matmul_nn(kernels.relu_fwd(pre), w2) + b2[..., None, :]
     return pre, feats, kernels.matmul_nn(feats, w) + b[..., None, :]
+
+
+def mlp_backward(x, params, pre, feats, g, heads=True, out=(None,) * 6):
+    """The gradients of ``mlp_forward``'s six parameters from g, the gradient
+    of its logits, given the forward's input, parameters, pre-activation and
+    features: the one mlp backward, of ``Tape.mlp`` and of
+    ``models.train_source``. Without ``heads`` the head's two are None.
+
+    ``out`` holds, per parameter, None or an array that receives its
+    gradient: the bias sums are written there with ``out=``, the matmuls (the
+    kernels take no ``out=``) copied. Returns the six gradients: the arrays of
+    ``out`` where given, else fresh ones. The relu output is recomputed, not
+    kept from the forward, which measured a higher peak RSS.
+    """
+    _, _, w2, _, w, _ = params
+    gf = kernels.matmul_nt(g, w)
+    gpre = kernels.relu_bwd(pre, kernels.matmul_nt(gf, w2))
+    grads = [kernels.matmul_tn(x, gpre), np.add.reduce(gpre, axis=-2, out=out[1]),
+             kernels.matmul_tn(kernels.relu_fwd(pre), gf), np.add.reduce(gf, axis=-2, out=out[3]),
+             kernels.matmul_tn(feats, g) if heads else None,
+             np.add.reduce(g, axis=-2, out=out[5]) if heads else None]
+    for i in (0, 2, 4):
+        if out[i] is not None:
+            out[i][...] = grads[i]
+            grads[i] = out[i]
+    return grads
 
 
 class Tensor:
@@ -168,16 +198,11 @@ class Tape:
         # no logit row spans more than the float range.
         _check_finite("pre-activation", pre)
         _check_finite("logits", logits)
-        _, _, w2, _, w, _ = values
         parents = self._operands(*params)
+        heads = parents[4] is not None or parents[5] is not None
 
         def backward(g):
-            gf = kernels.matmul_nt(g, w)
-            gpre = kernels.relu_bwd(pre, kernels.matmul_nt(gf, w2))
-            return [kernels.matmul_tn(x, gpre), np.add.reduce(gpre, axis=-2),
-                    kernels.matmul_tn(kernels.relu_fwd(pre), gf), np.add.reduce(gf, axis=-2),
-                    kernels.matmul_tn(feats, g) if parents[4] is not None else None,
-                    np.add.reduce(g, axis=-2) if parents[5] is not None else None]
+            return mlp_backward(x, values, pre, feats, g, heads)
 
         return self._record("mlp", logits, parents, backward)
 
@@ -213,7 +238,7 @@ class Tape:
 
         return self._record("ensemble", (alpha @ flat).reshape(b, k), parents, backward)
 
-    def im_loss(self, z, q, c_ent, c_div, c_pl, pl_only=False):
+    def im_loss(self, z, q, c_ent, c_div, c_pl):
         """c_ent*L_ent + c_div*L_div + c_pl*L_pl over logits z (b, k), as one node.
 
         With p = softmax(z): L_ent is the batch mean of the row entropies H,
@@ -224,11 +249,6 @@ class Tape:
         (L_ent, L_div, L_pl). L_ent and L_div come back whatever their
         coefficients, so a caller can log a disabled term; L_pl is None when
         there are no targets. 0*log(0) counts as 0.
-
-        ``pl_only`` is for supervised training, which reads L_pl alone: it
-        needs targets and c_ent = c_div = 0, skips the row entropies and pbar,
-        and returns (None, None, L_pl). The loss, L_pl and the gradient are
-        bit-equal to the call without it.
 
         Logits (n, b, k) hold n independent problems: each source's terms are
         its own batch means, the loss is their sum over sources, and the term
@@ -241,10 +261,8 @@ class Tape:
         b = zv.shape[-2]
         if b == 0:
             raise ValueError("im_loss: empty batch")
-        if pl_only and (c_ent or c_div):
-            raise ValueError("pl_only takes c_ent = c_div = 0")
         if q is None:
-            if c_pl or pl_only:
+            if c_pl:
                 raise ValueError("the pseudo-label term needs target labels q")
         elif q.shape != zv.shape:
             raise ShapeMismatchError(f"im_loss: targets {q.shape} for logits {z.shape}")
@@ -252,17 +270,6 @@ class Tape:
         logp = kernels.log_softmax_rows(zv)
         p = np.exp(logp)
         l_pl = None if q is None else np.add.reduce(q * logp, axis=(-2, -1)) * (-1.0 / b)
-        if pl_only:
-            # the c_pl term of the backward below, not added to zeros: with
-            # c_pl >= 0 no entry is -0, so that sum would change no bit
-            def backward(g):
-                return [c_pl * (p * np.add.reduce(q, axis=-1, keepdims=True) - q)
-                        * (float(g) / b)]
-
-            out = self._record("im_loss", np.add.reduce(c_pl * l_pl, axis=None),
-                               self._operands(z), backward)
-            return out, (None, None, float(l_pl) if zv.ndim == 2 else l_pl)
-
         h = -np.add.reduce(p * logp, axis=-1)
         pbar = np.add.reduce(p, axis=-2) / b  # the mean, as ndarray.mean divides
         filled = pbar > 0.0

@@ -4,17 +4,16 @@ A ``SourceModel`` is six named float64 arrays (``_PARAM_AXES``): the
 extractor maps inputs through two affine layers with a relu between them to
 features; the head is one affine map to class logits. ``autodiff.mlp_forward``
 is the one forward: ``SourceModel.logits`` and the pseudo-labels call it in
-numpy, and training (source models, adaptation, the distillation student)
-records it as one ``Tape.mlp`` node over n models' parameters stacked into
-six (n, ...) tensors, stepping in ``optim.run_epochs``. Adaptation keeps the
-heads frozen by stacking them as constants. ``train_source`` is the one
+numpy, adaptation records it as one ``Tape.mlp`` node, and supervised
+training calls it with no tape, all over n models' parameters stacked into
+six (n, ...) tensors and stepping in ``optim.run_epochs``. Adaptation keeps
+the heads frozen by stacking them as constants. ``train_source`` is the one
 supervised trainer: it hands the loop n >= 1 equal-size models (all the
 sources of a run, or the single distillation student), each with its own data
-and batch order, and a step loss of one ``Tape.im_loss`` node against
-smoothed (or, with epsilon = 0, one-hot) targets: 2 nodes per step at any n,
-``mlp`` and ``im_loss``, since the parameters are operands, not tape nodes.
-That node runs with ``pl_only``: training reads only the cross-entropy, so the
-entropy and diversity values are not computed.
+and batch order, and ``cross_entropy_step``, which computes the cross-entropy
+against smoothed (or, with epsilon = 0, one-hot) targets and, once the loop
+has checked the loss, writes the analytic gradient of ``autodiff.mlp_backward``
+into the optimizer's rows. The graph never changes, so it needs no tape.
 Tensors exist only on the training side, for the stacked parameters.
 """
 
@@ -24,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import ShapeMismatchError, Tensor, mlp_forward
+from . import kernels
+from .autodiff import ShapeMismatchError, Tensor, _check_finite, mlp_backward, mlp_forward
 from .optim import (ParamGroup, SgdMomentum, check_lr, check_momentum, check_weight_decay,
                     run_epochs)
 
@@ -225,15 +225,53 @@ def smoothed_targets(labels, num_classes, epsilon):
     return q
 
 
+def cross_entropy_step(params):
+    """The supervised training step of the stacked models ``params``, six
+    tensors shaped as ``mlp_forward`` takes them, with no tape: ``step(x, q,
+    q_sums)`` on a batch x (n, b, i), its target rows q (n, b, K) and their
+    row sums (n, b, 1) returns ``optim.run_epochs``' triple. The loss is the
+    sum over models of L_pl = -sum(q * log p) / b, the terms are the (n,)
+    L_pl, and ``backward()`` writes each parameter's gradient into its
+    optimizer row (``grad_row``, else a fresh array) and sets ``.grad`` to it:
+    the bits of ``Tape.mlp`` and ``Tape.im_loss(z, q, 0, 0, 1)``.
+
+    The forward runs ``Tape.mlp``'s two checks: a pre-activation or logit
+    that is not finite raises DivergenceError naming the first source that
+    holds one. The step reads the parameters' current ``values``, so build it
+    after the optimizer, which moves them into its buffer.
+    """
+    values = [p.values for p in params]
+    rows = [p.grad_row for p in params]
+
+    def step(x, q, q_sums):
+        pre, feats, z = mlp_forward(x, values)
+        _check_finite("pre-activation", pre)
+        _check_finite("logits", z)
+        logp = kernels.log_softmax_rows(z)
+        scale = 1.0 / x.shape[-2]
+        l_pl = np.add.reduce(q * logp, axis=(-2, -1)) * -scale
+
+        def backward():
+            # dL_pl/dz = (p * sum_k q - q) / b, exact when sum_k q != 1
+            gz = (np.exp(logp) * q_sums - q) * scale
+            for p, grad in zip(params, mlp_backward(x, values, pre, feats, gz, out=rows)):
+                p.grad = grad
+
+        return np.add.reduce(l_pl, axis=None), l_pl, backward
+
+    return step
+
+
 def train_source(models, datasets, cfg, shuffle_seeds):
     """Supervised pretraining of n >= 1 models in lockstep; heads stay trainable.
 
     Model j trains on ``datasets[j]`` in the batch orders drawn from
     ``shuffle_seeds[j]``, exactly as it would alone: the parameters are six
-    stacked tensors under one optimizer, each step is one tape over all n
-    models, and its loss node sums the n per-model batch losses. The datasets
-    must have one size and the models one architecture. Trains the models in
-    place; returns one {"train_accuracy", "epoch_losses"} dict per model.
+    stacked tensors under one optimizer, each step is one ``cross_entropy_step``
+    over all n models, and its loss sums the n per-model batch losses. The
+    datasets must have one size and the models one architecture. Trains the
+    models in place; returns one {"train_accuracy", "epoch_losses"} dict per
+    model.
     """
     n = len(models)
     if n == 0 or len(datasets) != n or len(shuffle_seeds) != n:
@@ -248,15 +286,13 @@ def train_source(models, datasets, cfg, shuffle_seeds):
     x = np.stack([d.x for d in datasets])
     q = smoothed_targets(np.stack([d.y for d in datasets]), models[0].num_classes,
                          cfg.label_smoothing)
+    arrays = [x, q, np.add.reduce(q, axis=-1, keepdims=True)]
     opt = SgdMomentum([ParamGroup(params, cfg.lr, cfg.weight_decay)], momentum=cfg.momentum)
     epoch_losses = np.empty((cfg.epochs, n))
-    for epoch, terms in run_epochs(
-            opt, cfg.epochs, cfg.batch_size, shuffle_seeds, lambda epoch: [x, q],
-            lambda tape, xb, qb: tape.im_loss(tape.mlp(xb, params), qb, 0.0, 0.0, 1.0,
-                                              pl_only=True)):
+    for epoch, terms in run_epochs(opt, cfg.epochs, cfg.batch_size, shuffle_seeds,
+                                   lambda epoch: arrays, cross_entropy_step(params)):
         # one 1-d mean of L_pl per model: a mean over axis 0 would sum in another order
-        epoch_losses[epoch] = [np.mean(per_model) for per_model in np.transpose(
-            [l_pl for _, _, l_pl in terms])]
+        epoch_losses[epoch] = [np.mean(per_model) for per_model in np.transpose(terms)]
     metrics = []
     for j, (model, data) in enumerate(zip(models, datasets)):
         for p, stacked in zip(model.params, params):

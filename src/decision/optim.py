@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import DivergenceError, ShapeMismatchError, Tape, Tensor
+from .autodiff import DivergenceError, ShapeMismatchError, Tensor
 from .data import stacked_batches
 
 
@@ -64,7 +64,8 @@ class SgdMomentum:
     array, so views kept after the optimizer is gone hold only the values.
 
     Each parameter's ``grad_row`` is its view of the gradient row, and
-    ``Tape.backward`` writes the parameter's first gradient there. A step
+    ``Tape.backward`` and supervised training's analytic backward write the
+    parameter's gradient there. A step
     copies in only a ``.grad`` that is another array (one set by hand, or the
     sum of two backward passes), then updates the group with six in-place
     numpy calls, whatever its number of parameters, and allocates no array. A
@@ -134,18 +135,21 @@ def _pack(params):
     return (P, V, G, T), rows
 
 
-def run_epochs(opt, epochs, batch_size, seeds, epoch_arrays, step_loss, after_step=None):
+def run_epochs(opt, epochs, batch_size, seeds, epoch_arrays, step, after_step=None):
     """Yield ``(epoch, terms)`` after each epoch: ``epoch_arrays(epoch)`` gives
     (n, N, ...) arrays, source j's rows shuffled by ``seeds[j] * 1_000_003 +
-    epoch``; per batch, ``step_loss(tape, *batch)`` returns ``(loss, step_terms)``
-    on a fresh tape, then backward, a step at the decayed lr and ``after_step()``.
-    ``terms`` lists the epoch's ``step_terms`` in step order. A DivergenceError
-    from ``step_loss`` is raised again with the epoch and step, both from 1, one
-    from ``epoch_arrays`` (adaptation's pseudo-label refresh) with the epoch and
-    "refresh", and a loss that is not finite raises one: finite logits whose
-    row spans more than the float range give ``im_loss`` a NaN or infinite
-    value."""
-    step = 0
+    epoch``. Per batch, ``step(*batch)`` returns ``(loss, step_terms,
+    backward)``: the loss value, and a function that writes the gradients
+    (adaptation's replays its tape; supervised training's is analytic). The
+    loss is checked first, then ``backward()``, a step at the decayed lr,
+    ``zero_grad`` and ``after_step()``. ``terms`` lists the epoch's
+    ``step_terms`` in step order. A DivergenceError from ``step`` is raised
+    again with the epoch and step, both from 1, one from ``epoch_arrays``
+    (adaptation's pseudo-label refresh) with the epoch and "refresh", and a
+    loss that is not finite raises one before any gradient is written: finite
+    logits whose row spans more than the float range give the cross-entropy a
+    NaN or infinite value."""
+    done = 0
     for epoch in range(epochs):
         try:
             arrays = epoch_arrays(epoch)
@@ -155,19 +159,19 @@ def run_epochs(opt, epochs, batch_size, seeds, epoch_arrays, step_loss, after_st
         terms = []
         for batch in stacked_batches(arrays, batch_size,
                                      [s * 1_000_003 + epoch for s in seeds]):
-            tape = Tape()
             try:
-                loss, step_terms = step_loss(tape, *batch)
+                loss, step_terms, backward = step(*batch)
             except DivergenceError as exc:
                 raise DivergenceError(f"epoch {epoch + 1}, step {len(terms) + 1}: {exc}") from exc
-            if not math.isfinite(loss.values):
+            if not math.isfinite(loss):
                 raise DivergenceError(f"epoch {epoch + 1}, step {len(terms) + 1}: "
                                       f"loss not finite")
-            tape.backward(loss)
-            opt.step(lr_factor=lr_schedule(1.0, step / max(1, total_steps - 1)))
+            backward()
+            del backward  # the step's tape or arrays: freed before the next step allocates
+            opt.step(lr_factor=lr_schedule(1.0, done / max(1, total_steps - 1)))
             opt.zero_grad()
             if after_step is not None:
                 after_step()
             terms.append(step_terms)
-            step += 1
+            done += 1
         yield epoch, terms

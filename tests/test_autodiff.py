@@ -13,6 +13,8 @@ from decision.adaptation import alpha_project
 from decision.autodiff import (DivergenceError, ShapeMismatchError, Tape, TapeError, Tensor,
                                mlp_forward, sigmoid)
 
+from decision.models import cross_entropy_step
+
 from conftest import finite_diff, max_rel_err
 
 
@@ -406,12 +408,6 @@ def test_fused_loss_needs_labels_for_the_pseudo_label_term():
         Tape().im_loss(z, None, 1.0, -1.0, 0.3)
     with pytest.raises(ShapeMismatchError, match=r"targets \(2, 2\) for logits \(3, 2\)"):
         Tape().im_loss(z, np.eye(2), 1.0, -1.0, 0.3)
-    # the lean call computes only the cross-entropy
-    with pytest.raises(ValueError, match="target labels"):
-        Tape().im_loss(z, None, 0.0, 0.0, 1.0, pl_only=True)
-    for coefs in ((1.0, 0.0, 1.0), (0.0, -1.0, 1.0)):
-        with pytest.raises(ValueError, match="c_ent = c_div = 0"):
-            Tape().im_loss(z, np.eye(2)[[0, 1, 1]], *coefs, pl_only=True)
 
 
 # -- the fused nodes: soft targets and the ensemble's simplex weights --------------
@@ -470,28 +466,34 @@ def test_one_hot_gradient_is_bit_identical_to_p_minus_onehot():
 
 @pytest.mark.parametrize("shape", [(30, 3), (5, 30, 3)], ids=["single", "stacked"])
 @pytest.mark.parametrize("eps", [0.1, 0.0], ids=["smoothed", "one-hot"])
-@pytest.mark.parametrize("c_pl", [1.0, 0.7])
-def test_pl_only_loss_is_bit_identical_to_the_all_terms_call(shape, eps, c_pl):
-    # source training's lean call skips L_ent and L_div, and nothing else moves;
-    # b = 30 is no power of two, so a reordered 1/b or sum shows in the bits
+@pytest.mark.parametrize("mass", [1.0, 0.7])
+def test_pl_only_loss_is_bit_identical_to_the_all_terms_call(shape, eps, mass):
+    # supervised training's step computes the cross-entropy alone, with no
+    # tape; its loss, L_pl and gradients are the bits of Tape.mlp, then
+    # im_loss(z, q, 0, 0, 1) with every term. Rows of mass 0.7 do not sum to 1,
+    # and b = 30 is no power of two, so a reordered 1/b or sum shows in the bits
+    n, b, k = shape if len(shape) == 3 else (1, *shape)
     rng = np.random.default_rng(72)
     for scale in (0.5, 2.0, 8.0):
-        z = rng.standard_normal(shape) * scale
-        q = np.full(shape, eps / shape[-1])
+        params = [rng.standard_normal((n, *s)) for s in
+                  ((2, 4), (4,), (4, 3), (3,), (3, k), (k,))]
+        params[4] *= scale
+        x = rng.standard_normal((n, b, 2))
+        q = np.full((n, b, k), eps / k)
         q[..., 0] += 1.0 - eps
-        q = rng.permuted(q, axis=-1)
-        results = []
-        for pl_only in (False, True):
-            zt = Tensor(z, requires_grad=True)
-            t = Tape()
-            loss, terms = t.im_loss(zt, q, 0.0, 0.0, c_pl, pl_only=pl_only)
-            t.backward(loss)
-            results.append((loss.values, terms, zt.grad))
-        (loss, terms, grad), (lean_loss, lean_terms, lean_grad) = results
-        assert lean_terms[:2] == (None, None) and all(t is not None for t in terms)
-        np.testing.assert_array_equal(lean_loss, loss)
-        np.testing.assert_array_equal(lean_terms[2], terms[2])
-        np.testing.assert_array_equal(lean_grad, grad)
+        q = rng.permuted(q, axis=-1) * mass
+        taped = [Tensor(p, requires_grad=True) for p in params]
+        t = Tape()
+        loss, terms = t.im_loss(t.mlp(x, taped), q, 0.0, 0.0, 1.0)
+        t.backward(loss)
+        lean = [Tensor(p, requires_grad=True) for p in params]
+        lean_loss, l_pl, backward = cross_entropy_step(lean)(
+            x, q, np.add.reduce(q, axis=-1, keepdims=True))
+        backward()
+        assert np.float64(lean_loss).tobytes() == loss.values.tobytes()
+        assert l_pl.tobytes() == terms[2].tobytes()
+        for have, want in zip(lean, taped):
+            assert have.grad.tobytes() == want.grad.tobytes()
 
 
 # This pin holds the ensemble node, simplex weights and weighted sum, to the
@@ -597,14 +599,17 @@ def _callers(watched):
 
 
 def test_only_the_shared_loop_builds_tapes_and_steps_optimizers():
-    # one training loop owns the batch order, the lr decay and the tape per
+    # one training loop owns the batch order, the lr decay and the optimizer
     # step; a second copy would have to be kept in step with it by hand
     watched = {"Tape", "lr_schedule", "stacked_batches", "backward", "step", "zero_grad"}
     callers = _callers(watched)
     loop = {"optim.run_epochs"}
-    # the tape's own backward replays each recorded node's backward
+    # only adaptation records a tape, one per step, and replays it in the
+    # backward its step hands the loop; supervised training records none; the
+    # tape's own backward replays each recorded node's backward
     assert callers == {**{name: loop for name in watched},
-                       "backward": loop | {"autodiff.Tape.backward"}}
+                       "Tape": {"adaptation.adapt.step"},
+                       "backward": loop | {"adaptation.adapt.step", "autodiff.Tape.backward"}}
 
 
 def test_only_tape_mlp_checks_values_on_the_tape():

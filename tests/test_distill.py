@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from decision.autodiff import ShapeMismatchError
+from decision.autodiff import DivergenceError, ShapeMismatchError
+from decision.config import moons_fixture
 from decision.data import DomainSpec, UnlabeledSet, generate_domain
 from decision.distill import TeacherView, teacher_label, train_student
 from decision.models import ModelConfig, SourceModel, SourceTrainConfig, predict
+from decision.runner import _student
 
 from conftest import constant_logit_model, make_models
 
@@ -97,3 +99,15 @@ def test_distillation_requires_unlabeled_target():
         train_student(teacher, data, SourceTrainConfig(epochs=1))
     with pytest.raises(ValueError, match="empty"):
         train_student(teacher, UnlabeledSet(np.zeros((0, 3))), SourceTrainConfig(epochs=1))
+
+
+def test_a_student_whose_first_layer_overflows_names_the_distillation_step():
+    # inputs at the float limit overflow the student's first layer at its
+    # first step; the run's exit-4 line names the method, epoch and step
+    teacher = TeacherView(make_models(2, seed=4, arch=ModelConfig(input_dim=2)), [0.5, 0.5])
+    x = np.full((40, 2), 1.7e308)
+    x[1::2, 1] *= -1.0
+    with np.errstate(all="ignore"), pytest.raises(
+            DivergenceError,
+            match=r"^DECISION-distill: epoch 1, step 1: pre-activation not finite in source 0$"):
+        _student(moons_fixture(distill_epochs=1), teacher, UnlabeledSet(x))

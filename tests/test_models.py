@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from decision.autodiff import ShapeMismatchError, Tape, Tensor, mlp_forward
+from decision.autodiff import DivergenceError, ShapeMismatchError, Tape, Tensor, mlp_forward
 from decision.data import DomainSpec, LabeledSet, generate_domain
 from decision.models import (CheckpointError, ModelConfig, SourceModel, SourceTrainConfig,
                              aggregate_logits, check_compatible,
@@ -252,20 +252,51 @@ def test_stacked_training_is_bit_identical_to_training_each_model_alone():
 
 
 @pytest.mark.parametrize("n", [1, 4, 16])
-def test_source_training_step_records_the_same_nodes_for_any_n(n, monkeypatch):
-    sizes = []
-    backward = Tape.backward
-
-    def counting(tape, root):
-        sizes.append(len(tape.nodes))
-        return backward(tape, root)
-
-    monkeypatch.setattr(Tape, "backward", counting)
+def test_train_source_records_no_tape(n, monkeypatch):
+    # the supervised graph never changes (mlp, then cross-entropy against fixed
+    # targets), so its step runs the forward and the analytic backward itself
+    tapes, steps = [], []
+    init, step = Tape.__init__, SgdMomentum.step
+    monkeypatch.setattr(Tape, "__init__", lambda tape: tapes.append(tape) or init(tape))
+    monkeypatch.setattr(SgdMomentum, "step",
+                        lambda opt, **kw: steps.append(kw) or step(opt, **kw))
     arch = tiny_arch(input_dim=2, num_classes=3)
     models = [SourceModel.init(f"m{j}", arch, j) for j in range(n)]
     data = [_blobs(j) for j in range(n)]
     train_source(models, data, SourceTrainConfig(epochs=1), list(range(n)))
-    assert sizes == [2] * 4  # 120 rows in 32-row batches: 4 steps of mlp + im_loss
+    assert tapes == []
+    assert len(steps) == 4  # 120 rows in 32-row batches
+
+
+def test_train_source_names_the_source_whose_logits_overflow():
+    # model 1's features sit at 1e308 and its head multiplies them by 1e308:
+    # its pre-activations stay finite, its logits do not
+    arch = tiny_arch(input_dim=2, num_classes=3)
+    models = [SourceModel.init(f"m{j}", arch, j) for j in range(3)]
+    models[1].params[3][...] = 1e308
+    models[1].params[4][...] = 1e308
+    before = [p.copy() for m in models for p in m.params]
+    with np.errstate(all="ignore"), pytest.raises(
+            DivergenceError, match=r"^epoch 1, step 1: logits not finite in source 1$"):
+        train_source(models, [_blobs(j) for j in range(3)], SourceTrainConfig(epochs=1),
+                     [0, 1, 2])
+    for p, b in zip((p for m in models for p in m.params), before):
+        np.testing.assert_array_equal(p, b)  # the models are written back only at the end
+
+
+def test_train_source_names_a_pre_activation_the_relu_hides():
+    # every input is negative and every first-layer weight 1e308: the
+    # pre-activations are -inf, which the relu turns into 0 and finite logits
+    model = SourceModel.init("m", tiny_arch(input_dim=2, num_classes=3), 0)
+    model.params[0][...] = 1e308
+    rng = np.random.default_rng(3)
+    data = LabeledSet(-1.0 - np.abs(rng.standard_normal((40, 2))), rng.integers(0, 3, 40), 3)
+    with np.errstate(all="ignore"):
+        assert np.isfinite(model.logits(data.x)).all()
+        assert (mlp_forward(data.x, model.params)[0] == -np.inf).all()
+        with pytest.raises(DivergenceError,
+                           match=r"^epoch 1, step 1: pre-activation not finite in source 0$"):
+            train_source([model], [data], SourceTrainConfig(epochs=1), [0])
 
 
 # -- checkpoints ---------------------------------------------------------------

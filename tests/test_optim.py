@@ -1,9 +1,11 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from decision.autodiff import DivergenceError, ShapeMismatchError, Tape, Tensor
+from decision.models import cross_entropy_step
 from decision.optim import ParamGroup, SgdMomentum, lr_schedule, run_epochs
 
 
@@ -99,22 +101,40 @@ def test_lr_schedule_monotone_decay():
         lr_schedule(0.01, 1.5)
 
 
-@pytest.mark.parametrize("pl_only", [False, True], ids=["nan", "inf"])
-def test_run_epochs_rejects_a_loss_that_is_not_finite(pl_only):
+@pytest.mark.parametrize("supervised", [False, True], ids=["nan", "inf"])
+def test_run_epochs_rejects_a_loss_that_is_not_finite(supervised):
     # a finite logit row spanning more than the float range: log-softmax gives
-    # -inf, so im_loss is NaN, or +inf with pl_only and the mass on that class;
-    # Tape.mlp's checks cannot see it, the loss check after the step can
-    z = Tensor([[1e308, -1e308]], requires_grad=True)
-    opt = SgdMomentum([ParamGroup([z], lr=1.0)])
-    q = np.array([[0.0, 1.0]])
+    # -inf, so adaptation's im_loss is NaN, or supervised training's
+    # cross-entropy +inf with the mass on that class; the forward's checks
+    # cannot see it, the loss check after the step can
+    q = np.array([[[0.0, 1.0]]])
+    if supervised:  # a one-model mlp whose head bias is the logit row
+        params = [Tensor(np.zeros((1, *s)), requires_grad=True)
+                  for s in ((1, 2), (2,), (2, 2), (2,), (2, 2))]
+        params.append(Tensor([[1e308, -1e308]], requires_grad=True))
+        arrays = [np.zeros((1, 1, 1)), q, np.ones((1, 1, 1))]
+        before = [p.values.copy() for p in params]
+    else:  # adaptation's step: a fresh tape, replayed by the backward
+        params = [Tensor([[1e308, -1e308]], requires_grad=True)]
+        arrays = [np.zeros((1, 1, 1))]
+        before = [params[0].values.copy()]
+    opt = SgdMomentum([ParamGroup(params, lr=1.0)])
+    if supervised:
+        step = cross_entropy_step(params)
+    else:
+        def step(xb):
+            tape = Tape()
+            loss, terms = tape.im_loss(params[0], q[0], 1.0, 0.0, 1.0)
+            return loss.values, terms, lambda: tape.backward(loss)
 
-    def step_loss(tape, xb):
-        return tape.im_loss(z, q, 0.0 if pl_only else 1.0, 0.0, 1.0, pl_only=pl_only)
-
-    with np.errstate(all="ignore"), pytest.raises(DivergenceError,
-                                                  match=r"^epoch 1, step 1: loss not finite$"):
-        list(run_epochs(opt, 2, 1, [0], lambda epoch: [np.zeros((1, 1, 1))], step_loss))
-    assert z.grad is None  # raised before backward and the optimizer step
+    with np.errstate(all="ignore"):
+        loss = float(step(*arrays)[0])
+        assert loss == math.inf if supervised else math.isnan(loss)
+        with pytest.raises(DivergenceError, match=r"^epoch 1, step 1: loss not finite$"):
+            list(run_epochs(opt, 2, 1, [0], lambda epoch: arrays, step))
+    for p, b in zip(params, before):  # raised before backward and the optimizer step
+        assert p.grad is None
+        np.testing.assert_array_equal(p.values, b)
 
 
 def test_step_rejects_a_gradient_of_another_shape():
@@ -216,7 +236,7 @@ def _student_params(rng):
 
 def _backward(params, x, q):
     tape = Tape()
-    loss, _ = tape.im_loss(tape.mlp(x, params), q, 0.0, 0.0, 1.0, pl_only=True)
+    loss, _ = tape.im_loss(tape.mlp(x, params), q, 0.0, 0.0, 1.0)
     tape.backward(loss)
 
 
