@@ -89,6 +89,13 @@ def mlp_forward(x, params):
     return pre, feats, kernels.matmul_nn(feats, w) + b[..., None, :]
 
 
+# ``mlp_forward`` with numpy's overflow and invalid-value warnings off, for
+# the training steps: their finiteness checks raise DivergenceError instead,
+# so a diverged run prints one line. The decorator form costs about half of
+# a ``with np.errstate(...)`` block per call.
+quiet_mlp_forward = np.errstate(over="ignore", invalid="ignore")(mlp_forward)
+
+
 def mlp_backward(x, params, pre, feats, g, heads=True, out=(None,) * 6):
     """The gradients of ``mlp_forward``'s six parameters from g, the gradient
     of its logits, given the forward's input, parameters, pre-activation and
@@ -186,9 +193,10 @@ class Tape:
         shaped as ``mlp_forward`` takes them. Constant heads get no gradient.
         With every parameter constant, no node is recorded, but the values are
         still checked. A pre-activation or logit that is not finite raises
-        DivergenceError naming it and the first source that holds one."""
+        DivergenceError naming it and the first source that holds one; numpy's
+        overflow and invalid-value warnings are off in the forward."""
         values = [p.values for p in params]
-        pre, feats, logits = mlp_forward(x, values)
+        pre, feats, logits = quiet_mlp_forward(x, values)
         # The tape's only finiteness checks. The relu hides a -inf
         # pre-activation; any other value that is not finite, a feature or a
         # parameter, makes logits non-finite. Finite logits (these, or the

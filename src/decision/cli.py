@@ -5,9 +5,9 @@ Exit codes: 0 success, 1 verification violation, 2 config error (including a
 checkpoint whose sizes differ from the config's model), 3 I/O error
 (including a checkpoint file that cannot be read as a model, and a run's
 report.json that ``report`` cannot read), 4 divergence (a
-training value, step loss or pseudo-label distance that is not finite; the
-message names the method, the epoch, the step or the refresh, and the value,
-and the source for a training value).
+training value, step loss, pseudo-label distance or distillation teacher
+logit that is not finite; the message names the method, the epoch, the step
+or the refresh, and the value, and the source for a training value).
 """
 
 import argparse

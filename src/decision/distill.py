@@ -10,6 +10,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .autodiff import DivergenceError
 from .data import LabeledSet, UnlabeledSet
 from .models import (ModelConfig, SourceModel, aggregate_logits, predict, simplex_weights,
                      train_source)
@@ -25,8 +26,22 @@ class TeacherView:
 
 
 def teacher_label(teacher, x):
-    """Hard ensemble prediction; ties break toward the smaller class index."""
-    return predict(aggregate_logits(teacher.models, teacher.alpha, x))
+    """Hard ensemble prediction; ties break toward the smaller class index.
+
+    Ensemble logits that are not finite raise DivergenceError, as the
+    pseudo-label forward's do; numpy's overflow and invalid-value warnings are
+    off in the forward.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = aggregate_logits(teacher.models, teacher.alpha, x)
+    if not np.isfinite(logits).all():
+        raise DivergenceError("teacher logits not finite")
+    return predict(logits)
+
+
+def agreement(student, labels, x):
+    """The fraction of the rows of ``x`` on which ``student`` predicts ``labels``."""
+    return float(np.mean(predict(student.logits(x)) == labels))
 
 
 def train_student(teacher, target, cfg, seed=0):
@@ -46,5 +61,4 @@ def train_student(teacher, target, cfg, seed=0):
     student = SourceModel.init("student", arch, seed)
     train_source([student], [LabeledSet(target.x, labels, arch.num_classes)],
                  replace(cfg, label_smoothing=0.0), [seed])
-    agreement = float(np.mean(predict(student.logits(target.x)) == labels))
-    return student, agreement
+    return student, agreement(student, labels, target.x)

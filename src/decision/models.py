@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .autodiff import ShapeMismatchError, Tensor, _check_finite, mlp_backward, mlp_forward
+from .autodiff import (ShapeMismatchError, Tensor, _check_finite, mlp_backward, mlp_forward,
+                       quiet_mlp_forward)
 from .optim import (ParamGroup, SgdMomentum, check_lr, check_momentum, check_weight_decay,
                     run_epochs)
 
@@ -235,16 +236,17 @@ def cross_entropy_step(params):
     optimizer row (``grad_row``, else a fresh array) and sets ``.grad`` to it:
     the bits of ``Tape.mlp`` and ``Tape.im_loss(z, q, 0, 0, 1)``.
 
-    The forward runs ``Tape.mlp``'s two checks: a pre-activation or logit
-    that is not finite raises DivergenceError naming the first source that
-    holds one. The step reads the parameters' current ``values``, so build it
-    after the optimizer, which moves them into its buffer.
+    The forward runs ``Tape.mlp``'s two checks, with numpy's overflow and
+    invalid-value warnings off: a pre-activation or logit that is not finite
+    raises DivergenceError naming the first source that holds one. The step
+    reads the parameters' current ``values``, so build it after the
+    optimizer, which moves them into its buffer.
     """
     values = [p.values for p in params]
     rows = [p.grad_row for p in params]
 
     def step(x, q, q_sums):
-        pre, feats, z = mlp_forward(x, values)
+        pre, feats, z = quiet_mlp_forward(x, values)
         _check_finite("pre-activation", pre)
         _check_finite("logits", z)
         logp = kernels.log_softmax_rows(z)
@@ -307,6 +309,7 @@ def train_source(models, datasets, cfg, shuffle_seeds):
 # -- checkpoints --------------------------------------------------------------
 
 def save_checkpoint(model, path):
+    """Write ``model`` as a checkpoint; return the sha256 of the bytes written."""
     doc = {
         "version": CHECKPOINT_VERSION,
         "domain": model.domain,
@@ -315,21 +318,26 @@ def save_checkpoint(model, path):
             for name, p in zip(_PARAM_AXES, model.params)
         },
     }
+    # json.dumps runs the C encoder; json.dump to a file runs the Python one
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(text)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
-def load_checkpoint(path):
-    """Read a model. Text that is not JSON, a wrong version, a missing field or
-    parameter, values that do not fit their shape or are not finite, or shapes
-    that do not chain as (i, h), (h,), (h, d), (d,), (d, K), (K,) raise
-    CheckpointError."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
-            raise CheckpointError(f"{path}: not a JSON checkpoint: {exc}") from None
+def load_checkpoint(path, data=None):
+    """Read a model from ``path``, or from ``data``, the bytes of that file
+    when the caller already holds them. Text that is not JSON, a wrong
+    version, a missing field or parameter, values that do not fit their shape
+    or are not finite, or shapes that do not chain as (i, h), (h,), (h, d),
+    (d,), (d, K), (K,) raise CheckpointError naming ``path``."""
+    if data is None:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    try:
+        doc = json.loads(data)
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise CheckpointError(f"{path}: not a JSON checkpoint: {exc}") from None
     version = doc.get("version") if isinstance(doc, dict) else None
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version!r}")

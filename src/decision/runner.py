@@ -8,12 +8,13 @@ artifacts; nothing is recomputed.
 `run_adapt` runs each method once when any accuracy row that needs it is
 enabled in the config's `baselines`, and writes the enabled rows in
 `METHOD_ORDER`. Every checkpoint a command reads goes through
-`load_source_models`, which rejects one whose sizes differ from the config's
-model before anything is written.
+`_check_sizes` (the sources through `load_source_models`), which rejects one
+whose sizes differ from the config's model before anything is written.
 """
 
 import contextlib
 import csv
+import hashlib
 import json
 import math
 import time
@@ -28,7 +29,7 @@ from .adaptation import adapt, soft_ensemble_accuracy, weights_only_adapt
 from .autodiff import DivergenceError
 from .config import ConfigError
 from .data import generate_domain, split_train_eval
-from .distill import TeacherView, train_student
+from .distill import TeacherView, agreement, teacher_label, train_student
 from .models import (CheckpointError, SourceModel, SourceTrainConfig, accuracy,
                      load_checkpoint, save_checkpoint, train_source)
 
@@ -38,6 +39,9 @@ METHOD_KEYS = {"Source-best": "source_best", "Source-worst": "source_worst",
                "DECISION-weights": "weights_only", "DECISION": "decision",
                "DECISION-distill": "distill"}
 METHOD_ORDER = tuple(METHOD_KEYS)
+# the report.json key of the student ``run_adapt`` trained: the sha256 of
+# student.json and of each teacher file, by path relative to the run directory
+STUDENT_PROVENANCE = "student_provenance"
 
 
 def resolved_seeds(cfg):
@@ -85,10 +89,16 @@ def _student(cfg, teacher, target):
         )
 
 
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
 def _write_json(path, doc):
+    """Write ``doc`` as indented JSON; return the sha256 of the bytes written."""
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
+    return _sha256(text.encode())
 
 
 def write_metrics_jsonl(path, metrics):
@@ -149,18 +159,22 @@ def load_source_models(cfg, ckpt_dir):
     differ from the config's model ConfigError naming the file and both sizes.
     """
     ckpt_dir = Path(ckpt_dir)
-    sizes = astuple(cfg.resolved_model())  # ModelConfig's fields are SourceModel.dims
     models = []
     for name in cfg.source_names:
         path = ckpt_dir / f"{name}.json"
         if not path.exists():
             raise FileNotFoundError(f"missing checkpoint {path}")
-        model = load_checkpoint(path)
-        if model.dims != sizes:
-            raise ConfigError(f"checkpoint {path} has sizes {model.dims} (input, hidden, "
-                              f"feature, classes), but the config's model is {sizes}")
-        models.append(model)
+        models.append(_check_sizes(cfg, load_checkpoint(path), path))
     return models
+
+
+def _check_sizes(cfg, model, path):
+    """``model``, read from ``path``, if its sizes are the config's model's."""
+    sizes = astuple(cfg.resolved_model())  # ModelConfig's fields are SourceModel.dims
+    if model.dims != sizes:
+        raise ConfigError(f"checkpoint {path} has sizes {model.dims} (input, hidden, "
+                          f"feature, classes), but the config's model is {sizes}")
+    return model
 
 
 def _write_trajectory(out, report, stem, metrics):
@@ -232,16 +246,17 @@ def run_adapt(cfg, out, ckpt_dir=None):
         report["alpha"] = [float(a) for a in res.alpha]
         for entry, a in zip(per_source, report["alpha"]):
             entry["alpha"] = a
-        adapted_dir = out / "adapted"
-        adapted_dir.mkdir(exist_ok=True)
-        for name, m in zip(cfg.source_names, res.models):
-            save_checkpoint(m, adapted_dir / f"{name}.json")
-        _write_json(adapted_dir / "alpha.json", {"alpha": report["alpha"]})
+        (out / "adapted").mkdir(exist_ok=True)
+        digests = {rel: save_checkpoint(m, out / rel)
+                   for rel, m in zip(_teacher_files(cfg), res.models)}
+        digests["adapted/alpha.json"] = _write_json(out / "adapted" / "alpha.json",
+                                                    {"alpha": report["alpha"]})
         if "DECISION-distill" in enabled:
-            student, agreement = _student(cfg, TeacherView(res.models, res.alpha), target)
+            student, report["distill_agreement"] = _student(
+                cfg, TeacherView(res.models, res.alpha), target)
             found["DECISION-distill"] = accuracy([student], [1.0], tgt_eval)
-            report["distill_agreement"] = agreement
-            save_checkpoint(student, out / "student.json")
+            digests["student.json"] = save_checkpoint(student, out / "student.json")
+            report[STUDENT_PROVENANCE] = digests
 
     report["methods"] = {row: found[row] for row in enabled}
     report["wall_clock_sec"] = time.perf_counter() - t0
@@ -253,10 +268,42 @@ def run_adapt(cfg, out, ckpt_dir=None):
     return report
 
 
+def _teacher_files(cfg):
+    """The adapted checkpoints of ``cfg``'s sources, relative to a run directory."""
+    return [f"adapted/{name}.json" for name in cfg.source_names]
+
+
+def _adapted_student(cfg, run_dir):
+    """The bytes of ``<run_dir>/student.json`` if that run's ``adapt`` trained
+    it for ``cfg`` and this teacher: its report.json records ``cfg`` and
+    digests (``STUDENT_PROVENANCE``) that the student and every teacher file
+    still match. Else None, whatever is missing, unreadable or differs."""
+    path = run_dir / "student.json"
+    if not path.exists():
+        return None
+    try:
+        report = json.loads((run_dir / "report.json").read_bytes())
+        recorded = report[STUDENT_PROVENANCE]
+        if report["config"] != cfg.to_dict():
+            return None
+        data = path.read_bytes()
+        found = {rel: _sha256((run_dir / rel).read_bytes())
+                 for rel in _teacher_files(cfg) + ["adapted/alpha.json"]}
+        found["student.json"] = _sha256(data)
+    except (OSError, KeyError, TypeError, ValueError):  # text that is not JSON: ValueError
+        return None
+    return data if found == recorded else None
+
+
 def run_distill(cfg, out, run_dir=None):
-    """Standalone distillation from a completed adaptation run directory."""
+    """Standalone distillation from a completed adaptation run directory.
+
+    The run's own student is reused, not retrained, when ``_adapted_student``
+    vouches for it; the report's three numbers are computed either way.
+    """
     out = Path(out)
-    adapted_dir = Path(run_dir or out) / "adapted"
+    run_dir = Path(run_dir or out)
+    adapted_dir = run_dir / "adapted"
     if not adapted_dir.exists():
         raise FileNotFoundError(f"no adapted ensemble under {adapted_dir}")
     models = load_source_models(cfg, adapted_dir)
@@ -266,15 +313,22 @@ def run_distill(cfg, out, run_dir=None):
             teacher = TeacherView(models, json.load(fh)["alpha"])
     except (KeyError, TypeError, ValueError) as exc:  # text that is not JSON: ValueError
         raise CheckpointError(f"{alpha_path}: not an ensemble weight file: {exc!r}") from None
+    data, path = _adapted_student(cfg, run_dir), run_dir / "student.json"
+    student = None if data is None else _check_sizes(cfg, load_checkpoint(path, data), path)
     out.mkdir(parents=True, exist_ok=True)
     target, tgt_eval = _target(cfg)
-    student, agreement = _student(cfg, teacher, target)
+    if student is None:
+        student, agreed = _student(cfg, teacher, target)
+        save_checkpoint(student, out / "student.json")
+    else:
+        with _method("DECISION-distill"):
+            agreed = agreement(student, teacher_label(teacher, target.x), target.x)
+        (out / "student.json").write_bytes(data)  # no file copy: out may be run_dir
     doc = {
         "teacher_accuracy": accuracy(models, teacher.alpha, tgt_eval),
         "student_accuracy": accuracy([student], [1.0], tgt_eval),
-        "agreement": agreement,
+        "agreement": agreed,
     }
-    save_checkpoint(student, out / "student.json")
     _write_json(out / "distill_report.json", doc)
     return doc
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import shutil
@@ -589,6 +590,122 @@ def test_standalone_distill_from_run_dir(trained_run):
     doc = json.loads((dout / "distill_report.json").read_text())
     assert {"teacher_accuracy", "student_accuracy", "agreement"} <= set(doc)
     assert (dout / "student.json").exists()
+
+
+@pytest.fixture(scope="module")
+def adapted_run(trained_run, tmp_path_factory):
+    """(config path, run directory) of an ``adapt`` that trained the student."""
+    _, path, trained = trained_run
+    run = tmp_path_factory.mktemp("adapted") / "run"
+    assert main(["adapt", "--config", str(path), "--out", str(run),
+                 "--checkpoints", str(trained / "checkpoints")]) == 0
+    return path, run
+
+
+def _distill_counting_students(monkeypatch, path, out, run=None):
+    """Run ``decision distill``; return how many students it trained."""
+    trained = []
+    real = runner.train_student
+    monkeypatch.setattr(runner, "train_student",
+                        lambda *args, **kwargs: trained.append(1) or real(*args, **kwargs))
+    argv = ["distill", "--config", str(path), "--out", str(out)]
+    assert main(argv + (["--run", str(run)] if run else [])) == 0
+    return len(trained)
+
+
+def test_adapt_records_the_digests_of_its_student_and_teacher(adapted_run):
+    _, run = adapted_run
+    recorded = json.loads((run / "report.json").read_text())[runner.STUDENT_PROVENANCE]
+    files = ["adapted/a.json", "adapted/b.json", "adapted/alpha.json", "student.json"]
+    assert recorded == {rel: hashlib.sha256((run / rel).read_bytes()).hexdigest()
+                        for rel in files}
+
+
+def test_distill_reuses_the_student_adapt_trained(adapted_run, tmp_path, monkeypatch):
+    path, run = adapted_run
+    reused, forced = tmp_path / "reused", tmp_path / "forced"
+    assert _distill_counting_students(monkeypatch, path, reused, run) == 0
+    shutil.copytree(run, forced)
+    (forced / "report.json").unlink()
+    assert _distill_counting_students(monkeypatch, path, forced / "out", forced) == 1
+    for name in ("student.json", "distill_report.json"):
+        assert (reused / name).read_bytes() == (forced / "out" / name).read_bytes()
+    assert (reused / "student.json").read_bytes() == (run / "student.json").read_bytes()
+
+
+def _rewrite_json(path, **dumps_kwargs):
+    """Same values, other bytes."""
+    path.write_text(json.dumps(json.loads(path.read_text()), **dumps_kwargs))
+
+
+def _drop_provenance(run):
+    doc = json.loads((run / "report.json").read_text())
+    del doc[runner.STUDENT_PROVENANCE]
+    (run / "report.json").write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("change", [
+    lambda run: _rewrite_json(run / "student.json", indent=1),
+    lambda run: _rewrite_json(run / "adapted" / "alpha.json"),
+    lambda run: _rewrite_json(run / "adapted" / "a.json", indent=1),
+    lambda run: (run / "report.json").unlink(),
+    _drop_provenance,
+    None,  # a config whose distill.epochs differs from the run's
+], ids=["student", "alpha", "adapted-source", "no-report", "no-provenance", "distill-epochs"])
+def test_distill_trains_when_the_run_does_not_vouch_for_its_student(adapted_run, tmp_path,
+                                                                   monkeypatch, change):
+    path, run = adapted_run
+    copy = tmp_path / "run"
+    shutil.copytree(run, copy)
+    if change is None:
+        doc = small_config()
+        doc["distill"]["epochs"] += 1
+        path = write_config(tmp_path, doc)
+    else:
+        change(copy)
+    out = tmp_path / "out"
+    assert _distill_counting_students(monkeypatch, path, out, copy) == 1
+    # the same config retrains the same student, whatever the copy's student holds
+    same = (out / "student.json").read_bytes() == (run / "student.json").read_bytes()
+    assert same == (change is not None)
+
+
+def test_distill_into_its_own_run_directory_reuses_the_student(adapted_run, tmp_path,
+                                                               monkeypatch):
+    path, run = adapted_run
+    copy = tmp_path / "run"
+    shutil.copytree(run, copy)
+    assert _distill_counting_students(monkeypatch, path, copy) == 0  # --out only: run is out
+    assert (copy / "student.json").read_bytes() == (run / "student.json").read_bytes()
+    assert (copy / "distill_report.json").exists()
+
+
+@pytest.mark.parametrize("reuse", [False, True], ids=["trains", "reuses"])
+def test_distill_from_a_teacher_whose_logits_overflow_exits_4_in_one_line(tmp_path, capsys,
+                                                                          monkeypatch, reuse):
+    # first-layer weights of 1e308 overflow on the target's rows. In-process,
+    # so a numpy warning would raise under the suite's warnings-as-errors.
+    cfg_path = write_config(tmp_path, small_config())
+    cfg = config_mod.load(cfg_path)
+    run = tmp_path / "run"
+    (run / "adapted").mkdir(parents=True)
+    for name in cfg.source_names:
+        model = SourceModel.init(name, cfg.resolved_model(), seed=0)
+        model.params[0][...] = 1e308
+        save_checkpoint(model, run / "adapted" / f"{name}.json")
+    (run / "adapted" / "alpha.json").write_text(json.dumps({"alpha": [0.5, 0.5]}))
+    if reuse:  # a report that vouches for a student of the config's sizes
+        monkeypatch.setattr(runner, "train_student", None)
+        save_checkpoint(SourceModel.init("student", cfg.resolved_model(), seed=0),
+                        run / "student.json")
+        files = ["adapted/a.json", "adapted/b.json", "adapted/alpha.json", "student.json"]
+        (run / "report.json").write_text(json.dumps({
+            "config": cfg.to_dict(),
+            runner.STUDENT_PROVENANCE: {rel: hashlib.sha256((run / rel).read_bytes()).hexdigest()
+                                        for rel in files}}))
+    assert main(["distill", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                 "--run", str(run)]) == 4
+    assert capsys.readouterr().err == "divergence: DECISION-distill: teacher logits not finite\n"
 
 
 def test_standalone_distill_rejects_nan_alpha_before_writing(tmp_path):

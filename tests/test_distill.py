@@ -5,7 +5,8 @@ from decision.autodiff import DivergenceError, ShapeMismatchError
 from decision.config import moons_fixture
 from decision.data import DomainSpec, UnlabeledSet, generate_domain
 from decision.distill import TeacherView, teacher_label, train_student
-from decision.models import ModelConfig, SourceModel, SourceTrainConfig, predict
+from decision.models import (ModelConfig, SourceModel, SourceTrainConfig, aggregate_logits,
+                             predict)
 from decision.runner import _student
 
 from conftest import constant_logit_model, make_models
@@ -101,13 +102,36 @@ def test_distillation_requires_unlabeled_target():
         train_student(teacher, UnlabeledSet(np.zeros((0, 3))), SourceTrainConfig(epochs=1))
 
 
-def test_a_student_whose_first_layer_overflows_names_the_distillation_step():
-    # inputs at the float limit overflow the student's first layer at its
-    # first step; the run's exit-4 line names the method, epoch and step
-    teacher = TeacherView(make_models(2, seed=4, arch=ModelConfig(input_dim=2)), [0.5, 0.5])
+def _float_limit_rows():
     x = np.full((40, 2), 1.7e308)
     x[1::2, 1] *= -1.0
-    with np.errstate(all="ignore"), pytest.raises(
+    return x
+
+
+def test_a_student_whose_first_layer_overflows_names_the_distillation_step():
+    # inputs at the float limit overflow the student's first layer at its
+    # first step; the run's exit-4 line names the method, epoch and step. The
+    # teachers' first-layer weights are 0, so their logits stay finite. No
+    # errstate here: under the suite's warnings-as-errors a numpy warning from
+    # the student's forward would fail the test before the one-line error.
+    models = make_models(2, seed=4, arch=ModelConfig(input_dim=2))
+    for m in models:
+        m.params[0][...] = 0.0
+    with pytest.raises(
             DivergenceError,
             match=r"^DECISION-distill: epoch 1, step 1: pre-activation not finite in source 0$"):
+        _student(moons_fixture(distill_epochs=1), TeacherView(models, [0.5, 0.5]),
+                 UnlabeledSet(_float_limit_rows()))
+
+
+def test_teacher_logits_that_are_not_finite_raise_before_the_student_trains():
+    # default-width teachers on rows at +-1.7e308: every ensemble logit is NaN,
+    # which argmax would have read as class 0
+    teacher = TeacherView(make_models(2, seed=4, arch=ModelConfig(input_dim=2)), [0.5, 0.5])
+    x = _float_limit_rows()
+    with np.errstate(all="ignore"):
+        assert np.isnan(aggregate_logits(teacher.models, teacher.alpha, x)).all()
+    with pytest.raises(DivergenceError, match=r"^teacher logits not finite$"):
+        teacher_label(teacher, x)
+    with pytest.raises(DivergenceError, match=r"^DECISION-distill: teacher logits not finite$"):
         _student(moons_fixture(distill_epochs=1), teacher, UnlabeledSet(x))
