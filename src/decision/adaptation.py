@@ -14,11 +14,12 @@ is recomputed after each optimizer step and checked to lie on the probability
 simplex by ``models.simplex_weights``, the one check the refresh and the
 teacher also use. A step records only what the optimizer can move. With
 several sources (DECISION) the objective is one batched ``Tape.mlp`` forward,
-one ``Tape.ensemble`` node that weighs the sources' logits by alpha, and one
-fused ``Tape.im_loss`` node for the loss, against one-hot pseudo-label rows
-that each epoch's refresh builds once. One source (SHOT) has the constant
-alpha [1.0], checked once at the start: its step is the forward and the loss,
-and no raw weight trains. The epochs run in ``optim.run_epochs``, the loop
+one ``Tape.ensemble`` node that weighs the sources' logits by alpha into
+(1, b, K) logits, and one fused ``Tape.im_loss`` node for the loss, against
+one-hot pseudo-label rows that each epoch's refresh builds once. One source
+(SHOT) has the constant alpha [1.0], checked once at the start: its step is
+the forward, whose (1, b, K) logits the loss reads as they are, and no raw
+weight trains. The epochs run in ``optim.run_epochs``, the loop
 source training also uses; ``adapt`` supplies the step (the objective on a
 fresh tape, whose backward the loop calls once the loss is checked), the
 refresh at each epoch's start, the alpha update after each step and the
@@ -31,13 +32,17 @@ centroids over the whole target), and the epoch's ensemble mean
 (``mean_prediction``) reuses its logits. When the extractors train, that
 forward is dropped before the epoch's steps, and the eval accuracy after the
 steps runs its own forward of the eval rows. When they are frozen
-(``weights_only_adapt``), the eval logits and the target forward are computed
-once per run, at the first refresh. Each step then reads its batch's rows of
-the cached target logits as a constant of ``Tape.ensemble`` and runs no
-forward, and each epoch redoes only the work that depends on alpha: the
-assignment rounds, the weighted sums and the argmax. Every weighted sum is
-``models.weighted_logits``, so the cached and the fresh paths give the same
-bits.
+(``weights_only_adapt``), the eval logits (``models.source_logits``) and the
+target forward are computed once per run, at the first refresh. Each step
+then reads its batch's rows of the cached target logits as a constant of
+``Tape.ensemble`` and runs no forward, and each epoch redoes only the work
+that depends on alpha: the assignment rounds, the weighted sums and the
+argmax. Every weighted sum is ``models.weighted_logits``, so the cached and
+the fresh paths give the same bits, and every accuracy is
+``models.argmax_accuracy``.
+
+``soft_ensemble_predict`` scores independently adapted models (SHOT-Ens)
+from their stacked logits: the sum of their softmaxes.
 """
 
 import math
@@ -48,8 +53,9 @@ import numpy as np
 from . import kernels
 from .autodiff import DivergenceError, Tape, Tensor, mlp_forward, sigmoid
 from .data import UnlabeledSet
-from .models import (SourceStack, accuracy, aggregate_logits, check_compatible, predict,
-                     simplex_weights, weighted_logits)
+from .models import (SourceStack, accuracy, aggregate_logits, argmax_accuracy,
+                     check_compatible, predict, simplex_weights, source_logits,
+                     weighted_logits)
 from .optim import (ParamGroup, SgdMomentum, check_lr, check_momentum, check_weight_decay,
                     run_epochs)
 
@@ -124,17 +130,15 @@ def objective(tape, stack, raw, x, q, cfg):
     (n, b, K) of the batch, a constant. The ensemble logits sum_j alpha_j *
     logits_j are one ``Tape.ensemble`` node, with alpha the sigmoid-normalized
     raw weights ``raw``, an (n,) tensor. With ``raw`` None there is one source,
-    whose alpha is the constant [1.0]: its (1, b, K) logits are the loss's
-    input. ``q`` holds the batch's one-hot pseudo-label rows (b, K), or None
-    when lambda_pl is 0.
+    whose alpha is the constant [1.0], and no ensemble node. Either way the
+    loss reads (1, b, K) logits. ``q`` holds the batch's one-hot pseudo-label
+    rows (b, K), or None when lambda_pl is 0.
     """
     z = Tensor(x) if stack is None else tape.mlp(x, stack.params)
-    if raw is None:
-        l_tot, terms = tape.im_loss(z, None if q is None else q[None], *loss_coefficients(cfg))
-        terms = [None if t is None else float(t[0]) for t in terms]
-    else:
-        l_tot, terms = tape.im_loss(tape.ensemble(raw, z), q, *loss_coefficients(cfg))
-    l_ent, l_div, l_pl = terms
+    if raw is not None:
+        z = tape.ensemble(raw, z)
+    l_tot, terms = tape.im_loss(z, None if q is None else q[None], *loss_coefficients(cfg))
+    l_ent, l_div, l_pl = (None if t is None else float(t[0]) for t in terms)
     return l_tot, {"L_ent": l_ent, "L_div": l_div, "L_pl": l_pl, "L_tot": l_tot.item()}
 
 
@@ -253,11 +257,6 @@ def mean_prediction(logits, alpha):
     return kernels.softmax_rows(weighted_logits(alpha, logits)).mean(axis=0)
 
 
-def _source_logits(models, x):
-    """Every source's logits (n, N, K) of ``x``."""
-    return np.stack([mlp_forward(x, m.params)[2] for m in models])
-
-
 def adapt(models, target, cfg, eval_set=None, on_step=None, optimize_features=True):
     """Run the full adaptation loop over frozen-classifier source models.
 
@@ -303,7 +302,7 @@ def adapt(models, target, cfg, eval_set=None, on_step=None, optimize_features=Tr
             if not optimize_features and eval_set is not None:
                 # before the target forward, whose arrays would otherwise sit
                 # under the eval forward's temporaries
-                eval_logits = _source_logits(adapted, eval_set.x)
+                eval_logits = source_logits(adapted, eval_set.x)
             forward = target_forward(adapted, target.x)
             if not optimize_features:
                 frozen = forward
@@ -342,8 +341,8 @@ def adapt(models, target, cfg, eval_set=None, on_step=None, optimize_features=Tr
         elif eval_logits is None:  # the extractors moved: a fresh forward
             row["target_accuracy"] = accuracy(adapted, result.alpha, eval_set)
         else:  # models.accuracy's sum and argmax over the cached logits
-            row["target_accuracy"] = float(np.mean(
-                predict(weighted_logits(result.alpha, eval_logits)) == eval_set.y))
+            row["target_accuracy"] = argmax_accuracy(
+                weighted_logits(result.alpha, eval_logits), eval_set.y)
         result.metrics.append(row)
     return result
 
@@ -355,17 +354,11 @@ def weights_only_adapt(models, target, cfg, eval_set=None, on_step=None):
 
 # -- softmax-average ensemble of independently adapted models ---------------------
 
-def soft_ensemble_predict(models, x):
-    """argmax of the mean per-model softmax output (average after softmax)."""
-    check_compatible(models)
-    probs = kernels.softmax_rows(models[0].logits(x))
-    for m in models[1:]:
-        probs = probs + kernels.softmax_rows(m.logits(x))
-    return np.argmax(probs, axis=1)  # first max wins ties
-
-
-def soft_ensemble_accuracy(models, labeled):
-    return float(np.mean(soft_ensemble_predict(models, labeled.x) == labeled.y))
+def soft_ensemble_predict(logits):
+    """The soft ensemble's class scores (N, K) from stacked logits (n, N, K):
+    the per-model softmaxes summed in model order. Their argmax (``predict``,
+    the first max wins ties) is the label of the mean softmax."""
+    return np.add.reduce(kernels.softmax_rows(logits), axis=0)
 
 
 def prediction_label_entropy(models, alpha, x):

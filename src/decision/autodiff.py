@@ -8,17 +8,18 @@ tape carries only the three ops the package calls:
   features, then the affine head) as one node, over n models' parameters
   stacked on a leading source axis;
 - ``ensemble``, which contracts that axis with the sigmoid-normalized
-  ensemble weights as one node, so a step over n stacked source models
-  records the same nodes for every n > 1: 3 in adaptation (``mlp``,
-  ``ensemble``, ``im_loss``) and 2 in weights-only (``ensemble`` and
-  ``im_loss`` over cached logits, with no forward). One-source adaptation
-  (SHOT), whose ensemble weight is the constant 1, records 2 (``mlp``,
-  ``im_loss``);
+  ensemble weights as one node, to (1, b, K) logits. A step over n stacked
+  source models records the same nodes for every n > 1: 3 in adaptation
+  (``mlp``, ``ensemble``, ``im_loss``) and 2 in weights-only (``ensemble``
+  and ``im_loss`` over cached logits, with no forward). One-source
+  adaptation (SHOT), whose ensemble weight is the constant 1, records 2
+  (``mlp``, ``im_loss``);
 - ``im_loss``, every adaptation loss as one node with an analytic gradient:
   entropy, diversity and a cross-entropy against soft targets (one-hot
-  pseudo-labels). It also takes a leading source axis, summing n independent
-  per-source losses. It counts underflowed probabilities as 0 rather than
-  NaN.
+  pseudo-labels). Its logits are always (n, b, K): n independent problems
+  whose losses it sums and whose terms it returns as (n,) arrays. In
+  adaptation n is 1, the ensemble's logits or a SHOT step's one source. It
+  counts underflowed probabilities as 0 rather than NaN.
 
 Supervised training (the sources and the distillation student) records no
 tape: its graph is always the mlp and a cross-entropy against fixed targets,
@@ -216,7 +217,8 @@ class Tape:
 
     def ensemble(self, raw, z):
         """sum_j alpha_j * z_j, alpha = sigmoid(raw) / sum(sigmoid(raw)), as one
-        node: raw weights (n,) and values (n, b, k) -> (b, k).
+        node: raw weights (n,) and values (n, b, k) -> (1, b, k), one problem
+        for ``im_loss``.
 
         Raises ZeroDivisionError when every sigmoid underflows to 0. A sum so
         small that 1/S or S*S would leave the float range is first scaled up
@@ -244,28 +246,26 @@ class Tape:
             gr = (ga * inv - np.add.reduce(ga * s) / (total * total)) * s * ds
             return [gr, alpha[:, None, None] * g if parents[1] is not None else None]
 
-        return self._record("ensemble", (alpha @ flat).reshape(b, k), parents, backward)
+        return self._record("ensemble", (alpha @ flat).reshape(1, b, k), parents, backward)
 
     def im_loss(self, z, q, c_ent, c_div, c_pl):
-        """c_ent*L_ent + c_div*L_div + c_pl*L_pl over logits z (b, k), as one node.
+        """sum over n problems of c_ent*L_ent + c_div*L_div + c_pl*L_pl, over
+        logits z (n, b, k), as one node.
 
+        Each of the n problems is one source's batch (or the ensemble's, n = 1).
         With p = softmax(z): L_ent is the batch mean of the row entropies H,
         L_div the entropy of the batch-mean prediction pbar, and L_pl the
         cross-entropy -sum(q * log p) / b against targets ``q`` of z's shape:
         one-hot rows for hard labels, smoothed rows for label smoothing. ``q``
         may be None when c_pl is 0. Returns the loss tensor and the term values
-        (L_ent, L_div, L_pl). L_ent and L_div come back whatever their
-        coefficients, so a caller can log a disabled term; L_pl is None when
-        there are no targets. 0*log(0) counts as 0.
-
-        Logits (n, b, k) hold n independent problems: each source's terms are
-        its own batch means, the loss is their sum over sources, and the term
-        values come back as (n,) arrays, so each source's gradient is the one
-        it would get alone.
+        (L_ent, L_div, L_pl), each an (n,) array of per-problem batch means, so
+        each problem's gradient is the one it would get alone. L_ent and L_div
+        come back whatever their coefficients, so a caller can log a disabled
+        term; L_pl is None when there are no targets. 0*log(0) counts as 0.
         """
         zv = z.values
-        if zv.ndim not in (2, 3):
-            raise ShapeMismatchError(f"im_loss expects (b, k) or (n, b, k) logits, got {z.shape}")
+        if zv.ndim != 3:
+            raise ShapeMismatchError(f"im_loss expects (n, b, k) logits, got {z.shape}")
         b = zv.shape[-2]
         if b == 0:
             raise ValueError("im_loss: empty batch")
@@ -299,10 +299,7 @@ class Tape:
         total = np.add.reduce(c_ent * l_ent + c_div * l_div + (c_pl * l_pl if c_pl else 0.0),
                               axis=None)
         out = self._record("im_loss", total, self._operands(z), backward)
-        terms = (l_ent, l_div, l_pl)
-        if zv.ndim == 2:
-            terms = tuple(None if t is None else float(t) for t in terms)
-        return out, terms
+        return out, (l_ent, l_div, l_pl)
 
     # -- reverse pass ---------------------------------------------------------
 

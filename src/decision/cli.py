@@ -2,16 +2,16 @@
 
 Subcommands: train-sources, adapt, oracle, distill, report.
 Exit codes: 0 success, 1 verification violation, 2 config error (including a
-checkpoint whose sizes differ from the config's model), 3 I/O error
-(including a checkpoint file that cannot be read as a model, and a run's
-report.json that ``report`` cannot read), 4 divergence (a
-training value, step loss, pseudo-label distance or distillation teacher
-logit that is not finite; the message names the method, the epoch, the step
-or the refresh, and the value, and the source for a training value).
+checkpoint whose sizes differ from the config's model, and a ``distill`` that
+would retrain over the student its run directory's report.json records), 3
+I/O error (including a checkpoint file that cannot be read as a model, and a
+run's report.json that ``report`` cannot read), 4 divergence (a training
+value, step loss, pseudo-label distance or distillation teacher logit that is
+not finite; the message names the method, the epoch, the step or the
+refresh, and the value, and the source for a training value).
 """
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -79,9 +79,7 @@ def cmd_oracle(args):
         return 2
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "oracle_report.json", "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    runner._write_json(out / "oracle_report.json", report.to_dict())
     n_viol = len(report.violations)
     print(f"trials={report.trials} violations={n_viol} "
           f"strict_cases_checked={report.strict_cases_checked}")

@@ -19,8 +19,12 @@ class ConfigError(ValueError):
     """Invalid experiment config; message names the offending field."""
 
 
-BASELINE_KEYS = ("source_best", "source_worst", "shot_best", "shot_worst",
-                 "shot_ens", "weights_only", "decision", "distill")
+# each accuracy-table row, in table order, and the `baselines` key that enables it
+METHOD_KEYS = {"Source-best": "source_best", "Source-worst": "source_worst",
+               "SHOT-best": "shot_best", "SHOT-worst": "shot_worst", "SHOT-Ens": "shot_ens",
+               "DECISION-weights": "weights_only", "DECISION": "decision",
+               "DECISION-distill": "distill"}
+BASELINE_KEYS = tuple(METHOD_KEYS.values())
 
 # the keys a config file may set, per section; the model, source_training and
 # adaptation sections are also echoed back with exactly these keys

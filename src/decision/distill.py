@@ -12,8 +12,8 @@ import numpy as np
 
 from .autodiff import DivergenceError
 from .data import LabeledSet, UnlabeledSet
-from .models import (ModelConfig, SourceModel, aggregate_logits, predict, simplex_weights,
-                     train_source)
+from .models import (ModelConfig, SourceModel, aggregate_logits, argmax_accuracy, predict,
+                     simplex_weights, train_source)
 
 
 @dataclass
@@ -39,11 +39,6 @@ def teacher_label(teacher, x):
     return predict(logits)
 
 
-def agreement(student, labels, x):
-    """The fraction of the rows of ``x`` on which ``student`` predicts ``labels``."""
-    return float(np.mean(predict(student.logits(x)) == labels))
-
-
 def train_student(teacher, target, cfg, seed=0):
     """Train a same-architecture student on teacher annotations.
 
@@ -61,4 +56,4 @@ def train_student(teacher, target, cfg, seed=0):
     student = SourceModel.init("student", arch, seed)
     train_source([student], [LabeledSet(target.x, labels, arch.num_classes)],
                  replace(cfg, label_smoothing=0.0), [seed])
-    return student, agreement(student, labels, target.x)
+    return student, argmax_accuracy(student.logits(target.x), labels)

@@ -15,6 +15,11 @@ against smoothed (or, with epsilon = 0, one-hot) targets and, once the loop
 has checked the loss, writes the analytic gradient of ``autodiff.mlp_backward``
 into the optimizer's rows. The graph never changes, so it needs no tape.
 Tensors exist only on the training side, for the stacked parameters.
+
+A fixed parameter state is scored from one stacked forward,
+``source_logits`` (n, N, K), whose rows give each model's accuracy and
+whose weighted or soft-ensemble sums give an ensemble's. Every accuracy and
+agreement is ``argmax_accuracy``: the share of rows whose argmax is the label.
 """
 
 import hashlib
@@ -196,6 +201,11 @@ def weighted_logits(alpha, logits):
     return out
 
 
+def source_logits(models, x):
+    """Every model's logits (n, N, K) of ``x``: the one stacked scoring forward."""
+    return np.stack([mlp_forward(x, m.params)[2] for m in models])
+
+
 def aggregate_logits(models, alpha, x):
     """Weighted sum of per-source logits (numpy path)."""
     alpha = np.asarray(alpha, dtype=np.float64)
@@ -210,8 +220,14 @@ def predict(logits):
     return np.argmax(logits, axis=1)
 
 
+def argmax_accuracy(scores, labels):
+    """The share of rows of ``scores`` (N, K) whose argmax (``predict``) is the
+    label: every accuracy and agreement the package reports."""
+    return float(np.mean(predict(scores) == labels))
+
+
 def accuracy(models, alpha, labeled):
-    return float(np.mean(predict(aggregate_logits(models, alpha, labeled.x)) == labeled.y))
+    return argmax_accuracy(aggregate_logits(models, alpha, labeled.x), labeled.y)
 
 
 def smoothed_targets(labels, num_classes, epsilon):
@@ -300,7 +316,7 @@ def train_source(models, datasets, cfg, shuffle_seeds):
         for p, stacked in zip(model.params, params):
             p[...] = stacked.values[j]
         metrics.append({
-            "train_accuracy": float(np.mean(predict(model.logits(data.x)) == data.y)),
+            "train_accuracy": argmax_accuracy(model.logits(data.x), data.y),
             "epoch_losses": epoch_losses[:, j].tolist(),
         })
     return metrics

@@ -25,19 +25,15 @@ import numpy as np
 
 from . import config as config_mod
 from . import kernels
-from .adaptation import adapt, soft_ensemble_accuracy, weights_only_adapt
+from .adaptation import adapt, soft_ensemble_predict, weights_only_adapt
 from .autodiff import DivergenceError
-from .config import ConfigError
+from .config import METHOD_KEYS, ConfigError
 from .data import generate_domain, split_train_eval
-from .distill import TeacherView, agreement, teacher_label, train_student
+from .distill import TeacherView, teacher_label, train_student
 from .models import (CheckpointError, SourceModel, SourceTrainConfig, accuracy,
-                     load_checkpoint, save_checkpoint, train_source)
+                     argmax_accuracy, load_checkpoint, save_checkpoint, source_logits,
+                     train_source, weighted_logits)
 
-# each accuracy-table row, in table order, and the `baselines` key that enables it
-METHOD_KEYS = {"Source-best": "source_best", "Source-worst": "source_worst",
-               "SHOT-best": "shot_best", "SHOT-worst": "shot_worst", "SHOT-Ens": "shot_ens",
-               "DECISION-weights": "weights_only", "DECISION": "decision",
-               "DECISION-distill": "distill"}
 METHOD_ORDER = tuple(METHOD_KEYS)
 # the report.json key of the student ``run_adapt`` trained: the sha256 of
 # student.json and of each teacher file, by path relative to the run directory
@@ -177,6 +173,14 @@ def _check_sizes(cfg, model, path):
     return model
 
 
+def _scores(models, labeled, ensemble):
+    """Each model's accuracy on ``labeled``, and the accuracy of the class
+    scores ``ensemble`` makes of their stacked logits: one forward per model."""
+    logits = source_logits(models, labeled.x)
+    return ([argmax_accuracy(z, labeled.y) for z in logits],
+            argmax_accuracy(ensemble(logits), labeled.y))
+
+
 def _write_trajectory(out, report, stem, metrics):
     """Write a joint run's per-epoch rows and alpha trajectory; list both files."""
     files = report["files"]
@@ -200,7 +204,8 @@ def run_adapt(cfg, out, ckpt_dir=None):
     enabled = [row for row, key in METHOD_KEYS.items() if cfg.baselines[key]]
 
     uniform = np.full(len(models), 1.0 / len(models))
-    unadapted = [accuracy([m], [1.0], tgt_eval) for m in models]
+    unadapted, uniform_accuracy = _scores(models, tgt_eval,
+                                          lambda logits: weighted_logits(uniform, logits))
     per_source = [{"name": name, "unadapted_accuracy": acc}
                   for name, acc in zip(cfg.source_names, unadapted)]
     report = {
@@ -208,22 +213,21 @@ def run_adapt(cfg, out, ckpt_dir=None):
         "resolved_seeds": seeds,
         "backend": kernels.active_backend(),
         "per_source": per_source,
-        "uniform_ensemble_accuracy": accuracy(models, uniform, tgt_eval),
+        "uniform_ensemble_accuracy": uniform_accuracy,
         "files": {},
     }
     found = {"Source-best": max(unadapted), "Source-worst": min(unadapted)}
 
     if {"SHOT-best", "SHOT-worst", "SHOT-Ens"}.intersection(enabled):
-        shot_models, shot_accs = [], []
+        shot_models = []
         for name, m, seed in zip(cfg.source_names, models, seeds["shot_adapt"]):
             with _method(f"SHOT {name}"):  # no eval_set: its per-epoch rows go unwritten
                 res = adapt([m], target, replace(cfg.adaptation, seed=seed))
-            shot_models.append(res.models[0])
-            shot_accs.append(accuracy(res.models, res.alpha, tgt_eval))
+            shot_models.append(res.models[0])  # alpha [1.0]: the model's own logits
+        shot_accs, found["SHOT-Ens"] = _scores(shot_models, tgt_eval, soft_ensemble_predict)
         for entry, acc in zip(per_source, shot_accs):
             entry["single_adapted_accuracy"] = acc
-        found.update({"SHOT-best": max(shot_accs), "SHOT-worst": min(shot_accs),
-                      "SHOT-Ens": soft_ensemble_accuracy(shot_models, tgt_eval)})
+        found.update({"SHOT-best": max(shot_accs), "SHOT-worst": min(shot_accs)})
 
     if "DECISION-weights" in enabled:
         with _method("DECISION-weights"):
@@ -274,32 +278,36 @@ def _teacher_files(cfg):
 
 
 def _adapted_student(cfg, run_dir):
-    """The bytes of ``<run_dir>/student.json`` if that run's ``adapt`` trained
-    it for ``cfg`` and this teacher: its report.json records ``cfg`` and
-    digests (``STUDENT_PROVENANCE``) that the student and every teacher file
-    still match. Else None, whatever is missing, unreadable or differs."""
-    path = run_dir / "student.json"
-    if not path.exists():
-        return None
+    """(recorded, data) of the student that run's ``adapt`` trained:
+    ``recorded`` tells whether ``<run_dir>/report.json`` records one
+    (``STUDENT_PROVENANCE``), and ``data`` is the bytes of
+    ``<run_dir>/student.json`` if that student serves ``cfg`` and this
+    teacher: the report records ``cfg`` and digests that the student and
+    every teacher file still match. Else None, whatever is missing,
+    unreadable or differs."""
     try:
         report = json.loads((run_dir / "report.json").read_bytes())
         recorded = report[STUDENT_PROVENANCE]
-        if report["config"] != cfg.to_dict():
-            return None
-        data = path.read_bytes()
+    except (OSError, KeyError, TypeError, ValueError):  # text that is not JSON: ValueError
+        return False, None
+    try:
+        data = (run_dir / "student.json").read_bytes()
         found = {rel: _sha256((run_dir / rel).read_bytes())
                  for rel in _teacher_files(cfg) + ["adapted/alpha.json"]}
-        found["student.json"] = _sha256(data)
-    except (OSError, KeyError, TypeError, ValueError):  # text that is not JSON: ValueError
-        return None
-    return data if found == recorded else None
+    except OSError:
+        return True, None
+    found["student.json"] = _sha256(data)
+    return True, (data if found == recorded and report.get("config") == cfg.to_dict() else None)
 
 
 def run_distill(cfg, out, run_dir=None):
     """Standalone distillation from a completed adaptation run directory.
 
     The run's own student is reused, not retrained, when ``_adapted_student``
-    vouches for it; the report's three numbers are computed either way.
+    vouches for it; the report's three numbers are computed either way. A
+    student that would be retrained into the run directory over the one its
+    report.json records (``STUDENT_PROVENANCE``) raises ConfigError before
+    anything is written: the report would no longer describe it.
     """
     out = Path(out)
     run_dir = Path(run_dir or out)
@@ -313,8 +321,11 @@ def run_distill(cfg, out, run_dir=None):
             teacher = TeacherView(models, json.load(fh)["alpha"])
     except (KeyError, TypeError, ValueError) as exc:  # text that is not JSON: ValueError
         raise CheckpointError(f"{alpha_path}: not an ensemble weight file: {exc!r}") from None
-    data, path = _adapted_student(cfg, run_dir), run_dir / "student.json"
+    (recorded, data), path = _adapted_student(cfg, run_dir), run_dir / "student.json"
     student = None if data is None else _check_sizes(cfg, load_checkpoint(path, data), path)
+    if student is None and recorded and out.resolve() == run_dir.resolve():
+        raise ConfigError(f"{path} is the student {run_dir / 'report.json'} records, and "
+                          f"this config cannot reuse it; distill into another --out")
     out.mkdir(parents=True, exist_ok=True)
     target, tgt_eval = _target(cfg)
     if student is None:
@@ -322,7 +333,8 @@ def run_distill(cfg, out, run_dir=None):
         save_checkpoint(student, out / "student.json")
     else:
         with _method("DECISION-distill"):
-            agreed = agreement(student, teacher_label(teacher, target.x), target.x)
+            agreed = argmax_accuracy(student.logits(target.x),
+                                     teacher_label(teacher, target.x))
         (out / "student.json").write_bytes(data)  # no file copy: out may be run_dir
     doc = {
         "teacher_accuracy": accuracy(models, teacher.alpha, tgt_eval),

@@ -14,14 +14,14 @@ import pytest
 
 from decision.adaptation import (AdaptationConfig, adapt, objective,
                                  prediction_label_entropy,
-                                 soft_ensemble_accuracy, weights_only_adapt)
+                                 soft_ensemble_predict, weights_only_adapt)
 from decision.autodiff import Tape, Tensor
 from decision.config import moons_fixture
 from decision.data import generate_domain, split_train_eval
 from decision.distill import TeacherView, train_student
 from decision.models import (SourceModel, SourceStack, SourceTrainConfig,
-                             accuracy, classifier_checksum, smoothed_targets,
-                             train_source)
+                             accuracy, argmax_accuracy, classifier_checksum,
+                             smoothed_targets, source_logits, train_source)
 from decision.oracle import (density_ratio_weights, uniform_mixture_weights,
                              verify_combination_bound)
 from decision.runner import spearman
@@ -79,7 +79,8 @@ def run_fixture_suite(seed, full=False):
         shot_models.append(res.models[0])
         shot_accs.append(accuracy(res.models, res.alpha, tgt_eval))
     out["shot"] = shot_accs
-    out["shot_ens"] = soft_ensemble_accuracy(shot_models, tgt_eval)
+    out["shot_ens"] = argmax_accuracy(
+        soft_ensemble_predict(source_logits(shot_models, tgt_eval.x)), tgt_eval.y)
 
     checksums = [classifier_checksum(m) for m in models]
     alpha_trace = []
@@ -191,7 +192,7 @@ def test_criterion_2_closed_form_losses(capsys):
     assert l_ent == pytest.approx(math.log(4.0), abs=1e-12)
 
     def diversity(logits):
-        return Tape().im_loss(Tensor(logits), None, 0.0, 1.0, 0.0)[0].item()
+        return Tape().im_loss(Tensor(logits[None]), None, 0.0, 1.0, 0.0)[0].item()
 
     assert diversity(np.zeros((6, 10))) == pytest.approx(math.log(10.0), abs=1e-12)
     hard = np.zeros((4, 3))
@@ -200,7 +201,7 @@ def test_criterion_2_closed_form_losses(capsys):
 
     def smoothing_ce(logits, labels, eps):
         q = smoothed_targets(labels, logits.shape[1], eps)
-        return Tape().im_loss(Tensor(logits), q, 0.0, 0.0, 1.0)[0].item()
+        return Tape().im_loss(Tensor(logits[None]), q[None], 0.0, 0.0, 1.0)[0].item()
 
     assert smoothing_ce(np.zeros((2, 4)), [1, 3], 0.0) == pytest.approx(math.log(4.0), abs=1e-12)
     margin = np.zeros((1, 4))

@@ -17,7 +17,8 @@ from decision.adaptation import (DISTANCE_MODES, AdaptationConfig, adapt,
                                  update_pseudo_labels, weights_only_adapt)
 from decision.autodiff import DivergenceError, ShapeMismatchError, Tape, Tensor, mlp_forward
 from decision.data import DomainSpec, LabeledSet, generate_domain
-from decision.models import SourceStack, accuracy, aggregate_logits, classifier_checksum
+from decision.models import (SourceStack, accuracy, aggregate_logits, classifier_checksum,
+                             predict, source_logits)
 from decision.optim import ParamGroup, SgdMomentum, lr_schedule
 
 from conftest import constant_logit_model, finite_diff, make_models, max_rel_err, tiny_arch
@@ -48,7 +49,7 @@ def test_alpha_project_random_draws_stay_on_simplex():
 def test_tape_simplex_matches_numpy_projection():
     raw = Tensor([0.7, -0.2, 1.4])
     unit_rows = Tensor(np.eye(3)[:, None])  # the ensemble of unit rows is alpha
-    np.testing.assert_allclose(Tape().ensemble(raw, unit_rows).values[0],
+    np.testing.assert_allclose(Tape().ensemble(raw, unit_rows).values[0, 0],
                                alpha_project(raw.values), atol=1e-15)
 
 
@@ -68,9 +69,9 @@ def _terms(models, x, labels=None, raw=None, **toggles):
 
 
 def _im_term(logits, labels, *coefs):
-    """One fused-loss term value over a logits array, coefficients (c_ent, c_div, c_pl)."""
-    q = None if labels is None else np.eye(logits.shape[1])[labels]
-    return Tape().im_loss(Tensor(logits), q, *coefs)[0].item()
+    """One fused-loss term value over a (b, k) logits array, coefficients (c_ent, c_div, c_pl)."""
+    q = None if labels is None else np.eye(logits.shape[1])[labels][None]
+    return Tape().im_loss(Tensor(logits[None]), q, *coefs)[0].item()
 
 
 def test_entropy_loss_uniform_is_log_k():
@@ -171,9 +172,9 @@ def test_total_loss_combination_arithmetic():
     logits, labels = rng.standard_normal((5, 3)) * 2.0, rng.integers(0, 3, 5)
     for cfg in (AdaptationConfig(lambda_pl=0.3), AdaptationConfig(use_entropy=False),
                 AdaptationConfig(use_diversity=False, lambda_pl=0.0)):
-        total, terms = Tape().im_loss(Tensor(logits), np.eye(3)[labels],
+        total, terms = Tape().im_loss(Tensor(logits[None]), np.eye(3)[labels][None],
                                       *loss_coefficients(cfg))
-        assert total.item() == pytest.approx(combo(cfg, terms), abs=1e-15)
+        assert total.item() == pytest.approx(combo(cfg, [t[0] for t in terms]), abs=1e-15)
 
 
 def test_objective_reports_disabled_terms():
@@ -1053,25 +1054,36 @@ def test_mean_prediction_on_shared_logits_is_bit_equal_to_a_fresh_forward(n):
 def test_soft_ensemble_of_identical_models_is_single_model():
     model = make_models(1, seed=99)[0]
     x = np.random.default_rng(41).standard_normal((10, 3))
-    from decision.models import predict
-
     np.testing.assert_array_equal(
-        soft_ensemble_predict([model, copy.deepcopy(model)], x), predict(model.logits(x))
+        predict(soft_ensemble_predict(source_logits([model, copy.deepcopy(model)], x))),
+        predict(model.logits(x))
     )
 
 
 def test_soft_ensemble_averages_probabilities():
     a = constant_logit_model([math.log(0.6), math.log(0.4)])
     b = constant_logit_model([math.log(0.2), math.log(0.8)])
-    labels = soft_ensemble_predict([a, b], np.zeros((4, 2)))
-    assert labels.tolist() == [1, 1, 1, 1]  # mean (0.4, 0.6)
+    scores = soft_ensemble_predict(source_logits([a, b], np.zeros((4, 2))))
+    np.testing.assert_allclose(scores, [[0.8, 1.2]] * 4, rtol=1e-14)  # twice the mean
+    assert predict(scores).tolist() == [1, 1, 1, 1]  # mean (0.4, 0.6)
 
 
 def test_soft_ensemble_tie_breaks_toward_smallest_index():
     a = constant_logit_model([50.0, 0.0])
     b = constant_logit_model([0.0, 50.0])
-    labels = soft_ensemble_predict([a, b], np.zeros((2, 2)))
+    labels = predict(soft_ensemble_predict(source_logits([a, b], np.zeros((2, 2)))))
     assert labels.tolist() == [0, 0]
+
+
+@pytest.mark.parametrize("n", [1, 3, 16])
+def test_stacked_soft_ensemble_is_bit_identical_to_the_running_sum(n):
+    # SHOT-Ens once added each model's softmax to a running sum, model by model
+    models = make_models(n, seed=98)
+    x = np.random.default_rng(42).standard_normal((300, 3)) * 3.0
+    running = kernels.softmax_rows(models[0].logits(x))
+    for m in models[1:]:
+        running = running + kernels.softmax_rows(m.logits(x))
+    assert soft_ensemble_predict(source_logits(models, x)).tobytes() == running.tobytes()
 
 
 def test_prediction_label_entropy_bounds():

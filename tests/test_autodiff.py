@@ -32,8 +32,8 @@ def test_relu_and_mean_definitions():
     pre, feats, _ = mlp_forward(np.array([[-1.0, 0.0, 2.0]]), [np.eye(3), np.zeros(3)] * 3)
     assert pre.tolist() == [[-1.0, 0.0, 2.0]] and feats.tolist() == [[0.0, 0.0, 2.0]]
     # L_pl is the batch mean of -sum_k q_k log p_k: rows of mass 2, 4, 6 at p = 1/2
-    q = np.array([[2.0, 0.0], [0.0, 4.0], [3.0, 3.0]])
-    _, (_, _, l_pl) = Tape().im_loss(Tensor(np.zeros((3, 2))), q, 0.0, 0.0, 1.0)
+    q = np.array([[[2.0, 0.0], [0.0, 4.0], [3.0, 3.0]]])
+    _, (_, _, (l_pl,)) = Tape().im_loss(Tensor(np.zeros((1, 3, 2))), q, 0.0, 0.0, 1.0)
     assert l_pl == pytest.approx(4.0 * math.log(2.0), rel=1e-15)
 
 
@@ -58,9 +58,9 @@ def test_backward_square():
 def test_backward_softmax_cross_entropy_analytic():
     # loss = -log softmax(logits)[0] at logits [0, 0]: grad = p - onehot
     t = Tape()
-    logits = Tensor([[0.0, 0.0]], requires_grad=True)
-    t.backward(t.im_loss(logits, np.array([[1.0, 0.0]]), 0.0, 0.0, 1.0)[0])
-    np.testing.assert_allclose(logits.grad, [[-0.5, 0.5]], atol=1e-15)
+    logits = Tensor([[[0.0, 0.0]]], requires_grad=True)
+    t.backward(t.im_loss(logits, np.array([[[1.0, 0.0]]]), 0.0, 0.0, 1.0)[0])
+    np.testing.assert_allclose(logits.grad, [[[-0.5, 0.5]]], atol=1e-15)
 
 
 def _ensemble_chain(raw, z):
@@ -80,7 +80,7 @@ def _ensemble_chain(raw, z):
         g_s = g_alpha * float(inv) + np.broadcast_to(g_sum, s.shape)
         return g_s * s * (1.0 - s), alpha[:, None, None] * g
 
-    return (alpha @ flat).reshape(z.shape[1:]), grads
+    return (alpha @ flat).reshape(1, *z.shape[1:]), grads
 
 
 def _shared_layer_loss(t, raw, z, x, rest, q):
@@ -96,7 +96,7 @@ def _shared_layer_graph(seed):
     raw = Tensor(rng.standard_normal(2), requires_grad=True)
     z = Tensor(rng.standard_normal((2, 3, 3)), requires_grad=True)
     rest = _constants(*(rng.standard_normal(s) for s in ((3,), (3,), (3, 2), (2,))))
-    return raw, z, rng.standard_normal((5, 3)), rest, rng.dirichlet(np.ones(2), size=5)
+    return raw, z, rng.standard_normal((5, 3)), rest, rng.dirichlet(np.ones(2), size=(1, 5))
 
 
 def _path_grads(s_values, x, rest, q):
@@ -212,7 +212,7 @@ def test_mlp_gradients_match_finite_differences():
 def test_entropy_composition_survives_underflow():
     # p = exp(log_softmax) underflows to 0 for the tiny class; 0 * log p stays 0
     t = Tape()
-    logits = Tensor([[800.0, 0.0]], requires_grad=True)
+    logits = Tensor([[[800.0, 0.0]]], requires_grad=True)
     ent, _ = t.im_loss(logits, None, 1.0, 0.0, 0.0)
     assert math.isfinite(ent.item())
     assert 0.0 <= ent.item() < 1e-18
@@ -230,14 +230,14 @@ def _gradcheck(f, params):
 
 
 def _soft_target_loss_of(op, *args):
-    """A soft-target im_loss over op(*args); stacked (n, b, k) outputs reach it
-    through an ensemble with constant raw weights."""
+    """A soft-target im_loss over op(*args); the mlp's n models' logits reach
+    it through an ensemble with constant raw weights."""
     t = Tape()
     out = getattr(t, op)(*args)
-    rng = np.random.default_rng(list(out.shape))
-    if out.values.ndim == 3:
+    rng = np.random.default_rng(list(out.shape[1:] if op == "ensemble" else out.shape))
+    if op == "mlp":
         out = t.ensemble(Tensor(rng.standard_normal(out.shape[0])), out)
-    q = rng.dirichlet(np.ones(out.shape[1]), size=out.shape[0])
+    q = rng.dirichlet(np.ones(out.shape[-1]), size=out.shape[:-1])
     return t.im_loss(out, q, 0.0, 0.0, 1.0)[0]
 
 
@@ -358,8 +358,8 @@ def test_weighted_sum_definition_and_gradients():
     raw = Tensor(rng.standard_normal(4), requires_grad=True)
     z = Tensor(rng.standard_normal((4, 5, 3)), requires_grad=True)
     alpha = alpha_project(raw.values)
-    want = sum(alpha[j] * z.values[j] for j in range(4))
-    np.testing.assert_allclose(Tape().ensemble(raw, z).values, want, rtol=1e-14)
+    want = sum(alpha[j] * z.values[j] for j in range(4))[None]  # one (1, b, k) problem
+    np.testing.assert_allclose(Tape().ensemble(raw, z).values, want, rtol=1e-14, strict=True)
     assert _gradcheck(lambda: _soft_target_loss_of("ensemble", raw, z), [raw, z]) < 1e-4
     for shape in ((3, 5, 3), (4, 15)):
         with pytest.raises(ShapeMismatchError, match="ensemble"):
@@ -370,9 +370,9 @@ def test_weighted_sum_definition_and_gradients():
                          ids=lambda c: "ent{}-div{}-pl{}".format(*c))
 def test_fused_loss_gradients_under_each_toggle(coefs):
     rng = np.random.default_rng(65)
-    q = np.eye(4)[rng.integers(0, 4, 6)]
+    q = np.eye(4)[rng.integers(0, 4, (1, 6))]
     for scale in (0.5, 3.0):
-        z = Tensor(rng.standard_normal((6, 4)) * scale, requires_grad=True)
+        z = Tensor(rng.standard_normal((1, 6, 4)) * scale, requires_grad=True)
         assert _gradcheck(lambda: Tape().im_loss(z, q, *coefs)[0], [z]) < 1e-4
 
 
@@ -380,7 +380,7 @@ def test_fused_loss_gradients_under_each_toggle(coefs):
                          ids=lambda c: "ent{}-div{}-pl{}".format(*c))
 def test_stacked_fused_loss_sums_independent_per_source_losses(coefs):
     # (n, b, k) logits: the loss is the sum of n per-source losses, each term
-    # value and each source's gradient equal a 2-d call on that source alone
+    # value and each source's gradient equal a call on that source alone
     rng = np.random.default_rng(66)
     n, b, k = 3, 6, 4
     q = rng.dirichlet(np.ones(k), size=(n, b))
@@ -392,22 +392,25 @@ def test_stacked_fused_loss_sums_independent_per_source_losses(coefs):
     t.backward(loss)
     total = 0.0
     for j in range(n):
-        zj = Tensor(z.values[j], requires_grad=True)
+        zj = Tensor(z.values[j : j + 1], requires_grad=True)
         tj = Tape()
-        loss_j, terms_j = tj.im_loss(zj, q[j], *coefs)
+        loss_j, terms_j = tj.im_loss(zj, q[j : j + 1], *coefs)
         tj.backward(loss_j)
-        np.testing.assert_array_equal(z.grad[j], zj.grad)
-        assert [v[j] for v in terms] == list(terms_j)
+        np.testing.assert_array_equal(z.grad[j], zj.grad[0])
+        assert [v[j] for v in terms] == [v[0] for v in terms_j]
         total += loss_j.item()
     assert loss.item() == pytest.approx(total, rel=1e-14)
 
 
 def test_fused_loss_needs_labels_for_the_pseudo_label_term():
-    z = Tensor(np.zeros((3, 2)))
+    z = Tensor(np.zeros((1, 3, 2)))
     with pytest.raises(ValueError, match="target labels"):
         Tape().im_loss(z, None, 1.0, -1.0, 0.3)
-    with pytest.raises(ShapeMismatchError, match=r"targets \(2, 2\) for logits \(3, 2\)"):
-        Tape().im_loss(z, np.eye(2), 1.0, -1.0, 0.3)
+    with pytest.raises(ShapeMismatchError,
+                       match=r"targets \(1, 2, 2\) for logits \(1, 3, 2\)"):
+        Tape().im_loss(z, np.eye(2)[None], 1.0, -1.0, 0.3)
+    with pytest.raises(ShapeMismatchError, match=r"\(n, b, k\) logits, got \(3, 2\)"):
+        Tape().im_loss(Tensor(np.zeros((3, 2))), None, 1.0, -1.0, 0.0)
 
 
 # -- the fused nodes: soft targets and the ensemble's simplex weights --------------
@@ -416,9 +419,9 @@ def test_soft_target_gradients_with_unnormalized_rows():
     # rows of q that do not sum to 1 (rounding, or no mass at all) keep the exact gradient
     rng = np.random.default_rng(67)
     for coefs in ((0.0, 0.0, 1.0), (1.0, -1.0, 0.3)):
-        q = rng.dirichlet(np.ones(4), size=6) * rng.uniform(0.5, 1.5, (6, 1))
-        q[0] = 0.0
-        z = Tensor(rng.standard_normal((6, 4)) * 2.0, requires_grad=True)
+        q = rng.dirichlet(np.ones(4), size=(1, 6)) * rng.uniform(0.5, 1.5, (1, 6, 1))
+        q[0, 0] = 0.0
+        z = Tensor(rng.standard_normal((1, 6, 4)) * 2.0, requires_grad=True)
         assert _gradcheck(lambda: Tape().im_loss(z, q, *coefs)[0], [z]) < 1e-4
 
 
@@ -428,17 +431,18 @@ def test_simplex_definition_and_gradients():
     for n in (1, 3, 16):
         raw = Tensor(rng.standard_normal(n) * 3.0, requires_grad=True)
         s = sigmoid(raw.values)
-        np.testing.assert_allclose(Tape().ensemble(raw, Tensor(np.eye(n)[:, None])).values[0],
-                                   s / s.sum(), rtol=1e-15)
+        alpha = Tape().ensemble(raw, Tensor(np.eye(n)[:, None])).values[0, 0]
+        np.testing.assert_allclose(alpha, s / s.sum(), rtol=1e-15)
         z = Tensor(rng.standard_normal((n, 5, 3)))
         assert _gradcheck(lambda: _soft_target_loss_of("ensemble", raw, z), [raw]) < 1e-4
 
 
 def _im_loss_grad(z, q):
-    z = Tensor(z, requires_grad=True)
+    """The L_pl gradient of one (b, k) problem."""
+    z = Tensor(z[None], requires_grad=True)
     t = Tape()
-    t.backward(t.im_loss(z, q, 0.0, 0.0, 1.0)[0])
-    return z.grad
+    t.backward(t.im_loss(z, q[None], 0.0, 0.0, 1.0)[0])
+    return z.grad[0]
 
 
 # These pins hold the fused gradients to the bits of the chains they replace;
@@ -503,7 +507,7 @@ def test_simplex_backward_is_bit_identical_to_the_composed_chain():
     for n in (1, 4, 16):
         raw = Tensor(rng.standard_normal(n), requires_grad=True)
         z = Tensor(rng.standard_normal((n, 6, 3)), requires_grad=True)
-        g = rng.standard_normal((6, 3))
+        g = rng.standard_normal((1, 6, 3))
         t = Tape()
         out = t.ensemble(raw, z)
         want, grads = _ensemble_chain(raw.values, z.values)
@@ -530,11 +534,11 @@ def test_simplex_is_on_the_simplex_or_raises_when_every_sigmoid_underflows(raw):
         with pytest.raises(ZeroDivisionError):
             Tape().ensemble(raw, z)
         return
-    alpha = Tape().ensemble(raw, Tensor(np.eye(n)[:, None])).values[0]  # unit rows read alpha
+    alpha = Tape().ensemble(raw, Tensor(np.eye(n)[:, None])).values[0, 0]  # unit rows read alpha
     assert alpha.min() >= 0.0 and abs(alpha.sum() - 1.0) <= 1e-12
     np.testing.assert_allclose(alpha, alpha_project(raw.values), rtol=0.0, atol=1e-15)
     t = Tape()
-    t.backward(t.im_loss(t.ensemble(raw, z), np.eye(3)[[0, 2]], 1.0, -1.0, 0.3)[0])
+    t.backward(t.im_loss(t.ensemble(raw, z), np.eye(3)[[[0, 2]]], 1.0, -1.0, 0.3)[0])
     assert np.isfinite(raw.grad).all()
 
 

@@ -14,6 +14,7 @@ import yaml
 
 import decision
 from decision import config as config_mod
+from decision import models as models_mod
 from decision import runner
 from decision.cli import main
 from decision.config import ConfigError, moons_fixture
@@ -539,6 +540,39 @@ def test_a_row_does_not_depend_on_which_other_rows_are_enabled(trained_run, tmp_
         assert (run / "adapted" / "alpha.json").exists() == decision_ran
 
 
+def test_adapt_forwards_the_eval_rows_once_per_source_and_fixed_state(trained_run, tmp_path,
+                                                                       monkeypatch):
+    # the unadapted sources, before the first SHOT run, and the SHOT models,
+    # after the last: each state's per-source and ensemble rows come from one
+    # forward per source
+    _, _, trained = trained_run
+    doc = small_config()
+    doc["baselines"] = {k: k.startswith(("source", "shot")) for k in config_mod.BASELINE_KEYS}
+    events, eval_x = [], []
+    real_target, real_adapt, real_forward = runner._target, runner.adapt, models_mod.mlp_forward
+
+    def target(cfg):
+        out = real_target(cfg)
+        eval_x.append(out[1].x)
+        return out
+
+    def forward(x, params):
+        if eval_x and x is eval_x[0]:
+            events.append("eval")
+        return real_forward(x, params)
+
+    def adapt(*args, **kwargs):  # only SHOT runs: DECISION's rows are off
+        events.append("shot")
+        return real_adapt(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "_target", target)
+    monkeypatch.setattr(runner, "adapt", adapt)
+    monkeypatch.setattr(models_mod, "mlp_forward", forward)
+    assert main(["adapt", "--config", str(write_config(tmp_path, doc)), "--out",
+                 str(tmp_path / "out"), "--checkpoints", str(trained / "checkpoints")]) == 0
+    assert events == ["eval"] * 2 + ["shot"] * 2 + ["eval"] * 2
+
+
 def test_single_enabled_method_yields_single_row(trained_run, tmp_path):
     _, _, trained = trained_run
     doc = small_config()
@@ -582,11 +616,11 @@ def test_three_class_mixture_pipeline(tmp_path):
     assert len(row["alpha"]) == 2
 
 
-def test_standalone_distill_from_run_dir(trained_run):
-    tmp, path, out = trained_run
-    dout = tmp / "distilled"
+def test_standalone_distill_from_run_dir(adapted_run, tmp_path):
+    path, run = adapted_run
+    dout = tmp_path / "distilled"
     assert main(["distill", "--config", str(path), "--out", str(dout),
-                 "--run", str(out)]) == 0
+                 "--run", str(run)]) == 0
     doc = json.loads((dout / "distill_report.json").read_text())
     assert {"teacher_accuracy", "student_accuracy", "agreement"} <= set(doc)
     assert (dout / "student.json").exists()
@@ -678,6 +712,30 @@ def test_distill_into_its_own_run_directory_reuses_the_student(adapted_run, tmp_
     assert _distill_counting_students(monkeypatch, path, copy) == 0  # --out only: run is out
     assert (copy / "student.json").read_bytes() == (run / "student.json").read_bytes()
     assert (copy / "distill_report.json").exists()
+
+
+def _files(root):
+    """Every file under ``root``: relative path -> bytes."""
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def test_distill_refuses_to_retrain_over_the_student_its_run_records(adapted_run, tmp_path,
+                                                                    capsys, monkeypatch):
+    # another distill.epochs cannot reuse the run's student; retraining into
+    # the run directory would leave report.json describing the old one
+    _, run = adapted_run
+    copy = tmp_path / "run"
+    shutil.copytree(run, copy)
+    doc = small_config()
+    doc["distill"]["epochs"] += 1
+    path = write_config(tmp_path, doc)
+    before = _files(copy)
+    for run_arg in ([], ["--run", str(copy)]):
+        assert main(["distill", "--config", str(path), "--out", str(copy)] + run_arg) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {copy / 'student.json'} ")
+        assert _files(copy) == before
+    _drop_provenance(copy)  # a run whose report records no student: retrained as before
+    assert _distill_counting_students(monkeypatch, path, copy) == 1
 
 
 @pytest.mark.parametrize("reuse", [False, True], ids=["trains", "reuses"])

@@ -100,7 +100,7 @@ def _smoothing_ce(logits, labels, eps):
     """The source-training loss: im_loss against smoothed targets."""
     logits = np.asarray(logits, dtype=np.float64)
     q = smoothed_targets(labels, logits.shape[-1], eps)
-    return Tape().im_loss(Tensor(logits), q, 0.0, 0.0, 1.0)[0]
+    return Tape().im_loss(Tensor(logits[None]), q[None], 0.0, 0.0, 1.0)[0]
 
 
 def test_smoothing_ce_uniform_prediction():

@@ -115,7 +115,7 @@ def test_run_epochs_rejects_a_loss_that_is_not_finite(supervised):
         arrays = [np.zeros((1, 1, 1)), q, np.ones((1, 1, 1))]
         before = [p.values.copy() for p in params]
     else:  # adaptation's step: a fresh tape, replayed by the backward
-        params = [Tensor([[1e308, -1e308]], requires_grad=True)]
+        params = [Tensor([[[1e308, -1e308]]], requires_grad=True)]
         arrays = [np.zeros((1, 1, 1))]
         before = [params[0].values.copy()]
     opt = SgdMomentum([ParamGroup(params, lr=1.0)])
@@ -124,7 +124,7 @@ def test_run_epochs_rejects_a_loss_that_is_not_finite(supervised):
     else:
         def step(xb):
             tape = Tape()
-            loss, terms = tape.im_loss(params[0], q[0], 1.0, 0.0, 1.0)
+            loss, terms = tape.im_loss(params[0], q, 1.0, 0.0, 1.0)
             return loss.values, terms, lambda: tape.backward(loss)
 
     with np.errstate(all="ignore"):
