@@ -25,21 +25,20 @@ fresh tape, whose backward the loop calls once the loss is checked), the
 refresh at each epoch's start, the alpha update after each step and the
 metrics row after each epoch.
 
-Evaluation and pseudo-labels run the same forward, ``mlp_forward``, in numpy
-on each per-source view, once per parameter state. Each epoch's refresh
-computes one ``target_forward`` (every source's features, logits and round-0
-centroids over the whole target), and the epoch's ensemble mean
-(``mean_prediction``) reuses its logits. When the extractors train, that
-forward is dropped before the epoch's steps, and the eval accuracy after the
-steps runs its own forward of the eval rows. When they are frozen
-(``weights_only_adapt``), the eval logits (``models.source_logits``) and the
-target forward are computed once per run, at the first refresh. Each step
-then reads its batch's rows of the cached target logits as a constant of
-``Tape.ensemble`` and runs no forward, and each epoch redoes only the work
-that depends on alpha: the assignment rounds, the weighted sums and the
-argmax. Every weighted sum is ``models.weighted_logits``, so the cached and
-the fresh paths give the same bits, and every accuracy is
-``models.argmax_accuracy``.
+Pseudo-labels run ``mlp_forward`` in numpy on each per-source view, once per
+parameter state. Each epoch's refresh computes one ``target_forward`` (every
+source's features, logits and round-0 centroids over the whole target), and
+the epoch's ensemble mean (``mean_prediction``) reuses its logits. When the
+extractors train, that forward is dropped before the epoch's steps. When they
+are frozen (``weights_only_adapt``), it is computed once per run, at the first
+refresh. Each step then reads its batch's rows of the cached target logits as
+a constant of ``Tape.ensemble`` and runs no forward, and each epoch redoes only
+the work that depends on alpha: the assignment rounds and the weighted sums.
+Every weighted sum is ``models.weighted_logits``, so the cached and the fresh
+paths give the same bits.
+
+No label enters this module. A caller that wants each epoch's accuracy passes
+``adapt`` a scorer, which it calls on the epoch's final models and alpha.
 
 ``soft_ensemble_predict`` scores independently adapted models (SHOT-Ens)
 from their stacked logits: the sum of their softmaxes.
@@ -53,9 +52,9 @@ import numpy as np
 from . import kernels
 from .autodiff import DivergenceError, Tape, Tensor, mlp_forward, sigmoid
 from .data import UnlabeledSet
-from .models import (SourceStack, accuracy, aggregate_logits, argmax_accuracy,
-                     check_compatible, predict, simplex_weights, source_logits,
+from .models import (SourceStack, aggregate_logits, check_compatible, predict, simplex_weights,
                      weighted_logits)
+from .models import accuracy  # noqa: F401  not called here; the benchmark's tracer wraps it
 from .optim import (ParamGroup, SgdMomentum, check_lr, check_momentum, check_weight_decay,
                     run_epochs)
 
@@ -257,11 +256,12 @@ def mean_prediction(logits, alpha):
     return kernels.softmax_rows(weighted_logits(alpha, logits)).mean(axis=0)
 
 
-def adapt(models, target, cfg, eval_set=None, on_step=None, optimize_features=True):
+def adapt(models, target, cfg, score=None, on_step=None, optimize_features=True):
     """Run the full adaptation loop over frozen-classifier source models.
 
     ``target`` must be an UnlabeledSet; labels never cross this boundary.
-    ``eval_set`` is used only to report per-epoch accuracy in the metrics.
+    Each epoch's metrics row records ``score(models, alpha)`` of the epoch's
+    final state as its ``target_accuracy``, or None when ``score`` is None.
     Returns the adapted models plus the learned weights alpha; inputs are not
     mutated. All sources step together as one ``SourceStack`` (frozen heads,
     extractors trainable when ``optimize_features``); the returned models are
@@ -291,21 +291,13 @@ def adapt(models, target, cfg, eval_set=None, on_step=None, optimize_features=Tr
 
     result = AdaptationResult(adapted, checked_alpha())
 
-    # frozen extractors: the eval logits and the target forward of the run's
-    # one parameter state, made at the first refresh
-    eval_logits = frozen = None
+    frozen = None  # frozen extractors: the target forward of the run's one state
 
     def epoch_arrays(epoch):
-        nonlocal eval_logits, frozen
-        forward = frozen
-        if forward is None:
-            if not optimize_features and eval_set is not None:
-                # before the target forward, whose arrays would otherwise sit
-                # under the eval forward's temporaries
-                eval_logits = source_logits(adapted, eval_set.x)
-            forward = target_forward(adapted, target.x)
-            if not optimize_features:
-                frozen = forward
+        nonlocal frozen
+        forward = frozen or target_forward(adapted, target.x)
+        if not optimize_features:
+            frozen = forward
         labels = update_pseudo_labels(forward, result.alpha, cfg.refinement_rounds,
                                       cfg.distance_mode)
         # epoch-level mean embedding: diagnostic only; optimization uses the
@@ -336,20 +328,14 @@ def adapt(models, target, cfg, eval_set=None, on_step=None, optimize_features=Tr
         # in the column order of metrics/<method>.jsonl
         row = {"epoch": epoch + 1, **{key: total / len(terms) for key, total in sums.items()}}
         row["alpha"] = [float(a) for a in result.alpha]
-        if eval_set is None:
-            row["target_accuracy"] = None
-        elif eval_logits is None:  # the extractors moved: a fresh forward
-            row["target_accuracy"] = accuracy(adapted, result.alpha, eval_set)
-        else:  # models.accuracy's sum and argmax over the cached logits
-            row["target_accuracy"] = argmax_accuracy(
-                weighted_logits(result.alpha, eval_logits), eval_set.y)
+        row["target_accuracy"] = None if score is None else score(adapted, result.alpha)
         result.metrics.append(row)
     return result
 
 
-def weights_only_adapt(models, target, cfg, eval_set=None, on_step=None):
+def weights_only_adapt(models, target, cfg, score=None, on_step=None):
     """Same loop with the feature extractors excluded from the optimizer."""
-    return adapt(models, target, cfg, eval_set, on_step, optimize_features=False)
+    return adapt(models, target, cfg, score, on_step, optimize_features=False)
 
 
 # -- softmax-average ensemble of independently adapted models ---------------------

@@ -204,8 +204,12 @@ def run_adapt(cfg, out, ckpt_dir=None):
     enabled = [row for row, key in METHOD_KEYS.items() if cfg.baselines[key]]
 
     uniform = np.full(len(models), 1.0 / len(models))
-    unadapted, uniform_accuracy = _scores(models, tgt_eval,
-                                          lambda logits: weighted_logits(uniform, logits))
+    logits = source_logits(models, tgt_eval.x)  # the unadapted sources' one eval forward
+
+    def frozen_accuracy(_, alpha):  # weights-only never moves the extractors
+        return argmax_accuracy(weighted_logits(alpha, logits), tgt_eval.y)
+
+    unadapted = [argmax_accuracy(z, tgt_eval.y) for z in logits]
     per_source = [{"name": name, "unadapted_accuracy": acc}
                   for name, acc in zip(cfg.source_names, unadapted)]
     report = {
@@ -213,15 +217,26 @@ def run_adapt(cfg, out, ckpt_dir=None):
         "resolved_seeds": seeds,
         "backend": kernels.active_backend(),
         "per_source": per_source,
-        "uniform_ensemble_accuracy": uniform_accuracy,
+        "uniform_ensemble_accuracy": frozen_accuracy(models, uniform),
         "files": {},
     }
     found = {"Source-best": max(unadapted), "Source-worst": min(unadapted)}
 
+    if "DECISION-weights" in enabled:
+        with _method("DECISION-weights"):
+            res = weights_only_adapt(
+                models, target, replace(cfg.adaptation, seed=seeds["weights_only_adapt"]),
+                frozen_accuracy,
+            )
+        found["DECISION-weights"] = frozen_accuracy(res.models, res.alpha)
+        _write_trajectory(out, report, "weights_only", res.metrics)
+        report["weights_only_alpha"] = [float(a) for a in res.alpha]
+    del logits  # SHOT and DECISION run without it
+
     if {"SHOT-best", "SHOT-worst", "SHOT-Ens"}.intersection(enabled):
         shot_models = []
         for name, m, seed in zip(cfg.source_names, models, seeds["shot_adapt"]):
-            with _method(f"SHOT {name}"):  # no eval_set: its per-epoch rows go unwritten
+            with _method(f"SHOT {name}"):  # no scorer: its per-epoch rows go unwritten
                 res = adapt([m], target, replace(cfg.adaptation, seed=seed))
             shot_models.append(res.models[0])  # alpha [1.0]: the model's own logits
         shot_accs, found["SHOT-Ens"] = _scores(shot_models, tgt_eval, soft_ensemble_predict)
@@ -229,21 +244,11 @@ def run_adapt(cfg, out, ckpt_dir=None):
             entry["single_adapted_accuracy"] = acc
         found.update({"SHOT-best": max(shot_accs), "SHOT-worst": min(shot_accs)})
 
-    if "DECISION-weights" in enabled:
-        with _method("DECISION-weights"):
-            res = weights_only_adapt(
-                models, target, replace(cfg.adaptation, seed=seeds["weights_only_adapt"]),
-                tgt_eval,
-            )
-        found["DECISION-weights"] = accuracy(res.models, res.alpha, tgt_eval)
-        _write_trajectory(out, report, "weights_only", res.metrics)
-        report["weights_only_alpha"] = [float(a) for a in res.alpha]
-
     if {"DECISION", "DECISION-distill"}.intersection(enabled):
         with _method("DECISION"):
             res = adapt(
                 models, target, replace(cfg.adaptation, seed=seeds["decision_adapt"]),
-                tgt_eval,
+                lambda adapted, alpha: accuracy(adapted, alpha, tgt_eval),
             )
         found["DECISION"] = accuracy(res.models, res.alpha, tgt_eval)
         _write_trajectory(out, report, "decision", res.metrics)

@@ -68,14 +68,16 @@ def run_fixture_suite(seed, full=False):
     target = tgt_train.inputs_only()
     tgt_eval = generate_domain(cfg.target_spec)
 
+    def score(adapted, alpha):  # each epoch's metrics row, as run_adapt scores DECISION
+        return accuracy(adapted, alpha, tgt_eval)
+
     out = {"cfg": cfg, "models": models, "target": target, "eval": tgt_eval}
     out["unadapted"] = [accuracy([m], [1.0], tgt_eval) for m in models]
     out["uniform_ens"] = accuracy(models, np.full(len(models), 0.25), tgt_eval)
 
     shot_models, shot_accs = [], []
     for j, m in enumerate(models):
-        res = adapt([m], target, replace(cfg.adaptation, seed=cfg.seed * 211 + j),
-                    tgt_eval)
+        res = adapt([m], target, replace(cfg.adaptation, seed=cfg.seed * 211 + j), score)
         shot_models.append(res.models[0])
         shot_accs.append(accuracy(res.models, res.alpha, tgt_eval))
     out["shot"] = shot_accs
@@ -86,7 +88,7 @@ def run_fixture_suite(seed, full=False):
     alpha_trace = []
     dec = adapt(models, target,
                 replace(cfg.adaptation, seed=cfg.seed * 307),
-                tgt_eval, on_step=alpha_trace.append)
+                score, on_step=alpha_trace.append)
     out["decision_result"] = dec
     out["decision"] = accuracy(dec.models, dec.alpha, tgt_eval)
     out["alpha"] = dec.alpha
@@ -104,7 +106,7 @@ def run_fixture_suite(seed, full=False):
         for name, overrides in ablations.items():
             res = adapt(models, target,
                         replace(cfg.adaptation, seed=cfg.seed * 307, **overrides),
-                        tgt_eval)
+                        score)
             out[f"ablation_{name}"] = accuracy(res.models, res.alpha, tgt_eval)
             if name == "ent":
                 out["entropy_ent_only"] = prediction_label_entropy(
@@ -112,7 +114,7 @@ def run_fixture_suite(seed, full=False):
                 )
         wres = weights_only_adapt(models, target,
                                   replace(cfg.adaptation, seed=cfg.seed * 401),
-                                  tgt_eval)
+                                  score)
         out["weights_only"] = accuracy(wres.models, wres.alpha, tgt_eval)
         teacher = TeacherView(dec.models, dec.alpha)
         student, agreement = train_student(

@@ -1,5 +1,7 @@
+import ast
 import copy
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -17,8 +19,8 @@ from decision.adaptation import (DISTANCE_MODES, AdaptationConfig, adapt,
                                  update_pseudo_labels, weights_only_adapt)
 from decision.autodiff import DivergenceError, ShapeMismatchError, Tape, Tensor, mlp_forward
 from decision.data import DomainSpec, LabeledSet, generate_domain
-from decision.models import (SourceStack, accuracy, aggregate_logits, classifier_checksum,
-                             predict, source_logits)
+from decision.models import (SourceStack, accuracy, aggregate_logits, argmax_accuracy,
+                             classifier_checksum, predict, source_logits, weighted_logits)
 from decision.optim import ParamGroup, SgdMomentum, lr_schedule
 
 from conftest import constant_logit_model, finite_diff, make_models, max_rel_err, tiny_arch
@@ -570,10 +572,41 @@ def _trained_source(seed=0):
     return model, data
 
 
+def _scorer(labeled):
+    """A per-epoch scorer for ``adapt``: the accuracy on ``labeled``, from a
+    fresh forward of the epoch's models."""
+    return lambda models, alpha: accuracy(models, alpha, labeled)
+
+
+def _frozen_scorer(models, labeled):
+    """The scorer of frozen ``models`` on ``labeled``, from their logits
+    computed here, once: the DECISION-weights scorer of ``run_adapt``."""
+    logits = source_logits(models, labeled.x)
+    return lambda _, alpha: argmax_accuracy(weighted_logits(alpha, logits), labeled.y)
+
+
 def test_adapt_requires_unlabeled_target():
     model, data = _trained_source()
     with pytest.raises(TypeError, match="UnlabeledSet"):
         adapt([model], data, AdaptationConfig(epochs=1))
+
+
+def test_adaptation_module_reads_no_label():
+    # adaptation learns from the sources and unlabeled target rows alone: the
+    # module names no labeled set and reads no ``.y`` of anything; a caller
+    # that wants per-epoch accuracy passes a scorer
+    tree = ast.parse(Path(adaptation.__file__).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.alias):
+            names.update({node.name, node.asname})
+        elif isinstance(node, ast.Attribute):
+            assert node.attr != "y", f"adaptation.py:{node.lineno} reads .y"
+            names.add(node.attr)
+    assert "LabeledSet" not in names
+    assert "UnlabeledSet" in names  # the walk sees the module's names
 
 
 def test_adapt_rejects_empty_target_and_mismatched_models():
@@ -672,7 +705,7 @@ def test_adapt_at_edge_shapes_steps_on_the_simplex_and_repeats_bit_for_bit(case)
     runs = []
     for _ in range(2):
         trace = []
-        result = adapt(models, eval_set.inputs_only(), cfg, eval_set=eval_set,
+        result = adapt(models, eval_set.inputs_only(), cfg, _scorer(eval_set),
                        on_step=trace.append, optimize_features=optimize_features)
         runs.append((result, trace))
     (result, trace), (again, again_trace) = runs
@@ -848,8 +881,9 @@ def test_one_source_adapt_records_two_nodes_and_steps_only_the_extractors(monkey
 
 @pytest.mark.parametrize("n", [1, 3])
 def test_weights_only_runs_no_forward_after_the_first_refresh(monkeypatch, n):
-    # the first refresh runs each source's forward of the eval rows and of
-    # the target; every step then reads the cached target logits
+    # the first refresh runs each source's forward of the target; every step
+    # then reads the cached target logits, and the scorer reads eval logits
+    # its caller computed once, before the run
     calls, at_refresh = [], []
 
     def counted(fn):
@@ -865,15 +899,16 @@ def test_weights_only_runs_no_forward_after_the_first_refresh(monkeypatch, n):
         return refresh(*args)
 
     sources = [_trained_source(seed)[0] for seed in range(n)]
+    scored = _frozen_scorer(sources, _blob_domain(seed=8, n=50))
     monkeypatch.setattr(Tape, "mlp", counted(Tape.mlp))
     for module in (adaptation, models_mod, autodiff):
         monkeypatch.setattr(module, "mlp_forward", counted(mlp_forward))
     monkeypatch.setattr(adaptation, "update_pseudo_labels", marking)
-    weights_only_adapt(sources, _blob_domain(seed=7, n=70).inputs_only(),
-                       AdaptationConfig(epochs=3, batch_size=8, seed=4),
-                       eval_set=_blob_domain(seed=8, n=50))
-    assert calls == ["mlp_forward"] * (2 * n)
-    assert at_refresh == [2 * n] * 3
+    result = weights_only_adapt(sources, _blob_domain(seed=7, n=70).inputs_only(),
+                                AdaptationConfig(epochs=3, batch_size=8, seed=4), scored)
+    assert calls == ["mlp_forward"] * n
+    assert at_refresh == [n] * 3
+    assert all(row["target_accuracy"] is not None for row in result.metrics)
 
 
 def test_weights_only_run_with_a_minus_inf_logit_diverges_at_the_refresh():
@@ -895,7 +930,7 @@ def test_weights_only_run_with_a_minus_inf_logit_diverges_at_the_refresh():
 def test_metrics_rows_carry_the_contracted_keys():
     model, data = _trained_source()
     result = adapt([model], data.inputs_only(), AdaptationConfig(epochs=2, seed=0),
-                   eval_set=data)
+                   _scorer(data))
     assert len(result.metrics) == 2
     for row in result.metrics:
         assert set(row) == {"epoch", "L_ent", "L_div", "L_pl", "L_tot", "alpha",
@@ -908,12 +943,13 @@ def test_metrics_rows_carry_the_contracted_keys():
         assert pbar.sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def _adapt_alone(models, target, cfg, eval_set, optimize_features):
+def _adapt_alone(models, target, cfg, score, optimize_features):
     """The reference adaptation loop: pseudo-labels at each epoch's start, a
     seeded permutation sliced into batches with the short last batch kept, one
     tape per step, the lr schedule, momentum SGD, alpha projected after every
     step, and per-epoch rows of the step terms summed in step order. Returns
-    (models, alpha, metrics rows, alpha after every step).
+    (models, alpha, metrics rows, alpha after every step); each row's
+    accuracy is ``score`` of the epoch's final models and alpha.
 
     Every step records a forward and an ensemble node: at n = 1 it keeps the
     raw weight ``adapt`` drops, and with frozen extractors it runs the batch's
@@ -950,7 +986,7 @@ def _adapt_alone(models, target, cfg, eval_set, optimize_features):
         row = {key: sums[key] / n_batches for key in sums}
         row["epoch"] = epoch + 1
         row["alpha"] = [float(a) for a in alpha]
-        row["target_accuracy"] = accuracy(stack.models, alpha, eval_set)
+        row["target_accuracy"] = score(stack.models, alpha)
         metrics.append(row)
     return stack.models, alpha, metrics, trace
 
@@ -964,9 +1000,12 @@ def test_adapt_is_bit_identical_to_the_reference_loop(n, optimize_features):
     cfg = AdaptationConfig(epochs=3, batch_size=8, seed=4)
     trace = []
     run = adapt if optimize_features else weights_only_adapt
-    result = run(sources, target.inputs_only(), cfg, eval_set=target, on_step=trace.append)
+    # frozen extractors are scored from the unadapted logits, as run_adapt
+    # scores them; the reference scores every epoch with a fresh forward
+    score = _scorer(target) if optimize_features else _frozen_scorer(sources, target)
+    result = run(sources, target.inputs_only(), cfg, score, on_step=trace.append)
     models, alpha, metrics, ref_trace = _adapt_alone(sources, target.inputs_only(), cfg,
-                                                     target, optimize_features)
+                                                     _scorer(target), optimize_features)
     assert len(trace) == len(ref_trace) == 27
     for got, want in zip(trace, ref_trace):
         np.testing.assert_array_equal(got, want)
@@ -989,7 +1028,7 @@ def test_eval_set_labels_reach_only_target_accuracy(optimize_features):
     cfg = AdaptationConfig(epochs=3, batch_size=8, seed=4)
     run = adapt if optimize_features else weights_only_adapt
     traces = ([], [])
-    a, b = (run(sources, target.inputs_only(), cfg, eval_set=labels, on_step=trace.append)
+    a, b = (run(sources, target.inputs_only(), cfg, _scorer(labels), on_step=trace.append)
             for labels, trace in zip((target, permuted), traces))
     assert len(traces[0]) == len(traces[1]) == 27
     for got, want in zip(*traces):
@@ -1027,16 +1066,17 @@ def _count_forwards(monkeypatch, *inputs):
 @pytest.mark.parametrize("n", [1, 3])
 def test_one_forward_of_the_target_per_parameter_state(monkeypatch, n, optimize_features):
     # training extractors: each source's forward of the whole target runs once
-    # per epoch, shared by the refresh and the epoch's mean prediction, and of
-    # the eval rows once per epoch; frozen ones: each runs once per run
+    # per epoch, shared by the refresh and the epoch's mean prediction; frozen
+    # ones: once per run. The eval rows are forwarded only by the scorer,
+    # which adapt calls once per epoch
     sources = [_trained_source(seed)[0] for seed in range(n)]
     target = _blob_domain(seed=7, n=70).inputs_only()
     eval_set = _blob_domain(seed=8, n=50)
     counts = _count_forwards(monkeypatch, target.x, eval_set.x)
     run = adapt if optimize_features else weights_only_adapt
-    run(sources, target, AdaptationConfig(epochs=3, batch_size=8, seed=4), eval_set=eval_set)
+    run(sources, target, AdaptationConfig(epochs=3, batch_size=8, seed=4), _scorer(eval_set))
     per_source = 3 if optimize_features else 1
-    assert counts == [n * per_source, n * per_source]
+    assert counts == [n * per_source, n * 3]
 
 
 @pytest.mark.parametrize("n", [1, 3])

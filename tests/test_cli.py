@@ -573,6 +573,46 @@ def test_adapt_forwards_the_eval_rows_once_per_source_and_fixed_state(trained_ru
     assert events == ["eval"] * 2 + ["shot"] * 2 + ["eval"] * 2
 
 
+def test_adapt_forwards_the_unadapted_eval_rows_once_per_source(trained_run, tmp_path,
+                                                                monkeypatch):
+    # Source-best/worst, the uniform ensemble and every DECISION-weights score
+    # (each epoch's row and the final one) read one forward per source: the
+    # extractors never move, so neither does that forward
+    _, _, trained = trained_run
+    doc = small_config()
+    doc["baselines"] = {k: k.startswith("source") or k == "weights_only"
+                        for k in config_mod.BASELINE_KEYS}
+    events, eval_x = [], []
+    real_target, real_adapt, real_forward = (runner._target, runner.weights_only_adapt,
+                                             models_mod.mlp_forward)
+
+    def target(cfg):
+        out = real_target(cfg)
+        eval_x.append(out[1].x)
+        return out
+
+    def forward(x, params):
+        if eval_x and x is eval_x[0]:
+            events.append("eval")
+        return real_forward(x, params)
+
+    def weights_only(*args, **kwargs):
+        events.append("weights_only")
+        return real_adapt(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "_target", target)
+    monkeypatch.setattr(runner, "weights_only_adapt", weights_only)
+    monkeypatch.setattr(models_mod, "mlp_forward", forward)
+    out = tmp_path / "out"
+    assert main(["adapt", "--config", str(write_config(tmp_path, doc)), "--out", str(out),
+                 "--checkpoints", str(trained / "checkpoints")]) == 0
+    assert events == ["eval"] * 2 + ["weights_only"]
+    rows = [json.loads(line) for line in
+            (out / "metrics" / "weights_only.jsonl").read_text().splitlines()]
+    report = json.loads((out / "report.json").read_text())
+    assert len(rows) == 2 and rows[-1]["target_accuracy"] == report["methods"]["DECISION-weights"]
+
+
 def test_single_enabled_method_yields_single_row(trained_run, tmp_path):
     _, _, trained = trained_run
     doc = small_config()
@@ -882,8 +922,9 @@ def test_oracle_detects_injected_corruption(tmp_path, monkeypatch):
 
 # -- report ------------------------------------------------------------------------
 
-def test_report_aggregates_runs_and_lambda_sweep(trained_run, tmp_path):
-    tmp, path, out = trained_run
+def test_report_aggregates_runs_and_lambda_sweep(trained_run, adapted_run, tmp_path):
+    _, _, trained = trained_run
+    _, run = adapted_run  # at the default lambda, 0.3
     # lambda sweep: reuse the trained checkpoints, adapt once per lambda value
     sweep_dirs = []
     for lam in (0.0, 0.1, 1.0):
@@ -891,10 +932,10 @@ def test_report_aggregates_runs_and_lambda_sweep(trained_run, tmp_path):
         cfg_path = write_config(tmp_path, doc, f"cfg_{lam}.yaml")
         sweep_out = tmp_path / f"sweep_{lam}"
         assert main(["adapt", "--config", str(cfg_path), "--out", str(sweep_out),
-                     "--checkpoints", str(out / "checkpoints")]) == 0
+                     "--checkpoints", str(trained / "checkpoints")]) == 0
         sweep_dirs.append(sweep_out)
     rout = tmp_path / "report"
-    runs = [str(out)] + [str(d) for d in sweep_dirs]
+    runs = [str(run)] + [str(d) for d in sweep_dirs]
     assert main(["report", *runs, "--out", str(rout)]) == 0
     with open(rout / "methods_accuracy.csv") as fh:
         rows = list(csv.reader(fh))
